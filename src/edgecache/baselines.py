@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import (
-    DEFAULT_GAMMA,
-    Assignment,
-    assignment_from_classes,
-    network_tables,
-    penalized_cost,
-)
+from .cost import DEFAULT_GAMMA, Assignment, assignment_from_classes, class_table, network_tables
 from .instance import Instance
 
 DEFAULT_RGC_EPOCHS = 500
@@ -87,11 +81,10 @@ def rgc(
     rng = np.random.default_rng(cfg.seed)
     E = i.topology.num_edge_clouds
     neighborhoods = _ec_neighborhoods(i)
+    table = class_table(i)
 
-    classes = gca(i).x.argmax(axis=1).copy()
-    # x rows are one-hot after GCA, so argmax recovers the EC choice.
-    current = assignment_from_classes(i, classes)
-    tc = penalized_cost(i, current, gamma=cfg.gamma)
+    classes = expected_hops(i).argmin(axis=1)  # the GCA start
+    tc = table.price(classes, gamma=cfg.gamma)
 
     for _ in range(cfg.epochs):
         trial_classes = classes.copy()
@@ -102,12 +95,10 @@ def rgc(
                 options = [classes[k]] + list(neighborhoods[classes[k]]) + [E]
             trial_classes[k] = options[int(rng.integers(0, len(options)))]
         if (trial_classes != classes).any():
-            trial = assignment_from_classes(i, trial_classes)
-            trial_tc = penalized_cost(i, trial, gamma=cfg.gamma)
+            trial_tc = table.price(trial_classes, gamma=cfg.gamma)
             if trial_tc < tc:
                 classes = trial_classes
-                current = trial
                 tc = trial_tc
         if trace is not None:
             trace.append(tc)
-    return current
+    return table.assignment(classes)

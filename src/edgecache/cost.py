@@ -11,6 +11,12 @@ at the ECs with expected transmission hops:
 where C_cache sums 1 / (1 - U_e) per cached item (U_e the EC's space
 utilization), C_hit weights path hops by mobility, and every unit of
 unserved mobility mass pays the datacenter round trip.
+
+The cost is flow-separable: each flow picks one class out of |E|+1 (an
+EC, or uncached), and the class fixes its serving set and link
+footprint.  class_table builds one per-instance table that prices any
+class vector and materializes it as an Assignment; cost_breakdown
+prices arbitrary assignments with the same per-flow arithmetic.
 """
 
 from __future__ import annotations
@@ -59,10 +65,6 @@ class Assignment:
             raise ValueError("a (flow, AR) pair retrieves from more than one EC")
         if (self.z > self.x[:, None, :]).any():
             raise ValueError("retrieval from an EC that does not cache the flow")
-
-    @property
-    def num_flows(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -127,45 +129,105 @@ def caching_cost(i: Instance, x: np.ndarray) -> float:
     return float((counts[hosting] / (1.0 - u[hosting])).sum())
 
 
-def caching_cost_via_linearization(i: Instance, x: np.ndarray) -> float:
-    """Same cost through the auxiliary t_e and chi_ke = t_e * x_ke variables."""
-    u = utilization(i, x)
-    if (u >= 1.0).any():
-        raise CachingCostUndefinedError("utilization at or above 1")
-    t = 1.0 / (1.0 - u)
-    chi = t[None, :] * x
-    return float(chi.sum())
+def path_links(i: Instance, z: np.ndarray) -> np.ndarray:
+    """(N, L) marks of the links on the canonical paths each z[n] (A, E) retrieves over."""
+    _, inc = network_tables(i.topology)
+    L = inc.entries.shape[0]
+    n = z.shape[0]
+    return (inc.entries.reshape(L, -1) @ z.reshape(n, -1).T > 0).T.astype(np.int8)
+
+
+def _flow_hops(i: Instance, served: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (hit, miss) hops of the served mobility mass (..., A, E).
+
+    Hits pay path hops; the unserved rest of the row's mass pays N_T.
+    The kernel and cost_breakdown both price through here, so a class
+    vector and its materialized assignment get the same float.
+    """
+    hops, _ = network_tables(i.topology)
+    hit = (served * hops.entries).sum(axis=(-2, -1))
+    miss = (1.0 - served.sum(axis=(-2, -1))) * i.topology.datacenter_hops
+    return hit, miss
+
+
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """Per-instance pricing kernel over flow classes c in 0..E.
+
+    Class c < E caches the flow at EC c; class E leaves it uncached.
+    A cached flow retrieves, at every AR it may appear at, from its EC
+    whenever that path beats the datacenter fallback (hops < N_T), so
+    its serving set and link footprint are fixed by its class.  Link
+    capacities are deliberately ignored; overloads surface in the
+    penalty term.
+    """
+
+    inst: Instance
+    serve: np.ndarray  # (K, A, E) bool: AR a retrieves from EC e when flow k is cached there
+    links: np.ndarray  # (K, E+1, L) int8: links on flow k's serving paths at class c
+    T: np.ndarray      # (K, E+1) hit plus miss hops; T[:, E] = N_T
+    Q: np.ndarray      # (K, E) storage ratio q_ke
+    R: np.ndarray      # (K, E+1, L) link load of flow k's serving set at class c
+
+    def _placement(self, classes) -> np.ndarray:
+        E = self.Q.shape[1]
+        return np.eye(E + 1, E, dtype=np.int8)[classes]
+
+    def price(self, classes, gamma: float = DEFAULT_GAMMA) -> float:
+        """Penalized total TC_N of a class vector."""
+        rows = np.arange(len(classes))
+        _, tc, penalty, _ = _priced(
+            self.inst,
+            self._placement(classes),
+            self.Q,
+            float(self.T[rows, classes].sum()),
+            self.R[rows, classes].sum(axis=0),
+            gamma,
+        )
+        return tc + penalty
+
+    def assignment(self, classes) -> Assignment:
+        """Materialize a class vector as x, z and y."""
+        x = self._placement(classes)
+        z = (self.serve * x[:, None, :]).astype(np.int8)
+        return Assignment(x=x, z=z, y=self.links[np.arange(len(classes)), classes])
+
+
+def class_table(i: Instance) -> ClassTable:
+    """Build the pricing kernel of an instance, vectorized over (flow, class)."""
+    hops, _ = network_tables(i.topology)
+    K, A = i.mobility.shape
+    E = i.topology.num_edge_clouds
+    rat = ratios(i)
+    serve = (i.mobility[:, :, None] > 0) & (hops.entries < i.topology.datacenter_hops)
+    # z[k, c] is flow k's retrieval tensor at class c: column c only, none at c = E.
+    z = np.zeros((K, E + 1, A, E), dtype=np.int8)
+    ecs = np.arange(E)
+    z[:, ecs, :, ecs] = serve.transpose(2, 0, 1)
+    hit, miss = _flow_hops(i, i.mobility[:, None, :, None] * z)
+    links = path_links(i, z.reshape(K * (E + 1), A, E)).reshape(K, E + 1, -1)
+    return ClassTable(
+        inst=i, serve=serve, links=links, T=hit + miss, Q=rat.q, R=rat.r[:, None, :] * links
+    )
 
 
 def derive_routing(i: Instance, x: np.ndarray) -> Assignment:
-    """Resolve z and y from a placement.
+    """Resolve z and y from a placement x with at most one EC per flow.
 
-    For every AR a flow may appear at, retrieve from the cached EC with
-    the fewest hops, but only when that beats the datacenter fallback
-    (hops < N_T); otherwise the mass is left to miss.  y marks links on
-    the chosen canonical paths.  Link capacities are deliberately
-    ignored here; overloads surface in the penalty term.
+    Retrieval follows ClassTable's serving rule; link capacities are
+    ignored here, and overloads surface in the penalty term.
     """
-    hops, inc = network_tables(i.topology)
-    K, A = i.mobility.shape
-    E = i.topology.num_edge_clouds
-    L = i.topology.num_links
-    n_t = i.topology.datacenter_hops
-
     x = np.asarray(x, dtype=np.int8)
-    z = np.zeros((K, A, E), dtype=np.int8)
-    for k in range(K):
-        cached = np.flatnonzero(x[k])
-        if cached.size == 0:
-            continue
-        for a in np.flatnonzero(i.mobility[k] > 0):
-            e_best = cached[np.argmin(hops.entries[a, cached])]
-            if hops.entries[a, e_best] < n_t:
-                z[k, a, e_best] = 1
+    classes = np.where(x.any(axis=1), x.argmax(axis=1), i.topology.num_edge_clouds)
+    asg = class_table(i).assignment(classes)
+    if not np.array_equal(asg.x, x):
+        raise ValueError("x must be binary with at most one EC per flow")
+    return asg
 
-    b_flat = inc.entries.reshape(L, A * E)
-    y = (b_flat @ z.reshape(K, A * E).T > 0).T.astype(np.int8)
-    return Assignment(x=x, z=z, y=y)
+
+def assignment_from_classes(i: Instance, classes: np.ndarray) -> Assignment:
+    """Build an Assignment from per-flow class labels (E means uncached)."""
+    return class_table(i).assignment(np.asarray(classes))
 
 
 def transmission_cost(i: Instance, asg: Assignment) -> tuple[float, float, float]:
@@ -174,46 +236,39 @@ def transmission_cost(i: Instance, asg: Assignment) -> tuple[float, float, float
     Hits pay mobility-weighted path hops; each flow's unserved mass,
     including the whole flow when nothing is cached, pays N_T hops.
     """
-    hops, _ = network_tables(i.topology)
-    n_t = i.topology.datacenter_hops
-    served = (i.mobility[:, :, None] * asg.z)  # (K, A, E)
-    hit = float((served * hops.entries[None, :, :]).sum())
-    miss = float(((1.0 - served.sum(axis=(1, 2))) * n_t).sum())
-    return hit + miss, hit, miss
+    hit, miss = _flow_hops(i, i.mobility[:, :, None] * asg.z)
+    return float((hit + miss).sum()), float(hit.sum()), float(miss.sum())
 
 
-def _hinge_terms(i: Instance, asg: Assignment) -> tuple[float, float]:
-    """Per-resource capacity overshoot: (EC hinge, link hinge)."""
-    rat = ratios(i)
-    u = (rat.q * asg.x).sum(axis=0)
-    load = (rat.r * asg.y).sum(axis=0)
-    return float(np.maximum(0.0, u - 1.0).sum()), float(np.maximum(0.0, load - 1.0).sum())
+def _priced(
+    i: Instance, x: np.ndarray, q: np.ndarray, ct: float, load: np.ndarray, gamma: float
+) -> tuple[float, float, float, np.ndarray]:
+    """(caching, TC, penalty, U) of placement x with transmission ct and link load.
 
-
-def _clamped_caching(i: Instance, x: np.ndarray) -> float:
-    """Caching cost that stays finite for capacity-violating placements."""
-    u = utilization(i, x)
+    The hinge penalizes each overfull EC and each overloaded link by its
+    own overshoot, so it vanishes exactly on feasible assignments.
+    """
+    u = (q * x).sum(axis=0)
     counts = x.sum(axis=0)
     hosting = counts > 0
-    summand = np.where(
-        u[hosting] < 1.0,
-        counts[hosting] / (1.0 - np.minimum(u[hosting], 1.0 - 1e-12)),
-        counts[hosting] * _CLAMPED_SUMMAND,
+    cc = float(
+        np.where(
+            u[hosting] < 1.0,
+            counts[hosting] / (1.0 - np.minimum(u[hosting], 1.0 - 1e-12)),
+            counts[hosting] * _CLAMPED_SUMMAND,
+        ).sum()
     )
-    return float(summand.sum())
+    hinge = float(np.maximum(0.0, u - 1.0).sum()) + float(np.maximum(0.0, load - 1.0).sum())
+    return cc, i.alpha * cc + i.beta * ct, gamma * hinge, u
 
 
 def cost_breakdown(
     i: Instance, asg: Assignment, gamma: float = DEFAULT_GAMMA
 ) -> CostBreakdown:
     """Full cost accounting; total everywhere, even for invalid placements."""
-    u = utilization(i, asg.x)
-    cc = _clamped_caching(i, asg.x)
+    rat = ratios(i)
     ct, ch, cm = transmission_cost(i, asg)
-    tc = i.alpha * cc + i.beta * ct
-    ec_hinge, link_hinge = _hinge_terms(i, asg)
-    penalty = gamma * (ec_hinge + link_hinge)
-    report = check_feasibility(i, asg)
+    cc, tc, penalty, u = _priced(i, asg.x, rat.q, ct, (rat.r * asg.y).sum(axis=0), gamma)
     return CostBreakdown(
         caching=cc,
         transmission=ct,
@@ -222,7 +277,7 @@ def cost_breakdown(
         total=tc,
         penalty=penalty,
         penalized_total=tc + penalty,
-        feasible=report.feasible,
+        feasible=check_feasibility(i, asg).feasible,
         per_ec_utilization=u,
     )
 
@@ -235,52 +290,19 @@ def total_cost(
     Raises CachingCostUndefinedError when any EC is at or beyond
     capacity; callers handling such placements use penalized_cost.
     """
-    u = utilization(i, asg.x)
-    if (u >= 1.0).any():
-        bad = int(np.argmax(u >= 1.0))
-        raise CachingCostUndefinedError(
-            f"EC index {bad} at utilization {u[bad]:.6f} >= 1; use the penalized path"
-        )
+    caching_cost(i, asg.x)  # raises at or beyond capacity
     return cost_breakdown(i, asg, gamma=gamma)
 
 
-def penalized_cost(
-    i: Instance,
-    asg: Assignment,
-    gamma: float = DEFAULT_GAMMA,
-    aggregate_hinge: bool = False,
-) -> float:
-    """Penalized total TC_N: finite for every assignment.
-
-    The default hinge penalizes each overfull EC and each overloaded
-    link by its own overshoot, so it vanishes exactly on feasible
-    assignments.  aggregate_hinge=True instead applies the historical
-    aggregate form gamma * max(0, (sum_e U_e - 1) + (sum_l load_l - 1)),
-    which is positive even for some feasible multi-EC placements; it is
-    kept for comparison only.
-    """
-    if not aggregate_hinge:
-        return cost_breakdown(i, asg, gamma=gamma).penalized_total
-    rat = ratios(i)
-    u_total = float((rat.q * asg.x).sum())
-    load_total = float((rat.r * asg.y).sum())
-    tc = i.alpha * _clamped_caching(i, asg.x) + i.beta * transmission_cost(i, asg)[0]
-    return tc + gamma * max(0.0, (u_total - 1.0) + (load_total - 1.0))
+def penalized_cost(i: Instance, asg: Assignment, gamma: float = DEFAULT_GAMMA) -> float:
+    """Penalized total TC_N: finite for every assignment."""
+    return cost_breakdown(i, asg, gamma=gamma).penalized_total
 
 
 def check_feasibility(i: Instance, asg: Assignment) -> FeasibilityReport:
     """Evaluate every constraint family independently."""
-    _, inc = network_tables(i.topology)
-    K = asg.num_flows
-    L = i.topology.num_links
-    A = i.topology.num_access_routers
-    E = i.topology.num_edge_clouds
-
     cached_bytes = (i.content_size[:, None] * asg.x).sum(axis=0)
     link_bytes = (i.bandwidth[:, None] * asg.y).sum(axis=0)
-    b_flat = inc.entries.reshape(L, A * E)
-    path_hits = (b_flat @ asg.z.reshape(K, A * E).T).T  # (K, L)
-    y_exact = (path_hits > 0).astype(np.int8)
 
     return FeasibilityReport(
         single_placement=bool((asg.x.sum(axis=1) <= 1).all()),
@@ -288,18 +310,7 @@ def check_feasibility(i: Instance, asg: Assignment) -> FeasibilityReport:
         unique_retrieval=bool((asg.z.sum(axis=2) <= 1).all()),
         retrieval_requires_cache=bool((asg.z <= asg.x[:, None, :]).all()),
         link_capacity=bool((link_bytes <= i.link_capacity * (1 + _TOL)).all()),
-        link_path_consistency=bool((asg.y == y_exact).all()),
-    )
-
-
-BREAKDOWN_CSV_HEADER = "method,TC,C_C,C_H,C_M,penalty,feasible"
-
-
-def breakdown_csv_row(method: str, bd: CostBreakdown) -> str:
-    """One fixed-order CSV row per instance/method pair."""
-    return (
-        f"{method},{bd.total:.12g},{bd.caching:.12g},{bd.hit:.12g},"
-        f"{bd.miss:.12g},{bd.penalty:.12g},{int(bd.feasible)}"
+        link_path_consistency=bool((asg.y == path_links(i, asg.z)).all()),
     )
 
 
@@ -334,22 +345,4 @@ def load_assignment(path) -> Assignment:
 
 def empty_assignment(i: Instance) -> Assignment:
     """The always-feasible fallback: nothing cached, everything misses."""
-    K = i.num_flows
-    A = i.topology.num_access_routers
-    E = i.topology.num_edge_clouds
-    L = i.topology.num_links
-    return Assignment(
-        x=np.zeros((K, E), dtype=np.int8),
-        z=np.zeros((K, A, E), dtype=np.int8),
-        y=np.zeros((K, L), dtype=np.int8),
-    )
-
-
-def assignment_from_classes(i: Instance, classes: np.ndarray) -> Assignment:
-    """Build an Assignment from per-flow class labels (E means uncached)."""
-    E = i.topology.num_edge_clouds
-    x = np.zeros((i.num_flows, E), dtype=np.int8)
-    for k, c in enumerate(classes):
-        if c < E:
-            x[k, c] = 1
-    return derive_routing(i, x)
+    return assignment_from_classes(i, np.full(i.num_flows, i.topology.num_edge_clouds))

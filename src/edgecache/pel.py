@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import DEFAULT_GAMMA, Assignment, assignment_from_classes, penalized_cost
+from .cost import DEFAULT_GAMMA, Assignment, class_table
 from .instance import Instance
 
 DEFAULT_DELTA = 0.001
@@ -49,11 +49,6 @@ def build_queues(O: np.ndarray, delta: float) -> CandidateQueues:
     return CandidateQueues(omega=tuple(omega), psi=tuple(psi))
 
 
-def _materialize(i: Instance, omega: list[tuple[int, int, float]]) -> Assignment:
-    classes = np.array([c for _, c, _ in sorted(omega)], dtype=int)
-    return assignment_from_classes(i, classes)
-
-
 def enhance(
     i: Instance,
     O: np.ndarray,
@@ -65,8 +60,9 @@ def enhance(
 
     O has one row per flow over |E|+1 classes (the last class means
     "leave uncached") and rows summing to 1.  Each queue entry is tried
-    once: substitute it for its flow's current pick, rebuild routing,
-    and keep the change only when the penalized cost strictly drops.
+    once: substitute it for its flow's current pick, price the class
+    vector, and keep the change only when the penalized cost strictly
+    drops.
     The result can never cost more than the plain argmax combination.
     """
     if not (0.0 <= delta < 1.0):
@@ -82,22 +78,20 @@ def enhance(
         raise ValueError("O rows must sum to 1")
 
     queues = build_queues(O, delta)
-    current = {k: (k, c, p) for k, c, p in queues.omega}
-    assignment = _materialize(i, list(current.values()))
-    tc_current = penalized_cost(i, assignment, gamma=gamma)
+    table = class_table(i)
+    classes = np.array([c for _, c, _ in queues.omega])
+    tc_current = table.price(classes, gamma=gamma)
 
     records = []
     for step, (k, c, p) in enumerate(queues.psi):
-        displaced = current[k]
-        current[k] = (k, c, p)
-        trial = _materialize(i, list(current.values()))
-        tc_trial = penalized_cost(i, trial, gamma=gamma)
+        displaced = classes[k]
+        classes[k] = c
+        tc_trial = table.price(classes, gamma=gamma)
         accepted = tc_trial < tc_current
         if accepted:
-            assignment = trial
             tc_current = tc_trial
         else:
-            current[k] = displaced
+            classes[k] = displaced
         records.append((step, k, c, tc_trial, tc_current, accepted))
 
     if trace_path is not None:
@@ -108,4 +102,4 @@ def enhance(
             )
             for row in records:
                 writer.writerow(row)
-    return assignment
+    return table.assignment(classes)

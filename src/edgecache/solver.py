@@ -23,7 +23,7 @@ import numpy as np
 
 from . import cost as costmod
 from .cost import Assignment, CostBreakdown, network_tables
-from .instance import Instance, ratios
+from .instance import Instance
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -52,44 +52,40 @@ class _Search:
         self.budget = budget
         self.cap = reassignment_cap
         hops, inc = network_tables(inst.topology)
+        self.table = costmod.class_table(inst)
         self.K = inst.num_flows
         self.E = inst.topology.num_edge_clouds
         self.nt = float(inst.topology.datacenter_hops)
         self.alpha = inst.alpha
         self.beta = inst.beta
-        self.q = ratios(inst).q
+        self.q = self.table.Q
         b = inst.bandwidth
         c = inst.link_capacity
 
-        # Per (flow, EC): the ARs worth serving, the hop gain of each,
-        # the links their canonical paths touch, and the resulting
-        # best-case transmission cost.
-        self.serve: list[list[list[tuple[int, float, tuple[int, ...]]]]] = []
-        self.t_exact = np.full((self.K, self.E), self.nt)
-        self.links_used: list[list[tuple[int, ...]]] = []
+        # Per (flow, EC): the ARs worth serving (from the kernel's
+        # serving mask), the hop gain and path of each, the best-case
+        # transmission cost and the links the serving paths touch.
+        gain = inst.mobility[:, :, None] * (self.nt - hops.entries)
+        self.serve: list[list[list[tuple[int, float, tuple[int, ...]]]]] = [
+            [
+                [
+                    (int(a), float(gain[k, a, e]), inc.path_store[(int(a), e)])
+                    for a in np.flatnonzero(self.table.serve[k, :, e])
+                ]
+                for e in range(self.E)
+            ]
+            for k in range(self.K)
+        ]
+        self.t_exact = self.table.T[:, : self.E]
+        self.links_used: list[list[tuple[int, ...]]] = [
+            [tuple(np.flatnonzero(self.table.links[k, e]).tolist()) for e in range(self.E)]
+            for k in range(self.K)
+        ]
         self.r_of = lambda k, l: b[k] / c[l]
-        for k in range(self.K):
-            per_ec = []
-            links_per_ec = []
-            for e in range(self.E):
-                entries = []
-                link_set: set[int] = set()
-                for a in np.flatnonzero(inst.mobility[k] > 0):
-                    n_ae = hops.entries[a, e]
-                    if n_ae < self.nt:
-                        gain = float(inst.mobility[k, a]) * (self.nt - n_ae)
-                        path = inc.path_store[(int(a), e)]
-                        entries.append((int(a), gain, path))
-                        link_set.update(path)
-                per_ec.append(entries)
-                links_per_ec.append(tuple(sorted(link_set)))
-                self.t_exact[k, e] = self.nt - sum(g for _, g, _ in entries)
-            self.serve.append(per_ec)
-            self.links_used.append(links_per_ec)
 
         # Branch order: largest content first tightens bounds earliest.
         self.order = sorted(range(self.K), key=lambda k: (-inst.content_size[k], k))
-        t_any = np.minimum(self.nt, self.t_exact.min(axis=1))
+        t_any = self.table.T.min(axis=1)  # T[:, E] = N_T
         self.suffix_any = [0.0] * (self.K + 1)
         for d in range(self.K - 1, -1, -1):
             self.suffix_any[d] = self.suffix_any[d + 1] + float(t_any[self.order[d]])
@@ -236,26 +232,15 @@ class _Search:
             }
 
     def build_solution(self) -> Assignment:
-        inst = self.inst
-        hops, inc = network_tables(inst.topology)
-        A = inst.topology.num_access_routers
-        L = inst.topology.num_links
-        x = np.zeros((self.K, self.E), dtype=np.int8)
-        z = np.zeros((self.K, A, self.E), dtype=np.int8)
-        for k in range(self.K):
-            e = self.best_choices[k]
-            if e < 0:
-                continue
-            x[k, e] = 1
-            if k in self.best_serving:
-                served = self.best_serving[k]
-            else:
-                served = tuple(a for a, _, _ in self.serve[k][e])
-            for a in served:
-                z[k, a, e] = 1
-        b_flat = inc.entries.reshape(L, A * self.E)
-        y = (b_flat @ z.reshape(self.K, A * self.E).T > 0).T.astype(np.int8)
-        return Assignment(x=x, z=z, y=y)
+        classes = np.array([self.E if e < 0 else e for e in self.best_choices])
+        asg = self.table.assignment(classes)
+        if not self.best_serving:
+            return asg
+        z = asg.z.copy()
+        for k, served in self.best_serving.items():
+            z[k] = 0
+            z[k, list(served), classes[k]] = 1
+        return Assignment(x=asg.x, z=z, y=costmod.path_links(self.inst, z))
 
 
 def solve_exact(
@@ -287,31 +272,3 @@ def solve_exact(
         proof=proof,
     )
 
-
-def lower_bound(
-    i: Instance, placements: dict[int, int | None]
-) -> float:
-    """Admissible bound for a partial placement (flow -> EC or None).
-
-    Flows absent from the mapping are free; they contribute their
-    best-case transmission cost and no storage cost.  Used by the
-    admissibility tests; solve_exact maintains the same quantity
-    incrementally.
-    """
-    search = _Search(i, budget=0, reassignment_cap=0)
-    counts = [0] * search.E
-    util = [0.0] * search.E
-    placed_t = 0.0
-    for k, e in placements.items():
-        if e is None:
-            placed_t += search.nt
-        else:
-            counts[e] += 1
-            util[e] += search.q[k, e]
-            placed_t += float(search.t_exact[k, e])
-    free = [k for k in range(search.K) if k not in placements]
-    t_any = np.minimum(search.nt, search.t_exact.min(axis=1))
-    rest = sum(float(t_any[k]) for k in free)
-    return search.alpha * search.caching_sum(counts, util) + search.beta * (
-        placed_t + rest
-    )

@@ -4,7 +4,73 @@ import itertools
 
 import numpy as np
 
-from edgecache.cost import network_tables, utilization
+from edgecache.cost import (
+    Assignment,
+    CachingCostUndefinedError,
+    class_table,
+    network_tables,
+    utilization,
+)
+
+
+def caching_cost_via_linearization(i, x):
+    """Caching cost through the auxiliary t_e and chi_ke = t_e * x_ke variables."""
+    u = utilization(i, x)
+    if (u >= 1.0).any():
+        raise CachingCostUndefinedError("utilization at or above 1")
+    t = 1.0 / (1.0 - u)
+    chi = t[None, :] * x
+    return float(chi.sum())
+
+
+def derive_routing_loop(i, x):
+    """Per-flow routing loop: every AR a flow may appear at retrieves from
+    the nearest cached EC when that beats the datacenter (hops < N_T)."""
+    hops, inc = network_tables(i.topology)
+    K, A = i.mobility.shape
+    E = i.topology.num_edge_clouds
+    L = i.topology.num_links
+    n_t = i.topology.datacenter_hops
+
+    x = np.asarray(x, dtype=np.int8)
+    z = np.zeros((K, A, E), dtype=np.int8)
+    for k in range(K):
+        cached = np.flatnonzero(x[k])
+        if cached.size == 0:
+            continue
+        for a in np.flatnonzero(i.mobility[k] > 0):
+            e_best = cached[np.argmin(hops.entries[a, cached])]
+            if hops.entries[a, e_best] < n_t:
+                z[k, a, e_best] = 1
+
+    b_flat = inc.entries.reshape(L, A * E)
+    y = (b_flat @ z.reshape(K, A * E).T > 0).T.astype(np.int8)
+    return Assignment(x=x, z=z, y=y)
+
+
+def lower_bound(i, placements):
+    """Admissible bound for a partial placement (flow -> EC or None).
+
+    Flows absent from the mapping are free; they contribute their
+    best-case transmission cost and no storage cost.  The branch and
+    bound maintains the same quantity incrementally.
+    """
+    table = class_table(i)
+    E = i.topology.num_edge_clouds
+    counts = np.zeros(E)
+    util = np.zeros(E)
+    placed_t = 0.0
+    for k, e in placements.items():
+        if e is None:
+            placed_t += table.T[k, E]
+        else:
+            counts[e] += 1
+            util[e] += table.Q[k, e]
+            placed_t += table.T[k, e]
+    rest = sum(table.T[k].min() for k in range(i.num_flows) if k not in placements)
+    hosting = counts > 0
+    caching = float((counts[hosting] / (1.0 - util[hosting])).sum())
+    return i.alpha * caching + i.beta * (placed_t + rest)
 
 
 def brute_force_optimum(inst):

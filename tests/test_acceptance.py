@@ -23,7 +23,6 @@ from edgecache.cnn import CnnModel, gradient_check, softmax_cross_entropy
 from edgecache.cost import (
     assignment_from_classes,
     caching_cost,
-    caching_cost_via_linearization,
     penalized_cost,
     utilization,
 )
@@ -43,7 +42,7 @@ from edgecache.solver import solve_exact
 from edgecache.topology import Topology
 
 from conftest import manual_instance
-from oracles import brute_force_optimum
+from oracles import brute_force_optimum, caching_cost_via_linearization
 
 DESK_SEED = 0
 DESK_SAMPLES = 250          # 200 train / 50 test

@@ -8,8 +8,8 @@ from edgecache.cost import (
     CachingCostUndefinedError,
     assignment_from_classes,
     caching_cost,
-    caching_cost_via_linearization,
     check_feasibility,
+    class_table,
     cost_breakdown,
     derive_routing,
     empty_assignment,
@@ -19,9 +19,11 @@ from edgecache.cost import (
     transmission_cost,
     utilization,
 )
+from edgecache.harness import DATASET_RANGES, evaluation_topology
 from edgecache.instance import generate_instance, ratios
 
 from conftest import manual_instance
+from oracles import caching_cost_via_linearization, derive_routing_loop
 
 
 def random_placement(inst, rng, allow_uncached=True):
@@ -360,16 +362,25 @@ def test_penalized_never_below_total(tree_topology):
             assert bd.penalty == 0.0
 
 
-def test_aggregate_hinge_flag(tree_topology):
-    inst = generate_instance(tree_topology, 5, seed=2)
-    asg = derive_routing(inst, random_placement(inst, np.random.default_rng(4)))
-    rat = ratios(inst)
-    tc = cost_breakdown(inst, asg).total
-    expected = tc + 20.0 * max(
-        0.0,
-        (rat.q * asg.x).sum() - 1.0 + (rat.r * asg.y).sum() - 1.0,
-    )
-    assert penalized_cost(inst, asg, gamma=20.0, aggregate_hinge=True) == pytest.approx(expected)
+# --- class-table kernel ----------------------------------------------------
+
+
+@pytest.mark.parametrize("flows", [5, 15])
+def test_kernel_matches_cost_breakdown_and_routing_loop(flows):
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng(flows)
+    for seed in range(10):
+        inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+        table = class_table(inst)
+        for _ in range(20):
+            classes = rng.integers(0, E + 1, size=flows)
+            asg = table.assignment(classes)
+            ref = derive_routing_loop(inst, asg.x)
+            assert (asg.x == ref.x).all() and (asg.z == ref.z).all() and (asg.y == ref.y).all()
+            for gamma in (20.0, 3.5):
+                expected = cost_breakdown(inst, asg, gamma=gamma).penalized_total
+                assert abs(table.price(classes, gamma) - expected) <= 1e-12 * abs(expected)
 
 
 # --- feasibility ------------------------------------------------------------
@@ -429,19 +440,6 @@ def test_assignment_from_classes_round_trip(tree_topology):
     asg = assignment_from_classes(inst, classes)
     assert (asg.x.sum(axis=1) == np.array([1, 0, 1, 0, 1])).all()
     assert asg.x[0, 0] == 1 and asg.x[2, 3] == 1 and asg.x[4, 1] == 1
-
-
-def test_breakdown_csv_row_format(tree_topology):
-    from edgecache.cost import BREAKDOWN_CSV_HEADER, breakdown_csv_row
-
-    inst = generate_instance(tree_topology, 3, seed=1)
-    bd = cost_breakdown(inst, empty_assignment(inst))
-    row = breakdown_csv_row("optimal", bd)
-    assert BREAKDOWN_CSV_HEADER == "method,TC,C_C,C_H,C_M,penalty,feasible"
-    fields = row.split(",")
-    assert fields[0] == "optimal"
-    assert float(fields[1]) == pytest.approx(bd.total)
-    assert fields[6] == "1"
 
 
 def test_assignment_file_round_trip(tmp_path, tree_topology):

@@ -6,11 +6,11 @@ import pytest
 from edgecache.cost import check_feasibility, penalized_cost, utilization
 from edgecache.baselines import gca, rgc
 from edgecache.instance import ParameterRanges, generate_instance
-from edgecache.solver import lower_bound, solve_exact
+from edgecache.solver import solve_exact
 from edgecache.topology import Topology
 
 from conftest import manual_instance
-from oracles import brute_force_optimum
+from oracles import brute_force_optimum, lower_bound
 
 
 @pytest.fixture(scope="module")
