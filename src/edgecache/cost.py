@@ -57,7 +57,7 @@ class Assignment:
         if self.y.shape[0] != K:
             raise ValueError("y shape inconsistent with x")
         for name, arr in (("x", self.x), ("z", self.z), ("y", self.y)):
-            if not np.isin(arr, (0, 1)).all():
+            if not ((arr == 0) | (arr == 1)).all():
                 raise ValueError(f"{name} must be binary")
         if (self.x.sum(axis=1) > 1).any():
             raise ValueError("a flow is placed at more than one EC")
@@ -134,7 +134,9 @@ def path_links(i: Instance, z: np.ndarray) -> np.ndarray:
     _, inc = network_tables(i.topology)
     L = inc.entries.shape[0]
     n = z.shape[0]
-    return (inc.entries.reshape(L, -1) @ z.reshape(n, -1).T > 0).T.astype(np.int8)
+    # Path counts in float64: an int8 product wraps at 128 paths per link.
+    paths = inc.entries.reshape(L, -1).astype(np.float64) @ z.reshape(n, -1).T
+    return (paths > 0).T.astype(np.int8)
 
 
 def _flow_hops(i: Instance, served: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,8 +23,7 @@ from .baselines import RgcConfig, gca, rgc
 from .cost import (
     DEFAULT_GAMMA,
     assignment_from_classes,
-    check_feasibility,
-    penalized_cost,
+    cost_breakdown,
 )
 from .encoder import NormConfig, encode, split_subimages, update_residual
 from .instance import Instance, ParameterRanges, generate_instance, load_instance, save_instance
@@ -486,8 +485,8 @@ def evaluate(
                     )
                 else:
                     raise ValueError(f"unknown method {method!r}")
-                tc_n = penalized_cost(inst, asg, gamma=gamma)
-                ok = check_feasibility(inst, asg).feasible
+                breakdown = cost_breakdown(inst, asg, gamma=gamma)
+                tc_n, ok = breakdown.penalized_total, breakdown.feasible
                 pred = labels_of(asg.x)
                 match_count = sum(
                     1 for a, b in zip(pred, s.labels) if a == b

@@ -3,9 +3,16 @@
 Each flow picks one EC or stays uncached, so the search tree has
 (|E|+1)^|K| leaves.  Flows branch in descending content-size order and
 children are tried cheapest-bound-first, which finds strong incumbents
-early.  The admissible bound combines the storage cost already incurred
-with each flow's best-case transmission cost (links ignored), so no
-feasible completion is ever cheaper than the bound.
+early.  The admissible bound adds, to the cost of the flows already
+placed, each unplaced flow's cheapest stand-alone cost (links ignored):
+
+    f_k = min(beta * N_T, min over e with q_ke < 1 of alpha / (1 - q_ke) + beta * T[k, e])
+
+Caching a flow at e raises the storage sum by at least 1/(1 - q_ke)
+whatever e already holds, so no feasible completion is ever cheaper
+than the bound.  The f_k are summed once into a suffix over the branch
+order, and the storage sum is carried down the tree, so a node costs a
+handful of float operations.
 
 Link capacities only matter at leaves: the greedy routing is optimal
 when it fits, and when it does not, serving decisions for the flows
@@ -55,40 +62,53 @@ class _Search:
         self.table = costmod.class_table(inst)
         self.K = inst.num_flows
         self.E = inst.topology.num_edge_clouds
+        A = inst.topology.num_access_routers
+        self.L = L = inst.topology.num_links
         self.nt = float(inst.topology.datacenter_hops)
         self.alpha = inst.alpha
         self.beta = inst.beta
-        self.q = self.table.Q
-        b = inst.bandwidth
-        c = inst.link_capacity
+        # Plain Python rows: node arithmetic on floats, not numpy scalars.
+        self.q = self.table.Q.tolist()
+        self.t_exact = self.table.T[:, : self.E].tolist()
+        self.r = (inst.bandwidth[:, None] / inst.link_capacity[None, :]).tolist()  # b_k / c_l
 
         # Per (flow, EC): the ARs worth serving (from the kernel's
-        # serving mask), the hop gain and path of each, the best-case
-        # transmission cost and the links the serving paths touch.
-        gain = inst.mobility[:, :, None] * (self.nt - hops.entries)
+        # serving mask) with the hop gain and path of each, the links the
+        # serving paths touch, and those links' (link, b_k/c_l) loads.
+        gain = (inst.mobility[:, :, None] * (self.nt - hops.entries)).tolist()
+        mask = self.table.serve.tolist()
+        marks = self.table.links.tolist()
         self.serve: list[list[list[tuple[int, float, tuple[int, ...]]]]] = [
             [
-                [
-                    (int(a), float(gain[k, a, e]), inc.path_store[(int(a), e)])
-                    for a in np.flatnonzero(self.table.serve[k, :, e])
-                ]
+                [(a, gain[k][a][e], inc.path_store[(a, e)]) for a in range(A) if mask[k][a][e]]
                 for e in range(self.E)
             ]
             for k in range(self.K)
         ]
-        self.t_exact = self.table.T[:, : self.E]
-        self.links_used: list[list[tuple[int, ...]]] = [
-            [tuple(np.flatnonzero(self.table.links[k, e]).tolist()) for e in range(self.E)]
+        self.loads: list[list[list[tuple[int, float]]]] = [
+            [[(l, self.r[k][l]) for l in range(L) if marks[k][e][l]] for e in range(self.E)]
             for k in range(self.K)
         ]
-        self.r_of = lambda k, l: b[k] / c[l]
+        self.links_used: list[list[frozenset[int]]] = [
+            [frozenset(l for l, _ in self.loads[k][e]) for e in range(self.E)]
+            for k in range(self.K)
+        ]
 
         # Branch order: largest content first tightens bounds earliest.
         self.order = sorted(range(self.K), key=lambda k: (-inst.content_size[k], k))
-        t_any = self.table.T.min(axis=1)  # T[:, E] = N_T
-        self.suffix_any = [0.0] * (self.K + 1)
+        # suffix[d]: the free-flow bound of the flows branched at depth >= d.
+        self.suffix = [0.0] * (self.K + 1)
         for d in range(self.K - 1, -1, -1):
-            self.suffix_any[d] = self.suffix_any[d + 1] + float(t_any[self.order[d]])
+            k = self.order[d]
+            free = min(
+                [self.beta * self.nt]
+                + [
+                    self.alpha / (1.0 - q) + self.beta * t
+                    for q, t in zip(self.q[k], self.t_exact[k])
+                    if q < 1.0
+                ]
+            )
+            self.suffix[d] = self.suffix[d + 1] + free
 
         self.nodes = 0
         self.cap_hit = False
@@ -103,53 +123,51 @@ class _Search:
                 total += counts[e] / (1.0 - util[e])
         return total
 
-    def _descend(self, depth, choices, counts, util, placed_t):
+    def _descend(self, depth, choices, counts, util, placed_t, stored):
+        """stored carries the caching sum of counts/util down the tree."""
         if depth == self.K:
             self._evaluate_leaf(choices, counts, util, placed_t)
             return
         k = self.order[depth]
-        children = [(self.beta * self.nt, -1)]
+        alpha, beta = self.alpha, self.beta
+        q, t = self.q[k], self.t_exact[k]
+        children = [(beta * self.nt, self.E, -1, 0.0)]
         for e in range(self.E):
-            if util[e] + self.q[k, e] >= 1.0:
+            if util[e] + q[e] >= 1.0:
                 continue  # EC capacity would be reached; reject branch
-            new_summand = (counts[e] + 1) / (1.0 - util[e] - self.q[k, e])
+            new_summand = (counts[e] + 1) / (1.0 - util[e] - q[e])
             old_summand = counts[e] / (1.0 - util[e]) if counts[e] else 0.0
-            delta = self.alpha * (new_summand - old_summand) + self.beta * self.t_exact[k, e]
-            children.append((float(delta), e))
-        children.sort(key=lambda ce: (ce[0], self.E if ce[1] < 0 else ce[1]))
+            step = new_summand - old_summand
+            children.append((alpha * step + beta * t[e], e, e, step))
+        children.sort()
 
-        for _, e in children:
+        rest = self.suffix[depth + 1]
+        for _, _, e, step in children:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise _Budget
+            new_placed = placed_t + (self.nt if e < 0 else t[e])
+            if alpha * (stored + step) + beta * new_placed + rest >= self.best_tc - _IMPROVE_EPS:
+                continue
             if e < 0:
                 new_counts, new_util = counts, util
-                new_placed = placed_t + self.nt
             else:
                 new_counts = counts.copy()
                 new_util = util.copy()
                 new_counts[e] += 1
-                new_util[e] += self.q[k, e]
-                new_placed = placed_t + float(self.t_exact[k, e])
-            bound = (
-                self.alpha * self.caching_sum(new_counts, new_util)
-                + self.beta * (new_placed + self.suffix_any[depth + 1])
-            )
-            if bound >= self.best_tc - _IMPROVE_EPS:
-                continue
+                new_util[e] += q[e]
             choices[k] = e
-            self._descend(depth + 1, choices, new_counts, new_util, new_placed)
+            self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step)
             choices[k] = -1
 
     def _evaluate_leaf(self, choices, counts, util, placed_t):
-        load: dict[int, float] = {}
+        load = [0.0] * self.L
         for k in range(self.K):
             e = choices[k]
-            if e < 0:
-                continue
-            for l in self.links_used[k][e]:
-                load[l] = load.get(l, 0.0) + self.r_of(k, l)
-        overloaded = {l for l, v in load.items() if v > 1.0 + 1e-9}
+            if e >= 0:
+                for l, v in self.loads[k][e]:
+                    load[l] += v
+        overloaded = {l for l, v in enumerate(load) if v > 1.0 + 1e-9}
 
         if not overloaded:
             tc = self.alpha * self.caching_sum(counts, util) + self.beta * placed_t
@@ -161,16 +179,8 @@ class _Search:
 
         affected = [
             k for k in range(self.K)
-            if choices[k] >= 0 and overloaded & set(self.links_used[k][choices[k]])
+            if choices[k] >= 0 and not overloaded.isdisjoint(self.links_used[k][choices[k]])
         ]
-        base_load: dict[int, float] = {}
-        for k in range(self.K):
-            e = choices[k]
-            if e < 0 or k in affected:
-                continue
-            for l in self.links_used[k][e]:
-                base_load[l] = base_load.get(l, 0.0) + self.r_of(k, l)
-
         combos = 1
         for k in affected:
             combos *= 2 ** len(self.serve[k][choices[k]])
@@ -178,10 +188,19 @@ class _Search:
                 self.cap_hit = True
                 return
 
+        base_load = [0.0] * self.L
+        for k in range(self.K):
+            e = choices[k]
+            if e < 0 or k in affected:
+                continue
+            for l, v in self.loads[k][e]:
+                base_load[l] += v
+
         # Subset options per affected flow: (lost gain, link load deltas, served ARs)
         options = []
         for k in affected:
             entries = self.serve[k][choices[k]]
+            rk = self.r[k]
             total_gain = sum(g for _, g, _ in entries)
             opts = []
             for mask in range(2 ** len(entries)):
@@ -193,7 +212,7 @@ class _Search:
                         kept_gain += gain
                         links.update(path)
                         served.append(a)
-                contrib = {l: self.r_of(k, l) for l in links}
+                contrib = [(l, rk[l]) for l in links]
                 opts.append((total_gain - kept_gain, contrib, tuple(served)))
             opts.sort(key=lambda o: o[0])
             options.append(opts)
@@ -204,11 +223,11 @@ class _Search:
             extra = sum(o[0] for o in combo)
             if best_extra is not None and extra >= best_extra:
                 continue
-            trial = dict(base_load)
+            trial = base_load.copy()
             ok = True
             for _, contrib, _ in combo:
-                for l, v in contrib.items():
-                    nl = trial.get(l, 0.0) + v
+                for l, v in contrib:
+                    nl = trial[l] + v
                     if nl > 1.0 + 1e-9:
                         ok = False
                         break
@@ -259,7 +278,7 @@ def solve_exact(
     search = _Search(i, budget, reassignment_cap)
     exhausted = False
     try:
-        search._descend(0, [-1] * search.K, [0] * search.E, [0.0] * search.E, 0.0)
+        search._descend(0, [-1] * search.K, [0] * search.E, [0.0] * search.E, 0.0, 0.0)
     except _Budget:
         exhausted = True
     asg = search.build_solution()

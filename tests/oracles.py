@@ -51,9 +51,12 @@ def derive_routing_loop(i, x):
 def lower_bound(i, placements):
     """Admissible bound for a partial placement (flow -> EC or None).
 
-    Flows absent from the mapping are free; they contribute their
-    best-case transmission cost and no storage cost.  The branch and
-    bound maintains the same quantity incrementally.
+    Placed flows pay their storage and best-case transmission.  Each
+    flow absent from the mapping pays its cheapest stand-alone class,
+    min(beta*N_T, min over e with q_ke < 1 of alpha/(1-q_ke) + beta*T[k,e]):
+    adding a flow to EC e raises the storage sum by at least 1/(1-q_ke),
+    whatever e already holds.  The branch and bound adds the same
+    per-flow terms from a precomputed suffix.
     """
     table = class_table(i)
     E = i.topology.num_edge_clouds
@@ -67,10 +70,15 @@ def lower_bound(i, placements):
             counts[e] += 1
             util[e] += table.Q[k, e]
             placed_t += table.T[k, e]
-    rest = sum(table.T[k].min() for k in range(i.num_flows) if k not in placements)
+    with np.errstate(divide="ignore"):
+        cached = np.where(
+            table.Q < 1.0, i.alpha / (1.0 - table.Q) + i.beta * table.T[:, :E], np.inf
+        )
+    stand_alone = np.minimum(i.beta * table.T[:, E], cached.min(axis=1))
+    rest = sum(stand_alone[k] for k in range(i.num_flows) if k not in placements)
     hosting = counts > 0
     caching = float((counts[hosting] / (1.0 - util[hosting])).sum())
-    return i.alpha * caching + i.beta * (placed_t + rest)
+    return i.alpha * caching + i.beta * placed_t + rest
 
 
 def brute_force_optimum(inst):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,6 +15,7 @@ from edgecache.cost import (
     derive_routing,
     empty_assignment,
     network_tables,
+    path_links,
     penalized_cost,
     total_cost,
     transmission_cost,
@@ -21,6 +23,7 @@ from edgecache.cost import (
 )
 from edgecache.harness import DATASET_RANGES, evaluation_topology
 from edgecache.instance import generate_instance, ratios
+from edgecache.topology import TopologyConfig, build_topology
 
 from conftest import manual_instance
 from oracles import caching_cost_via_linearization, derive_routing_loop
@@ -381,6 +384,33 @@ def test_kernel_matches_cost_breakdown_and_routing_loop(flows):
             for gamma in (20.0, 3.5):
                 expected = cost_breakdown(inst, asg, gamma=gamma).penalized_total
                 assert abs(table.price(classes, gamma) - expected) <= 1e-12 * abs(expected)
+
+
+def test_path_links_counts_past_int8():
+    # Depth-8 binary tree: 256 ARs, 510 links.  One flow served at every
+    # AR from the root crosses every link, and each link below the root
+    # carries 128 of those paths.  Only the root is an EC here: the
+    # paths to it are those of the full network, whose 255-EC incidence
+    # tensor takes seconds to tabulate.
+    full = build_topology(TopologyConfig(branching=2, depth=8))
+    t = dataclasses.replace(full, edge_clouds=(full.edge_clouds[0],))
+    A = t.num_access_routers
+    inst = manual_instance(t, np.full((1, A), 1.0 / A), content_size=[10.0])
+    z = np.ones((1, A, 1), dtype=np.int8)
+    assert int(path_links(inst, z).sum()) == t.num_links == 510
+
+
+@pytest.mark.parametrize("field", ["x", "z", "y"])
+@pytest.mark.parametrize("value", [2, -1, 0.5])
+def test_assignment_rejects_non_binary(tree_topology, field, value):
+    inst = generate_instance(tree_topology, 3, seed=0)
+    asg = derive_routing(inst, random_placement(inst, np.random.default_rng(0)))
+    arrays = {"x": asg.x, "z": asg.z, "y": asg.y}
+    bad = arrays[field].astype(type(value))
+    bad.flat[0] = value
+    arrays[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be binary"):
+        Assignment(**arrays)
 
 
 # --- feasibility ------------------------------------------------------------

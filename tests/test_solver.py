@@ -1,16 +1,23 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgecache.cost import check_feasibility, penalized_cost, utilization
+from edgecache.cost import check_feasibility, class_table, penalized_cost, utilization
 from edgecache.baselines import gca, rgc
+from edgecache.harness import DATASET_RANGES, evaluation_topology, labels_of
 from edgecache.instance import ParameterRanges, generate_instance
 from edgecache.solver import solve_exact
 from edgecache.topology import Topology
 
 from conftest import manual_instance
 from oracles import brute_force_optimum, lower_bound
+
+# Content nearly as large as an EC: each cached flow fills most of its
+# EC, so the free-flow storage term alpha/(1-q) dominates the bound.
+STORAGE_HEAVY = ParameterRanges(content_size=(60.0, 95.0), ec_space=(100.0, 120.0))
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +58,21 @@ def test_single_flow_two_candidate_comparison():
     assert sol.cost.total == pytest.approx(2.25)
 
 
-def test_matches_exhaustive_enumeration(small_topology):
+def check_matches_enumeration(small_topology, ranges):
     for seed in range(12):
-        inst = generate_instance(small_topology, 3, seed=seed)
+        inst = generate_instance(small_topology, 3, ranges=ranges, seed=seed)
         sol = solve_exact(inst)
         oracle = brute_force_optimum(inst)
         assert sol.proof == "exhaustive"
         assert sol.cost.total == pytest.approx(oracle, abs=1e-9)
+
+
+def test_matches_exhaustive_enumeration(small_topology):
+    check_matches_enumeration(small_topology, ParameterRanges())
+
+
+def test_matches_exhaustive_enumeration_storage_heavy(small_topology):
+    check_matches_enumeration(small_topology, STORAGE_HEAVY)
 
 
 def test_matches_enumeration_under_tight_links(small_topology):
@@ -101,13 +116,17 @@ def test_solver_is_deterministic(small_topology):
     assert a.nodes_explored == b.nodes_explored
 
 
-def test_lower_bound_is_admissible(small_topology):
+def check_lower_bound_is_admissible(small_topology, ranges):
     # At any partial placement the bound must not exceed the cost of any
     # feasible completion (checked by enumerating completions).
     rng = np.random.default_rng(0)
+    storage_binds = False
     for seed in range(5):
-        inst = generate_instance(small_topology, 3, seed=seed)
+        inst = generate_instance(small_topology, 3, ranges=ranges, seed=seed)
         E = small_topology.num_edge_clouds
+        # The storage term lifts the bound above best-case transmission alone.
+        transmission_only = inst.beta * class_table(inst).T.min(axis=1).sum()
+        storage_binds |= lower_bound(inst, {}) > transmission_only + 1e-9
         for _ in range(6):
             fixed_count = int(rng.integers(0, 3))
             placed = {}
@@ -139,3 +158,24 @@ def test_lower_bound_is_admissible(small_topology):
                 best = min(best, total_cost(inst, asg).total)
             if np.isfinite(best):
                 assert bound <= best + 1e-9
+    assert storage_binds
+
+
+def test_lower_bound_is_admissible(small_topology):
+    check_lower_bound_is_admissible(small_topology, ParameterRanges())
+
+
+def test_lower_bound_is_admissible_storage_heavy(small_topology):
+    check_lower_bound_is_admissible(small_topology, STORAGE_HEAVY)
+
+
+def test_reproduces_reference_labels_and_costs():
+    # Reference outputs of the proved K=8 label set and the first 50 K=5
+    # corpus seeds; see the fixture's note.
+    ref = json.loads((Path(__file__).parent / "data" / "solver_reference.json").read_text())
+    topo = evaluation_topology()
+    for case in ref["cases"]:
+        inst = generate_instance(topo, case["flows"], ranges=DATASET_RANGES, seed=case["seed"])
+        sol = solve_exact(inst)
+        got = (list(labels_of(sol.assignment.x)), f"{sol.cost.total:.12g}", sol.proof)
+        assert got == (case["labels"], case["total"], case["proof"]), case["seed"]
