@@ -18,6 +18,7 @@ from . import __version__
 from .baselines import DEFAULT_RGC_EPOCHS
 from .cost import DEFAULT_GAMMA
 from .encoder import NormConfig, encode, to_grayscale, write_pgm
+from .formats import write_json
 from .harness import (
     DATASET_RANGES,
     build_dataset,
@@ -34,22 +35,9 @@ from .solver import DEFAULT_NODE_BUDGET
 from .topology import TopologyConfig, build_topology, load_topology, save_topology
 
 
-def _write_manifest(out_dir, command: str, params: dict) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {"tool": "edgecache", "version": __version__, "command": command}
-    payload.update(params)
-    with open(out / "run_manifest.json", "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-        fh.write("\n")
-
-
-def _write_sidecar_manifest(out_file, command: str, params: dict) -> None:
-    payload = {"tool": "edgecache", "version": __version__, "command": command}
-    payload.update(params)
-    with open(str(out_file) + ".manifest.json", "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-        fh.write("\n")
+def _write_manifest(path, command: str, params: dict) -> None:
+    """Record a run's arguments, seeds and constants next to its output."""
+    write_json(path, {"tool": "edgecache", "version": __version__, "command": command, **params})
 
 
 def _ranges_from_args(args) -> ParameterRanges:
@@ -94,7 +82,7 @@ def _cmd_topo(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_topology(topo, out)
-    _write_sidecar_manifest(out, "topo", {
+    _write_manifest(f"{out}.manifest.json", "topo", {
         "branching": args.branching, "depth": args.depth,
         "mesh_links": args.mesh_links, "ec_rule": args.ec_rule,
         "ec_count": args.ec_count, "datacenter_hops": args.datacenter_hops,
@@ -111,7 +99,7 @@ def _cmd_gen(args) -> int:
     topo = load_topology(args.topology)
     ranges = _ranges_from_args(args)
     files = generate_instances(topo, args.count, args.flows, args.seed, args.out, ranges=ranges)
-    _write_manifest(args.out, "gen", {
+    _write_manifest(Path(args.out) / "run_manifest.json", "gen", {
         "topology": str(args.topology), "count": args.count, "flows": args.flows,
         "seed": args.seed, "ranges": ranges.__dict__,
     })
@@ -134,7 +122,7 @@ def _cmd_dataset(args) -> int:
         budget=args.budget,
         require_proof=not args.allow_bounded,
     )
-    _write_manifest(args.out, "dataset", {
+    _write_manifest(Path(args.out) / "run_manifest.json", "dataset", {
         "topology": str(args.topology), "count": args.count, "flows": args.flows,
         "seed": args.seed, "train_fraction": args.train_fraction,
         "budget": args.budget, "ranges": ranges.__dict__,
@@ -160,7 +148,7 @@ def _cmd_train(args) -> int:
         workers=args.workers,
         out_dir=args.out,
     )
-    _write_manifest(args.out, "train", {
+    _write_manifest(Path(args.out) / "run_manifest.json", "train", {
         "corpus": str(args.corpus), "epochs": args.epochs,
         "batch_size": args.batch_size, "learning_rate": args.learning_rate,
         "seed": args.seed, "workers": args.workers,
@@ -199,7 +187,7 @@ def _cmd_eval(args) -> int:
     (out / "detail.csv").write_text(report.detail_csv())
     table = report.format_table()
     (out / "table.txt").write_text(table + "\n")
-    _write_manifest(args.out, "eval", {
+    _write_manifest(out / "run_manifest.json", "eval", {
         "corpus": str(args.corpus), "models": str(args.models),
         "methods": list(methods), "split": args.split, "seed": args.seed,
         "rgc_epochs": args.rgc_epochs, "delta": args.delta, "gamma": args.gamma,
@@ -213,7 +201,7 @@ def _cmd_export_lp(args) -> int:
     inst = load_instance(args.instance)
     text = export_milp(inst, big_m=args.big_m)
     Path(args.out).write_text(text)
-    _write_sidecar_manifest(args.out, "export-lp", {
+    _write_manifest(f"{args.out}.manifest.json", "export-lp", {
         "instance": str(args.instance), "big_m": args.big_m,
     })
     print(f"wrote {args.out}")
@@ -222,10 +210,10 @@ def _cmd_export_lp(args) -> int:
 
 def _cmd_render(args) -> int:
     inst = load_instance(args.instance)
-    norm = NormConfig(q_max=args.q_max, r_max=args.r_max) if args.q_max else NormConfig.from_ranges()
+    norm = NormConfig(q_max=args.q_max, r_max=args.r_max)
     img = encode(inst, norm)
     write_pgm(args.out, to_grayscale(img))
-    _write_sidecar_manifest(args.out, "render", {
+    _write_manifest(f"{args.out}.manifest.json", "render", {
         "instance": str(args.instance),
         "norm": {"q_max": norm.q_max, "r_max": norm.r_max},
     })
@@ -309,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render an instance as a grayscale PGM")
     p.add_argument("--instance", required=True)
-    p.add_argument("--q-max", type=float, default=None)
-    p.add_argument("--r-max", type=float, default=0.2)
+    p.add_argument("--q-max", type=float, default=NormConfig.from_ranges().q_max)
+    p.add_argument("--r-max", type=float, default=NormConfig.from_ranges().r_max)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_render)
 

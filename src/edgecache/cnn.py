@@ -19,13 +19,14 @@ so training and inference are bit-reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import FeatureImage
+from .formats import read_json, write_json
 
+MODEL_FORMAT = "edgecache-cnn"
 MODEL_FORMAT_VERSION = 1
 
 
@@ -445,7 +446,7 @@ def save_model(m: CnnModel, path) -> None:
             arrays[f"layer{li}_running_var"] = layer.running_var
     np.savez(path, **arrays)
     manifest = {
-        "format": "edgecache-cnn",
+        "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
         "input_shape": list(m.input_shape),
         "num_classes": m.num_classes,
@@ -454,18 +455,11 @@ def save_model(m: CnnModel, path) -> None:
         "seed": m.seed,
         "norm_digest": m.norm_digest,
     }
-    with open(str(path) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(str(path) + ".manifest.json", manifest)
 
 
 def load_model(path) -> CnnModel:
-    with open(str(path) + ".manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "edgecache-cnn":
-        raise CnnError(f"{path}: not a model file")
-    if manifest.get("version") != MODEL_FORMAT_VERSION:
-        raise CnnError(f"{path}: unsupported version")
+    manifest = read_json(str(path) + ".manifest.json", MODEL_FORMAT, MODEL_FORMAT_VERSION, CnnError)
     m = CnnModel(
         input_shape=tuple(manifest["input_shape"]),
         num_classes=manifest["num_classes"],

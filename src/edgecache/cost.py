@@ -26,10 +26,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from .formats import read_json, write_json
 from .instance import Instance, ratios
 from .topology import HopMatrix, IncidenceTensor, Topology, hop_matrix, incidence_tensor
 
 DEFAULT_GAMMA = 20.0
+
+ASSIGNMENT_FORMAT = "edgecache-assignment"
+ASSIGNMENT_FORMAT_VERSION = 1
 
 # Capacity-violating ECs price storage at the utilization-0.99 level;
 # the hinge penalty carries the actual violation magnitude.
@@ -77,7 +81,6 @@ class CostBreakdown:
     penalty: float
     penalized_total: float
     feasible: bool
-    per_ec_utilization: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,7 @@ class ClassTable:
     def price(self, classes, gamma: float = DEFAULT_GAMMA) -> float:
         """Penalized total TC_N of a class vector."""
         rows = np.arange(len(classes))
-        _, tc, penalty, _ = _priced(
+        _, tc, penalty = _priced(
             self.inst,
             self._placement(classes),
             self.Q,
@@ -244,8 +247,8 @@ def transmission_cost(i: Instance, asg: Assignment) -> tuple[float, float, float
 
 def _priced(
     i: Instance, x: np.ndarray, q: np.ndarray, ct: float, load: np.ndarray, gamma: float
-) -> tuple[float, float, float, np.ndarray]:
-    """(caching, TC, penalty, U) of placement x with transmission ct and link load.
+) -> tuple[float, float, float]:
+    """(caching, TC, penalty) of placement x with transmission ct and link load.
 
     The hinge penalizes each overfull EC and each overloaded link by its
     own overshoot, so it vanishes exactly on feasible assignments.
@@ -261,7 +264,7 @@ def _priced(
         ).sum()
     )
     hinge = float(np.maximum(0.0, u - 1.0).sum()) + float(np.maximum(0.0, load - 1.0).sum())
-    return cc, i.alpha * cc + i.beta * ct, gamma * hinge, u
+    return cc, i.alpha * cc + i.beta * ct, gamma * hinge
 
 
 def cost_breakdown(
@@ -270,7 +273,7 @@ def cost_breakdown(
     """Full cost accounting; total everywhere, even for invalid placements."""
     rat = ratios(i)
     ct, ch, cm = transmission_cost(i, asg)
-    cc, tc, penalty, u = _priced(i, asg.x, rat.q, ct, (rat.r * asg.y).sum(axis=0), gamma)
+    cc, tc, penalty = _priced(i, asg.x, rat.q, ct, (rat.r * asg.y).sum(axis=0), gamma)
     return CostBreakdown(
         caching=cc,
         transmission=ct,
@@ -280,7 +283,6 @@ def cost_breakdown(
         penalty=penalty,
         penalized_total=tc + penalty,
         feasible=check_feasibility(i, asg).feasible,
-        per_ec_utilization=u,
     )
 
 
@@ -317,27 +319,18 @@ def check_feasibility(i: Instance, asg: Assignment) -> FeasibilityReport:
 
 
 def save_assignment(asg: Assignment, path) -> None:
-    import json
-
     payload = {
-        "format": "edgecache-assignment",
-        "version": 1,
+        "format": ASSIGNMENT_FORMAT,
+        "version": ASSIGNMENT_FORMAT_VERSION,
         "x": asg.x.tolist(),
         "z": asg.z.tolist(),
         "y": asg.y.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, payload, indent=None)
 
 
 def load_assignment(path) -> Assignment:
-    import json
-
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "edgecache-assignment":
-        raise ValueError(f"{path}: not an assignment file")
+    payload = read_json(path, ASSIGNMENT_FORMAT, ASSIGNMENT_FORMAT_VERSION, ValueError)
     return Assignment(
         x=np.asarray(payload["x"], dtype=np.int8),
         z=np.asarray(payload["z"], dtype=np.int8),

@@ -12,7 +12,7 @@ Larger values render darker.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -250,13 +250,6 @@ def update_residual(
             raise EncodingError(
                 f"committed bandwidth overloads link index {l} by {-res_bw[l]:.6g} Mbps"
             )
-    return Instance(
-        topology=i.topology,
-        mobility=i.mobility,
-        content_size=i.content_size,
-        bandwidth=i.bandwidth,
-        ec_space=np.maximum(res_space, floor),
-        link_capacity=np.maximum(res_bw, floor),
-        alpha=i.alpha,
-        beta=i.beta,
+    return replace(
+        i, ec_space=np.maximum(res_space, floor), link_capacity=np.maximum(res_bw, floor)
     )

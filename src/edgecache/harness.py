@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +25,20 @@ from .cost import (
     cost_breakdown,
 )
 from .encoder import NormConfig, encode, split_subimages, update_residual
-from .instance import Instance, ParameterRanges, generate_instance, load_instance, save_instance
+from .formats import read_json, write_json
+from .instance import (
+    Instance,
+    ParameterRanges,
+    generate_instance,
+    load_instance,
+    save_instance,
+    subset_flows,
+)
 from .pel import DEFAULT_DELTA, enhance
 from .solver import DEFAULT_NODE_BUDGET, solve_exact
 from .topology import Topology, TopologyConfig, build_topology, load_topology, save_topology
 
+CORPUS_FORMAT = "edgecache-corpus"
 CORPUS_FORMAT_VERSION = 1
 
 # Dataset building fixes the cost weights by default: they are invisible
@@ -51,13 +59,7 @@ def evaluation_topology():
     in one hop, which is what distinguishes the methods at scale.
     """
     base = build_topology(TopologyConfig(branching=2, depth=3))
-    return Topology(
-        nodes=base.nodes,
-        links=base.links,
-        access_routers=base.access_routers,
-        edge_clouds=(3, 4, 5, 6, 8, 13),
-        datacenter_hops=base.datacenter_hops,
-    )
+    return replace(base, edge_clouds=(3, 4, 5, 6, 8, 13))
 
 
 @dataclass(frozen=True)
@@ -164,66 +166,34 @@ def build_dataset(
 
     n_train, _ = split_counts(len(kept), train_fraction)
     samples = tuple(
-        CorpusSample(
-            file=s.file,
-            seed=s.seed,
-            split="train" if j < n_train else "test",
-            labels=s.labels,
-            optimal_tc=s.optimal_tc,
-            proof=s.proof,
-        )
-        for j, s in enumerate(kept)
+        replace(s, split="train" if j < n_train else "test") for j, s in enumerate(kept)
     )
 
     norm = NormConfig.from_ranges(ranges)
     manifest = {
-        "format": "edgecache-corpus",
+        "format": CORPUS_FORMAT,
         "version": CORPUS_FORMAT_VERSION,
         "flows": flows,
         "seed": seed,
         "train_fraction": train_fraction,
         "norm": {"q_max": norm.q_max, "r_max": norm.r_max},
         "excluded": excluded,
-        "samples": [
-            {
-                "file": s.file,
-                "seed": s.seed,
-                "split": s.split,
-                "labels": list(s.labels),
-                "optimal_tc": s.optimal_tc,
-                "proof": s.proof,
-            }
-            for s in samples
-        ],
+        "samples": [asdict(s) for s in samples],
     }
-    with open(root / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(root / "manifest.json", manifest)
     return Corpus(root=root, flows=flows, norm=norm, samples=samples, excluded=excluded)
 
 
 def load_corpus(path) -> Corpus:
     root = Path(path)
-    with open(root / "manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "edgecache-corpus":
-        raise ValueError(f"{path}: not a corpus directory")
-    norm = NormConfig(q_max=manifest["norm"]["q_max"], r_max=manifest["norm"]["r_max"])
+    manifest = read_json(root / "manifest.json", CORPUS_FORMAT, CORPUS_FORMAT_VERSION, ValueError)
     samples = tuple(
-        CorpusSample(
-            file=s["file"],
-            seed=s["seed"],
-            split=s["split"],
-            labels=tuple(s["labels"]),
-            optimal_tc=s["optimal_tc"],
-            proof=s["proof"],
-        )
-        for s in manifest["samples"]
+        CorpusSample(**{**s, "labels": tuple(s["labels"])}) for s in manifest["samples"]
     )
     return Corpus(
         root=root,
         flows=manifest["flows"],
-        norm=norm,
+        norm=NormConfig(q_max=manifest["norm"]["q_max"], r_max=manifest["norm"]["r_max"]),
         samples=samples,
         excluded=manifest.get("excluded", 0),
     )
@@ -328,29 +298,18 @@ def recursive_allocate(
     """
     E = i.topology.num_edge_clouds
     classes = np.full(i.num_flows, E, dtype=int)
-    res_space = i.ec_space
-    res_bw = i.link_capacity
-    clip_norm = NormConfig(q_max=norm.q_max, r_max=norm.r_max, clip=True)
+    residual = i
+    clip_norm = replace(norm, clip=True)
 
     for start in range(0, i.num_flows, block):
         chunk = list(range(start, min(start + block, i.num_flows)))
-        sub = Instance(
-            topology=i.topology,
-            mobility=i.mobility[chunk],
-            content_size=i.content_size[chunk],
-            bandwidth=i.bandwidth[chunk],
-            ec_space=res_space,
-            link_capacity=res_bw,
-            alpha=i.alpha,
-            beta=i.beta,
-        )
+        sub = subset_flows(residual, chunk)
         img = split_subimages(encode(sub, clip_norm), block)[0]
         O = cnnmod.predict_all(models, img)
         asg = enhance(sub, O[: len(chunk)], delta=delta, gamma=gamma)
         classes[chunk] = labels_of(asg.x)
-        residual = update_residual(sub, asg, clamp=True)
-        res_space = residual.ec_space
-        res_bw = residual.link_capacity
+        left = update_residual(sub, asg, clamp=True)
+        residual = replace(residual, ec_space=left.ec_space, link_capacity=left.link_capacity)
     return assignment_from_classes(i, classes)
 
 
@@ -447,6 +406,12 @@ def evaluate(
         raise ValueError(f"corpus has no '{split}' samples")
     if "cnn" in methods and models is None:
         raise ValueError("the cnn method needs trained models")
+    for k, m in enumerate(models or ()):
+        if m.norm_digest and m.norm_digest != corpus.norm.digest():
+            raise ValueError(
+                f"model for request slot {k} was trained under normalization digest "
+                f"{m.norm_digest}, the corpus uses {corpus.norm.digest()}"
+            )
     block = block or (len(models) if models else corpus.flows)
 
     rows = []
@@ -547,7 +512,5 @@ def generate_instances(
         "seed": seed,
         "files": files,
     }
-    with open(root / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(root / "manifest.json", manifest)
     return files

@@ -10,13 +10,14 @@ bandwidth 1-10 Mbps, link capacity 50-100 Mbps.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .topology import Topology, TOPOLOGY_FORMAT_VERSION
+from .formats import read_json, write_json
+from .topology import Topology, TopologyError, topology_from_payload, topology_payload
 
+INSTANCE_FORMAT = "edgecache-instance"
 INSTANCE_FORMAT_VERSION = 1
 
 _TOL = 1e-9
@@ -172,15 +173,8 @@ def generate_instance(
 def subset_flows(i: Instance, indices) -> Instance:
     """Instance restricted to the given flows (capacities unchanged)."""
     idx = np.asarray(indices, dtype=int)
-    return Instance(
-        topology=i.topology,
-        mobility=i.mobility[idx],
-        content_size=i.content_size[idx],
-        bandwidth=i.bandwidth[idx],
-        ec_space=i.ec_space,
-        link_capacity=i.link_capacity,
-        alpha=i.alpha,
-        beta=i.beta,
+    return replace(
+        i, mobility=i.mobility[idx], content_size=i.content_size[idx], bandwidth=i.bandwidth[idx]
     )
 
 
@@ -197,17 +191,9 @@ def save_instance(i: Instance, path) -> None:
     The topology is inlined so instance files are self-contained.
     """
     payload = {
-        "format": "edgecache-instance",
+        "format": INSTANCE_FORMAT,
         "version": INSTANCE_FORMAT_VERSION,
-        "topology": {
-            "format": "edgecache-topology",
-            "version": TOPOLOGY_FORMAT_VERSION,
-            "nodes": list(i.topology.nodes),
-            "links": [list(l) for l in i.topology.links],
-            "access_routers": list(i.topology.access_routers),
-            "edge_clouds": list(i.topology.edge_clouds),
-            "datacenter_hops": i.topology.datacenter_hops,
-        },
+        "topology": topology_payload(i.topology),
         "mobility": i.mobility.tolist(),
         "content_size": i.content_size.tolist(),
         "bandwidth": i.bandwidth.tolist(),
@@ -216,26 +202,15 @@ def save_instance(i: Instance, path) -> None:
         "alpha": i.alpha,
         "beta": i.beta,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, payload, indent=None)
 
 
 def load_instance(path) -> Instance:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "edgecache-instance":
-        raise InstanceError(f"{path}: not an instance file")
-    if payload.get("version") != INSTANCE_FORMAT_VERSION:
-        raise InstanceError(f"{path}: unsupported version {payload.get('version')}")
-    topo = payload["topology"]
-    topology = Topology(
-        nodes=tuple(topo["nodes"]),
-        links=tuple(tuple(l) for l in topo["links"]),
-        access_routers=tuple(topo["access_routers"]),
-        edge_clouds=tuple(topo["edge_clouds"]),
-        datacenter_hops=int(topo["datacenter_hops"]),
-    )
+    payload = read_json(path, INSTANCE_FORMAT, INSTANCE_FORMAT_VERSION, InstanceError)
+    try:
+        topology = topology_from_payload(payload["topology"], f"{path} (inline topology)")
+    except TopologyError as exc:
+        raise InstanceError(str(exc)) from exc
     return Instance(
         topology=topology,
         mobility=np.asarray(payload["mobility"], dtype=float),

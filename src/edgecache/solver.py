@@ -54,10 +54,9 @@ class _Budget(Exception):
 
 
 class _Search:
-    def __init__(self, inst: Instance, budget: int, reassignment_cap: int):
+    def __init__(self, inst: Instance, budget: int):
         self.inst = inst
         self.budget = budget
-        self.cap = reassignment_cap
         hops, inc = network_tables(inst.topology)
         self.table = costmod.class_table(inst)
         self.K = inst.num_flows
@@ -184,7 +183,7 @@ class _Search:
         combos = 1
         for k in affected:
             combos *= 2 ** len(self.serve[k][choices[k]])
-            if combos > self.cap:
+            if combos > REASSIGNMENT_CAP:
                 self.cap_hit = True
                 return
 
@@ -262,11 +261,7 @@ class _Search:
         return Assignment(x=asg.x, z=z, y=costmod.path_links(self.inst, z))
 
 
-def solve_exact(
-    i: Instance,
-    budget: int = DEFAULT_NODE_BUDGET,
-    reassignment_cap: int = REASSIGNMENT_CAP,
-) -> OptimalSolution:
+def solve_exact(i: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptimalSolution:
     """Minimize total cost over placements; exact within the node budget.
 
     Returns the best placement found.  proof == "exhaustive" guarantees
@@ -275,7 +270,7 @@ def solve_exact(
     short and the result is the best incumbent.  The empty placement is
     always feasible, so a solution always exists.
     """
-    search = _Search(i, budget, reassignment_cap)
+    search = _Search(i, budget)
     exhausted = False
     try:
         search._descend(0, [-1] * search.K, [0] * search.E, [0.0] * search.E, 0.0, 0.0)

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .formats import check_envelope, write_json
+
+TOPOLOGY_FORMAT = "edgecache-topology"
 TOPOLOGY_FORMAT_VERSION = 1
 
 
@@ -80,18 +83,8 @@ class Topology:
             self, "adjacency", {n: tuple(sorted(adj[n])) for n in self.nodes}
         )
         object.__setattr__(self, "link_index", index)
-        if not self._connected():
+        if len(self.bfs_distances(self.nodes[0])) != len(self.nodes):
             raise TopologyError("topology graph is not connected")
-
-    def _connected(self) -> bool:
-        seen = {self.nodes[0]}
-        queue = deque(seen)
-        while queue:
-            for nb in self.adjacency[queue.popleft()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return len(seen) == len(self.nodes)
 
     @property
     def num_access_routers(self) -> int:
@@ -243,54 +236,41 @@ def hop_matrix(t: Topology) -> HopMatrix:
     return HopMatrix(entries=entries)
 
 
-def _canonical_shortest_path(t: Topology, source: int, target: int) -> list[int]:
-    """Lexicographically smallest node sequence among shortest paths.
-
-    Walk from source towards target, always to the smallest-id neighbour
-    that stays on a shortest path (checked against BFS distances from
-    the target).  All shortest paths have equal length, so the greedy
-    walk is the lexicographic minimum.
-    """
-    if source == target:
-        return [source]
-    dist_to_target = t.bfs_distances(target)
-    path = [source]
-    node = source
-    while node != target:
-        node = min(
-            nb for nb in t.adjacency[node]
-            if dist_to_target[nb] == dist_to_target[node] - 1
-        )
-        path.append(node)
-    return path
-
-
 def incidence_tensor(t: Topology, h: HopMatrix) -> IncidenceTensor:
-    """Mark which links belong to each canonical AR-to-EC shortest path."""
+    """Mark which links belong to each canonical AR-to-EC shortest path.
+
+    The canonical path is the lexicographically smallest node sequence
+    among shortest paths: walk from the AR, always to the smallest-id
+    neighbour one hop closer to the EC.  All shortest paths have equal
+    length, so the greedy walk is the lexicographic minimum, and one BFS
+    per EC gives the distances for every AR's walk.
+    """
     entries = np.zeros(
         (t.num_links, t.num_access_routers, t.num_edge_clouds), dtype=np.int8
     )
+    to_ec = [t.bfs_distances(e) for e in t.edge_clouds]
     path_store: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, a in enumerate(t.access_routers):
         for j, e in enumerate(t.edge_clouds):
-            nodes = _canonical_shortest_path(t, a, e)
-            link_ids = tuple(
-                t.link_index[(nodes[s], nodes[s + 1])] for s in range(len(nodes) - 1)
-            )
+            dist = to_ec[j]
+            node, link_ids = a, []
+            while node != e:
+                step = min(nb for nb in t.adjacency[node] if dist[nb] == dist[node] - 1)
+                link_ids.append(t.link_index[(node, step)])
+                node = step
             if len(link_ids) != h.entries[i, j]:
                 raise TopologyError(
                     f"path length mismatch for AR {a} -> EC {e}"
                 )
-            path_store[(i, j)] = link_ids
-            for l in link_ids:
-                entries[l, i, j] = 1
+            path_store[(i, j)] = tuple(link_ids)
+            entries[link_ids, i, j] = 1
     return IncidenceTensor(entries=entries, path_store=path_store)
 
 
-def save_topology(t: Topology, path) -> None:
-    """Write the versioned structured-text (JSON) topology file."""
-    payload = {
-        "format": "edgecache-topology",
+def topology_payload(t: Topology) -> dict:
+    """The versioned JSON object of a topology (also inlined in instance files)."""
+    return {
+        "format": TOPOLOGY_FORMAT,
         "version": TOPOLOGY_FORMAT_VERSION,
         "nodes": list(t.nodes),
         "links": [list(l) for l in t.links],
@@ -298,18 +278,11 @@ def save_topology(t: Topology, path) -> None:
         "edge_clouds": list(t.edge_clouds),
         "datacenter_hops": t.datacenter_hops,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
-def load_topology(path) -> Topology:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "edgecache-topology":
-        raise TopologyError(f"{path}: not a topology file")
-    if payload.get("version") != TOPOLOGY_FORMAT_VERSION:
-        raise TopologyError(f"{path}: unsupported version {payload.get('version')}")
+def topology_from_payload(payload, where) -> Topology:
+    """Check the envelope of a topology object and build the Topology."""
+    check_envelope(payload, TOPOLOGY_FORMAT, TOPOLOGY_FORMAT_VERSION, TopologyError, where)
     return Topology(
         nodes=tuple(payload["nodes"]),
         links=tuple(tuple(l) for l in payload["links"]),
@@ -317,3 +290,13 @@ def load_topology(path) -> Topology:
         edge_clouds=tuple(payload["edge_clouds"]),
         datacenter_hops=int(payload["datacenter_hops"]),
     )
+
+
+def save_topology(t: Topology, path) -> None:
+    """Write the versioned structured-text (JSON) topology file."""
+    write_json(path, topology_payload(t))
+
+
+def load_topology(path) -> Topology:
+    with open(path) as fh:
+        return topology_from_payload(json.load(fh), path)

@@ -103,3 +103,14 @@ def test_run_manifest_records_norm_constants(workspace):
     assert manifest["tool"] == "edgecache"
     assert manifest["command"] == "dataset"
     assert manifest["norm"]["q_max"] == pytest.approx(0.5)
+
+
+def test_render_r_max_alone_overrides_only_r_max(workspace):
+    root, topo, corpus, models = workspace
+    sample = json.loads((corpus / "manifest.json").read_text())["samples"][0]
+    pgm = root / "r_only.pgm"
+    assert main([
+        "render", "--instance", str(corpus / sample["file"]), "--r-max", "0.5", "--out", str(pgm),
+    ]) == 0
+    norm = json.loads((root / "r_only.pgm.manifest.json").read_text())["norm"]
+    assert norm == {"q_max": 0.5, "r_max": 0.5}  # q_max from the default ranges: 50 / 100

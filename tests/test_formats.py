@@ -1,0 +1,75 @@
+import json
+
+import pytest
+
+from edgecache.cnn import CnnError, CnnModel, load_model, save_model
+from edgecache.cost import assignment_from_classes, load_assignment, save_assignment
+from edgecache.harness import build_dataset, load_corpus
+from edgecache.instance import InstanceError, generate_instance, load_instance, save_instance
+from edgecache.topology import (
+    TopologyConfig,
+    TopologyError,
+    build_topology,
+    load_topology,
+    save_topology,
+)
+
+TOPO = build_topology(TopologyConfig(branching=2, depth=2))
+
+
+def _topology(tmp_path):
+    path = tmp_path / "topo.json"
+    save_topology(TOPO, path)
+    return path, lambda: load_topology(path)
+
+
+def _instance(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(generate_instance(TOPO, 3, seed=1), path)
+    return path, lambda: load_instance(path)
+
+
+def _assignment(tmp_path):
+    path = tmp_path / "asg.json"
+    inst = generate_instance(TOPO, 3, seed=1)
+    save_assignment(assignment_from_classes(inst, [0, 1, TOPO.num_edge_clouds]), path)
+    return path, lambda: load_assignment(path)
+
+
+def _corpus(tmp_path):
+    build_dataset(TOPO, n=1, flows=2, seed=0, out_dir=tmp_path)
+    return tmp_path / "manifest.json", lambda: load_corpus(tmp_path)
+
+
+def _model(tmp_path):
+    save_model(CnnModel(input_shape=(2, 4), num_classes=3, filters=(2,)), tmp_path / "model_0")
+    return tmp_path / "model_0.manifest.json", lambda: load_model(tmp_path / "model_0")
+
+
+# (file kind, keys leading to the envelope inside the file, expected error)
+CASES = [
+    (_topology, (), TopologyError),
+    (_instance, (), InstanceError),
+    (_instance, ("topology",), InstanceError),
+    (_assignment, (), ValueError),
+    (_corpus, (), ValueError),
+    (_model, (), CnnError),
+]
+
+
+@pytest.mark.parametrize("field,bad", [("format", "edgecache-other"), ("version", 2)])
+@pytest.mark.parametrize(
+    "write,keys,error", CASES,
+    ids=["topology", "instance", "instance-inline-topology", "assignment", "corpus", "model"],
+)
+def test_loader_rejects_wrong_envelope(tmp_path, write, keys, error, field, bad):
+    path, load = write(tmp_path)
+    load()  # the untouched file reads back
+    payload = json.loads(path.read_text())
+    envelope = payload
+    for key in keys:
+        envelope = envelope[key]
+    envelope[field] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(error):
+        load()

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,13 @@ def test_evaluate_dominance_and_csv_shape(corpus, models):
     assert len(lines) == 5
     table = report.format_table()
     assert "Mean Total Cost" in table and "Feasible Ratio" in table
+
+
+def test_evaluate_rejects_models_from_other_normalization(corpus, models):
+    stranger = copy.copy(models[1])
+    stranger.norm_digest = NormConfig(q_max=1.0, r_max=1.0).digest()
+    with pytest.raises(ValueError, match="slot 1"):
+        evaluate(corpus, models=[models[0], stranger, models[2]], methods=("optimal", "cnn"))
 
 
 def test_evaluate_is_deterministic_modulo_wall_time(corpus, models):
