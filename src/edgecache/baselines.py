@@ -29,6 +29,8 @@ class RgcConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
 
 
 def expected_hops(i: Instance) -> np.ndarray:
@@ -63,6 +65,22 @@ def _ec_neighborhoods(i: Instance) -> list[list[int]]:
     return neighborhoods
 
 
+def _move_table(i: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (E+1, width) move options per current class, and their counts.
+
+    A flow cached at c may stay, hop to an EC adjacent to c, or drop
+    out (class E); an uncached flow may stay out or enter any EC.
+    """
+    E = i.topology.num_edge_clouds
+    options = [[c, *nbrs, E] for c, nbrs in enumerate(_ec_neighborhoods(i))]
+    options.append([E, *range(E)])
+    lengths = np.array([len(o) for o in options])
+    moves = np.full((E + 1, lengths.max()), E)
+    for c, o in enumerate(options):
+        moves[c, : len(o)] = o
+    return moves, lengths
+
+
 def rgc(
     i: Instance, cfg: RgcConfig = RgcConfig(), trace: list | None = None
 ) -> Assignment:
@@ -77,27 +95,33 @@ def rgc(
     the exploration increasingly blunt as the flow count grows, which
     is the known weakness of this baseline.  Pass a list as trace to
     record the accepted cost after every epoch.
+
+    The move options of every class sit in one padded table, built
+    before the loop, and each epoch drafts all flows with a single
+    rng.integers call over the per-flow option counts.  An array bound
+    consumes the generator exactly like one scalar call per flow in
+    flow order, so the drafts are those of a per-flow loop.  A draft
+    is priced only when its transmission floor beta * C_T lies below
+    the current cost: TC_N = fl(fl(alpha * C_cache) + fl(beta * C_T))
+    + gamma * hinge with every term non-negative, and rounding is
+    monotone, so TC_N >= fl(beta * C_T) and a draft at or above the
+    floor can never pass the strict test.  The floor and price share
+    ClassTable.transmission, so they use the same float and no
+    decision changes.
     """
     rng = np.random.default_rng(cfg.seed)
-    E = i.topology.num_edge_clouds
-    neighborhoods = _ec_neighborhoods(i)
+    moves, lengths = _move_table(i)
     table = class_table(i)
 
     classes = expected_hops(i).argmin(axis=1)  # the GCA start
     tc = table.price(classes, gamma=cfg.gamma)
 
     for _ in range(cfg.epochs):
-        trial_classes = classes.copy()
-        for k in range(i.num_flows):
-            if classes[k] >= E:  # currently uncached: stay out or re-enter
-                options = [E] + list(range(E))
-            else:
-                options = [classes[k]] + list(neighborhoods[classes[k]]) + [E]
-            trial_classes[k] = options[int(rng.integers(0, len(options)))]
-        if (trial_classes != classes).any():
-            trial_tc = table.price(trial_classes, gamma=cfg.gamma)
+        trial = moves[classes, rng.integers(0, lengths[classes])]
+        if (trial != classes).any() and i.beta * table.transmission(trial) < tc:
+            trial_tc = table.price(trial, gamma=cfg.gamma)
             if trial_tc < tc:
-                classes = trial_classes
+                classes = trial
                 tc = trial_tc
         if trace is not None:
             trace.append(tc)

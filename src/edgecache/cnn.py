@@ -19,12 +19,13 @@ so training and inference are bit-reproducible.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import FeatureImage
-from .formats import read_json, write_json
+from .formats import int_tuple, read_fields, read_json, write_json
 
 MODEL_FORMAT = "edgecache-cnn"
 MODEL_FORMAT_VERSION = 1
@@ -459,21 +460,29 @@ def save_model(m: CnnModel, path) -> None:
 
 
 def load_model(path) -> CnnModel:
-    manifest = read_json(str(path) + ".manifest.json", MODEL_FORMAT, MODEL_FORMAT_VERSION, CnnError)
+    where = str(path) + ".manifest.json"
+    manifest = read_json(where, MODEL_FORMAT, MODEL_FORMAT_VERSION, CnnError)
+    fields = {
+        "input_shape": lambda shape: int_tuple(shape, 2),
+        "num_classes": operator.index,
+        "request_index": operator.index,
+        "filters": int_tuple,
+        "seed": operator.index,
+    }
     m = CnnModel(
-        input_shape=tuple(manifest["input_shape"]),
-        num_classes=manifest["num_classes"],
-        request_index=manifest["request_index"],
-        filters=tuple(manifest["filters"]),
-        seed=manifest["seed"],
         norm_digest=manifest.get("norm_digest", ""),
+        **read_fields(manifest, fields, CnnError, where),
     )
     npz_path = str(path) if str(path).endswith(".npz") else str(path) + ".npz"
     with np.load(npz_path) as data:
-        for li, key, param, _ in m.param_items():
-            param[...] = data[f"layer{li}_{key}"]
+        arrays = {f"layer{li}_{key}": param for li, key, param, _ in m.param_items()}
         for li, layer in enumerate(m.layers):
             if isinstance(layer, BatchNorm):
-                layer.running_mean = data[f"layer{li}_running_mean"].copy()
-                layer.running_var = data[f"layer{li}_running_var"].copy()
+                arrays[f"layer{li}_running_mean"] = layer.running_mean
+                arrays[f"layer{li}_running_var"] = layer.running_var
+        for name, target in arrays.items():
+            value = data[name] if name in data else None
+            if value is None or value.shape != target.shape:
+                raise CnnError(f"{npz_path}: missing or misshapen array {name!r}")
+            target[...] = value
     return m

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .formats import read_json, write_json
+from .formats import array, read_fields, read_json, write_json
 from .instance import Instance, ratios
 from .topology import HopMatrix, IncidenceTensor, Topology, hop_matrix, incidence_tensor
 
@@ -173,29 +173,30 @@ class ClassTable:
     T: np.ndarray      # (K, E+1) hit plus miss hops; T[:, E] = N_T
     Q: np.ndarray      # (K, E) storage ratio q_ke
     R: np.ndarray      # (K, E+1, L) link load of flow k's serving set at class c
+    onehot: np.ndarray  # (E+1, E) int8 placement row of each class; row E is empty
+    rows: np.ndarray    # (K,) flow indices 0..K-1
 
-    def _placement(self, classes) -> np.ndarray:
-        E = self.Q.shape[1]
-        return np.eye(E + 1, E, dtype=np.int8)[classes]
+    def transmission(self, classes) -> float:
+        """Transmission cost C_T (hit plus miss hops) of a class vector."""
+        return float(self.T[self.rows, classes].sum())
 
     def price(self, classes, gamma: float = DEFAULT_GAMMA) -> float:
         """Penalized total TC_N of a class vector."""
-        rows = np.arange(len(classes))
         _, tc, penalty = _priced(
             self.inst,
-            self._placement(classes),
+            self.onehot[classes],
             self.Q,
-            float(self.T[rows, classes].sum()),
-            self.R[rows, classes].sum(axis=0),
+            self.transmission(classes),
+            self.R[self.rows, classes].sum(axis=0),
             gamma,
         )
         return tc + penalty
 
     def assignment(self, classes) -> Assignment:
         """Materialize a class vector as x, z and y."""
-        x = self._placement(classes)
+        x = self.onehot[classes]
         z = (self.serve * x[:, None, :]).astype(np.int8)
-        return Assignment(x=x, z=z, y=self.links[np.arange(len(classes)), classes])
+        return Assignment(x=x, z=z, y=self.links[self.rows, classes])
 
 
 def class_table(i: Instance) -> ClassTable:
@@ -212,7 +213,14 @@ def class_table(i: Instance) -> ClassTable:
     hit, miss = _flow_hops(i, i.mobility[:, None, :, None] * z)
     links = path_links(i, z.reshape(K * (E + 1), A, E)).reshape(K, E + 1, -1)
     return ClassTable(
-        inst=i, serve=serve, links=links, T=hit + miss, Q=rat.q, R=rat.r[:, None, :] * links
+        inst=i,
+        serve=serve,
+        links=links,
+        T=hit + miss,
+        Q=rat.q,
+        R=rat.r[:, None, :] * links,
+        onehot=np.eye(E + 1, E, dtype=np.int8),
+        rows=np.arange(K),
     )
 
 
@@ -331,11 +339,8 @@ def save_assignment(asg: Assignment, path) -> None:
 
 def load_assignment(path) -> Assignment:
     payload = read_json(path, ASSIGNMENT_FORMAT, ASSIGNMENT_FORMAT_VERSION, ValueError)
-    return Assignment(
-        x=np.asarray(payload["x"], dtype=np.int8),
-        z=np.asarray(payload["z"], dtype=np.int8),
-        y=np.asarray(payload["y"], dtype=np.int8),
-    )
+    fields = {"x": array(2, np.int8), "z": array(3, np.int8), "y": array(2, np.int8)}
+    return Assignment(**read_fields(payload, fields, ValueError, path))
 
 
 def empty_assignment(i: Instance) -> Assignment:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -25,7 +26,7 @@ from .cost import (
     cost_breakdown,
 )
 from .encoder import NormConfig, encode, split_subimages, update_residual
-from .formats import read_json, write_json
+from .formats import read_fields, read_json, write_json
 from .instance import (
     Instance,
     ParameterRanges,
@@ -186,16 +187,19 @@ def build_dataset(
 
 def load_corpus(path) -> Corpus:
     root = Path(path)
-    manifest = read_json(root / "manifest.json", CORPUS_FORMAT, CORPUS_FORMAT_VERSION, ValueError)
-    samples = tuple(
-        CorpusSample(**{**s, "labels": tuple(s["labels"])}) for s in manifest["samples"]
-    )
+    where = root / "manifest.json"
+    manifest = read_json(where, CORPUS_FORMAT, CORPUS_FORMAT_VERSION, ValueError)
+    fields = {
+        "flows": operator.index,
+        "norm": lambda n: NormConfig(q_max=n["q_max"], r_max=n["r_max"]),
+        "samples": lambda rows: tuple(
+            CorpusSample(**{**s, "labels": tuple(s["labels"])}) for s in rows
+        ),
+    }
     return Corpus(
         root=root,
-        flows=manifest["flows"],
-        norm=NormConfig(q_max=manifest["norm"]["q_max"], r_max=manifest["norm"]["r_max"]),
-        samples=samples,
         excluded=manifest.get("excluded", 0),
+        **read_fields(manifest, fields, ValueError, where),
     )
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .formats import read_json, write_json
-from .topology import Topology, TopologyError, topology_from_payload, topology_payload
+from .formats import array, read_fields, read_json, write_json
+from .topology import Topology, topology_from_payload, topology_payload
 
 INSTANCE_FORMAT = "edgecache-instance"
 INSTANCE_FORMAT_VERSION = 1
@@ -207,17 +207,14 @@ def save_instance(i: Instance, path) -> None:
 
 def load_instance(path) -> Instance:
     payload = read_json(path, INSTANCE_FORMAT, INSTANCE_FORMAT_VERSION, InstanceError)
-    try:
-        topology = topology_from_payload(payload["topology"], f"{path} (inline topology)")
-    except TopologyError as exc:
-        raise InstanceError(str(exc)) from exc
-    return Instance(
-        topology=topology,
-        mobility=np.asarray(payload["mobility"], dtype=float),
-        content_size=np.asarray(payload["content_size"], dtype=float),
-        bandwidth=np.asarray(payload["bandwidth"], dtype=float),
-        ec_space=np.asarray(payload["ec_space"], dtype=float),
-        link_capacity=np.asarray(payload["link_capacity"], dtype=float),
-        alpha=float(payload["alpha"]),
-        beta=float(payload["beta"]),
-    )
+    fields = {
+        "topology": lambda t: topology_from_payload(t, f"{path} (inline topology)"),
+        "mobility": array(2),
+        "content_size": array(1),
+        "bandwidth": array(1),
+        "ec_space": array(1),
+        "link_capacity": array(1),
+        "alpha": float,
+        "beta": float,
+    }
+    return Instance(**read_fields(payload, fields, InstanceError, path))

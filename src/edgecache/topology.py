@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .formats import check_envelope, write_json
+from .formats import check_envelope, int_tuple, read_fields, write_json
 
 TOPOLOGY_FORMAT = "edgecache-topology"
 TOPOLOGY_FORMAT_VERSION = 1
@@ -242,29 +243,34 @@ def incidence_tensor(t: Topology, h: HopMatrix) -> IncidenceTensor:
     The canonical path is the lexicographically smallest node sequence
     among shortest paths: walk from the AR, always to the smallest-id
     neighbour one hop closer to the EC.  All shortest paths have equal
-    length, so the greedy walk is the lexicographic minimum, and one BFS
-    per EC gives the distances for every AR's walk.
+    length, so the greedy walk is the lexicographic minimum.  The next
+    hop depends only on the node and the EC, so one BFS per EC fixes a
+    next-hop table, and every node's path is its first link followed by
+    its next hop's path, built outward in BFS order.
     """
-    entries = np.zeros(
-        (t.num_links, t.num_access_routers, t.num_edge_clouds), dtype=np.int8
-    )
-    to_ec = [t.bfs_distances(e) for e in t.edge_clouds]
-    path_store: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i, a in enumerate(t.access_routers):
-        for j, e in enumerate(t.edge_clouds):
-            dist = to_ec[j]
-            node, link_ids = a, []
-            while node != e:
-                step = min(nb for nb in t.adjacency[node] if dist[nb] == dist[node] - 1)
-                link_ids.append(t.link_index[(node, step)])
-                node = step
-            if len(link_ids) != h.entries[i, j]:
-                raise TopologyError(
-                    f"path length mismatch for AR {a} -> EC {e}"
-                )
-            path_store[(i, j)] = tuple(link_ids)
-            entries[link_ids, i, j] = 1
-    return IncidenceTensor(entries=entries, path_store=path_store)
+    A, E = t.num_access_routers, t.num_edge_clouds
+    to_ec = []
+    for e in t.edge_clouds:
+        dist = t.bfs_distances(e)
+        paths: dict[int, tuple[int, ...]] = {}
+        for node in dist:  # BFS order: every next hop is already done
+            if node == e:
+                paths[node] = ()
+                continue
+            step = min(nb for nb in t.adjacency[node] if dist[nb] == dist[node] - 1)
+            paths[node] = (t.link_index[(node, step)],) + paths[step]
+        to_ec.append(paths)
+    path_store = {(i, j): to_ec[j][a] for i, a in enumerate(t.access_routers) for j in range(E)}
+    lengths = np.array([len(p) for p in path_store.values()]).reshape(A, E)
+    if (lengths != h.entries).any():
+        i, j = np.argwhere(lengths != h.entries)[0]
+        raise TopologyError(
+            f"path length mismatch for AR {t.access_routers[i]} -> EC {t.edge_clouds[j]}"
+        )
+    links = np.fromiter(chain.from_iterable(path_store.values()), np.int64, lengths.sum())
+    entries = np.zeros(t.num_links * A * E, dtype=np.int8)
+    entries[links * (A * E) + np.repeat(np.arange(A * E), lengths.ravel())] = 1
+    return IncidenceTensor(entries=entries.reshape(t.num_links, A, E), path_store=path_store)
 
 
 def topology_payload(t: Topology) -> dict:
@@ -283,13 +289,14 @@ def topology_payload(t: Topology) -> dict:
 def topology_from_payload(payload, where) -> Topology:
     """Check the envelope of a topology object and build the Topology."""
     check_envelope(payload, TOPOLOGY_FORMAT, TOPOLOGY_FORMAT_VERSION, TopologyError, where)
-    return Topology(
-        nodes=tuple(payload["nodes"]),
-        links=tuple(tuple(l) for l in payload["links"]),
-        access_routers=tuple(payload["access_routers"]),
-        edge_clouds=tuple(payload["edge_clouds"]),
-        datacenter_hops=int(payload["datacenter_hops"]),
-    )
+    fields = {
+        "nodes": int_tuple,
+        "links": lambda links: tuple(int_tuple(l, 2) for l in links),
+        "access_routers": int_tuple,
+        "edge_clouds": int_tuple,
+        "datacenter_hops": int,
+    }
+    return Topology(**read_fields(payload, fields, TopologyError, where))
 
 
 def save_topology(t: Topology, path) -> None:

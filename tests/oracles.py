@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from edgecache.baselines import RgcConfig, _ec_neighborhoods, expected_hops
 from edgecache.cost import (
     Assignment,
     CachingCostUndefinedError,
@@ -11,6 +12,7 @@ from edgecache.cost import (
     network_tables,
     utilization,
 )
+from edgecache.topology import TopologyError
 
 
 def caching_cost_via_linearization(i, x):
@@ -149,3 +151,57 @@ def brute_force_optimum(inst):
             if best is None or tc < best:
                 best = tc
     return best
+
+
+def rgc_reference(i, cfg=RgcConfig(), trace=None):
+    """RGC with one scalar draw and one Python option list per flow per
+    epoch, pricing every changed draft: the loop the vectorized rgc
+    must reproduce decision for decision."""
+    rng = np.random.default_rng(cfg.seed)
+    E = i.topology.num_edge_clouds
+    neighborhoods = _ec_neighborhoods(i)
+    table = class_table(i)
+
+    classes = expected_hops(i).argmin(axis=1)  # the GCA start
+    tc = table.price(classes, gamma=cfg.gamma)
+
+    for _ in range(cfg.epochs):
+        trial_classes = classes.copy()
+        for k in range(i.num_flows):
+            if classes[k] >= E:  # currently uncached: stay out or re-enter
+                options = [E] + list(range(E))
+            else:
+                options = [classes[k]] + list(neighborhoods[classes[k]]) + [E]
+            trial_classes[k] = options[int(rng.integers(0, len(options)))]
+        if (trial_classes != classes).any():
+            trial_tc = table.price(trial_classes, gamma=cfg.gamma)
+            if trial_tc < tc:
+                classes = trial_classes
+                tc = trial_tc
+        if trace is not None:
+            trace.append(tc)
+    return table.assignment(classes)
+
+
+def incidence_walk(t, h):
+    """Canonical paths by walking every (AR, EC) pair step by step, choosing
+    the smallest-id neighbour one hop closer to the EC at each node.
+    Returns (entries, path_store) as incidence_tensor defines them."""
+    entries = np.zeros(
+        (t.num_links, t.num_access_routers, t.num_edge_clouds), dtype=np.int8
+    )
+    to_ec = [t.bfs_distances(e) for e in t.edge_clouds]
+    path_store = {}
+    for i, a in enumerate(t.access_routers):
+        for j, e in enumerate(t.edge_clouds):
+            dist = to_ec[j]
+            node, link_ids = a, []
+            while node != e:
+                step = min(nb for nb in t.adjacency[node] if dist[nb] == dist[node] - 1)
+                link_ids.append(t.link_index[(node, step)])
+                node = step
+            if len(link_ids) != h.entries[i, j]:
+                raise TopologyError(f"path length mismatch for AR {a} -> EC {e}")
+            path_store[(i, j)] = tuple(link_ids)
+            entries[link_ids, i, j] = 1
+    return entries, path_store

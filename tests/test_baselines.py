@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from edgecache.baselines import RgcConfig, expected_hops, gca, rgc
+from edgecache.baselines import RgcConfig, _ec_neighborhoods, expected_hops, gca, rgc
 from edgecache.cost import check_feasibility, network_tables, penalized_cost
+from edgecache.harness import DATASET_RANGES, evaluation_topology
 from edgecache.instance import Instance, generate_instance
-from edgecache.topology import Topology
+from edgecache.topology import Topology, TopologyConfig, build_topology
 
 from conftest import manual_instance
+from oracles import rgc_reference
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +78,63 @@ def test_gca_invariant_to_capacities(tree_topology):
 def test_rgc_rejects_zero_epochs():
     with pytest.raises(ValueError):
         RgcConfig(epochs=0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+def test_rgc_rejects_non_positive_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        RgcConfig(gamma=gamma)
+
+
+def assert_same_rgc(inst, cfg):
+    expected_trace, trace = [], []
+    ref = rgc_reference(inst, cfg, trace=expected_trace)
+    out = rgc(inst, cfg, trace=trace)
+    assert (out.x == ref.x).all() and (out.z == ref.z).all() and (out.y == ref.y).all()
+    assert trace == expected_trace
+
+
+@pytest.mark.parametrize("flows,epochs", [(5, 300), (8, 200), (15, 200)])
+def test_rgc_matches_per_flow_reference(flows, epochs):
+    # Same drafts, same accepts, same trace as one scalar draw per flow
+    # with every changed draft priced.  The alpha = 0.01 twins are
+    # transmission-dominated, so accepted drafts sit close to the
+    # transmission floor and a floor that skips too much shows up.
+    topo = evaluation_topology()
+    for seed in range(4):
+        base = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+        for inst in (base, dataclasses.replace(base, alpha=0.01)):
+            for gamma in (20.0, 3.5):
+                assert_same_rgc(inst, RgcConfig(epochs=epochs, seed=seed, gamma=gamma))
+
+
+def test_rgc_matches_reference_with_uncached_flows(escape_topology):
+    crowded = manual_instance(
+        escape_topology,
+        [[1.0, 0.0], [0.3, 0.7], [0.0, 0.9]],
+        content_size=[60.0, 45.0, 30.0],
+        ec_space=[100.0, 110.0],
+        alpha=0.8,
+        beta=0.3,
+    )
+    storage_only = manual_instance(
+        escape_topology, [[1.0, 0.0]], content_size=[60.0], ec_space=[60.5, 61.0],
+        alpha=1.0, beta=0.0,
+    )
+    for seed in range(4):
+        assert_same_rgc(crowded, RgcConfig(epochs=300, seed=seed))
+        assert_same_rgc(storage_only, RgcConfig(epochs=100, seed=seed))
+
+
+def test_rgc_matches_reference_without_ec_neighbours():
+    # Leaf ECs are never adjacent, so every EC takes its two nearest
+    # fellow ECs as neighbours.
+    topo = build_topology(TopologyConfig(branching=2, depth=3, ec_rule="leaves"))
+    for seed in range(4):
+        inst = generate_instance(topo, 6, ranges=DATASET_RANGES, seed=[6, seed])
+        assert all(len(n) == 2 for n in _ec_neighborhoods(inst))
+        for gamma in (20.0, 3.5):
+            assert_same_rgc(inst, RgcConfig(epochs=300, seed=seed, gamma=gamma))
 
 
 def test_rgc_single_bad_proposal_returns_gca(escape_topology):

@@ -384,6 +384,7 @@ def test_kernel_matches_cost_breakdown_and_routing_loop(flows):
             for gamma in (20.0, 3.5):
                 expected = cost_breakdown(inst, asg, gamma=gamma).penalized_total
                 assert abs(table.price(classes, gamma) - expected) <= 1e-12 * abs(expected)
+                assert table.price(classes, gamma) == expected
 
 
 def test_path_links_counts_past_int8():

@@ -73,3 +73,43 @@ def test_loader_rejects_wrong_envelope(tmp_path, write, keys, error, field, bad)
     path.write_text(json.dumps(payload))
     with pytest.raises(error):
         load()
+
+
+def _drop(key):
+    def edit(payload):
+        del payload[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(payload):
+        payload[key] = value
+    return edit
+
+
+def _drop_sample_labels(payload):
+    del payload["samples"][0]["labels"]
+
+
+# (file kind, edit past the envelope, expected error, field the message names)
+FIELD_CASES = [
+    (_topology, _set("links", [[0]]), TopologyError, "links"),
+    (_instance, _drop("mobility"), InstanceError, "mobility"),
+    (_instance, _set("mobility", [0.5, 0.5]), InstanceError, "mobility"),
+    (_assignment, _set("z", [[0, 1]]), ValueError, "'z'"),
+    (_corpus, _drop_sample_labels, ValueError, "samples"),
+    (_model, _drop("num_classes"), CnnError, "num_classes"),
+]
+
+
+@pytest.mark.parametrize(
+    "write,edit,error,field", FIELD_CASES,
+    ids=["topology", "instance-missing", "instance-flat", "assignment", "corpus", "model"],
+)
+def test_loader_names_malformed_field(tmp_path, write, edit, error, field):
+    path, load = write(tmp_path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(error, match=field):
+        load()

@@ -11,6 +11,9 @@ from edgecache.topology import (
     load_topology,
     save_topology,
 )
+from edgecache.harness import evaluation_topology
+
+from oracles import incidence_walk
 
 
 def floyd_warshall(nodes, links):
@@ -177,6 +180,50 @@ def test_incidence_tie_break_matches_enumeration_on_meshes():
                 u, v = t.links[l]
                 chosen.append(v if chosen[-1] == u else u)
             assert tuple(chosen) == min(all_shortest_paths(t, a, e))
+
+
+SQUARE = Topology(
+    nodes=(0, 1, 2, 3),
+    links=((0, 1), (0, 2), (1, 3), (2, 3)),
+    access_routers=(0,),
+    edge_clouds=(3,),
+    datacenter_hops=12,
+)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        evaluation_topology,
+        lambda: SQUARE,
+        lambda: build_topology(TopologyConfig(branching=2, depth=3)),
+        lambda: build_topology(TopologyConfig(branching=2, depth=2, ec_rule="all")),
+        lambda: build_topology(TopologyConfig(branching=2, depth=3, mesh_links=3, seed=1)),
+        lambda: build_topology(
+            TopologyConfig(branching=(3, 3, 2), depth=3, mesh_links=5, ec_rule="random",
+                           ec_count=6, seed=2)
+        ),
+        lambda: build_topology(
+            TopologyConfig(branching=4, depth=2, mesh_links=8, ec_rule="random", ec_count=6,
+                           seed=3)
+        ),
+        lambda: build_topology(
+            TopologyConfig(branching=3, depth=3, mesh_links=8, ec_rule="all", seed=1)
+        ),
+        lambda: build_topology(TopologyConfig(branching=2, depth=8)),
+    ],
+    ids=["evaluation", "square", "tree", "tree-all", "mesh", "skinny-random", "mesh-random",
+         "mesh-all", "depth8"],
+)
+def test_incidence_matches_stepwise_walk(make):
+    # The next-hop tables give the entries, and path_store with its key
+    # order, of a walk that re-chooses the next hop at every step.
+    t = make()
+    h = hop_matrix(t)
+    inc = incidence_tensor(t, h)
+    entries, path_store = incidence_walk(t, h)
+    assert inc.entries.dtype == entries.dtype and np.array_equal(inc.entries, entries)
+    assert list(inc.path_store.items()) == list(path_store.items())
 
 
 def test_hop_matrix_invariant_to_link_insertion_order():
