@@ -61,7 +61,7 @@ from .instance import (
     save_instance,
     subset_flows,
 )
-from .lpfile import export_milp, parse_lp
+from .lpfile import export_milp
 from .pel import enhance
 from .solver import OptimalSolution, solve_exact
 from .topology import (

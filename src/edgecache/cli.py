@@ -199,7 +199,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     inst = load_instance(args.instance)
-    text = export_milp(inst, big_m=args.big_m)
+    try:
+        text = export_milp(inst, big_m=args.big_m)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     Path(args.out).write_text(text)
     _write_manifest(f"{args.out}.manifest.json", "export-lp", {
         "instance": str(args.instance), "big_m": args.big_m,
@@ -306,13 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull --config out of argv and fold its values into defaults."""
-    if "--config" not in argv:
+    """Pull --config PATH or --config=PATH out of argv and fold its values
+    into defaults; a --config without a path exits 2 like any flag."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        known, rest = pre.parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
+    if known.config is None:
         return argv
-    at = argv.index("--config")
-    config_path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2 :]
-    with open(config_path) as fh:
+    with open(known.config) as fh:
         config = json.load(fh)
     command = next((tok for tok in rest if not tok.startswith("-")), None)
     section = config.get(command, {}) if command else {}

@@ -436,16 +436,20 @@ def predict_all(models: list[CnnModel], img) -> np.ndarray:
     return np.stack([forward(model, matrix) for model in models])
 
 
-def save_model(m: CnnModel, path) -> None:
-    """Versioned binary weights plus a small text manifest."""
-    arrays = {}
-    for li, key, param, _ in m.param_items():
-        arrays[f"layer{li}_{key}"] = param
+def _named_arrays(m: CnnModel) -> dict[str, np.ndarray]:
+    """Every array a saved model holds, keyed by its .npz name: the
+    parameters, then each BatchNorm's running statistics."""
+    arrays = {f"layer{li}_{key}": param for li, key, param, _ in m.param_items()}
     for li, layer in enumerate(m.layers):
         if isinstance(layer, BatchNorm):
             arrays[f"layer{li}_running_mean"] = layer.running_mean
             arrays[f"layer{li}_running_var"] = layer.running_var
-    np.savez(path, **arrays)
+    return arrays
+
+
+def save_model(m: CnnModel, path) -> None:
+    """Versioned binary weights plus a small text manifest."""
+    np.savez(path, **_named_arrays(m))
     manifest = {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
@@ -475,12 +479,7 @@ def load_model(path) -> CnnModel:
     )
     npz_path = str(path) if str(path).endswith(".npz") else str(path) + ".npz"
     with np.load(npz_path) as data:
-        arrays = {f"layer{li}_{key}": param for li, key, param, _ in m.param_items()}
-        for li, layer in enumerate(m.layers):
-            if isinstance(layer, BatchNorm):
-                arrays[f"layer{li}_running_mean"] = layer.running_mean
-                arrays[f"layer{li}_running_var"] = layer.running_var
-        for name, target in arrays.items():
+        for name, target in _named_arrays(m).items():
             value = data[name] if name in data else None
             if value is None or value.shape != target.shape:
                 raise CnnError(f"{npz_path}: missing or misshapen array {name!r}")

@@ -153,6 +153,8 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if not data[start:pos].isdigit():
+            raise EncodingError(f"{path}: malformed or truncated PGM header")
         fields.append(int(data[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
@@ -179,21 +181,22 @@ def read_feature_csv(path) -> FeatureImage:
         header = fh.readline()
         if not header.startswith("# blocks "):
             raise EncodingError(f"{path}: missing block-bounds header")
-        fields = dict(part.split("=", 1) for part in header[9:].split())
-        bounds = {}
-        for name in ("P", "Q", "R"):
-            lo, hi = fields[name].split(":")
-            bounds[name] = (int(lo), int(hi))
-        norm = NormConfig(q_max=float(fields["q_max"]), r_max=float(fields["r_max"]))
-        matrix = np.array(
-            [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-        )
-    return FeatureImage(
-        matrix=matrix,
-        block_bounds=bounds,
-        norm_meta=norm,
-        phantom_rows=int(fields.get("phantom", 0)),
-    )
+        try:
+            fields = dict(part.split("=", 1) for part in header[9:].split())
+            bounds = {}
+            for name in ("P", "Q", "R"):
+                lo, hi = fields[name].split(":")
+                bounds[name] = (int(lo), int(hi))
+            norm = NormConfig(q_max=float(fields["q_max"]), r_max=float(fields["r_max"]))
+            phantom = int(fields.get("phantom", 0))
+            matrix = np.array(
+                [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+            )
+        except KeyError as exc:
+            raise EncodingError(f"{path}: header lacks {exc.args[0]!r}") from exc
+        except ValueError as exc:
+            raise EncodingError(f"{path}: malformed feature CSV: {exc}") from exc
+    return FeatureImage(matrix=matrix, block_bounds=bounds, norm_meta=norm, phantom_rows=phantom)
 
 
 def split_subimages(f: FeatureImage, rows_per_block: int) -> list[FeatureImage]:

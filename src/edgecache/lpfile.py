@@ -1,11 +1,12 @@
-"""LP-format export of the caching MILP, plus a matching reader.
+"""The caching MILP: one sparse definition and its LP-format export.
 
-The writer emits the exact mixed-integer linear program in the
-industry-standard LP text grammar so any external solver can
-cross-check the built-in branch and bound.  The nonlinear storage term
-is linearized through the auxiliary variables t_e (the per-EC cost
-multiplier 1 / (1 - U_e)) and chi_ke = t_e * x_ke, tied together with
-big-M rows.
+milp_model builds the exact mixed-integer linear program as named
+columns and sparse rows, which array-based solvers read directly;
+export_milp renders it in the industry-standard LP text grammar so any
+external solver can cross-check the built-in branch and bound.  The
+nonlinear storage term is linearized through the auxiliary variables
+t_e (the per-EC cost multiplier 1 / (1 - U_e)) and chi_ke = t_e * x_ke,
+tied together with big-M rows.
 
 Note the big-M choice caps t_e at M, which bounds utilization away
 from 1 by 1/M; the default M = 10 * |K| is configurable.
@@ -13,17 +14,13 @@ from 1 by 1/M; the default M = 10 * |K| is configurable.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import network_tables
 from .instance import Instance, ratios
-
-
-class LpFormatError(ValueError):
-    """Raised when parsing text that does not follow the LP grammar."""
 
 
 def default_big_m(num_flows: int) -> float:
@@ -62,27 +59,36 @@ def constraint_census(K: int, A: int, E: int, L: int) -> dict[str, int]:
     return census
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
+@dataclass(frozen=True)
+class Milp:
+    """The caching MILP as named columns and sparse rows.
+
+    Columns run x, y, z (the first num_binary, each binary), then t and
+    chi (continuous, >= 0).  The objective and each row keep their terms
+    in the order export_milp writes them, and zero coefficients are left
+    out.  entries lists (row, column, coefficient) grouped by row.
+    """
+
+    columns: list[str]
+    num_binary: int
+    objective: list[tuple[int, float]]
+    constant: float
+    row_names: list[str]
+    senses: list[str]  # "<=", ">=" or "="
+    rhs: list[float]
+    entries: list[tuple[int, int, float]]
 
 
-def _emit_terms(terms: list[tuple[float, str]]) -> str:
-    """Render coefficient/name pairs as ' + 2 x1 - 3 x2 ...'."""
-    parts = []
-    for coef, name in terms:
-        if coef == 0:
-            continue
-        sign = "-" if coef < 0 else "+"
-        parts.append(f" {sign} {_fmt(abs(coef))} {name}")
-    if not parts:
-        return " 0 dummy_zero"
-    return "".join(parts)
+def milp_model(i: Instance, big_m: float | None = None) -> Milp:
+    """The full optimization problem of one instance as a Milp.
 
-
-def export_milp(i: Instance, big_m: float | None = None) -> str:
-    """Serialize the full optimization problem in LP format."""
+    big_m defaults to 10 K; any value that is not finite and >= 1 raises
+    ValueError."""
     if big_m is None:
         big_m = default_big_m(i.num_flows)
+    if not (math.isfinite(big_m) and big_m >= 1):
+        # tdef forces t_e >= 1, and chigate/chibind force t_e <= M where x_ke = 1.
+        raise ValueError(f"big_m must be finite and >= 1, got {big_m!r}")
     hops, inc = network_tables(i.topology)
     rat = ratios(i)
     K = i.num_flows
@@ -90,320 +96,92 @@ def export_milp(i: Instance, big_m: float | None = None) -> str:
     E = i.topology.num_edge_clouds
     L = i.topology.num_links
     nt = float(i.topology.datacenter_hops)
-    p = i.mobility
 
-    x = lambda k, e: f"x_{k}_{e}"
-    y = lambda k, l: f"y_{k}_{l}"
-    z = lambda k, a, e: f"z_{k}_{a}_{e}"
-    t = lambda e: f"t_{e}"
-    chi = lambda k, e: f"chi_{k}_{e}"
+    columns: list[str] = []
 
-    lines = ["\\ caching placement MILP", "Minimize"]
+    def family(prefix: str, *shape: int) -> np.ndarray:
+        start = len(columns)
+        columns.extend(f"{prefix}_" + "_".join(map(str, ix)) for ix in np.ndindex(*shape))
+        return np.arange(start, len(columns)).reshape(shape)
+
+    x, y, z = family("x", K, E), family("y", K, L), family("z", K, A, E)
+    num_binary = len(columns)
+    t, chi = family("t", E), family("chi", K, E)
+
+    def nonzero(terms) -> list[tuple[int, float]]:
+        return [(int(j), float(v)) for j, v in terms if v != 0]
 
     # alpha * sum chi  +  beta * [sum p (N - NT) z  +  K * NT]
-    obj_terms: list[tuple[float, str]] = []
-    for k in range(K):
-        for e in range(E):
-            obj_terms.append((i.alpha, chi(k, e)))
-    for k in range(K):
-        for a in range(A):
-            if p[k, a] == 0:
-                continue
-            for e in range(E):
-                coef = i.beta * p[k, a] * (float(hops.entries[a, e]) - nt)
-                obj_terms.append((coef, z(k, a, e)))
-    constant = i.beta * K * nt
-    lines.append(f" obj:{_emit_terms(obj_terms)} + {_fmt(constant)}")
+    hop_gain = (i.beta * i.mobility)[:, :, None] * (hops.entries - nt)
+    objective = nonzero([(j, i.alpha) for j in chi.ravel()] + [*zip(z.ravel(), hop_gain.ravel())])
 
-    lines.append("Subject To")
+    row_names: list[str] = []
+    senses: list[str] = []
+    rhs: list[float] = []
+    entries: list[tuple[int, int, float]] = []
 
-    def row(name: str, terms: list[tuple[float, str]], sense: str, rhs: float):
-        lines.append(f" {name}:{_emit_terms(terms)} {sense} {_fmt(rhs)}")
+    def row(name: str, terms, sense: str, bound: float) -> None:
+        entries.extend((len(row_names), j, v) for j, v in nonzero(terms))
+        row_names.append(name)
+        senses.append(sense)
+        rhs.append(float(bound))
 
     for k in range(K):
-        row(f"place_{k}", [(1.0, x(k, e)) for e in range(E)], "<=", 1.0)
+        row(f"place_{k}", [(x[k, e], 1.0) for e in range(E)], "<=", 1.0)
     for e in range(E):
-        row(
-            f"space_{e}",
-            [(float(i.content_size[k]), x(k, e)) for k in range(K)],
-            "<=",
-            float(i.ec_space[e]),
-        )
+        row(f"space_{e}", [(x[k, e], i.content_size[k]) for k in range(K)], "<=", i.ec_space[e])
     for k in range(K):
         for a in range(A):
-            row(f"onepath_{k}_{a}", [(1.0, z(k, a, e)) for e in range(E)], "<=", 1.0)
+            row(f"onepath_{k}_{a}", [(z[k, a, e], 1.0) for e in range(E)], "<=", 1.0)
     for k in range(K):
         for a in range(A):
             for e in range(E):
-                row(
-                    f"hosted_{k}_{a}_{e}",
-                    [(1.0, z(k, a, e)), (-1.0, x(k, e))],
-                    "<=",
-                    0.0,
-                )
+                row(f"hosted_{k}_{a}_{e}", [(z[k, a, e], 1.0), (x[k, e], -1.0)], "<=", 0.0)
     for l in range(L):
-        row(
-            f"bw_{l}",
-            [(float(i.bandwidth[k]), y(k, l)) for k in range(K)],
-            "<=",
-            float(i.link_capacity[l]),
-        )
+        row(f"bw_{l}", [(y[k, l], i.bandwidth[k]) for k in range(K)], "<=", i.link_capacity[l])
     for k in range(K):
         for l in range(L):
-            path_terms = [
-                (-1.0, z(k, a, e))
-                for a in range(A)
-                for e in range(E)
-                if inc.entries[l, a, e]
-            ]
-            row(f"luselo_{k}_{l}", [(1.0, y(k, l))] + path_terms, "<=", 0.0)
-            row(
-                f"lusehi_{k}_{l}",
-                [(big_m, y(k, l))] + path_terms,
-                ">=",
-                0.0,
-            )
+            path = [(z[k, a, e], -1.0) for a in range(A) for e in range(E) if inc.entries[l, a, e]]
+            row(f"luselo_{k}_{l}", [(y[k, l], 1.0)] + path, "<=", 0.0)
+            row(f"lusehi_{k}_{l}", [(y[k, l], big_m)] + path, ">=", 0.0)
     for e in range(E):
-        row(
-            f"tdef_{e}",
-            [(1.0, t(e))] + [(-float(rat.q[k, e]), chi(k, e)) for k in range(K)],
-            "=",
-            1.0,
-        )
+        row(f"tdef_{e}", [(t[e], 1.0)] + [(chi[k, e], -rat.q[k, e]) for k in range(K)], "=", 1.0)
     for k in range(K):
         for e in range(E):
-            row(f"chicap_{k}_{e}", [(1.0, chi(k, e)), (-1.0, t(e))], "<=", 0.0)
-            row(f"chigate_{k}_{e}", [(1.0, chi(k, e)), (-big_m, x(k, e))], "<=", 0.0)
-            row(
-                f"chibind_{k}_{e}",
-                [(1.0, chi(k, e)), (-1.0, t(e)), (-big_m, x(k, e))],
-                ">=",
-                -big_m,
-            )
+            row(f"chicap_{k}_{e}", [(chi[k, e], 1.0), (t[e], -1.0)], "<=", 0.0)
+            row(f"chigate_{k}_{e}", [(chi[k, e], 1.0), (x[k, e], -big_m)], "<=", 0.0)
+            chibind = [(chi[k, e], 1.0), (t[e], -1.0), (x[k, e], -big_m)]
+            row(f"chibind_{k}_{e}", chibind, ">=", -big_m)
+    return Milp(columns, num_binary, objective, i.beta * K * nt, row_names, senses, rhs, entries)
 
-    lines.append("Binaries")
-    names = []
-    for k in range(K):
-        for e in range(E):
-            names.append(x(k, e))
-    for k in range(K):
-        for l in range(L):
-            names.append(y(k, l))
-    for k in range(K):
-        for a in range(A):
-            for e in range(E):
-                names.append(z(k, a, e))
-    for start in range(0, len(names), 8):
-        lines.append(" " + " ".join(names[start : start + 8]))
-    lines.append("End")
+
+def _fmt(v: float) -> str:
+    return f"{v:.12g}"
+
+
+def export_milp(i: Instance, big_m: float | None = None) -> str:
+    """Serialize the full optimization problem in LP format."""
+    m = milp_model(i, big_m)
+
+    def terms(pairs) -> str:
+        text = "".join(f" {'-' if v < 0 else '+'} {_fmt(abs(v))} {m.columns[j]}" for j, v in pairs)
+        return text or " 0 dummy_zero"
+
+    rows: list[list[tuple[int, float]]] = [[] for _ in m.row_names]
+    for r, j, v in m.entries:
+        rows[r].append((j, v))
+    binaries = m.columns[: m.num_binary]
+    lines = [
+        "\\ caching placement MILP",
+        "Minimize",
+        f" obj:{terms(m.objective)} + {_fmt(m.constant)}",
+        "Subject To",
+        *(
+            f" {name}:{terms(pairs)} {sense} {_fmt(bound)}"
+            for name, pairs, sense, bound in zip(m.row_names, rows, m.senses, m.rhs)
+        ),
+        "Binaries",
+        *(" " + " ".join(binaries[s : s + 8]) for s in range(0, len(binaries), 8)),
+        "End",
+    ]
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class LpConstraint:
-    name: str
-    coefficients: dict[str, float]
-    sense: str  # "<=", ">=", "="
-    rhs: float
-
-
-@dataclass
-class LpModel:
-    objective: dict[str, float]
-    objective_constant: float
-    constraints: list[LpConstraint]
-    binaries: set[str] = field(default_factory=set)
-
-    @property
-    def variables(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for name in self.objective:
-            seen.setdefault(name)
-        for con in self.constraints:
-            for name in con.coefficients:
-                seen.setdefault(name)
-        for name in self.binaries:
-            seen.setdefault(name)
-        return list(seen)
-
-
-_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_SECTIONS = {
-    "minimize": "objective",
-    "min": "objective",
-    "maximize": "objective_max",
-    "max": "objective_max",
-    "subject": "constraints",
-    "st": "constraints",
-    "s.t.": "constraints",
-    "bounds": "bounds",
-    "binaries": "binaries",
-    "binary": "binaries",
-    "bin": "binaries",
-    "generals": "generals",
-    "general": "generals",
-    "end": "end",
-}
-
-
-def _parse_expression(tokens: list[str]) -> tuple[dict[str, float], float]:
-    """Accumulate 'sign coefficient? name | sign constant' runs."""
-    coeffs: dict[str, float] = {}
-    constant = 0.0
-    sign = 1.0
-    pending: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            if pending is not None:
-                constant += sign * pending
-                pending = None
-            sign = 1.0
-        elif tok == "-":
-            if pending is not None:
-                constant += sign * pending
-                pending = None
-            sign = -1.0
-        elif _NUMBER.match(tok):
-            if pending is not None:
-                constant += sign * pending
-            pending = float(tok)
-        else:
-            coef = sign * (pending if pending is not None else 1.0)
-            coeffs[tok] = coeffs.get(tok, 0.0) + coef
-            pending = None
-            sign = 1.0
-    if pending is not None:
-        constant += sign * pending
-    return coeffs, constant
-
-
-def parse_lp(text: str) -> LpModel:
-    """Parse LP-format text (the subset covering what export_milp emits,
-    plus unnamed rows and split lines, which the grammar allows)."""
-    # Strip comments, split section keywords out.
-    tokens: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0]
-        line = line.replace("<=", " <= ").replace(">=", " >= ")
-        line = re.sub(r"(?<![<>=])=(?![<>=])", " = ", line)
-        # Keep "Subject To" as one marker before tokenizing.
-        line = re.sub(r"(?i)subject\s+to", " subject_to ", line)
-        for tok in line.split():
-            tokens.append(tok)
-
-    model = LpModel(objective={}, objective_constant=0.0, constraints=[])
-    section = None
-    buffer: list[str] = []
-    row_name: str | None = None
-
-    def flush_objective():
-        nonlocal buffer
-        if buffer and buffer[0].endswith(":"):
-            buffer = buffer[1:]
-        coeffs, constant = _parse_expression(buffer)
-        model.objective = coeffs
-        model.objective_constant = constant
-        buffer = []
-
-    def flush_constraint():
-        nonlocal buffer, row_name
-        if not buffer:
-            return
-        sense_at = [idx for idx, tok in enumerate(buffer) if tok in ("<=", ">=", "=")]
-        if len(sense_at) != 1:
-            raise LpFormatError(f"constraint without a single sense: {' '.join(buffer)}")
-        idx = sense_at[0]
-        lhs, rhs_tokens = buffer[:idx], buffer[idx + 1 :]
-        if len(rhs_tokens) != 1 or not _NUMBER.match(rhs_tokens[0]):
-            raise LpFormatError(f"bad right-hand side: {' '.join(rhs_tokens)}")
-        coeffs, constant = _parse_expression(lhs)
-        if constant:
-            raise LpFormatError("constant on constraint left-hand side")
-        model.constraints.append(
-            LpConstraint(
-                name=row_name or f"r{len(model.constraints)}",
-                coefficients=coeffs,
-                sense=buffer[idx],
-                rhs=float(rhs_tokens[0]),
-            )
-        )
-        buffer = []
-        row_name = None
-
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        low = tok.lower()
-        marker = "constraints" if low == "subject_to" else _SECTIONS.get(low)
-        if marker and ":" not in tok:
-            if section == "objective":
-                flush_objective()
-            elif section == "constraints":
-                flush_constraint()
-            if marker == "objective_max":
-                raise LpFormatError("maximization files are not supported")
-            if marker == "end":
-                break
-            section = marker
-            i += 1
-            continue
-
-        if section == "objective":
-            buffer.append(tok)
-        elif section == "constraints":
-            if tok.endswith(":") and len(tok) > 1:
-                flush_constraint()
-                row_name = tok[:-1]
-            else:
-                buffer.append(tok)
-        elif section == "binaries":
-            model.binaries.add(tok)
-        elif section in ("bounds", "generals"):
-            pass  # not emitted by the writer; accepted and ignored
-        else:
-            raise LpFormatError(f"token {tok!r} before any section")
-        i += 1
-    else:
-        raise LpFormatError("missing End marker")
-
-    if section == "objective":
-        flush_objective()
-    return model
-
-
-def lp_to_arrays(model: LpModel):
-    """Convert a parsed model to (c, constant, A_ub, b_ub, A_eq, b_eq,
-    variable order, integrality mask) for array-based MILP solvers."""
-    variables = model.variables
-    index = {name: j for j, name in enumerate(variables)}
-    n = len(variables)
-    c = np.zeros(n)
-    for name, coef in model.objective.items():
-        c[index[name]] = coef
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for con in model.constraints:
-        dense = np.zeros(n)
-        for name, coef in con.coefficients.items():
-            dense[index[name]] = coef
-        if con.sense == "<=":
-            ub_rows.append(dense)
-            ub_rhs.append(con.rhs)
-        elif con.sense == ">=":
-            ub_rows.append(-dense)
-            ub_rhs.append(-con.rhs)
-        else:
-            eq_rows.append(dense)
-            eq_rhs.append(con.rhs)
-    integrality = np.array([1 if v in model.binaries else 0 for v in variables])
-    a_ub = np.array(ub_rows) if ub_rows else np.zeros((0, n))
-    a_eq = np.array(eq_rows) if eq_rows else np.zeros((0, n))
-    return (
-        c,
-        model.objective_constant,
-        a_ub,
-        np.array(ub_rhs),
-        a_eq,
-        np.array(eq_rhs),
-        variables,
-        integrality,
-    )

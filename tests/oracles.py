@@ -1,6 +1,8 @@
 """Independent reference computations used by multiple test modules."""
 
 import itertools
+import re
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,3 +207,184 @@ def incidence_walk(t, h):
             path_store[(i, j)] = tuple(link_ids)
             entries[link_ids, i, j] = 1
     return entries, path_store
+
+
+# The LP-text reader: export_milp's differential oracle.  Parsing the
+# exported text back must give lpfile.milp_model term for term.
+
+
+class LpFormatError(ValueError):
+    """Raised when parsing text that does not follow the LP grammar."""
+
+
+@dataclass
+class LpConstraint:
+    name: str
+    coefficients: dict[str, float]
+    sense: str  # "<=", ">=", "="
+    rhs: float
+
+
+@dataclass
+class LpModel:
+    objective: dict[str, float]
+    objective_constant: float
+    constraints: list[LpConstraint]
+    binaries: set[str] = field(default_factory=set)
+
+    @property
+    def variables(self) -> list[str]:
+        seen: dict[str, None] = {}
+        for name in self.objective:
+            seen.setdefault(name)
+        for con in self.constraints:
+            for name in con.coefficients:
+                seen.setdefault(name)
+        for name in self.binaries:
+            seen.setdefault(name)
+        return list(seen)
+
+
+_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_SECTIONS = {
+    "minimize": "objective",
+    "min": "objective",
+    "maximize": "objective_max",
+    "max": "objective_max",
+    "subject": "constraints",
+    "st": "constraints",
+    "s.t.": "constraints",
+    "bounds": "bounds",
+    "binaries": "binaries",
+    "binary": "binaries",
+    "bin": "binaries",
+    "generals": "generals",
+    "general": "generals",
+    "end": "end",
+}
+
+
+def _parse_expression(tokens: list[str]) -> tuple[dict[str, float], float]:
+    """Accumulate 'sign coefficient? name | sign constant' runs."""
+    coeffs: dict[str, float] = {}
+    constant = 0.0
+    sign = 1.0
+    pending: float | None = None
+    for tok in tokens:
+        if tok == "+":
+            if pending is not None:
+                constant += sign * pending
+                pending = None
+            sign = 1.0
+        elif tok == "-":
+            if pending is not None:
+                constant += sign * pending
+                pending = None
+            sign = -1.0
+        elif _NUMBER.match(tok):
+            if pending is not None:
+                constant += sign * pending
+            pending = float(tok)
+        else:
+            coef = sign * (pending if pending is not None else 1.0)
+            coeffs[tok] = coeffs.get(tok, 0.0) + coef
+            pending = None
+            sign = 1.0
+    if pending is not None:
+        constant += sign * pending
+    return coeffs, constant
+
+
+def parse_lp(text: str) -> LpModel:
+    """Parse LP-format text (the subset covering what export_milp emits,
+    plus unnamed rows and split lines, which the grammar allows)."""
+    # Strip comments, split section keywords out.
+    tokens: list[str] = []
+    for raw in text.splitlines():
+        line = raw.split("\\", 1)[0]
+        line = line.replace("<=", " <= ").replace(">=", " >= ")
+        line = re.sub(r"(?<![<>=])=(?![<>=])", " = ", line)
+        # Keep "Subject To" as one marker before tokenizing.
+        line = re.sub(r"(?i)subject\s+to", " subject_to ", line)
+        for tok in line.split():
+            tokens.append(tok)
+
+    model = LpModel(objective={}, objective_constant=0.0, constraints=[])
+    section = None
+    buffer: list[str] = []
+    row_name: str | None = None
+
+    def flush_objective():
+        nonlocal buffer
+        if buffer and buffer[0].endswith(":"):
+            buffer = buffer[1:]
+        coeffs, constant = _parse_expression(buffer)
+        model.objective = coeffs
+        model.objective_constant = constant
+        buffer = []
+
+    def flush_constraint():
+        nonlocal buffer, row_name
+        if not buffer:
+            return
+        sense_at = [idx for idx, tok in enumerate(buffer) if tok in ("<=", ">=", "=")]
+        if len(sense_at) != 1:
+            raise LpFormatError(f"constraint without a single sense: {' '.join(buffer)}")
+        idx = sense_at[0]
+        lhs, rhs_tokens = buffer[:idx], buffer[idx + 1 :]
+        if len(rhs_tokens) != 1 or not _NUMBER.match(rhs_tokens[0]):
+            raise LpFormatError(f"bad right-hand side: {' '.join(rhs_tokens)}")
+        coeffs, constant = _parse_expression(lhs)
+        if constant:
+            raise LpFormatError("constant on constraint left-hand side")
+        model.constraints.append(
+            LpConstraint(
+                name=row_name or f"r{len(model.constraints)}",
+                coefficients=coeffs,
+                sense=buffer[idx],
+                rhs=float(rhs_tokens[0]),
+            )
+        )
+        buffer = []
+        row_name = None
+
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        low = tok.lower()
+        marker = "constraints" if low == "subject_to" else _SECTIONS.get(low)
+        if marker and ":" not in tok:
+            if section == "objective":
+                flush_objective()
+            elif section == "constraints":
+                flush_constraint()
+            if marker == "objective_max":
+                raise LpFormatError("maximization files are not supported")
+            if marker == "end":
+                break
+            section = marker
+            i += 1
+            continue
+
+        if section == "objective":
+            buffer.append(tok)
+        elif section == "constraints":
+            if tok.endswith(":") and len(tok) > 1:
+                flush_constraint()
+                row_name = tok[:-1]
+            else:
+                buffer.append(tok)
+        elif section == "binaries":
+            model.binaries.add(tok)
+        elif section in ("bounds", "generals"):
+            pass  # not emitted by the writer; accepted and ignored
+        else:
+            raise LpFormatError(f"token {tok!r} before any section")
+        i += 1
+    else:
+        raise LpFormatError("missing End marker")
+
+    if section == "objective":
+        flush_objective()
+    return model
+

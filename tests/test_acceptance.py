@@ -36,13 +36,13 @@ from edgecache.harness import (
     train_models,
 )
 from edgecache.instance import ParameterRanges, generate_instance
-from edgecache.lpfile import constraint_census, export_milp, parse_lp, variable_census
+from edgecache.lpfile import constraint_census, export_milp, variable_census
 from edgecache.pel import enhance
 from edgecache.solver import solve_exact
 from edgecache.topology import Topology
 
 from conftest import manual_instance
-from oracles import brute_force_optimum, caching_cost_via_linearization
+from oracles import brute_force_optimum, caching_cost_via_linearization, parse_lp
 
 DESK_SEED = 0
 DESK_SAMPLES = 250          # 200 train / 50 test

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from edgecache.cli import main
-from edgecache.lpfile import parse_lp
 from edgecache.encoder import read_pgm
+
+from oracles import parse_lp
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,18 @@ def test_config_file_supplies_defaults(workspace, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["flows"] == 2
     assert len(manifest["files"]) == 3
+
+    out = tmp_path / "from_config_eq"
+    assert main([
+        f"--config={config}", "gen", "--topology", str(topo), "--out", str(out),
+    ]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["flows"] == 2
+    assert len(manifest["files"]) == 3
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", "--topology", str(topo), "--out", str(tmp_path / "none"), "--config"])
+    assert exit_info.value.code == 2
 
 
 def test_run_manifest_records_norm_constants(workspace):

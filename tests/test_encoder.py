@@ -141,6 +141,37 @@ def test_feature_csv_round_trip(tmp_path, tree_topology, norm):
     assert back.norm_meta.q_max == norm.q_max
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"P5\nabc 2\n255\n\x00\x00", b"P5\n4", b"P5\n4 2\n", b"P5\n4 2 2x5\n"],
+    ids=["non-numeric", "truncated", "no-maxval", "bad-maxval"],
+)
+def test_read_pgm_names_file_on_malformed_header(tmp_path, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(EncodingError, match="bad.pgm"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "# blocks P=0:4 Q=4:7 q_max=0.5 r_max=0.5 phantom=0",
+        "# blocks P=0:4 Q=4:7 R=7 q_max=0.5 r_max=0.5 phantom=0",
+        "# blocks P=0:4 Q=4:7 R=7:11 r_max=0.5 phantom=0",
+        "# blocks P=0:4 Q=4:7 R=7:11 q_max=half r_max=0.5 phantom=0",
+    ],
+    ids=["missing-R", "malformed-R", "missing-q_max", "non-numeric-q_max"],
+)
+def test_read_feature_csv_names_file_on_malformed_header(tmp_path, header):
+    from edgecache.encoder import read_feature_csv
+
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n" + ",".join(["0.5"] * 11) + "\n")
+    with pytest.raises(EncodingError, match="bad.csv"):
+        read_feature_csv(path)
+
+
 def test_split_multiples(tree_topology, norm):
     inst = generate_instance(tree_topology, 20, seed=5)
     img = encode(inst, norm)
