@@ -125,4 +125,4 @@ def rgc(
                 tc = trial_tc
         if trace is not None:
             trace.append(tc)
-    return table.assignment(classes)
+    return assignment_from_classes(i, classes)

@@ -35,9 +35,15 @@ from .solver import DEFAULT_NODE_BUDGET
 from .topology import TopologyConfig, build_topology, load_topology, save_topology
 
 
-def _write_manifest(path, command: str, params: dict) -> None:
-    """Record a run's arguments, seeds and constants next to its output."""
-    write_json(path, {"tool": "edgecache", "version": __version__, "command": command, **params})
+def _write_manifest(path, args, **extra) -> None:
+    """Record every parsed argument, plus the resolved constants in extra
+    (ranges, normalization), next to a run's output."""
+    params = {k: v for k, v in vars(args).items() if k != "func"}
+    write_json(path, {"tool": "edgecache", "version": __version__, **params, **extra})
+
+
+def _norm(norm: NormConfig) -> dict:
+    return {"q_max": norm.q_max, "r_max": norm.r_max}
 
 
 def _ranges_from_args(args) -> ParameterRanges:
@@ -82,12 +88,7 @@ def _cmd_topo(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_topology(topo, out)
-    _write_manifest(f"{out}.manifest.json", "topo", {
-        "branching": args.branching, "depth": args.depth,
-        "mesh_links": args.mesh_links, "ec_rule": args.ec_rule,
-        "ec_count": args.ec_count, "datacenter_hops": args.datacenter_hops,
-        "seed": args.seed,
-    })
+    _write_manifest(f"{out}.manifest.json", args)
     print(
         f"wrote {out}: {len(topo.nodes)} nodes, {topo.num_links} links, "
         f"{topo.num_access_routers} ARs, {topo.num_edge_clouds} ECs"
@@ -99,10 +100,7 @@ def _cmd_gen(args) -> int:
     topo = load_topology(args.topology)
     ranges = _ranges_from_args(args)
     files = generate_instances(topo, args.count, args.flows, args.seed, args.out, ranges=ranges)
-    _write_manifest(Path(args.out) / "run_manifest.json", "gen", {
-        "topology": str(args.topology), "count": args.count, "flows": args.flows,
-        "seed": args.seed, "ranges": ranges.__dict__,
-    })
+    _write_manifest(Path(args.out) / "run_manifest.json", args, ranges=ranges.__dict__)
     print(f"wrote {len(files)} instances to {args.out}")
     return 0
 
@@ -122,12 +120,10 @@ def _cmd_dataset(args) -> int:
         budget=args.budget,
         require_proof=not args.allow_bounded,
     )
-    _write_manifest(Path(args.out) / "run_manifest.json", "dataset", {
-        "topology": str(args.topology), "count": args.count, "flows": args.flows,
-        "seed": args.seed, "train_fraction": args.train_fraction,
-        "budget": args.budget, "ranges": ranges.__dict__,
-        "norm": {"q_max": corpus.norm.q_max, "r_max": corpus.norm.r_max},
-    })
+    _write_manifest(
+        Path(args.out) / "run_manifest.json", args,
+        ranges=ranges.__dict__, norm=_norm(corpus.norm),
+    )
     train_n = len(corpus.of_split("train"))
     test_n = len(corpus.of_split("test"))
     print(
@@ -148,12 +144,7 @@ def _cmd_train(args) -> int:
         workers=args.workers,
         out_dir=args.out,
     )
-    _write_manifest(Path(args.out) / "run_manifest.json", "train", {
-        "corpus": str(args.corpus), "epochs": args.epochs,
-        "batch_size": args.batch_size, "learning_rate": args.learning_rate,
-        "seed": args.seed, "workers": args.workers,
-        "norm": {"q_max": corpus.norm.q_max, "r_max": corpus.norm.r_max},
-    })
+    _write_manifest(Path(args.out) / "run_manifest.json", args, norm=_norm(corpus.norm))
     print(
         f"trained {len(models)} request models; final losses: "
         + ", ".join(f"{t[-1]:.4f}" for t in traces)
@@ -187,12 +178,7 @@ def _cmd_eval(args) -> int:
     (out / "detail.csv").write_text(report.detail_csv())
     table = report.format_table()
     (out / "table.txt").write_text(table + "\n")
-    _write_manifest(out / "run_manifest.json", "eval", {
-        "corpus": str(args.corpus), "models": str(args.models),
-        "methods": list(methods), "split": args.split, "seed": args.seed,
-        "rgc_epochs": args.rgc_epochs, "delta": args.delta, "gamma": args.gamma,
-        "norm": {"q_max": corpus.norm.q_max, "r_max": corpus.norm.r_max},
-    })
+    _write_manifest(out / "run_manifest.json", args, norm=_norm(corpus.norm))
     print(table)
     return 0
 
@@ -205,9 +191,7 @@ def _cmd_export_lp(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     Path(args.out).write_text(text)
-    _write_manifest(f"{args.out}.manifest.json", "export-lp", {
-        "instance": str(args.instance), "big_m": args.big_m,
-    })
+    _write_manifest(f"{args.out}.manifest.json", args)
     print(f"wrote {args.out}")
     return 0
 
@@ -217,10 +201,7 @@ def _cmd_render(args) -> int:
     norm = NormConfig(q_max=args.q_max, r_max=args.r_max)
     img = encode(inst, norm)
     write_pgm(args.out, to_grayscale(img))
-    _write_manifest(f"{args.out}.manifest.json", "render", {
-        "instance": str(args.instance),
-        "norm": {"q_max": norm.q_max, "r_max": norm.r_max},
-    })
+    _write_manifest(f"{args.out}.manifest.json", args, norm=_norm(norm))
     print(f"wrote {args.out} ({img.matrix.shape[0]}x{img.matrix.shape[1]})")
     return 0
 
@@ -320,6 +301,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         parser.error(str(exc))
     if known.config is None:
         return argv
+    parser.set_defaults(config=known.config)
     with open(known.config) as fh:
         config = json.load(fh)
     command = next((tok for tok in rest if not tok.startswith("-")), None)

@@ -472,11 +472,9 @@ def load_model(path) -> CnnModel:
         "request_index": operator.index,
         "filters": int_tuple,
         "seed": operator.index,
+        "norm_digest": str,
     }
-    m = CnnModel(
-        norm_digest=manifest.get("norm_digest", ""),
-        **read_fields(manifest, fields, CnnError, where),
-    )
+    m = CnnModel(**read_fields(manifest, fields, CnnError, where))
     npz_path = str(path) if str(path).endswith(".npz") else str(path) + ".npz"
     with np.load(npz_path) as data:
         for name, target in _named_arrays(m).items():

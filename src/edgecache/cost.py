@@ -14,9 +14,11 @@ unserved mobility mass pays the datacenter round trip.
 
 The cost is flow-separable: each flow picks one class out of |E|+1 (an
 EC, or uncached), and the class fixes its serving set and link
-footprint.  class_table builds one per-instance table that prices any
-class vector and materializes it as an Assignment; cost_breakdown
-prices arbitrary assignments with the same per-flow arithmetic.
+footprint.  A class vector is the one placement encoding: labels_of
+reads it off a placement, assignment_from_classes materializes it as
+x, z and y, class_table builds one per-instance table that prices any
+class vector, and cost_breakdown prices arbitrary assignments with the
+same per-flow arithmetic.
 """
 
 from __future__ import annotations
@@ -155,16 +157,24 @@ def _flow_hops(i: Instance, served: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return hit, miss
 
 
+def _serving_mask(i: Instance) -> np.ndarray:
+    """(K, A, E) bool: AR a retrieves flow k from EC e when e caches it.
+
+    A cached flow is served wherever it may appear and the path beats
+    the datacenter fallback (hops < N_T).
+    """
+    hops, _ = network_tables(i.topology)
+    return (i.mobility[:, :, None] > 0) & (hops.entries < i.topology.datacenter_hops)
+
+
 @dataclass(frozen=True, eq=False)
 class ClassTable:
     """Per-instance pricing kernel over flow classes c in 0..E.
 
     Class c < E caches the flow at EC c; class E leaves it uncached.
-    A cached flow retrieves, at every AR it may appear at, from its EC
-    whenever that path beats the datacenter fallback (hops < N_T), so
-    its serving set and link footprint are fixed by its class.  Link
-    capacities are deliberately ignored; overloads surface in the
-    penalty term.
+    The serving rule (_serving_mask) fixes a cached flow's serving set
+    and link footprint by its class.  Link capacities are deliberately
+    ignored; overloads surface in the penalty term.
     """
 
     inst: Instance
@@ -192,20 +202,13 @@ class ClassTable:
         )
         return tc + penalty
 
-    def assignment(self, classes) -> Assignment:
-        """Materialize a class vector as x, z and y."""
-        x = self.onehot[classes]
-        z = (self.serve * x[:, None, :]).astype(np.int8)
-        return Assignment(x=x, z=z, y=self.links[self.rows, classes])
-
 
 def class_table(i: Instance) -> ClassTable:
     """Build the pricing kernel of an instance, vectorized over (flow, class)."""
-    hops, _ = network_tables(i.topology)
     K, A = i.mobility.shape
     E = i.topology.num_edge_clouds
     rat = ratios(i)
-    serve = (i.mobility[:, :, None] > 0) & (hops.entries < i.topology.datacenter_hops)
+    serve = _serving_mask(i)
     # z[k, c] is flow k's retrieval tensor at class c: column c only, none at c = E.
     z = np.zeros((K, E + 1, A, E), dtype=np.int8)
     ecs = np.arange(E)
@@ -224,23 +227,31 @@ def class_table(i: Instance) -> ClassTable:
     )
 
 
-def derive_routing(i: Instance, x: np.ndarray) -> Assignment:
-    """Resolve z and y from a placement x with at most one EC per flow.
+def labels_of(x: np.ndarray) -> tuple[int, ...]:
+    """Per-flow class of placement x: its first EC, or E for an empty row."""
+    x = np.asarray(x) != 0
+    return tuple(np.where(x.any(axis=1), x.argmax(axis=1), x.shape[1]).tolist())
 
-    Retrieval follows ClassTable's serving rule; link capacities are
-    ignored here, and overloads surface in the penalty term.
+
+def assignment_from_classes(i: Instance, classes) -> Assignment:
+    """Materialize per-flow classes (E means uncached) as x, z and y.
+
+    Retrieval follows the serving rule of the chosen class only; link
+    capacities are ignored here, and overloads surface in the penalty.
     """
+    E = i.topology.num_edge_clouds
+    x = np.eye(E + 1, E, dtype=np.int8)[np.asarray(classes)]
+    z = _serving_mask(i) * x[:, None, :]
+    return Assignment(x=x, z=z, y=path_links(i, z))
+
+
+def derive_routing(i: Instance, x: np.ndarray) -> Assignment:
+    """Resolve z and y from a placement x with at most one EC per flow."""
     x = np.asarray(x, dtype=np.int8)
-    classes = np.where(x.any(axis=1), x.argmax(axis=1), i.topology.num_edge_clouds)
-    asg = class_table(i).assignment(classes)
+    asg = assignment_from_classes(i, labels_of(x))
     if not np.array_equal(asg.x, x):
         raise ValueError("x must be binary with at most one EC per flow")
     return asg
-
-
-def assignment_from_classes(i: Instance, classes: np.ndarray) -> Assignment:
-    """Build an Assignment from per-flow class labels (E means uncached)."""
-    return class_table(i).assignment(np.asarray(classes))
 
 
 def transmission_cost(i: Instance, asg: Assignment) -> tuple[float, float, float]:

@@ -20,11 +20,7 @@ import numpy as np
 
 from . import cnn as cnnmod
 from .baselines import RgcConfig, gca, rgc
-from .cost import (
-    DEFAULT_GAMMA,
-    assignment_from_classes,
-    cost_breakdown,
-)
+from .cost import DEFAULT_GAMMA, assignment_from_classes, cost_breakdown, labels_of
 from .encoder import NormConfig, encode, split_subimages, update_residual
 from .formats import read_fields, read_json, write_json
 from .instance import (
@@ -96,29 +92,6 @@ def split_counts(n: int, train_fraction: float) -> tuple[int, int]:
     train = int(round(n * train_fraction))
     train = min(max(train, 0), n)
     return train, n - train
-
-
-def precision_of(predicted, actual) -> float:
-    """Fraction of per-flow class decisions that match the labels."""
-    matches = 0
-    total = 0
-    for pred_row, true_row in zip(predicted, actual):
-        for a, b in zip(pred_row, true_row):
-            matches += int(a == b)
-            total += 1
-    if total == 0:
-        raise ValueError("no decisions to score")
-    return matches / total
-
-
-def labels_of(assignment_x: np.ndarray) -> tuple[int, ...]:
-    """Per-flow class (EC index, or |E| when the row is empty)."""
-    E = assignment_x.shape[1]
-    out = []
-    for row in assignment_x:
-        nz = np.flatnonzero(row)
-        out.append(int(nz[0]) if nz.size else E)
-    return tuple(out)
 
 
 def build_dataset(
@@ -195,12 +168,9 @@ def load_corpus(path) -> Corpus:
         "samples": lambda rows: tuple(
             CorpusSample(**{**s, "labels": tuple(s["labels"])}) for s in rows
         ),
+        "excluded": operator.index,
     }
-    return Corpus(
-        root=root,
-        excluded=manifest.get("excluded", 0),
-        **read_fields(manifest, fields, ValueError, where),
-    )
+    return Corpus(root=root, **read_fields(manifest, fields, ValueError, where))
 
 
 def corpus_training_samples(corpus: Corpus, split: str = "train"):

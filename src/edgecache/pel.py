@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import DEFAULT_GAMMA, Assignment, class_table
+from .cost import DEFAULT_GAMMA, Assignment, assignment_from_classes, class_table
 from .instance import Instance
 
 DEFAULT_DELTA = 0.001
@@ -102,4 +102,4 @@ def enhance(
             )
             for row in records:
                 writer.writerow(row)
-    return table.assignment(classes)
+    return assignment_from_classes(i, classes)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cost as costmod
 from .cost import Assignment, CostBreakdown, network_tables
-from .instance import Instance
+from .instance import Instance, ratios
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -54,6 +54,9 @@ class _Budget(Exception):
 
 
 class _Search:
+    """Branch and bound over class vectors: flow k takes class c in 0..E,
+    and class E (uncached) has T[k, E] = N_T and empty serving rows."""
+
     def __init__(self, inst: Instance, budget: int):
         self.inst = inst
         self.budget = budget
@@ -61,49 +64,47 @@ class _Search:
         self.table = costmod.class_table(inst)
         self.K = inst.num_flows
         self.E = inst.topology.num_edge_clouds
-        A = inst.topology.num_access_routers
-        self.L = L = inst.topology.num_links
-        self.nt = float(inst.topology.datacenter_hops)
+        self.L = inst.topology.num_links
+        nt = float(inst.topology.datacenter_hops)
         self.alpha = inst.alpha
         self.beta = inst.beta
         # Plain Python rows: node arithmetic on floats, not numpy scalars.
         self.q = self.table.Q.tolist()
-        self.t_exact = self.table.T[:, : self.E].tolist()
-        self.r = (inst.bandwidth[:, None] / inst.link_capacity[None, :]).tolist()  # b_k / c_l
+        self.t = self.table.T.tolist()
+        self.r = ratios(inst).r.tolist()  # b_k / c_l
 
-        # Per (flow, EC): the ARs worth serving (from the kernel's
+        # Per (flow, class): the ARs worth serving (from the kernel's
         # serving mask) with the hop gain and path of each, the links the
         # serving paths touch, and those links' (link, b_k/c_l) loads.
-        gain = (inst.mobility[:, :, None] * (self.nt - hops.entries)).tolist()
-        mask = self.table.serve.tolist()
-        marks = self.table.links.tolist()
+        # np.nonzero walks in index order, so each row lists ARs and
+        # links in ascending order; class E's rows stay empty.
+        gain = (inst.mobility[:, :, None] * (nt - hops.entries)).tolist()
         self.serve: list[list[list[tuple[int, float, tuple[int, ...]]]]] = [
-            [
-                [(a, gain[k][a][e], inc.path_store[(a, e)]) for a in range(A) if mask[k][a][e]]
-                for e in range(self.E)
-            ]
-            for k in range(self.K)
+            [[] for _ in range(self.E + 1)] for _ in range(self.K)
         ]
+        for k, a, e in zip(*(ix.tolist() for ix in np.nonzero(self.table.serve))):
+            self.serve[k][e].append((a, gain[k][a][e], inc.path_store[(a, e)]))
         self.loads: list[list[list[tuple[int, float]]]] = [
-            [[(l, self.r[k][l]) for l in range(L) if marks[k][e][l]] for e in range(self.E)]
-            for k in range(self.K)
+            [[] for _ in range(self.E + 1)] for _ in range(self.K)
         ]
+        for k, c, l in zip(*(ix.tolist() for ix in np.nonzero(self.table.links))):
+            self.loads[k][c].append((l, self.r[k][l]))
         self.links_used: list[list[frozenset[int]]] = [
-            [frozenset(l for l, _ in self.loads[k][e]) for e in range(self.E)]
-            for k in range(self.K)
+            [frozenset(dict(loads)) for loads in rows] for rows in self.loads
         ]
 
         # Branch order: largest content first tightens bounds earliest.
         self.order = sorted(range(self.K), key=lambda k: (-inst.content_size[k], k))
-        # suffix[d]: the free-flow bound of the flows branched at depth >= d.
+        # suffix[d]: the free-flow bound of the flows branched at depth >= d;
+        # zip stops at the ECs, and t[k][E] prices staying uncached.
         self.suffix = [0.0] * (self.K + 1)
         for d in range(self.K - 1, -1, -1):
             k = self.order[d]
             free = min(
-                [self.beta * self.nt]
+                [self.beta * self.t[k][self.E]]
                 + [
                     self.alpha / (1.0 - q) + self.beta * t
-                    for q, t in zip(self.q[k], self.t_exact[k])
+                    for q, t in zip(self.q[k], self.t[k])
                     if q < 1.0
                 ]
             )
@@ -111,8 +112,8 @@ class _Search:
 
         self.nodes = 0
         self.cap_hit = False
-        self.best_tc = self.beta * self.nt * self.K  # empty placement
-        self.best_choices = [-1] * self.K
+        self.best_tc = self.beta * nt * self.K  # empty placement
+        self.best_choices = [self.E] * self.K
         self.best_serving: dict[int, tuple[int, ...]] = {}
 
     def caching_sum(self, counts, util) -> float:
@@ -128,57 +129,47 @@ class _Search:
             self._evaluate_leaf(choices, counts, util, placed_t)
             return
         k = self.order[depth]
-        alpha, beta = self.alpha, self.beta
-        q, t = self.q[k], self.t_exact[k]
-        children = [(beta * self.nt, self.E, -1, 0.0)]
-        for e in range(self.E):
+        alpha, beta, E = self.alpha, self.beta, self.E
+        q, t = self.q[k], self.t[k]
+        children = [(beta * t[E], E, 0.0)]
+        for e in range(E):
             if util[e] + q[e] >= 1.0:
                 continue  # EC capacity would be reached; reject branch
             new_summand = (counts[e] + 1) / (1.0 - util[e] - q[e])
             old_summand = counts[e] / (1.0 - util[e]) if counts[e] else 0.0
             step = new_summand - old_summand
-            children.append((alpha * step + beta * t[e], e, e, step))
+            children.append((alpha * step + beta * t[e], e, step))
         children.sort()
 
         rest = self.suffix[depth + 1]
-        for _, _, e, step in children:
+        for _, c, step in children:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise _Budget
-            new_placed = placed_t + (self.nt if e < 0 else t[e])
+            new_placed = placed_t + t[c]
             if alpha * (stored + step) + beta * new_placed + rest >= self.best_tc - _IMPROVE_EPS:
                 continue
-            if e < 0:
+            if c == E:  # uncached: storage untouched
                 new_counts, new_util = counts, util
             else:
                 new_counts = counts.copy()
                 new_util = util.copy()
-                new_counts[e] += 1
-                new_util[e] += q[e]
-            choices[k] = e
+                new_counts[c] += 1
+                new_util[c] += q[c]
+            choices[k] = c
             self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step)
-            choices[k] = -1
 
     def _evaluate_leaf(self, choices, counts, util, placed_t):
+        """Price a leaf, re-serving the flows on overloaded links; with no
+        overload no flow is affected and the greedy routing stands."""
         load = [0.0] * self.L
-        for k in range(self.K):
-            e = choices[k]
-            if e >= 0:
-                for l, v in self.loads[k][e]:
-                    load[l] += v
+        for k, c in enumerate(choices):
+            for l, v in self.loads[k][c]:
+                load[l] += v
         overloaded = {l for l, v in enumerate(load) if v > 1.0 + 1e-9}
 
-        if not overloaded:
-            tc = self.alpha * self.caching_sum(counts, util) + self.beta * placed_t
-            if tc < self.best_tc - _IMPROVE_EPS:
-                self.best_tc = tc
-                self.best_choices = choices.copy()
-                self.best_serving = {}
-            return
-
         affected = [
-            k for k in range(self.K)
-            if choices[k] >= 0 and not overloaded.isdisjoint(self.links_used[k][choices[k]])
+            k for k, c in enumerate(choices) if not overloaded.isdisjoint(self.links_used[k][c])
         ]
         combos = 1
         for k in affected:
@@ -188,11 +179,10 @@ class _Search:
                 return
 
         base_load = [0.0] * self.L
-        for k in range(self.K):
-            e = choices[k]
-            if e < 0 or k in affected:
+        for k, c in enumerate(choices):
+            if k in affected:
                 continue
-            for l, v in self.loads[k][e]:
+            for l, v in self.loads[k][c]:
                 base_load[l] += v
 
         # Subset options per affected flow: (lost gain, link load deltas, served ARs)
@@ -250,14 +240,13 @@ class _Search:
             }
 
     def build_solution(self) -> Assignment:
-        classes = np.array([self.E if e < 0 else e for e in self.best_choices])
-        asg = self.table.assignment(classes)
+        asg = costmod.assignment_from_classes(self.inst, self.best_choices)
         if not self.best_serving:
             return asg
         z = asg.z.copy()
         for k, served in self.best_serving.items():
             z[k] = 0
-            z[k, list(served), classes[k]] = 1
+            z[k, list(served), self.best_choices[k]] = 1
         return Assignment(x=asg.x, z=z, y=costmod.path_links(self.inst, z))
 
 
@@ -273,7 +262,7 @@ def solve_exact(i: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptimalSoluti
     search = _Search(i, budget)
     exhausted = False
     try:
-        search._descend(0, [-1] * search.K, [0] * search.E, [0.0] * search.E, 0.0, 0.0)
+        search._descend(0, [search.E] * search.K, [0] * search.E, [0.0] * search.E, 0.0, 0.0)
     except _Budget:
         exhausted = True
     asg = search.build_solution()

@@ -10,6 +10,7 @@ from edgecache.baselines import RgcConfig, _ec_neighborhoods, expected_hops
 from edgecache.cost import (
     Assignment,
     CachingCostUndefinedError,
+    assignment_from_classes,
     class_table,
     network_tables,
     utilization,
@@ -155,6 +156,19 @@ def brute_force_optimum(inst):
     return best
 
 
+def precision_of(predicted, actual) -> float:
+    """Fraction of per-flow class decisions that match the labels."""
+    matches = 0
+    total = 0
+    for pred_row, true_row in zip(predicted, actual):
+        for a, b in zip(pred_row, true_row):
+            matches += int(a == b)
+            total += 1
+    if total == 0:
+        raise ValueError("no decisions to score")
+    return matches / total
+
+
 def rgc_reference(i, cfg=RgcConfig(), trace=None):
     """RGC with one scalar draw and one Python option list per flow per
     epoch, pricing every changed draft: the loop the vectorized rgc
@@ -182,7 +196,7 @@ def rgc_reference(i, cfg=RgcConfig(), trace=None):
                 tc = trial_tc
         if trace is not None:
             trace.append(tc)
-    return table.assignment(classes)
+    return assignment_from_classes(i, classes)
 
 
 def incidence_walk(t, h):

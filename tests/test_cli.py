@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from edgecache.cli import main
+from edgecache.cli import build_parser, main
 from edgecache.encoder import read_pgm
 
 from oracles import parse_lp
@@ -127,3 +128,54 @@ def test_render_r_max_alone_overrides_only_r_max(workspace):
     ]) == 0
     norm = json.loads((root / "r_only.pgm.manifest.json").read_text())["norm"]
     assert norm == {"q_max": 0.5, "r_max": 0.5}  # q_max from the default ranges: 50 / 100
+
+
+def _manifest_run(command, topo, corpus, out):
+    """argv after the subcommand, the manifest it writes, and flags whose
+    value must be recorded, for one run of each subcommand."""
+    instance = corpus / "instances" / "inst_00000.json"
+    return {
+        "topo": (["--depth", "2", "--out", f"{out}.json"], f"{out}.json.manifest.json", {}),
+        "gen": (
+            ["--topology", str(topo), "--count", "1", "--flows", "2", "--out", str(out)],
+            out / "run_manifest.json", {},
+        ),
+        "dataset": (
+            ["--topology", str(topo), "--count", "2", "--flows", "2", "--allow-bounded",
+             "--out", str(out)],
+            out / "run_manifest.json", {"allow_bounded": True},
+        ),
+        "train": (
+            ["--corpus", str(corpus), "--epochs", "1", "--out", str(out)],
+            out / "run_manifest.json", {},
+        ),
+        "eval": (
+            ["--corpus", str(corpus), "--methods", "optimal,gca", "--block", "2",
+             "--out", str(out)],
+            out / "run_manifest.json", {"block": 2},
+        ),
+        "export-lp": (["--instance", str(instance), "--out", f"{out}.lp"],
+                      f"{out}.lp.manifest.json", {}),
+        "render": (["--instance", str(instance), "--out", f"{out}.pgm"],
+                   f"{out}.pgm.manifest.json", {}),
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command", ["topo", "gen", "dataset", "train", "eval", "export-lp", "render"]
+)
+def test_run_manifest_records_every_flag(workspace, tmp_path, command):
+    _, topo, corpus, _ = workspace
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    argv, manifest_path, recorded = _manifest_run(command, topo, corpus, tmp_path / "out")
+    assert main(["--config", str(config), command, *argv]) == 0
+    manifest = json.loads(Path(manifest_path).read_text())
+
+    (subparsers,) = build_parser()._subparsers._group_actions
+    dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+    assert dests <= manifest.keys()
+    assert manifest["command"] == command
+    assert manifest["config"] == str(config)
+    for key, value in recorded.items():
+        assert manifest[key] == value

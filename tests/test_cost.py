@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from edgecache.cost import (
     cost_breakdown,
     derive_routing,
     empty_assignment,
+    labels_of,
     network_tables,
     path_links,
     penalized_cost,
@@ -378,7 +380,7 @@ def test_kernel_matches_cost_breakdown_and_routing_loop(flows):
         table = class_table(inst)
         for _ in range(20):
             classes = rng.integers(0, E + 1, size=flows)
-            asg = table.assignment(classes)
+            asg = assignment_from_classes(inst, classes)
             ref = derive_routing_loop(inst, asg.x)
             assert (asg.x == ref.x).all() and (asg.z == ref.z).all() and (asg.y == ref.y).all()
             for gamma in (20.0, 3.5):
@@ -471,6 +473,27 @@ def test_assignment_from_classes_round_trip(tree_topology):
     asg = assignment_from_classes(inst, classes)
     assert (asg.x.sum(axis=1) == np.array([1, 0, 1, 0, 1])).all()
     assert asg.x[0, 0] == 1 and asg.x[2, 3] == 1 and asg.x[4, 1] == 1
+
+
+def test_labels_of_returns_python_ints(tree_topology):
+    E = tree_topology.num_edge_clouds
+    x = np.zeros((4, E), dtype=np.int8)
+    x[0, 2] = x[2, E - 1] = 1
+    labels = labels_of(x)
+    assert labels == (2, E, E - 1, E)
+    assert all(type(c) is int for c in labels)  # JSON manifests and digests print them
+    assert json.loads(json.dumps(labels)) == list(labels)
+    inst = generate_instance(tree_topology, 4, seed=5)
+    assert labels_of(assignment_from_classes(inst, labels).x) == labels
+
+
+@pytest.mark.parametrize("bad_row", [[1, 1, 0], [0, 2, 0]], ids=["two-ones", "non-binary"])
+def test_derive_routing_rejects_more_than_one_ec(tree_topology, bad_row):
+    inst = generate_instance(tree_topology, 2, seed=6)
+    x = np.zeros((2, tree_topology.num_edge_clouds), dtype=np.int8)
+    x[1, :3] = bad_row
+    with pytest.raises(ValueError, match="at most one EC"):
+        derive_routing(inst, x)
 
 
 def test_assignment_file_round_trip(tmp_path, tree_topology):

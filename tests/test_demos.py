@@ -1,0 +1,33 @@
+"""Smoke runs of the quick demos: each must still run against the package.
+
+Demos 04 (a trained pipeline) and 05 (the benchmark table) solve and
+train whole corpora, several seconds each, and are run by hand.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "demo,needs",
+    [
+        ("01_network_and_costs.py", None),
+        ("02_exact_solver_and_lp_export.py", "scipy"),  # its point is the HiGHS cross-check
+        ("03_feature_images.py", None),
+    ],
+)
+def test_demo_exits_cleanly(demo, needs):
+    if needs:
+        pytest.importorskip(needs)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -113,3 +113,16 @@ def test_loader_names_malformed_field(tmp_path, write, edit, error, field):
     path.write_text(json.dumps(payload))
     with pytest.raises(error, match=field):
         load()
+
+
+@pytest.mark.parametrize(
+    "write,field,error", [(_model, "norm_digest", CnnError), (_corpus, "excluded", ValueError)],
+    ids=["model", "corpus"],
+)
+def test_loader_requires_field_its_writer_always_writes(tmp_path, write, field, error):
+    path, load = write(tmp_path)
+    payload = json.loads(path.read_text())
+    del payload[field]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(error, match=field):
+        load()

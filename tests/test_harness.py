@@ -15,7 +15,6 @@ from edgecache.harness import (
     labels_of,
     load_corpus,
     load_models,
-    precision_of,
     predict_with_enhancement,
     recursive_allocate,
     split_counts,
@@ -24,6 +23,8 @@ from edgecache.harness import (
 from edgecache.instance import generate_instance, save_instance, subset_flows
 from edgecache.solver import solve_exact
 from edgecache.topology import TopologyConfig, build_topology, save_topology
+
+from oracles import precision_of
 
 
 @pytest.fixture(scope="module")
