@@ -3,8 +3,8 @@
 A miniature end-to-end run: label a small corpus with the exact solver,
 train one small network per request slot, predict on a held-out
 instance, and let the enhancement layer walk the above-threshold
-alternatives whenever the confident picks collide.  Takes around half
-a minute.
+alternatives whenever the confident picks collide.  Takes around ten
+seconds.
 """
 
 import tempfile
@@ -16,8 +16,15 @@ from edgecache import penalized_cost
 from edgecache.cnn import predict_all
 from edgecache.cost import assignment_from_classes, check_feasibility
 from edgecache.encoder import encode
-from edgecache.harness import DATASET_RANGES, build_dataset, evaluation_topology, labels_of, train_models
-from edgecache.pel import build_queues, enhance
+from edgecache.harness import (
+    DATASET_RANGES,
+    build_dataset,
+    evaluation_topology,
+    labels_of,
+    predict_with_enhancement,
+    train_models,
+)
+from edgecache.pel import build_queues
 
 topo = evaluation_topology()
 workdir = Path(tempfile.mkdtemp(prefix="edgecache-demo-"))
@@ -40,7 +47,7 @@ print("\nconfident picks:", [(k, c, round(p, 3)) for k, c, p in queues.omega])
 print(f"exploration queue holds {len(queues.psi)} above-threshold alternatives")
 
 argmax = assignment_from_classes(inst, O.argmax(axis=1))
-repaired = enhance(inst, O)
+repaired = predict_with_enhancement(models, inst, corpus.norm)  # = enhance(inst, O)
 print(f"\nargmax assignment:   {labels_of(argmax.x)}  "
       f"TC_N = {penalized_cost(inst, argmax):.3f}  "
       f"feasible: {check_feasibility(inst, argmax).feasible}")

@@ -160,13 +160,12 @@ def _cmd_eval(args) -> int:
         if args.models is None:
             print("error: --models is required for the cnn method", file=sys.stderr)
             return 2
-        models = load_models(args.models, args.block or corpus.flows)
+        models = load_models(args.models)
     report = evaluate(
         corpus,
         models=models,
         methods=methods,
         split=args.split,
-        block=args.block,
         rgc_epochs=args.rgc_epochs,
         rgc_seed=args.seed,
         delta=args.delta,
@@ -265,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default=None)
     p.add_argument("--methods", default="optimal,cnn,gca,rgc")
     p.add_argument("--split", default="test")
-    p.add_argument("--block", type=int, default=None,
-                   help="trained input height (enables recursive allocation)")
     p.add_argument("--rgc-epochs", type=int, default=DEFAULT_RGC_EPOCHS)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)

@@ -87,25 +87,20 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Per-constraint-family verdicts; overall feasibility is their conjunction."""
+    """Per-constraint-family verdicts; overall feasibility is their conjunction.
 
-    single_placement: bool        # at most one EC per flow
+    The structural families (one EC per flow, one retrieval EC per
+    (flow, AR), retrieval only from a caching EC) need no verdict:
+    Assignment refuses to hold a violation of any of them.
+    """
+
     ec_capacity: bool             # cached bytes fit in every EC
-    unique_retrieval: bool        # at most one retrieval EC per (flow, AR)
-    retrieval_requires_cache: bool  # retrieval only from a caching EC
     link_capacity: bool           # bandwidth fits on every link
     link_path_consistency: bool   # y marks exactly the links on used paths
 
     @property
     def feasible(self) -> bool:
-        return (
-            self.single_placement
-            and self.ec_capacity
-            and self.unique_retrieval
-            and self.retrieval_requires_cache
-            and self.link_capacity
-            and self.link_path_consistency
-        )
+        return self.ec_capacity and self.link_capacity and self.link_path_consistency
 
 
 @lru_cache(maxsize=32)
@@ -323,15 +318,12 @@ def penalized_cost(i: Instance, asg: Assignment, gamma: float = DEFAULT_GAMMA) -
 
 
 def check_feasibility(i: Instance, asg: Assignment) -> FeasibilityReport:
-    """Evaluate every constraint family independently."""
+    """Evaluate each constraint family an Assignment can violate, independently."""
     cached_bytes = (i.content_size[:, None] * asg.x).sum(axis=0)
     link_bytes = (i.bandwidth[:, None] * asg.y).sum(axis=0)
 
     return FeasibilityReport(
-        single_placement=bool((asg.x.sum(axis=1) <= 1).all()),
         ec_capacity=bool((cached_bytes <= i.ec_space * (1 + _TOL)).all()),
-        unique_retrieval=bool((asg.z.sum(axis=2) <= 1).all()),
-        retrieval_requires_cache=bool((asg.z <= asg.x[:, None, :]).all()),
         link_capacity=bool((link_bytes <= i.link_capacity * (1 + _TOL)).all()),
         link_path_consistency=bool((asg.y == path_links(i, asg.z)).all()),
     )

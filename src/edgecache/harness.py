@@ -237,8 +237,11 @@ def train_models(
     return models, traces
 
 
-def load_models(path, count: int):
-    return [cnnmod.load_model(Path(path) / f"model_{k}") for k in range(count)]
+def load_models(path):
+    """The per-slot models saved under path; model_0's input height is the slot count."""
+    first = cnnmod.load_model(Path(path) / "model_0")
+    rest = range(1, first.input_shape[0])
+    return [first] + [cnnmod.load_model(Path(path) / f"model_{k}") for k in rest]
 
 
 def predict_with_enhancement(
@@ -248,10 +251,16 @@ def predict_with_enhancement(
     delta: float = DEFAULT_DELTA,
     gamma: float = DEFAULT_GAMMA,
 ):
-    """Plain CNN+PEL for an instance matching the trained height."""
-    img = encode(i, norm)
+    """CNN+PEL for at most len(models) flows, one model per flow row.
+
+    A shorter instance is padded to the trained height with phantom
+    rows, whose predictions are dropped before enhancement.
+    """
+    if i.num_flows > len(models):
+        raise cnnmod.CnnError(f"{len(models)} models for {i.num_flows} flows")
+    img = split_subimages(encode(i, norm), len(models))[0]
     O = cnnmod.predict_all(models, img)
-    return enhance(i, O, delta=delta, gamma=gamma)
+    return enhance(i, O[: i.num_flows], delta=delta, gamma=gamma)
 
 
 def recursive_allocate(
@@ -262,13 +271,13 @@ def recursive_allocate(
     delta: float = DEFAULT_DELTA,
     gamma: float = DEFAULT_GAMMA,
 ):
-    """Allocate a large instance block by block.
+    """Allocate an instance block by block, at most len(models) flows each.
 
-    Flows are processed in groups matching the trained input height;
-    after each group is assigned, EC and link capacities are reduced by
-    what the group consumed and the remaining flows are re-encoded
-    against the residual network.  Ratios that drift beyond the trained
-    range saturate at the image maximum rather than failing.
+    Each block of flows is placed by predict_with_enhancement; after
+    that, EC and link capacities are reduced by what the block consumed
+    and the remaining flows are re-encoded against the residual network.
+    Ratios that drift beyond the trained range saturate at the image
+    maximum rather than failing.
     """
     E = i.topology.num_edge_clouds
     classes = np.full(i.num_flows, E, dtype=int)
@@ -278,9 +287,7 @@ def recursive_allocate(
     for start in range(0, i.num_flows, block):
         chunk = list(range(start, min(start + block, i.num_flows)))
         sub = subset_flows(residual, chunk)
-        img = split_subimages(encode(sub, clip_norm), block)[0]
-        O = cnnmod.predict_all(models, img)
-        asg = enhance(sub, O[: len(chunk)], delta=delta, gamma=gamma)
+        asg = predict_with_enhancement(models, sub, clip_norm, delta=delta, gamma=gamma)
         classes[chunk] = labels_of(asg.x)
         left = update_residual(sub, asg, clamp=True)
         residual = replace(residual, ec_space=left.ec_space, link_capacity=left.link_capacity)
@@ -361,7 +368,6 @@ def evaluate(
     models=None,
     methods: tuple[str, ...] = ("optimal", "cnn", "gca", "rgc"),
     split: str = "test",
-    block: int | None = None,
     rgc_epochs: int = 500,
     rgc_seed: int = 0,
     delta: float = DEFAULT_DELTA,
@@ -369,24 +375,37 @@ def evaluate(
 ) -> EvaluationReport:
     """Score the chosen methods on a corpus split.
 
-    precision counts per-flow class decisions matching the stored
-    optimal labels (the uncached class counts like any other);
-    feasible_ratio is the fraction of assignments satisfying every
-    constraint; max_diff is the worst penalized-cost gap to the stored
-    optimum.  The optimal method scores 1.0 / 1.0 / 0 by definition.
+    cnn places len(models) flows at a time by recursive_allocate, so
+    the models may be narrower than the corpus.  precision counts
+    per-flow class decisions matching the stored optimal labels (the
+    uncached class counts like any other); feasible_ratio is the
+    fraction of assignments satisfying every constraint; max_diff is
+    the worst penalized-cost gap to the stored optimum.  The optimal
+    method scores 1.0 / 1.0 / 0 by definition.
     """
+    placers = {
+        "cnn": lambda inst, s_idx: recursive_allocate(
+            models, inst, len(models), corpus.norm, delta=delta, gamma=gamma
+        ),
+        "gca": lambda inst, s_idx: gca(inst),
+        "rgc": lambda inst, s_idx: rgc(
+            inst, RgcConfig(epochs=rgc_epochs, seed=rgc_seed + s_idx, gamma=gamma)
+        ),
+    }
+    for method in methods:
+        if method != "optimal" and method not in placers:
+            raise ValueError(f"unknown method {method!r}")
     samples = corpus.of_split(split)
     if not samples:
         raise ValueError(f"corpus has no '{split}' samples")
     if "cnn" in methods and models is None:
         raise ValueError("the cnn method needs trained models")
     for k, m in enumerate(models or ()):
-        if m.norm_digest and m.norm_digest != corpus.norm.digest():
+        if m.norm_digest != corpus.norm.digest():
             raise ValueError(
                 f"model for request slot {k} was trained under normalization digest "
-                f"{m.norm_digest}, the corpus uses {corpus.norm.digest()}"
+                f"{m.norm_digest!r}, the corpus uses {corpus.norm.digest()}"
             )
-    block = block or (len(models) if models else corpus.flows)
 
     rows = []
     details: list[dict] = []
@@ -399,38 +418,15 @@ def evaluate(
         feasible = 0
         diffs = []
         for s_idx, s in enumerate(samples):
-            inst = corpus.load(s)
             if method == "optimal":
-                tc_n = s.optimal_tc
-                ok = True
-                match_count = corpus.flows
-                diffs.append(0.0)
+                tc_n, ok, match_count = s.optimal_tc, True, corpus.flows
             else:
-                if method == "cnn":
-                    if inst.num_flows > block:
-                        asg = recursive_allocate(
-                            models, inst, block, corpus.norm, delta=delta, gamma=gamma
-                        )
-                    else:
-                        asg = predict_with_enhancement(
-                            models, inst, corpus.norm, delta=delta, gamma=gamma
-                        )
-                elif method == "gca":
-                    asg = gca(inst)
-                elif method == "rgc":
-                    asg = rgc(
-                        inst,
-                        RgcConfig(epochs=rgc_epochs, seed=rgc_seed + s_idx, gamma=gamma),
-                    )
-                else:
-                    raise ValueError(f"unknown method {method!r}")
+                inst = corpus.load(s)
+                asg = placers[method](inst, s_idx)
                 breakdown = cost_breakdown(inst, asg, gamma=gamma)
                 tc_n, ok = breakdown.penalized_total, breakdown.feasible
-                pred = labels_of(asg.x)
-                match_count = sum(
-                    1 for a, b in zip(pred, s.labels) if a == b
-                )
-                diffs.append(tc_n - s.optimal_tc)
+                match_count = sum(1 for a, b in zip(labels_of(asg.x), s.labels) if a == b)
+            diffs.append(tc_n - s.optimal_tc)
             costs.append(tc_n)
             matches += match_count
             feasible += int(ok)

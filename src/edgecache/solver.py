@@ -72,18 +72,15 @@ class _Search:
         self.q = self.table.Q.tolist()
         self.t = self.table.T.tolist()
         self.r = ratios(inst).r.tolist()  # b_k / c_l
+        # Only overloaded leaves re-serve flows, so they alone read the
+        # hop gains and paths (_serving); the cap needs just the counts.
+        self.hops_saved = nt - hops.entries  # (A, E) per unit of served mass
+        self.paths = inc.path_store
+        self.serve_count = self.table.serve.sum(axis=1).tolist()  # (K, E)
 
-        # Per (flow, class): the ARs worth serving (from the kernel's
-        # serving mask) with the hop gain and path of each, the links the
-        # serving paths touch, and those links' (link, b_k/c_l) loads.
-        # np.nonzero walks in index order, so each row lists ARs and
-        # links in ascending order; class E's rows stay empty.
-        gain = (inst.mobility[:, :, None] * (nt - hops.entries)).tolist()
-        self.serve: list[list[list[tuple[int, float, tuple[int, ...]]]]] = [
-            [[] for _ in range(self.E + 1)] for _ in range(self.K)
-        ]
-        for k, a, e in zip(*(ix.tolist() for ix in np.nonzero(self.table.serve))):
-            self.serve[k][e].append((a, gain[k][a][e], inc.path_store[(a, e)]))
+        # Per (flow, class): the links the serving paths touch and their
+        # (link, b_k/c_l) loads, in ascending link order; class E's rows
+        # stay empty.
         self.loads: list[list[list[tuple[int, float]]]] = [
             [[] for _ in range(self.E + 1)] for _ in range(self.K)
         ]
@@ -115,6 +112,13 @@ class _Search:
         self.best_tc = self.beta * nt * self.K  # empty placement
         self.best_choices = [self.E] * self.K
         self.best_serving: dict[int, tuple[int, ...]] = {}
+
+    def _serving(self, k: int, e: int) -> list[tuple[int, float, tuple[int, ...]]]:
+        """(AR, hop gain, path) of each AR that flow k cached at EC e
+        serves (the kernel's serving mask), in ascending AR order."""
+        ars = np.flatnonzero(self.table.serve[k, :, e])
+        gains = (self.inst.mobility[k, ars] * self.hops_saved[ars, e]).tolist()
+        return [(a, g, self.paths[(a, e)]) for a, g in zip(ars.tolist(), gains)]
 
     def caching_sum(self, counts, util) -> float:
         total = 0.0
@@ -171,9 +175,10 @@ class _Search:
         affected = [
             k for k, c in enumerate(choices) if not overloaded.isdisjoint(self.links_used[k][c])
         ]
+        # Affected flows are cached: class E touches no link.
         combos = 1
         for k in affected:
-            combos *= 2 ** len(self.serve[k][choices[k]])
+            combos *= 2 ** self.serve_count[k][choices[k]]
             if combos > REASSIGNMENT_CAP:
                 self.cap_hit = True
                 return
@@ -188,7 +193,7 @@ class _Search:
         # Subset options per affected flow: (lost gain, link load deltas, served ARs)
         options = []
         for k in affected:
-            entries = self.serve[k][choices[k]]
+            entries = self._serving(k, choices[k])
             rk = self.r[k]
             total_gain = sum(g for _, g, _ in entries)
             opts = []

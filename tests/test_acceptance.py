@@ -82,7 +82,7 @@ def desk(tmp_path_factory):
     )
     report15 = evaluate(
         corpus15, models=models, methods=("optimal", "cnn", "rgc"),
-        split="test", block=DESK_FLOWS, rgc_epochs=500,
+        split="test", rgc_epochs=500,
     )
     elapsed = time.perf_counter() - started
     return corpus5, corpus15, report5, report15, elapsed

@@ -150,9 +150,8 @@ def _manifest_run(command, topo, corpus, out):
             out / "run_manifest.json", {},
         ),
         "eval": (
-            ["--corpus", str(corpus), "--methods", "optimal,gca", "--block", "2",
-             "--out", str(out)],
-            out / "run_manifest.json", {"block": 2},
+            ["--corpus", str(corpus), "--methods", "optimal,gca", "--out", str(out)],
+            out / "run_manifest.json", {},
         ),
         "export-lp": (["--instance", str(instance), "--out", f"{out}.lp"],
                       f"{out}.lp.manifest.json", {}),

@@ -1,7 +1,8 @@
-"""Smoke runs of the quick demos: each must still run against the package.
+"""Smoke runs of the demos: each must still run against the package.
 
-Demos 04 (a trained pipeline) and 05 (the benchmark table) solve and
-train whole corpora, several seconds each, and are run by hand.
+Demo 04 trains a small pipeline and calls both CNN placers (about 9 s
+on 2 vCPUs).  Demo 05 (the benchmark table) solves and trains whole
+corpora and is run by hand.
 """
 
 import os
@@ -20,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("01_network_and_costs.py", None),
         ("02_exact_solver_and_lp_export.py", "scipy"),  # its point is the HiGHS cross-check
         ("03_feature_images.py", None),
+        ("04_learning_pipeline.py", None),
     ],
 )
 def test_demo_exits_cleanly(demo, needs):

@@ -113,7 +113,7 @@ def test_models_persist_and_reload(corpus, models, tmp_path):
 
     for k, m in enumerate(models):
         save_model(m, tmp_path / f"model_{k}")
-    back = load_models(tmp_path, 3)
+    back = load_models(tmp_path)
     inst = corpus.load(corpus.samples[0])
     img = encode(inst, corpus.norm)
     for a, b in zip(models, back):
@@ -126,6 +126,22 @@ def test_recursive_allocate_degenerate_split_equals_plain(corpus, models):
     direct = predict_with_enhancement(models, inst, corpus.norm)
     recursive = recursive_allocate(models, inst, block=3, norm=corpus.norm)
     assert (direct.x == recursive.x).all()
+
+
+def test_predict_pads_a_short_instance_and_refuses_a_long_one(topo, corpus, models):
+    from edgecache.cnn import CnnError, predict_all
+    from edgecache.encoder import split_subimages
+    from edgecache.pel import enhance
+
+    inst = generate_instance(topo, 6, seed=77)
+    short = subset_flows(inst, [0, 1])
+    (padded,) = split_subimages(encode(short, corpus.norm), 3)
+    assert padded.phantom_rows == 1
+    expected = enhance(short, predict_all(models, padded)[:2])
+    asg = predict_with_enhancement(models, short, corpus.norm)
+    assert (asg.x == expected.x).all() and asg.x.shape[0] == 2
+    with pytest.raises(CnnError, match="3 models for 6 flows"):
+        predict_with_enhancement(models, inst, corpus.norm)
 
 
 def test_recursive_allocate_consumes_residuals(topo, corpus, models):
@@ -199,10 +215,23 @@ def test_evaluate_dominance_and_csv_shape(corpus, models):
 
 
 def test_evaluate_rejects_models_from_other_normalization(corpus, models):
-    stranger = copy.copy(models[1])
-    stranger.norm_digest = NormConfig(q_max=1.0, r_max=1.0).digest()
-    with pytest.raises(ValueError, match="slot 1"):
-        evaluate(corpus, models=[models[0], stranger, models[2]], methods=("optimal", "cnn"))
+    # "" is CnnModel's default digest: it proves no normalization either.
+    for digest in (NormConfig(q_max=1.0, r_max=1.0).digest(), ""):
+        stranger = copy.copy(models[1])
+        stranger.norm_digest = digest
+        with pytest.raises(ValueError, match="slot 1"):
+            evaluate(corpus, models=[models[0], stranger, models[2]], methods=("optimal", "cnn"))
+
+
+def test_evaluate_rejects_unknown_method_before_placing(corpus, monkeypatch):
+    import edgecache.harness as harness
+
+    def placed(*args, **kwargs):
+        raise AssertionError("rgc ran before the method list was checked")
+
+    monkeypatch.setattr(harness, "rgc", placed)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        evaluate(corpus, methods=("rgc", "bogus"))
 
 
 def test_evaluate_is_deterministic_modulo_wall_time(corpus, models):
