@@ -158,8 +158,7 @@ def _cmd_eval(args) -> int:
     models = None
     if "cnn" in methods:
         if args.models is None:
-            print("error: --models is required for the cnn method", file=sys.stderr)
-            return 2
+            raise ValueError("--models is required for the cnn method")
         models = load_models(args.models)
     report = evaluate(
         corpus,
@@ -183,12 +182,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    inst = load_instance(args.instance)
-    try:
-        text = export_milp(inst, big_m=args.big_m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    text = export_milp(load_instance(args.instance), big_m=args.big_m)
     Path(args.out).write_text(text)
     _write_manifest(f"{args.out}.manifest.json", args)
     print(f"wrote {args.out}")
@@ -312,11 +306,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Bad input (every package error is a
+    ValueError, as is malformed JSON) prints `error: ...` and returns 2."""
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config(parser, argv)
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        args = parser.parse_args(_apply_config(parser, argv))
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

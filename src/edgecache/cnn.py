@@ -125,13 +125,14 @@ class Conv3x3:
 class BatchNorm:
     """Per-channel normalization over the batch and spatial axes."""
 
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5):
+    momentum = 0.9  # decay of the running statistics
+    eps = 1e-5
+
+    def __init__(self, channels: int):
         self.params = {"scale": np.ones(channels), "shift": np.zeros(channels)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
         self._cache = None
         self._train_mode = False
 
@@ -206,7 +207,6 @@ class TrainConfig:
     seed: int = 0
     request_index: int = 0
     num_classes: int = 0  # |E| + 1; required
-    filters: tuple[int, ...] = (16, 32, 64)
 
 
 class CnnModel:
@@ -297,7 +297,6 @@ def train(samples, cfg: TrainConfig):
         input_shape=images.shape[1:3],
         num_classes=cfg.num_classes,
         request_index=cfg.request_index,
-        filters=cfg.filters,
         seed=cfg.seed,
         norm_digest=samples[0].image.norm_meta.digest(),
     )
@@ -327,10 +326,11 @@ def train(samples, cfg: TrainConfig):
 class Adam:
     """Adaptive moment estimation over all model parameters."""
 
-    def __init__(self, model: CnnModel, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, model: CnnModel, lr: float):
         self.model = model
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {
             (li, key): np.zeros_like(p) for li, key, p, _ in model.param_items()
@@ -359,15 +359,14 @@ def gradient_check(
     label,
     train_mode: bool = False,
     sample_fraction: float = 0.01,
-    step: float = 1e-5,
-    seed: int = 0,
 ) -> float:
     """Max relative error between analytic and central-difference grads.
 
     Accepts a single image (spec case, checked in inference mode by
     default) or a batch; train_mode=True exercises the batch-statistics
     path of batch norm, which needs a batch of more than one image to be
-    meaningful.  A random subset of parameters is probed.
+    meaningful.  A seeded random subset of parameters is probed with
+    central differences of step 1e-5.
     """
     if isinstance(img, FeatureImage) or (hasattr(img, "ndim") and img.ndim == 2):
         x = m._as_batch(img)
@@ -389,7 +388,8 @@ def gradient_check(
     _, _, dlogits = softmax_cross_entropy(logits, labels)
     m.backward(dlogits)
 
-    rng = np.random.default_rng(seed)
+    step = 1e-5
+    rng = np.random.default_rng(0)
     worst = 0.0
     for _, _, param, grad in m.param_items():
         size = param.size

@@ -33,12 +33,12 @@ class NormConfig:
     clip: bool = False
 
     @classmethod
-    def from_ranges(cls, ranges: ParameterRanges = ParameterRanges(), clip: bool = False):
+    def from_ranges(cls, ranges: ParameterRanges = ParameterRanges()):
         s_lo, s_hi = ranges.content_size
         w_lo, w_hi = ranges.ec_space
         b_lo, b_hi = ranges.bandwidth
         c_lo, c_hi = ranges.link_capacity
-        return cls(q_max=s_hi / w_lo, r_max=b_hi / c_lo, clip=clip)
+        return cls(q_max=s_hi / w_lo, r_max=b_hi / c_lo)
 
     def digest(self) -> str:
         """Stable hash for train/test compatibility checks."""

@@ -15,15 +15,15 @@ order, and the storage sum is carried down the tree, so a node costs a
 handful of float operations.
 
 Link capacities only matter at leaves: the greedy routing is optimal
-when it fits, and when it does not, serving decisions for the flows
-crossing overloaded links are enumerated exhaustively (dropping an AR
-only sheds load, so flows away from overloaded links can keep their
-greedy routing without loss).
+when it fits, and when it does not, the flows crossing overloaded
+links pick their serving subsets by a depth-first search, cheapest
+lost gain first, that prunes on the best loss so far and on any
+overloaded link (dropping an AR only sheds load, so flows away from
+overloaded links can keep their greedy routing without loss).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,20 +113,6 @@ class _Search:
         self.best_choices = [self.E] * self.K
         self.best_serving: dict[int, tuple[int, ...]] = {}
 
-    def _serving(self, k: int, e: int) -> list[tuple[int, float, tuple[int, ...]]]:
-        """(AR, hop gain, path) of each AR that flow k cached at EC e
-        serves (the kernel's serving mask), in ascending AR order."""
-        ars = np.flatnonzero(self.table.serve[k, :, e])
-        gains = (self.inst.mobility[k, ars] * self.hops_saved[ars, e]).tolist()
-        return [(a, g, self.paths[(a, e)]) for a, g in zip(ars.tolist(), gains)]
-
-    def caching_sum(self, counts, util) -> float:
-        total = 0.0
-        for e in range(self.E):
-            if counts[e]:
-                total += counts[e] / (1.0 - util[e])
-        return total
-
     def _descend(self, depth, choices, counts, util, placed_t, stored):
         """stored carries the caching sum of counts/util down the tree."""
         if depth == self.K:
@@ -190,10 +176,14 @@ class _Search:
             for l, v in self.loads[k][c]:
                 base_load[l] += v
 
-        # Subset options per affected flow: (lost gain, link load deltas, served ARs)
+        # Per affected flow, every serving subset as (lost hop gain, link
+        # loads, served ARs), cheapest loss first.
         options = []
         for k in affected:
-            entries = self._serving(k, choices[k])
+            e = choices[k]
+            ars = np.flatnonzero(self.table.serve[k, :, e])
+            gains = (self.inst.mobility[k, ars] * self.hops_saved[ars, e]).tolist()
+            entries = [(a, g, self.paths[(a, e)]) for a, g in zip(ars.tolist(), gains)]
             rk = self.r[k]
             total_gain = sum(g for _, g, _ in entries)
             opts = []
@@ -211,32 +201,35 @@ class _Search:
             opts.sort(key=lambda o: o[0])
             options.append(opts)
 
-        best_extra = None
+        # Depth-first over the flows' options, visiting combinations in
+        # lexicographic order, so the first cheapest feasible one wins.
+        # Lost gains are >= 0 and each list is sorted: the first option
+        # reaching the best loss ends its level.  Loads only grow: an
+        # option that overloads a link fails with every completion.
+        best_extra = float("inf")
         best_combo = None
-        for combo in itertools.product(*options):
-            extra = sum(o[0] for o in combo)
-            if best_extra is not None and extra >= best_extra:
-                continue
-            trial = base_load.copy()
-            ok = True
-            for _, contrib, _ in combo:
-                for l, v in contrib:
-                    nl = trial[l] + v
-                    if nl > 1.0 + 1e-9:
-                        ok = False
+
+        def walk(depth, extra, load, combo):
+            nonlocal best_extra, best_combo
+            if depth == len(options):
+                best_extra, best_combo = extra, combo
+                return
+            for opt in options[depth]:
+                if extra + opt[0] >= best_extra:
+                    return
+                trial = load.copy()
+                for l, v in opt[1]:
+                    trial[l] += v
+                    if trial[l] > 1.0 + 1e-9:
                         break
-                    trial[l] = nl
-                if not ok:
-                    break
-            if ok:
-                best_extra = extra
-                best_combo = combo
-        if best_extra is None:
+                else:
+                    walk(depth + 1, extra + opt[0], trial, combo + (opt,))
+
+        walk(0, 0, base_load, ())
+        if best_combo is None:
             return  # no routing satisfies the link capacities
-        tc = (
-            self.alpha * self.caching_sum(counts, util)
-            + self.beta * (placed_t + best_extra)
-        )
+        stored = sum(c / (1.0 - u) for c, u in zip(counts, util) if c)
+        tc = self.alpha * stored + self.beta * (placed_t + best_extra)
         if tc < self.best_tc - _IMPROVE_EPS:
             self.best_tc = tc
             self.best_choices = choices.copy()

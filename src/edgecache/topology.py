@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -136,14 +136,17 @@ class IncidenceTensor:
     path_store: dict[tuple[int, int], tuple[int, ...]]
 
 
-def _normalize_branching(branching) -> tuple[int, ...] | None:
+def _per_level_branching(branching, depth: int) -> tuple[int, ...]:
+    """One branching factor per level: a uniform factor repeats."""
     if isinstance(branching, int):
         if branching < 2:
             raise TopologyError("uniform branching factor must be >= 2")
-        return None  # uniform, expanded per depth by the caller
+        return (branching,) * depth
     factors = tuple(int(b) for b in branching)
     if not factors or any(b < 1 for b in factors):
         raise TopologyError("per-level branching factors must be >= 1")
+    if len(factors) != depth:
+        raise TopologyError(f"branching sequence length {len(factors)} != depth {depth}")
     return factors
 
 
@@ -157,42 +160,28 @@ def build_topology(config: TopologyConfig) -> Topology:
     """
     if config.depth < 1:
         raise TopologyError("depth must be >= 1")
-    per_level = _normalize_branching(config.branching)
-    if per_level is None:
-        per_level = (config.branching,) * config.depth
-    elif len(per_level) != config.depth:
-        raise TopologyError(
-            f"branching sequence length {len(per_level)} != depth {config.depth}"
-        )
+    per_level = _per_level_branching(config.branching, config.depth)
 
     rng = np.random.default_rng(config.seed)
 
     links: set[tuple[int, int]] = set()
     levels: list[list[int]] = [[0]]
+    # Children of each parent, grouped level by level; ids are contiguous.
+    families: list[list[int]] = []
     next_id = 1
     for factor in per_level:
         level = []
         for parent in levels[-1]:
-            for _ in range(factor):
-                links.add((parent, next_id))
-                level.append(next_id)
-                next_id += 1
+            children = list(range(next_id, next_id + factor))
+            links.update((parent, c) for c in children)
+            families.append(children)
+            level.extend(children)
+            next_id += factor
         levels.append(level)
 
     # Extra mesh links connect random sibling pairs (same parent).
     if config.mesh_links > 0:
-        sibling_pairs = []
-        for level in levels[1:]:
-            by_parent: dict[int, list[int]] = {}
-            for node in level:
-                parent = min(u for u, v in links if v == node)
-                by_parent.setdefault(parent, []).append(node)
-            for group in by_parent.values():
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        pair = (group[i], group[j])
-                        if pair not in links:
-                            sibling_pairs.append(pair)
+        sibling_pairs = [pair for group in families for pair in combinations(group, 2)]
         take = min(config.mesh_links, len(sibling_pairs))
         if take:
             chosen = rng.choice(len(sibling_pairs), size=take, replace=False)

@@ -57,10 +57,17 @@ def test_eval_writes_reports(workspace):
 
 
 def test_eval_requires_models_for_cnn(workspace, capsys):
+    # Bad input ends in an error line and exit code 2, not a traceback.
+    # One test over three inputs keeps the test's id stable.
     root, topo, corpus, models = workspace
-    code = main(["eval", "--corpus", str(corpus), "--methods", "optimal,cnn",
-                 "--out", str(root / "bad")])
-    assert code == 2
+    for flags in (
+        ["--methods", "optimal,cnn"],  # cnn without --models
+        ["--methods", "optimal,bogus"],  # unknown method
+        ["--methods", "optimal", "--split", "nope"],  # split with no samples
+    ):
+        code = main(["eval", "--corpus", str(corpus), *flags, "--out", str(root / "bad")])
+        assert code == 2, flags
+        assert capsys.readouterr().err.startswith("error:"), flags
 
 
 def test_gen_export_lp_render(workspace):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -179,3 +181,29 @@ def test_reproduces_reference_labels_and_costs():
         sol = solve_exact(inst)
         got = (list(labels_of(sol.assignment.x)), f"{sol.cost.total:.12g}", sol.proof)
         assert got == (case["labels"], case["total"], case["proof"]), case["seed"]
+
+
+def test_overloaded_leaves_match_reference():
+    # Link-tight K=5 instances: most leaves overload a link and re-serve
+    # flows.  The pruned leaf search must reproduce the outputs recorded
+    # with the exhaustive product over serving subsets (see the fixture's
+    # note), and do so quickly: the product took ~21 s on 2 vCPUs.
+    ref = json.loads((Path(__file__).parent / "data" / "tight_leaf_reference.json").read_text())
+    topo = evaluation_topology()
+    tight = ParameterRanges(link_capacity=(8.0, 14.0), bandwidth=(4.0, 10.0))
+    start = time.perf_counter()
+    for case in ref["cases"]:
+        inst = generate_instance(topo, 5, ranges=tight, seed=case["seed"])
+        sol = solve_exact(inst, budget=ref["budget"])
+        asg = sol.assignment
+        got = {
+            "seed": case["seed"],
+            "labels": list(labels_of(asg.x)),
+            "total": f"{sol.cost.total:.12g}",
+            "proof": sol.proof,
+            "nodes": sol.nodes_explored,
+            "z_sha256": hashlib.sha256(asg.z.tobytes()).hexdigest(),
+            "y_sha256": hashlib.sha256(asg.y.tobytes()).hexdigest(),
+        }
+        assert got == case, case["seed"]
+    assert time.perf_counter() - start < 5.0
