@@ -307,13 +307,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  Bad input (every package error is a
-    ValueError, as is malformed JSON) prints `error: ...` and returns 2."""
+    ValueError, as is malformed JSON; a missing or unreadable input path
+    is an OSError) prints `error: ...` and returns 2."""
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(_apply_config(parser, argv))
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

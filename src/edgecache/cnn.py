@@ -13,6 +13,11 @@ dense layer to class logits and softmax.  No pooling; spatial size is
 preserved until the dense layer.  Training is mini-batch gradient
 descent with adaptive per-parameter steps (Adam) on the cross-entropy.
 
+Inference (`predict_all`, and `forward` for one model) is one stacked
+pass over the slot models: the image's im2col is built once and each
+conv stage is one batched GEMM over a leading model axis, bit-equal to
+running each model's layers on its own.
+
 Everything is float64 numpy.  All randomness flows from explicit seeds,
 so training and inference are bit-reproducible.
 """
@@ -23,6 +28,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import FeatureImage
 from .formats import int_tuple, read_fields, read_json, write_json
@@ -72,6 +78,17 @@ def softmax_cross_entropy(
     return loss, probs, grad / n
 
 
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """Patches of a 3x3 same-padded convolution: (n, h, w, cin) ->
+    (n, h, w, 9*cin), tap (row offset, column offset) major, channel
+    minor.  One padded copy, then one gather of the window view."""
+    n, h, w, cin = x.shape
+    xp = np.zeros((n, h + 2, w + 2, cin))
+    xp[:, 1 : h + 1, 1 : w + 1, :] = x
+    windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (n, h, w, cin, 3, 3)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, h, w, 9 * cin)
+
+
 class Conv3x3:
     """3x3 convolution, stride 1, same padding (via zero pad of 1)."""
 
@@ -84,20 +101,9 @@ class Conv3x3:
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cache = None
 
-    def _im2col(self, x: np.ndarray) -> np.ndarray:
-        n, h, w, cin = x.shape
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        cols = np.empty((n, h, w, 9 * cin))
-        idx = 0
-        for di in range(3):
-            for dj in range(3):
-                cols[..., idx * cin : (idx + 1) * cin] = xp[:, di : di + h, dj : dj + w, :]
-                idx += 1
-        return cols
-
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n, h, w, cin = x.shape
-        cols = self._im2col(x)
+        cols = _im2col(x)
         wmat = self.params["w"].reshape(9 * cin, -1)
         out = cols.reshape(-1, 9 * cin) @ wmat + self.params["b"]
         self._cache = (cols, x.shape)
@@ -270,8 +276,38 @@ class CnnModel:
 def forward(m: CnnModel, img) -> np.ndarray:
     """Inference: class probabilities for one image (batch norm uses the
     running statistics, so repeated calls are bit-identical)."""
-    x = m._as_batch(img)
-    return softmax(m.logits(x, train=False))[0]
+    return _infer([m], m._as_batch(img)[:1])[0]
+
+
+def _infer(models: list[CnnModel], x: np.ndarray) -> np.ndarray:
+    """One inference pass of models of one architecture over one image
+    x (1, h, w, 1); row k is models[k]'s class probabilities.
+
+    Every layer runs over a leading model axis: the input's im2col is
+    built once, each conv stage is one np.matmul over the stacked
+    (K, 9*cin, cout) weights (one GEMM per model on the operands its
+    own Conv3x3 would use), and batch norm and ReLU are elementwise in
+    the layers' own order, so each row is bit-equal to that model's
+    logits(x, train=False).  The dense layer stays a per-model product.
+    """
+    K = len(models)
+    for li in range(0, len(models[0].layers) - 1, 3):
+        n, h, w, cin = x.shape
+        convs = [m.layers[li] for m in models]
+        bns = [m.layers[li + 1] for m in models]
+        weights = np.stack([conv.params["w"].reshape(9 * cin, -1) for conv in convs])
+        bias = np.stack([conv.params["b"] for conv in convs])[:, None, :]
+        x = np.matmul(_im2col(x).reshape(n, h * w, 9 * cin), weights) + bias
+        mean = np.stack([bn.running_mean for bn in bns])[:, None, None, :]
+        var = np.stack([bn.running_var for bn in bns])[:, None, None, :]
+        scale = np.stack([bn.params["scale"] for bn in bns])[:, None, None, :]
+        shift = np.stack([bn.params["shift"] for bn in bns])[:, None, None, :]
+        ivar = 1.0 / np.sqrt(var + BatchNorm.eps)
+        x = scale * ((x.reshape(K, h, w, -1) - mean) * ivar) + shift
+        x = x * (x > 0)
+    flat = np.broadcast_to(x.reshape(x.shape[0], 1, -1), (K, 1, x[0].size))
+    dense = [m.layers[-1].params for m in models]
+    return softmax(np.concatenate([flat[k] @ d["w"] + d["b"] for k, d in enumerate(dense)]))
 
 
 def _stack_samples(samples, request_index: int):
@@ -425,15 +461,18 @@ def gradient_check(
 def predict_all(models: list[CnnModel], img) -> np.ndarray:
     """Stack per-request predictions into the probability matrix O.
 
-    Row k comes from models[k]; the models are independent, so rows are
-    unaffected by one another.
+    Row k comes from models[k], in one inference pass over all models;
+    the models are independent, so rows are unaffected by one another.
     """
     matrix = img.matrix if isinstance(img, FeatureImage) else np.asarray(img)
     if len(models) != matrix.shape[0]:
         raise CnnError(
             f"{len(models)} models for {matrix.shape[0]} flow rows"
         )
-    return np.stack([forward(model, matrix) for model in models])
+    archs = {(m.input_shape, m.filters, m.num_classes) for m in models}
+    if len(archs) > 1:
+        raise CnnError(f"models disagree on (input_shape, filters, num_classes): {sorted(archs)}")
+    return _infer(models, models[0]._as_batch(matrix))
 
 
 def _named_arrays(m: CnnModel) -> dict[str, np.ndarray]:

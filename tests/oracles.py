@@ -227,6 +227,20 @@ def incidence_walk(t, h):
 # exported text back must give lpfile.milp_model term for term.
 
 
+def im2col_reference(x):
+    """3x3 same-padded patches by the nine shifted slices, one tap at a
+    time: (n, h, w, cin) -> (n, h, w, 9*cin)."""
+    n, h, w, cin = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    cols = np.empty((n, h, w, 9 * cin))
+    idx = 0
+    for di in range(3):
+        for dj in range(3):
+            cols[..., idx * cin : (idx + 1) * cin] = xp[:, di : di + h, dj : dj + w, :]
+            idx += 1
+    return cols
+
+
 class LpFormatError(ValueError):
     """Raised when parsing text that does not follow the LP grammar."""
 

@@ -70,6 +70,22 @@ def test_eval_requires_models_for_cnn(workspace, capsys):
         assert capsys.readouterr().err.startswith("error:"), flags
 
 
+def test_missing_input_path_exits_2(workspace, tmp_path, capsys):
+    # A path that does not exist is bad input too: error line, exit 2.
+    root, topo, corpus, models = workspace
+    missing = str(tmp_path / "missing")
+    out = str(tmp_path / "out")
+    for argv in (
+        ["eval", "--corpus", missing, "--methods", "optimal", "--out", out],
+        ["eval", "--corpus", str(corpus), "--models", missing, "--out", out],
+        ["gen", "--topology", missing, "--out", out],
+        ["export-lp", "--instance", missing, "--out", out],
+        ["--config", missing, "gen", "--topology", str(topo), "--out", out],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
 def test_gen_export_lp_render(workspace):
     root, topo, corpus, models = workspace
     gen = root / "gen"

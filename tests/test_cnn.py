@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgecache import cnn
 from edgecache.cnn import (
     BatchNorm,
     CnnError,
@@ -14,12 +15,15 @@ from edgecache.cnn import (
     load_model,
     predict_all,
     save_model,
+    softmax,
     softmax_cross_entropy,
     train,
 )
-from edgecache.encoder import NormConfig, encode
+from edgecache.encoder import NormConfig, encode, split_subimages
 from edgecache.instance import generate_instance
 from edgecache.topology import TopologyConfig, build_topology
+
+from oracles import im2col_reference
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +93,27 @@ def test_convolution_matches_hand_loop():
                     acc += padded[i + di, j + dj] * kernel[di, dj]
             expected[i, j] = acc + 0.25
     assert np.allclose(out, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 28, 1), (32, 5, 28, 16), (5, 5, 28, 32), (3, 4, 12, 32)])
+def test_im2col_matches_nine_slice_reference(shape):
+    x = np.random.default_rng(sum(shape)).normal(size=shape)
+    assert np.array_equal(cnn._im2col(x), im2col_reference(x))
+
+
+def test_training_with_reference_im2col_is_bit_equal(image, norm, monkeypatch):
+    t = build_topology(TopologyConfig(branching=2, depth=3))
+    samples = [
+        TrainingSample(image=encode(generate_instance(t, 5, seed=s), norm), labels=(s % 8,) * 5)
+        for s in range(12)
+    ]
+    cfg = TrainConfig(epochs=2, batch_size=4, num_classes=8, request_index=1, seed=3)
+    model, losses = train(samples, cfg)
+    monkeypatch.setattr(cnn, "_im2col", im2col_reference)
+    ref_model, ref_losses = train(samples, cfg)
+    assert losses == ref_losses
+    for (_, _, p, _), (_, _, q, _) in zip(model.param_items(), ref_model.param_items()):
+        assert np.array_equal(p, q)
 
 
 # --- gradients ---------------------------------------------------------------
@@ -241,7 +266,57 @@ def test_predict_all_is_equivariant_to_model_order():
     O = predict_all(models, img_matrix)
     perm = [2, 0, 3, 1]
     O_perm = predict_all([models[j] for j in perm], img_matrix)
-    assert np.allclose(O_perm, O[perm])
+    assert (O_perm == O[perm]).all()
+
+
+def _per_model_rows(models, img):
+    return np.stack([softmax(m.logits(m._as_batch(img), train=False))[0] for m in models])
+
+
+def test_predict_all_matches_per_model_layers(image, norm):
+    # Each row of the stacked pass equals its own model's layer-by-layer
+    # inference bit for bit.
+    K, E1 = image.matrix.shape[0], 8
+    t = build_topology(TopologyConfig(branching=2, depth=3))
+    samples = [
+        TrainingSample(
+            image=encode(generate_instance(t, 5, seed=s), norm),
+            labels=tuple((s + k) % E1 for k in range(K)),
+        )
+        for s in range(8)
+    ]
+    trained = [
+        train(samples, TrainConfig(epochs=2, batch_size=4, num_classes=E1, request_index=k, seed=k))[0]
+        for k in range(K)
+    ]
+    untrained = [CnnModel(image.matrix.shape, E1, request_index=k, seed=40 + k) for k in range(K)]
+    dense_only = [
+        CnnModel(image.matrix.shape, E1, request_index=k, filters=(), seed=k) for k in range(K)
+    ]
+    short = encode(generate_instance(t, 3, seed=5), norm)
+    padded = split_subimages(short, K)[0]
+    integer = np.random.default_rng(15).integers(0, 4, size=image.matrix.shape)
+    for models, img in (
+        (trained, image.matrix),
+        (untrained, image.matrix),
+        (dense_only, image.matrix),
+        (trained, padded),
+        (trained, integer),
+    ):
+        assert (predict_all(models, img) == _per_model_rows(models, img)).all()
+
+
+def test_predict_all_rejects_mixed_architectures():
+    img_matrix = np.random.default_rng(16).uniform(0, 1, size=(3, 12))
+    base = dict(input_shape=(3, 12), num_classes=5)
+    for odd in (
+        dict(base, filters=(16, 32)),
+        dict(base, input_shape=(3, 11)),
+        dict(base, num_classes=6),
+    ):
+        models = [CnnModel(**base, seed=0), CnnModel(**odd, seed=1), CnnModel(**base, seed=2)]
+        with pytest.raises(CnnError):
+            predict_all(models, img_matrix)
 
 
 def test_predict_all_rejects_wrong_model_count():
