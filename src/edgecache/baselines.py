@@ -10,6 +10,7 @@ when the penalized cost strictly decreases.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ from .instance import Instance
 
 DEFAULT_RGC_EPOCHS = 500
 
+# Epochs drafted and priced per stacked call in rgc.
+_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class RgcConfig:
@@ -27,6 +31,11 @@ class RgcConfig:
     gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
+        for name in ("epochs", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not self.gamma > 0:
@@ -96,18 +105,21 @@ def rgc(
     is the known weakness of this baseline.  Pass a list as trace to
     record the accepted cost after every epoch.
 
-    The move options of every class sit in one padded table, built
-    before the loop, and each epoch drafts all flows with a single
-    rng.integers call over the per-flow option counts.  An array bound
-    consumes the generator exactly like one scalar call per flow in
-    flow order, so the drafts are those of a per-flow loop.  A draft
-    is priced only when its transmission floor beta * C_T lies below
-    the current cost: TC_N = fl(fl(alpha * C_cache) + fl(beta * C_T))
+    Epochs are drafted in blocks of _BLOCK.  A rejected draft leaves
+    the state alone, so every draft up to the next accept is drawn and
+    priced against the same classes: one rng.integers call over the
+    (n, K) broadcast option counts draws the block (numpy consumes a
+    broadcast bound element by element, as n successive (K,) calls
+    would), and one ClassTable.price call prices it.  Only a changed
+    draft whose transmission floor beta * C_T lies below the current
+    cost is priced: TC_N = fl(fl(alpha * C_cache) + fl(beta * C_T))
     + gamma * hinge with every term non-negative, and rounding is
     monotone, so TC_N >= fl(beta * C_T) and a draft at or above the
     floor can never pass the strict test.  The floor and price share
-    ClassTable.transmission, so they use the same float and no
-    decision changes.
+    ClassTable.transmission, so they use the same float.  The first
+    strictly cheaper draft is the accepted epoch; the generator is
+    then rewound and redraws the block's rows up to it, leaving it
+    where a per-epoch loop would, and the next block starts there.
     """
     rng = np.random.default_rng(cfg.seed)
     moves, lengths = _move_table(i)
@@ -116,13 +128,25 @@ def rgc(
     classes = expected_hops(i).argmin(axis=1)  # the GCA start
     tc = table.price(classes, gamma=cfg.gamma)
 
-    for _ in range(cfg.epochs):
-        trial = moves[classes, rng.integers(0, lengths[classes])]
-        if (trial != classes).any() and i.beta * table.transmission(trial) < tc:
-            trial_tc = table.price(trial, gamma=cfg.gamma)
-            if trial_tc < tc:
-                classes = trial
-                tc = trial_tc
+    done = 0
+    while done < cfg.epochs:
+        n = min(_BLOCK, cfg.epochs - done)
+        bounds = lengths[classes]
+        state = rng.bit_generator.state
+        trials = moves[classes, rng.integers(0, np.broadcast_to(bounds, (n, bounds.size)))]
+        live = np.flatnonzero(
+            (trials != classes).any(axis=1) & (i.beta * table.transmission(trials) < tc)
+        )
+        priced = table.price(trials[live], gamma=cfg.gamma)
+        better = np.flatnonzero(priced < tc)
+        tc_next = tc
+        if better.size:
+            n = int(live[better[0]]) + 1
+            rng.bit_generator.state = state
+            rng.integers(0, np.broadcast_to(bounds, (n, bounds.size)))
+            classes, tc_next = trials[n - 1], float(priced[better[0]])
         if trace is not None:
-            trace.append(tc)
+            trace.extend([tc] * (n - 1) + [tc_next])
+        tc = tc_next
+        done += n
     return assignment_from_classes(i, classes)

@@ -181,21 +181,37 @@ class ClassTable:
     onehot: np.ndarray  # (E+1, E) int8 placement row of each class; row E is empty
     rows: np.ndarray    # (K,) flow indices 0..K-1
 
-    def transmission(self, classes) -> float:
-        """Transmission cost C_T (hit plus miss hops) of a class vector."""
-        return float(self.T[self.rows, classes].sum())
+    def transmission(self, classes):
+        """Transmission cost C_T (hit plus miss hops) of a class vector.
 
-    def price(self, classes, gamma: float = DEFAULT_GAMMA) -> float:
-        """Penalized total TC_N of a class vector."""
+        A (K,) vector gives a float; an (N, K) stack gives an (N,) array
+        whose rows equal the vectors' own floats.
+        """
+        return _float_or_rows(self.T[self.rows, classes].sum(axis=-1))
+
+    def price(self, classes, gamma: float = DEFAULT_GAMMA):
+        """Penalized total TC_N of a (K,) class vector, or of each row of
+        an (N, K) stack.
+
+        Every row is priced by the same arithmetic as a vector alone and
+        as cost_breakdown on its materialized assignment, so a stack
+        returns exactly the floats of one call per row.
+        """
+        classes = np.asarray(classes)
         _, tc, penalty = _priced(
             self.inst,
             self.onehot[classes],
             self.Q,
             self.transmission(classes),
-            self.R[self.rows, classes].sum(axis=0),
+            self.R[self.rows, classes].sum(axis=-2),
             gamma,
         )
-        return tc + penalty
+        return _float_or_rows(tc + penalty)
+
+
+def _float_or_rows(values: np.ndarray):
+    """A float for a 0-d result, the array itself for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def class_table(i: Instance) -> ClassTable:
@@ -260,24 +276,25 @@ def transmission_cost(i: Instance, asg: Assignment) -> tuple[float, float, float
 
 
 def _priced(
-    i: Instance, x: np.ndarray, q: np.ndarray, ct: float, load: np.ndarray, gamma: float
-) -> tuple[float, float, float]:
-    """(caching, TC, penalty) of placement x with transmission ct and link load.
+    i: Instance, x: np.ndarray, q: np.ndarray, ct, load: np.ndarray, gamma: float
+):
+    """(caching, TC, penalty) of placements x (..., K, E) with transmission
+    ct (...) and link load (..., L), vectorized over the leading axes.
 
-    The hinge penalizes each overfull EC and each overloaded link by its
-    own overshoot, so it vanishes exactly on feasible assignments.
+    The caching sum runs over a zero-masked row of E summands (an EC
+    hosting nothing adds 0 / 1 = 0), so a stack prices each row exactly
+    as its own call does.  The hinge penalizes each overfull EC and each
+    overloaded link by its own overshoot, so it vanishes exactly on
+    feasible assignments.
     """
-    u = (q * x).sum(axis=0)
-    counts = x.sum(axis=0)
-    hosting = counts > 0
-    cc = float(
-        np.where(
-            u[hosting] < 1.0,
-            counts[hosting] / (1.0 - np.minimum(u[hosting], 1.0 - 1e-12)),
-            counts[hosting] * _CLAMPED_SUMMAND,
-        ).sum()
-    )
-    hinge = float(np.maximum(0.0, u - 1.0).sum()) + float(np.maximum(0.0, load - 1.0).sum())
+    u = (q * x).sum(axis=-2)
+    counts = x.sum(axis=-2)
+    cc = np.where(
+        u < 1.0,
+        counts / (1.0 - np.minimum(u, 1.0 - 1e-12)),
+        counts * _CLAMPED_SUMMAND,
+    ).sum(axis=-1)
+    hinge = np.maximum(0.0, u - 1.0).sum(axis=-1) + np.maximum(0.0, load - 1.0).sum(axis=-1)
     return cc, i.alpha * cc + i.beta * ct, gamma * hinge
 
 
@@ -287,7 +304,9 @@ def cost_breakdown(
     """Full cost accounting; total everywhere, even for invalid placements."""
     rat = ratios(i)
     ct, ch, cm = transmission_cost(i, asg)
-    cc, tc, penalty = _priced(i, asg.x, rat.q, ct, (rat.r * asg.y).sum(axis=0), gamma)
+    cc, tc, penalty = map(
+        float, _priced(i, asg.x, rat.q, ct, (rat.r * asg.y).sum(axis=0), gamma)
+    )
     return CostBreakdown(
         caching=cc,
         transmission=ct,

@@ -6,6 +6,11 @@ starts from the argmax assignment and walks the remaining
 above-threshold predictions in descending confidence, keeping any
 substitution that lowers the penalized total cost.  Every intermediate
 state is a valid assignment, so the search can stop anywhere.
+
+A rejected substitution leaves the classes alone, so every entry up
+to the next accept is tried against the same classes: the walk prices
+the rest of the queue as one stack of one-substitution class vectors
+and moves on from the first strictly cheaper one.
 """
 
 from __future__ import annotations
@@ -62,7 +67,12 @@ def enhance(
     "leave uncached") and rows summing to 1.  Each queue entry is tried
     once: substitute it for its flow's current pick, price the class
     vector, and keep the change only when the penalized cost strictly
-    drops.
+    drops.  The remaining entries are priced as one ClassTable.price
+    stack against the current classes; the first strictly cheaper one
+    is accepted, the ones before it are rejected with the prices a
+    one-entry-at-a-time walk computes, and the walk restarts after it.
+    So a queue costs one call per accept plus one, and the trace_path
+    rows are those of the one-entry walk.
     The result can never cost more than the plain argmax combination.
     """
     if not (0.0 <= delta < 1.0):
@@ -81,18 +91,24 @@ def enhance(
     table = class_table(i)
     classes = np.array([c for _, c, _ in queues.omega])
     tc_current = table.price(classes, gamma=gamma)
+    psi = np.array([(k, c) for k, c, _ in queues.psi], dtype=int).reshape(-1, 2)
 
     records = []
-    for step, (k, c, p) in enumerate(queues.psi):
-        displaced = classes[k]
-        classes[k] = c
-        tc_trial = table.price(classes, gamma=gamma)
-        accepted = tc_trial < tc_current
-        if accepted:
-            tc_current = tc_trial
-        else:
-            classes[k] = displaced
-        records.append((step, k, c, tc_trial, tc_current, accepted))
+    while len(records) < len(psi):
+        step = len(records)
+        flows, subs = psi[step:].T
+        stack = np.repeat(classes[None, :], flows.size, axis=0)
+        stack[np.arange(flows.size), flows] = subs
+        trial = table.price(stack, gamma=gamma)
+        better = np.flatnonzero(trial < tc_current)
+        n = int(better[0]) + 1 if better.size else flows.size
+        for j, (k, c, tc_trial) in enumerate(
+            zip(flows[:n].tolist(), subs[:n].tolist(), trial[:n].tolist())
+        ):
+            accepted = better.size > 0 and j == n - 1
+            if accepted:
+                classes, tc_current = stack[j], tc_trial
+            records.append((step + j, k, c, tc_trial, tc_current, accepted))
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:

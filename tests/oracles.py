@@ -1,5 +1,6 @@
 """Independent reference computations used by multiple test modules."""
 
+import csv
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -15,6 +16,7 @@ from edgecache.cost import (
     network_tables,
     utilization,
 )
+from edgecache.pel import build_queues
 from edgecache.topology import TopologyError
 
 
@@ -196,6 +198,39 @@ def rgc_reference(i, cfg=RgcConfig(), trace=None):
                 tc = trial_tc
         if trace is not None:
             trace.append(tc)
+    return assignment_from_classes(i, classes)
+
+
+def enhance_reference(i, O, delta, gamma, trace_path=None):
+    """PEL with one price call per queue entry: substitute the entry,
+    price the class vector, keep it only on a strict drop.  The loop the
+    stacked enhance must reproduce entry for entry, trace rows included.
+    Takes inputs enhance has already validated."""
+    queues = build_queues(np.asarray(O, dtype=float), delta)
+    table = class_table(i)
+    classes = np.array([c for _, c, _ in queues.omega])
+    tc_current = table.price(classes, gamma=gamma)
+
+    records = []
+    for step, (k, c, p) in enumerate(queues.psi):
+        displaced = classes[k]
+        classes[k] = c
+        tc_trial = table.price(classes, gamma=gamma)
+        accepted = tc_trial < tc_current
+        if accepted:
+            tc_current = tc_trial
+        else:
+            classes[k] = displaced
+        records.append((step, k, c, tc_trial, tc_current, accepted))
+
+    if trace_path is not None:
+        with open(trace_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["iteration", "flow", "class", "tc_candidate", "tc_current", "accepted"]
+            )
+            for row in records:
+                writer.writerow(row)
     return assignment_from_classes(i, classes)
 
 

@@ -80,6 +80,17 @@ def test_rgc_rejects_zero_epochs():
         RgcConfig(epochs=0)
 
 
+@pytest.mark.parametrize("field,value", [("epochs", 2.5), ("epochs", "10"), ("seed", 1.0)])
+def test_rgc_rejects_non_integer_settings(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        RgcConfig(**{field: value})
+
+
+def test_rgc_accepts_numpy_integers():
+    cfg = RgcConfig(epochs=np.int64(3), seed=np.int32(2))
+    assert cfg.epochs == 3 and cfg.seed == 2
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
 def test_rgc_rejects_non_positive_gamma(gamma):
     with pytest.raises(ValueError, match="gamma"):
@@ -106,6 +117,39 @@ def test_rgc_matches_per_flow_reference(flows, epochs):
         for inst in (base, dataclasses.replace(base, alpha=0.01)):
             for gamma in (20.0, 3.5):
                 assert_same_rgc(inst, RgcConfig(epochs=epochs, seed=seed, gamma=gamma))
+
+
+@pytest.mark.parametrize("epochs", [1, 63, 64, 65, 129, 500])
+def test_rgc_matches_reference_across_block_boundaries(epochs):
+    # Runs that end just before, on and just after a 64-epoch block, and
+    # accepts that land anywhere inside a block, leave the same classes,
+    # trace and generator position as one draft per epoch.  Every class
+    # has at least two move options (stay, and drop out or enter), so no
+    # flow here draws nothing; the broadcast pin below covers bound 1.
+    topo = evaluation_topology()
+    for flows in (1, 5, 15):
+        for seed in range(3):
+            inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+            assert_same_rgc(inst, RgcConfig(epochs=epochs, seed=seed))
+
+
+def test_broadcast_draw_equals_successive_row_draws():
+    # rgc drafts a block of epochs in one rng.integers call over a
+    # broadcast (n, K) bound.  That is exact only while numpy consumes a
+    # broadcast bound element by element, as n successive (K,) calls
+    # would, and leaves the generator in the same state.  A bound of 1
+    # draws nothing.
+    bounds = np.array([3, 1, 7, 2, 1, 9, 4])
+    for seed in range(5):
+        block, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = block.integers(0, np.broadcast_to(bounds, (65, bounds.size)))
+        expected = np.stack([rows.integers(0, bounds) for _ in range(65)])
+        assert (drawn == expected).all()
+        assert block.bit_generator.state == rows.bit_generator.state
+        assert (drawn[:, bounds == 1] == 0).all()
+        before = block.bit_generator.state
+        block.integers(0, np.broadcast_to(np.ones(4, dtype=int), (3, 4)))
+        assert block.bit_generator.state == before
 
 
 def test_rgc_matches_reference_with_uncached_flows(escape_topology):

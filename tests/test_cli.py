@@ -86,6 +86,20 @@ def test_missing_input_path_exits_2(workspace, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:"), argv
 
 
+def test_non_integer_rgc_epochs_in_config_exits_2(workspace, tmp_path, capsys):
+    # argparse applies no type= to config defaults, so the float reaches
+    # RgcConfig, which refuses it as bad input.
+    root, topo, corpus, models = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"eval": {"rgc-epochs": 2.5}}))
+    argv = [
+        "--config", str(config), "eval", "--corpus", str(corpus),
+        "--methods", "rgc", "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: epochs must be an integer")
+
+
 def test_gen_export_lp_render(workspace):
     root, topo, corpus, models = workspace
     gen = root / "gen"

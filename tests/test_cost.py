@@ -389,6 +389,71 @@ def test_kernel_matches_cost_breakdown_and_routing_loop(flows):
                 assert table.price(classes, gamma) == expected
 
 
+def assert_stack_is_exact(inst, stack, gamma):
+    # Each row of a stacked call is the float of the row alone and of
+    # cost_breakdown on the materialized row: exact equality, no tolerance.
+    table = class_table(inst)
+    priced = table.price(stack, gamma)
+    floors = table.transmission(stack)
+    assert priced.shape == floors.shape == (len(stack),)
+    for row, value, floor in zip(stack, priced, floors):
+        assert value == table.price(row, gamma)
+        assert floor == table.transmission(row)
+        asg = assignment_from_classes(inst, row)
+        assert value == cost_breakdown(inst, asg, gamma=gamma).penalized_total
+
+
+@pytest.mark.parametrize("flows", [5, 15])
+def test_stacked_price_is_exact_per_row(flows):
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng(100 + flows)
+    overfull = overloaded = 0
+    for seed in range(4):
+        base = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+        tight = dataclasses.replace(
+            base, ec_space=base.ec_space * 0.1, link_capacity=base.link_capacity * 0.1
+        )
+        for inst in (base, tight):
+            stack = rng.integers(0, E + 1, size=(40, flows))
+            stack[0] = E  # all uncached
+            stack[1] = 0  # every flow on one EC
+            for row in stack:
+                report = check_feasibility(inst, assignment_from_classes(inst, row))
+                overfull += not report.ec_capacity
+                overloaded += not report.link_capacity
+            for gamma in (20.0, 3.5):
+                assert_stack_is_exact(inst, stack, gamma)
+                assert_stack_is_exact(inst, stack[:1], gamma)  # N = 1
+    assert overfull and overloaded  # the clamp and link-hinge branches ran
+
+
+def test_stacked_price_is_exact_with_many_ecs():
+    # E = 15: the caching sum runs over more than eight summands, so it is
+    # not a plain left-to-right sum, and price and cost_breakdown agree
+    # because both go through the one _priced.
+    topo = build_topology(TopologyConfig(branching=2, depth=3, ec_rule="all"))
+    E = topo.num_edge_clouds
+    assert E > 8
+    rng = np.random.default_rng(7)
+    for seed in range(3):
+        inst = generate_instance(topo, 9, seed=seed)
+        tight = dataclasses.replace(inst, ec_space=inst.ec_space * 0.05)
+        for case in (inst, tight):
+            stack = rng.integers(0, E + 1, size=(30, 9))
+            stack[0] = E
+            assert_stack_is_exact(case, stack, 20.0)
+            assert_stack_is_exact(case, stack[-1:], 20.0)
+
+
+def test_single_vector_prices_are_floats():
+    inst = generate_instance(evaluation_topology(), 5, ranges=DATASET_RANGES, seed=[5, 0])
+    table = class_table(inst)
+    classes = np.zeros(5, dtype=int)
+    assert type(table.price(classes)) is float
+    assert type(table.transmission(classes)) is float
+
+
 def test_path_links_counts_past_int8():
     # Depth-8 binary tree: 256 ARs, 510 links.  One flow served at every
     # AR from the root crosses every link, and each link below the root

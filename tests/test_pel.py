@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from edgecache.cost import assignment_from_classes, check_feasibility, penalized_cost
-from edgecache.harness import labels_of
+from edgecache.harness import DATASET_RANGES, evaluation_topology, labels_of
 from edgecache.instance import generate_instance
 from edgecache.pel import build_queues, enhance
 from edgecache.topology import Topology
 
 from conftest import manual_instance
+from oracles import enhance_reference
 
 
 def argmax_assignment(inst, O):
@@ -197,3 +198,45 @@ def test_enhance_validates_inputs(tree_topology):
         enhance(inst, good[:1])
     with pytest.raises(ValueError):
         enhance(inst, good * 2)
+
+
+def assert_same_enhance(inst, O, delta, gamma, tmp_path):
+    ours, theirs = tmp_path / "stacked.csv", tmp_path / "reference.csv"
+    out = enhance(inst, O, delta=delta, gamma=gamma, trace_path=ours)
+    ref = enhance_reference(inst, O, delta, gamma, trace_path=theirs)
+    assert (out.x == ref.x).all() and (out.z == ref.z).all() and (out.y == ref.y).all()
+    assert ours.read_bytes() == theirs.read_bytes()
+    return theirs.read_text().strip().splitlines()[1:]
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3, 0.2])
+@pytest.mark.parametrize("gamma", [20.0, 3.5])
+def test_enhance_matches_per_entry_reference(delta, gamma, crafted, tmp_path):
+    # Same substitutions, same accepts, same trace bytes as pricing one
+    # queue entry at a time.
+    inst, O = crafted
+    assert_same_enhance(inst, O, delta, gamma, tmp_path)
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng([11, int(delta * 1e3), int(gamma)])
+    for flows in range(1, 9):
+        for seed in range(3):
+            inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+            O = rng.dirichlet(np.full(E + 1, 0.5), size=flows)
+            assert_same_enhance(inst, O, delta, gamma, tmp_path)
+
+
+def test_enhance_with_empty_queue_matches_reference(tree_topology, tmp_path):
+    inst = generate_instance(tree_topology, 4, seed=1)
+    O = np.eye(4, tree_topology.num_edge_clouds + 1)
+    assert build_queues(O, 0.001).psi == ()
+    assert assert_same_enhance(inst, O, 0.001, 20.0, tmp_path) == []
+
+
+def test_enhance_accepting_only_the_last_entry_matches_reference(crafted, tmp_path):
+    # Flow 2's two alternatives are tried first and both cost more; the
+    # last entry moves flow 0 off the overfull EC 0 and is accepted.
+    inst, _ = crafted
+    O = np.array([[0.89, 0.11, 0.0], [1.0, 0.0, 0.0], [0.2, 0.5, 0.3]])
+    rows = assert_same_enhance(inst, O, 0.001, 20.0, tmp_path)
+    assert [row.split(",")[-1] for row in rows] == ["False", "False", "True"]
