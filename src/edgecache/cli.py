@@ -2,8 +2,9 @@
 
 Subcommands cover the whole pipeline: topo (build a network), gen
 (random instances), dataset (solve + label a corpus), train, eval,
-export-lp, and render (grayscale PGM).  A JSON config file can supply
-defaults for any flag; explicit flags win.  Every run writes a manifest
+export-lp, and render (grayscale PGM).  A JSON config file's section
+for a subcommand is read as flags placed right after it, so argparse
+checks every value and explicit flags win.  Every run writes a manifest
 recording the arguments, seeds and normalization constants it used.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -38,37 +40,26 @@ from .topology import TopologyConfig, build_topology, load_topology, save_topolo
 def _write_manifest(path, args, **extra) -> None:
     """Record every parsed argument, plus the resolved constants in extra
     (ranges, normalization), next to a run's output."""
-    params = {k: v for k, v in vars(args).items() if k != "func"}
-    write_json(path, {"tool": "edgecache", "version": __version__, **params, **extra})
+    write_json(path, {"tool": "edgecache", "version": __version__, **vars(args), **extra})
 
 
-def _norm(norm: NormConfig) -> dict:
-    return {"q_max": norm.q_max, "r_max": norm.r_max}
+_RANGE_FLAGS = (
+    ("content_size", "content size range in MB"),
+    ("ec_space", "EC cache space range in MB"),
+    ("bandwidth", "flow bandwidth range in Mbps"),
+    ("link_capacity", "link capacity range in Mbps"),
+    ("alpha", "caching weight range"),
+    ("beta", "transmission weight range"),
+)
 
 
-def _ranges_from_args(args) -> ParameterRanges:
-    base = DATASET_RANGES if getattr(args, "fixed_weights", False) else ParameterRanges()
-    overrides = {}
-    for name in ("content_size", "ec_space", "bandwidth", "link_capacity", "alpha", "beta"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = tuple(value)
-    if not overrides:
-        return base
-    from dataclasses import replace
-
-    return replace(base, **overrides)
+def _ranges_from_args(args, base: ParameterRanges) -> ParameterRanges:
+    given = {name: getattr(args, name) for name, _ in _RANGE_FLAGS}
+    return replace(base, **{name: tuple(pair) for name, pair in given.items() if pair is not None})
 
 
 def _add_range_flags(p: argparse.ArgumentParser) -> None:
-    for name, help_text in (
-        ("content_size", "content size range in MB"),
-        ("ec_space", "EC cache space range in MB"),
-        ("bandwidth", "flow bandwidth range in Mbps"),
-        ("link_capacity", "link capacity range in Mbps"),
-        ("alpha", "caching weight range"),
-        ("beta", "transmission weight range"),
-    ):
+    for name, help_text in _RANGE_FLAGS:
         p.add_argument(f"--{name.replace('_', '-')}", nargs=2, type=float, default=None,
                        metavar=("LO", "HI"), help=help_text)
 
@@ -98,7 +89,7 @@ def _cmd_topo(args) -> int:
 
 def _cmd_gen(args) -> int:
     topo = load_topology(args.topology)
-    ranges = _ranges_from_args(args)
+    ranges = _ranges_from_args(args, ParameterRanges())
     files = generate_instances(topo, args.count, args.flows, args.seed, args.out, ranges=ranges)
     _write_manifest(Path(args.out) / "run_manifest.json", args, ranges=ranges.__dict__)
     print(f"wrote {len(files)} instances to {args.out}")
@@ -107,8 +98,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_dataset(args) -> int:
     topo = load_topology(args.topology)
-    args.fixed_weights = not args.random_weights
-    ranges = _ranges_from_args(args)
+    base = DATASET_RANGES
+    if args.random_weights:  # keep the crowding; alpha and beta get the generator's ranges
+        base = replace(base, alpha=ParameterRanges.alpha, beta=ParameterRanges.beta)
+    ranges = _ranges_from_args(args, base)
     corpus = build_dataset(
         topo,
         n=args.count,
@@ -122,7 +115,7 @@ def _cmd_dataset(args) -> int:
     )
     _write_manifest(
         Path(args.out) / "run_manifest.json", args,
-        ranges=ranges.__dict__, norm=_norm(corpus.norm),
+        ranges=ranges.__dict__, norm=corpus.norm.record(),
     )
     train_n = len(corpus.of_split("train"))
     test_n = len(corpus.of_split("test"))
@@ -144,7 +137,7 @@ def _cmd_train(args) -> int:
         workers=args.workers,
         out_dir=args.out,
     )
-    _write_manifest(Path(args.out) / "run_manifest.json", args, norm=_norm(corpus.norm))
+    _write_manifest(Path(args.out) / "run_manifest.json", args, norm=corpus.norm.record())
     print(
         f"trained {len(models)} request models; final losses: "
         + ", ".join(f"{t[-1]:.4f}" for t in traces)
@@ -155,11 +148,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     corpus = load_corpus(args.corpus)
     methods = tuple(args.methods.split(","))
-    models = None
-    if "cnn" in methods:
-        if args.models is None:
-            raise ValueError("--models is required for the cnn method")
-        models = load_models(args.models)
+    models = load_models(args.models) if "cnn" in methods and args.models else None
     report = evaluate(
         corpus,
         models=models,
@@ -176,7 +165,7 @@ def _cmd_eval(args) -> int:
     (out / "detail.csv").write_text(report.detail_csv())
     table = report.format_table()
     (out / "table.txt").write_text(table + "\n")
-    _write_manifest(out / "run_manifest.json", args, norm=_norm(corpus.norm))
+    _write_manifest(out / "run_manifest.json", args, norm=corpus.norm.record())
     print(table)
     return 0
 
@@ -194,7 +183,7 @@ def _cmd_render(args) -> int:
     norm = NormConfig(q_max=args.q_max, r_max=args.r_max)
     img = encode(inst, norm)
     write_pgm(args.out, to_grayscale(img))
-    _write_manifest(f"{args.out}.manifest.json", args, norm=_norm(norm))
+    _write_manifest(f"{args.out}.manifest.json", args, norm=norm.record())
     print(f"wrote {args.out} ({img.matrix.shape[0]}x{img.matrix.shape[1]})")
     return 0
 
@@ -204,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="edgecache",
         description="proactive edge caching: optimization, encoding, learning, benchmarks",
     )
-    parser.add_argument("--config", default=None, help="JSON file with per-command flag defaults")
+    parser.add_argument("--config", default=None, help="JSON file of flags per subcommand")
     parser.add_argument("--version", action="version", version=f"edgecache {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -217,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datacenter-hops", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_topo)
 
     p = sub.add_parser("gen", help="generate random instances")
     p.add_argument("--topology", required=True)
@@ -226,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_range_flags(p)
-    p.set_defaults(func=_cmd_gen, fixed_weights=False)
 
     p = sub.add_parser("dataset", help="generate, solve and label a training corpus")
     p.add_argument("--topology", required=True)
@@ -238,10 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-bounded", action="store_true",
                    help="keep budget-limited incumbents instead of excluding them")
     p.add_argument("--random-weights", action="store_true",
-                   help="sample alpha/beta per instance instead of fixing them at 0.5")
+                   help="sample alpha and beta per instance in [0, 1], not fixed at 0.5")
     p.add_argument("--out", required=True)
     _add_range_flags(p)
-    p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("train", help="train the per-request classifiers")
     p.add_argument("--corpus", required=True)
@@ -251,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score methods on a corpus split")
     p.add_argument("--corpus", required=True)
@@ -263,27 +248,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("export-lp", help="export one instance as an LP-format MILP")
     p.add_argument("--instance", required=True)
     p.add_argument("--big-m", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_export_lp)
 
     p = sub.add_parser("render", help="render an instance as a grayscale PGM")
     p.add_argument("--instance", required=True)
     p.add_argument("--q-max", type=float, default=NormConfig.from_ranges().q_max)
     p.add_argument("--r-max", type=float, default=NormConfig.from_ranges().r_max)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_render)
 
     return parser
 
 
+_COMMANDS = {"topo": _cmd_topo, "gen": _cmd_gen, "dataset": _cmd_dataset, "train": _cmd_train,
+             "eval": _cmd_eval, "export-lp": _cmd_export_lp, "render": _cmd_render}
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull --config PATH or --config=PATH out of argv and fold its values
-    into defaults; a --config without a path exits 2 like any flag."""
+    """Pull --config PATH or --config=PATH out of argv and put the config's
+    section for the subcommand right after it as flags: a scalar becomes
+    --key=value, a list --key v1 v2, true --key, and false or null nothing.
+    Explicit flags come later and win; a --config without a path exits 2."""
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config")
     try:
@@ -292,17 +280,21 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         parser.error(str(exc))
     if known.config is None:
         return argv
-    parser.set_defaults(config=known.config)
     with open(known.config) as fh:
         config = json.load(fh)
     command = next((tok for tok in rest if not tok.startswith("-")), None)
-    section = config.get(command, {}) if command else {}
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        if command in getattr(action, "choices", {}):
-            action.choices[command].set_defaults(
-                **{k.replace("-", "_"): v for k, v in section.items()}
-            )
-    return rest
+    section = config.get(command, {}) if isinstance(config, dict) else None
+    if not isinstance(section, dict):
+        raise ValueError(f"{known.config}: expected a JSON object of flags per subcommand")
+    flags = []
+    for key, value in section.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            flags += [flag, *map(str, value)]
+        elif value is not False and value is not None:
+            flags.append(flag if value is True else f"{flag}={value}")
+    at = rest.index(command) + 1 if command else 0
+    return [f"--config={known.config}", *rest[:at], *flags, *rest[at:]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -313,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(_apply_config(parser, argv))
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

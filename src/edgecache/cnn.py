@@ -214,6 +214,12 @@ class TrainConfig:
     request_index: int = 0
     num_classes: int = 0  # |E| + 1; required
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise CnnError(f"epochs {self.epochs} and batch_size {self.batch_size} must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise CnnError(f"learning_rate {self.learning_rate} must be finite and positive")
+
 
 class CnnModel:
     """One per-request classifier: image in, class probabilities out."""
@@ -276,7 +282,10 @@ class CnnModel:
 def forward(m: CnnModel, img) -> np.ndarray:
     """Inference: class probabilities for one image (batch norm uses the
     running statistics, so repeated calls are bit-identical)."""
-    return _infer([m], m._as_batch(img)[:1])[0]
+    x = m._as_batch(img)
+    if len(x) != 1:
+        raise CnnError(f"forward scores one image, got a batch of {len(x)}")
+    return _infer([m], x)[0]
 
 
 def _infer(models: list[CnnModel], x: np.ndarray) -> np.ndarray:
@@ -404,14 +413,8 @@ def gradient_check(
     meaningful.  A seeded random subset of parameters is probed with
     central differences of step 1e-5.
     """
-    if isinstance(img, FeatureImage) or (hasattr(img, "ndim") and img.ndim == 2):
-        x = m._as_batch(img)
-        labels = np.array([int(label)])
-    else:
-        x = np.asarray(img, dtype=np.float64)
-        if x.ndim == 3:
-            x = x[..., None]
-        labels = np.asarray(label, dtype=int)
+    x = m._as_batch(img)
+    labels = np.asarray(label, dtype=int).reshape(-1)
 
     relus = [layer for layer in m.layers if isinstance(layer, ReLU)]
 

@@ -11,6 +11,7 @@ Larger values render darker.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, replace
 
@@ -32,6 +33,10 @@ class NormConfig:
     r_max: float
     clip: bool = False
 
+    def __post_init__(self):
+        if not all(np.isfinite(v) and v > 0 for v in (self.q_max, self.r_max)):
+            raise EncodingError(f"q_max {self.q_max} and r_max {self.r_max} must be finite and > 0")
+
     @classmethod
     def from_ranges(cls, ranges: ParameterRanges = ParameterRanges()):
         s_lo, s_hi = ranges.content_size
@@ -40,13 +45,13 @@ class NormConfig:
         c_lo, c_hi = ranges.link_capacity
         return cls(q_max=s_hi / w_lo, r_max=b_hi / c_lo)
 
+    def record(self) -> dict:
+        """The maxima as manifests store them (not clip); NormConfig(**record) reads them back."""
+        return {"q_max": self.q_max, "r_max": self.r_max}
+
     def digest(self) -> str:
         """Stable hash for train/test compatibility checks."""
-        import hashlib
-
-        blob = json.dumps(
-            {"q_max": self.q_max, "r_max": self.r_max}, sort_keys=True
-        ).encode()
+        blob = json.dumps(self.record(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -90,7 +90,6 @@ class Corpus:
 def split_counts(n: int, train_fraction: float) -> tuple[int, int]:
     """How many samples go to train vs test under a fractional split."""
     train = int(round(n * train_fraction))
-    train = min(max(train, 0), n)
     return train, n - train
 
 
@@ -113,6 +112,8 @@ def build_dataset(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0 <= train_fraction <= 1:
+        raise ValueError(f"train_fraction must be in [0, 1], got {train_fraction}")
     root = Path(out_dir)
     (root / "instances").mkdir(parents=True, exist_ok=True)
     save_topology(t, root / "topology.json")
@@ -150,7 +151,7 @@ def build_dataset(
         "flows": flows,
         "seed": seed,
         "train_fraction": train_fraction,
-        "norm": {"q_max": norm.q_max, "r_max": norm.r_max},
+        "norm": norm.record(),
         "excluded": excluded,
         "samples": [asdict(s) for s in samples],
     }
@@ -164,7 +165,7 @@ def load_corpus(path) -> Corpus:
     manifest = read_json(where, CORPUS_FORMAT, CORPUS_FORMAT_VERSION, ValueError)
     fields = {
         "flows": operator.index,
-        "norm": lambda n: NormConfig(q_max=n["q_max"], r_max=n["r_max"]),
+        "norm": lambda record: NormConfig(**record),
         "samples": lambda rows: tuple(
             CorpusSample(**{**s, "labels": tuple(s["labels"])}) for s in rows
         ),
@@ -194,8 +195,8 @@ def train_models(
     """One model per request slot, trained on the corpus train split.
 
     Returns (models, loss traces).  Models for different slots are
-    independent, so they train concurrently when workers > 1; results
-    are identical either way because each slot has its own seed.
+    independent, so they train concurrently on up to workers threads;
+    results do not depend on workers because each slot has its own seed.
     """
     samples = corpus_training_samples(corpus, "train")
     if not samples:
@@ -214,11 +215,8 @@ def train_models(
         )
         return cnnmod.train(samples, cfg)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fit, range(corpus.flows)))
-    else:
-        results = [fit(k) for k in range(corpus.flows)]
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        results = list(pool.map(fit, range(corpus.flows)))
     models = [r[0] for r in results]
     traces = [r[1] for r in results]
 

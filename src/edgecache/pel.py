@@ -77,7 +77,7 @@ def enhance(
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     O = np.asarray(O, dtype=float)
     if O.shape[0] != i.num_flows:

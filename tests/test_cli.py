@@ -87,8 +87,8 @@ def test_missing_input_path_exits_2(workspace, tmp_path, capsys):
 
 
 def test_non_integer_rgc_epochs_in_config_exits_2(workspace, tmp_path, capsys):
-    # argparse applies no type= to config defaults, so the float reaches
-    # RgcConfig, which refuses it as bad input.
+    # A config value is read as a flag, so argparse applies --rgc-epochs'
+    # type=int and refuses the float before RgcConfig sees it.
     root, topo, corpus, models = workspace
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"eval": {"rgc-epochs": 2.5}}))
@@ -96,8 +96,102 @@ def test_non_integer_rgc_epochs_in_config_exits_2(workspace, tmp_path, capsys):
         "--config", str(config), "eval", "--corpus", str(corpus),
         "--methods", "rgc", "--out", str(tmp_path / "out"),
     ]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "argument --rgc-epochs: invalid int value: '2.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,message",
+    [
+        ({"count": 2.5}, "argument --count: invalid int value: '2.5'"),
+        ({"seed": 1.5}, "argument --seed: invalid int value: '1.5'"),
+        ({"content-size": 5}, "argument --content-size: expected 2 arguments"),
+        ({"func": 1}, "unrecognized arguments: --func=1"),
+        ({"fixed_weights": True}, "unrecognized arguments: --fixed-weights"),
+        ({"cuont": 3}, "unrecognized arguments: --cuont=3"),
+    ],
+    ids=["float-count", "float-seed", "scalar-range", "func", "fixed-weights", "unknown-key"],
+)
+def test_bad_config_value_exits_2_naming_the_flag(workspace, tmp_path, capsys, section, message):
+    _, topo, _, _ = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gen": section}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(config), "gen", "--topology", str(topo), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_explicit_flag_beats_config_value(workspace, tmp_path):
+    _, topo, _, _ = workspace
+    config = tmp_path / "config.json"
+    # false and null add no flag, so beta and seed keep their defaults.
+    config.write_text(json.dumps(
+        {"gen": {"count": 3, "flows": 2, "alpha": [0.1, 0.2], "beta": False, "seed": None}}
+    ))
+    out = tmp_path / "out"
+    assert main([
+        "--config", str(config), "gen", "--topology", str(topo), "--count", "1",
+        "--alpha", "0.3", "0.4", "--out", str(out),
+    ]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["count"], manifest["flows"], manifest["seed"]) == (1, 2, 0)
+    assert manifest["beta"] is None
+    assert manifest["ranges"]["alpha"] == [0.3, 0.4]
+    assert len(json.loads((out / "manifest.json").read_text())["files"]) == 1
+
+
+def test_config_value_starting_with_dash_stays_a_value(workspace, tmp_path, capsys):
+    # A scalar goes in as --key=value, so argparse cannot read it as a flag.
+    _, _, corpus, _ = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"eval": {"methods": "-gca"}}))
+    argv = ["--config", str(config), "eval", "--corpus", str(corpus), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: epochs must be an integer")
+    assert capsys.readouterr().err.startswith("error: unknown method '-gca'")
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("train", ["--epochs", "0"]),
+        ("train", ["--batch-size", "-1"]),
+        ("train", ["--learning-rate", "nan"]),
+        ("eval", ["--methods", "optimal,cnn", "--gamma", "nan"]),
+        ("render", ["--q-max", "-1"]),
+        ("render", ["--r-max", "nan"]),
+        ("dataset", ["--train-fraction", "1.5"]),
+        ("dataset", ["--train-fraction", "nan"]),
+    ],
+)
+def test_bad_number_flag_exits_2(workspace, tmp_path, capsys, command, flags):
+    _, topo, corpus, models = workspace
+    source = {
+        "train": ["--corpus", str(corpus)],
+        "eval": ["--corpus", str(corpus), "--models", str(models)],
+        "render": ["--instance", str(corpus / "instances" / "inst_00000.json")],
+        "dataset": ["--topology", str(topo), "--count", "2", "--flows", "2"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *source, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_dataset_random_weights_keeps_crowding(workspace, tmp_path):
+    _, topo, _, _ = workspace
+    out = tmp_path / "out"
+    assert main([
+        "dataset", "--topology", str(topo), "--count", "1", "--flows", "2",
+        "--random-weights", "--out", str(out),
+    ]) == 0
+    ranges = json.loads((out / "run_manifest.json").read_text())["ranges"]
+    assert ranges["ar_crowding"] == 0.4
+    assert ranges["alpha"] == ranges["beta"] == [0.0, 1.0]
 
 
 def test_gen_export_lp_render(workspace):

@@ -66,6 +66,14 @@ def test_forward_rejects_shape_mismatch(image):
         forward(m, image)
 
 
+def test_forward_scores_exactly_one_image(image):
+    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=2)
+    single = image.matrix[None]
+    assert (forward(m, single) == forward(m, image)).all()
+    with pytest.raises(CnnError, match="batch of 2"):
+        forward(m, np.concatenate([single, single]))
+
+
 def test_inference_is_pure(image):
     m = CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=1)
     a = forward(m, image)
@@ -220,6 +228,17 @@ def test_training_rejects_mixed_shapes(image, norm):
             [TrainingSample(image, (0,) * 5), TrainingSample(other, (0,) * 3)],
             TrainConfig(epochs=1, num_classes=8),
         )
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("epochs", 0), ("batch_size", 0), ("batch_size", -1), ("learning_rate", 0.0),
+     ("learning_rate", -1e-3), ("learning_rate", float("nan")), ("learning_rate", float("inf"))],
+)
+def test_train_config_rejects_bad_numbers(field, value):
+    TrainConfig(epochs=1, batch_size=1, learning_rate=1e-3, num_classes=8)
+    with pytest.raises(CnnError, match=f"{field} {value}"):
+        TrainConfig(**{"num_classes": 8, field: value})
 
 
 def test_training_divergence_raises_with_epoch(image):

@@ -76,6 +76,20 @@ def test_encode_rejects_off_range_values(tree_topology, norm):
     assert clipped.block("Q").max() == 1.0
 
 
+@pytest.mark.parametrize(
+    "q_max,r_max", [(0.0, 0.2), (-1.0, 0.2), (0.5, float("nan")), (0.5, float("inf"))]
+)
+def test_norm_config_rejects_bad_maxima(q_max, r_max):
+    with pytest.raises(EncodingError, match="finite and > 0"):
+        NormConfig(q_max=q_max, r_max=r_max)
+
+
+def test_norm_record_round_trips_and_keeps_the_digest(norm):
+    assert norm.record() == {"q_max": 0.5, "r_max": 0.2}
+    assert NormConfig(**norm.record()) == norm
+    assert norm.digest() == "b598a46c8d3d8351"  # the digest saved models and corpora carry
+
+
 def test_encode_is_deterministic_and_injective(tree_topology, norm):
     a = generate_instance(tree_topology, 5, seed=21)
     img1 = encode(a, norm)

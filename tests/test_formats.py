@@ -98,13 +98,15 @@ FIELD_CASES = [
     (_instance, _set("mobility", [0.5, 0.5]), InstanceError, "mobility"),
     (_assignment, _set("z", [[0, 1]]), ValueError, "'z'"),
     (_corpus, _drop_sample_labels, ValueError, "samples"),
+    (_corpus, _set("norm", {"q_max": 0.0, "r_max": 0.2}), ValueError, "norm"),
     (_model, _drop("num_classes"), CnnError, "num_classes"),
 ]
 
 
 @pytest.mark.parametrize(
     "write,edit,error,field", FIELD_CASES,
-    ids=["topology", "instance-missing", "instance-flat", "assignment", "corpus", "model"],
+    ids=["topology", "instance-missing", "instance-flat", "assignment", "corpus", "corpus-norm",
+         "model"],
 )
 def test_loader_names_malformed_field(tmp_path, write, edit, error, field):
     path, load = write(tmp_path)

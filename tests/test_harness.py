@@ -52,6 +52,13 @@ def test_split_counts_match_published_protocol():
     assert split_counts(1, 0.9) == (1, 0)
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+def test_build_dataset_refuses_fraction_outside_unit_interval(topo, tmp_path, fraction):
+    with pytest.raises(ValueError, match="train_fraction"):
+        build_dataset(topo, n=1, flows=2, seed=0, out_dir=tmp_path, train_fraction=fraction)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_single_sample_corpus(topo, tmp_path):
     corpus = build_dataset(topo, n=1, flows=3, seed=0, out_dir=tmp_path)
     assert len(corpus.samples) == 1

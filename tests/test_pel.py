@@ -195,6 +195,8 @@ def test_enhance_validates_inputs(tree_topology):
     with pytest.raises(ValueError):
         enhance(inst, good, gamma=0.0)
     with pytest.raises(ValueError):
+        enhance(inst, good, gamma=float("nan"))
+    with pytest.raises(ValueError):
         enhance(inst, good[:1])
     with pytest.raises(ValueError):
         enhance(inst, good * 2)
