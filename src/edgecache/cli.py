@@ -11,6 +11,7 @@ recording the arguments, seeds and normalization constants it used.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -192,12 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgecache",
         description="proactive edge caching: optimization, encoding, learning, benchmarks",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", default=None, help="JSON file of flags per subcommand")
     parser.add_argument("--version", action="version", version=f"edgecache {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag or config key must be spelled out: no prefix of a flag is taken for it.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("topo", help="build and save a network topology")
+    p = add_parser("topo", help="build and save a network topology")
     p.add_argument("--branching", nargs="+", type=int, default=[2])
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--mesh-links", type=int, default=0)
@@ -207,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("gen", help="generate random instances")
+    p = add_parser("gen", help="generate random instances")
     p.add_argument("--topology", required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--flows", type=int, default=5)
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_range_flags(p)
 
-    p = sub.add_parser("dataset", help="generate, solve and label a training corpus")
+    p = add_parser("dataset", help="generate, solve and label a training corpus")
     p.add_argument("--topology", required=True)
     p.add_argument("--count", type=int, default=250)
     p.add_argument("--flows", type=int, default=5)
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_range_flags(p)
 
-    p = sub.add_parser("train", help="train the per-request classifiers")
+    p = add_parser("train", help="train the per-request classifiers")
     p.add_argument("--corpus", required=True)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=32)
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("eval", help="score methods on a corpus split")
+    p = add_parser("eval", help="score methods on a corpus split")
     p.add_argument("--corpus", required=True)
     p.add_argument("--models", default=None)
     p.add_argument("--methods", default="optimal,cnn,gca,rgc")
@@ -249,12 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("export-lp", help="export one instance as an LP-format MILP")
+    p = add_parser("export-lp", help="export one instance as an LP-format MILP")
     p.add_argument("--instance", required=True)
     p.add_argument("--big-m", type=float, default=None)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("render", help="render an instance as a grayscale PGM")
+    p = add_parser("render", help="render an instance as a grayscale PGM")
     p.add_argument("--instance", required=True)
     p.add_argument("--q-max", type=float, default=NormConfig.from_ranges().q_max)
     p.add_argument("--r-max", type=float, default=NormConfig.from_ranges().r_max)
@@ -272,7 +276,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     section for the subcommand right after it as flags: a scalar becomes
     --key=value, a list --key v1 v2, true --key, and false or null nothing.
     Explicit flags come later and win; a --config without a path exits 2."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False, allow_abbrev=False)
     pre.add_argument("--config")
     try:
         known, rest = pre.parse_known_args(argv)

@@ -12,6 +12,11 @@ same padding, each followed by batch normalization and ReLU), then a
 dense layer to class logits and softmax.  No pooling; spatial size is
 preserved until the dense layer.  Training is mini-batch gradient
 descent with adaptive per-parameter steps (Adam) on the cross-entropy.
+`train_steps` yields after each step, so `harness.train_models` can
+interleave the slot models' steps on its worker threads; each layer
+drops its forward cache in backward, so a model between steps holds
+no activations (a thread keeps its free im2col buffers for its next
+step), and results do not depend on the interleaving.
 
 Inference (`predict_all`, and `forward` for one model) is one stacked
 pass over the slot models: the image's im2col is built once and each
@@ -24,7 +29,9 @@ so training and inference are bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,15 +85,53 @@ def softmax_cross_entropy(
     return loss, probs, grad / n
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
+def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Patches of a 3x3 same-padded convolution: (n, h, w, cin) ->
     (n, h, w, 9*cin), tap (row offset, column offset) major, channel
-    minor.  One padded copy, then one gather of the window view."""
+    minor, written into out when given.  One padded copy, then one
+    gather of the window view."""
     n, h, w, cin = x.shape
     xp = np.zeros((n, h + 2, w + 2, cin))
     xp[:, 1 : h + 1, 1 : w + 1, :] = x
     windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (n, h, w, cin, 3, 3)
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, h, w, 9 * cin)
+    patches = windows.transpose(0, 1, 2, 4, 5, 3)
+    if out is None:
+        return patches.reshape(n, h, w, 9 * cin)
+    np.copyto(out.reshape(n, h, w, 3, 3, cin), patches)
+    return out
+
+
+class _FreePatches(threading.local):
+    """A thread's free im2col buffers, at most one per patch width.
+
+    Conv3x3.forward takes its patch buffer here and backward gives it
+    back, so training steps that follow one another on a thread reuse
+    the same memory instead of freeing their largest arrays each step,
+    which the allocator hands back to the OS and the next step faults
+    in again.  A buffer of another batch size is dropped, not kept.
+    """
+
+    def __init__(self):
+        self.by_width: dict[int, np.ndarray] = {}
+
+    def take(self, shape: tuple) -> np.ndarray:
+        buf = self.by_width.pop(shape[-1], None)
+        return buf if buf is not None and buf.shape == shape else np.empty(shape)
+
+    def give(self, buf: np.ndarray) -> None:
+        self.by_width[buf.shape[-1]] = buf
+
+
+_free_patches = _FreePatches()
+
+
+# Tap offset d in 0..2 reads input pixel i + d - 1 for output pixel i:
+# (input span, output span) of the pixels inside the image.
+_TAP_SPANS = (
+    (slice(0, -1), slice(1, None)),
+    (slice(None), slice(None)),
+    (slice(1, None), slice(0, -1)),
+)
 
 
 class Conv3x3:
@@ -103,29 +148,35 @@ class Conv3x3:
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n, h, w, cin = x.shape
-        cols = _im2col(x)
+        cols = _im2col(x, _free_patches.take((n, h, w, 9 * cin)))
         wmat = self.params["w"].reshape(9 * cin, -1)
-        out = cols.reshape(-1, 9 * cin) @ wmat + self.params["b"]
+        out = cols.reshape(-1, 9 * cin) @ wmat
+        out += self.params["b"]
         self._cache = (cols, x.shape)
         return out.reshape(n, h, w, -1)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True):
+        """Fill grads, drop the forward cache and give its patch buffer
+        back; return dL/dx, or None when input_grad is false.  dcols is
+        computed into the patch buffer, which the weight gradient was
+        the last to read.  Tap t of dcols is added into the gradient at
+        the input pixels it read, taps in im2col order from a zero
+        start: the order of summing into the padded gradient."""
         cols, (n, h, w, cin) = self._cache
+        self._cache = None
         cout = dout.shape[-1]
         dflat = dout.reshape(-1, cout)
         cols2 = cols.reshape(-1, 9 * cin)
         self.grads["w"][...] = (cols2.T @ dflat).reshape(self.params["w"].shape)
         self.grads["b"][...] = dflat.sum(axis=0)
-        dcols = (dflat @ self.params["w"].reshape(9 * cin, cout).T).reshape(n, h, w, 9 * cin)
-        dxp = np.zeros((n, h + 2, w + 2, cin))
-        idx = 0
-        for di in range(3):
-            for dj in range(3):
-                dxp[:, di : di + h, dj : dj + w, :] += dcols[
-                    ..., idx * cin : (idx + 1) * cin
-                ]
-                idx += 1
-        return dxp[:, 1 : h + 1, 1 : w + 1, :]
+        dx = None
+        if input_grad:
+            np.matmul(dflat, self.params["w"].reshape(9 * cin, cout).T, out=cols2)
+            dx = np.zeros((n, h, w, cin))
+            for t, ((xi, oi), (xj, oj)) in enumerate(itertools.product(_TAP_SPANS, repeat=2)):
+                dx[:, xi, xj] += cols[:, oi, oj, t * cin : (t + 1) * cin]
+        _free_patches.give(cols)
+        return dx
 
 
 class BatchNorm:
@@ -143,33 +194,55 @@ class BatchNorm:
         self._train_mode = False
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+        """In train mode the variance is np.var's: the mean of the
+        squared centred copy, which is then scaled in place into xhat."""
         self._train_mode = train
+        axes = (0, 1, 2)
         if train:
-            mean = x.mean(axis=(0, 1, 2))
-            var = x.var(axis=(0, 1, 2))
+            mean = x.mean(axis=axes)
+            xhat = x - mean
+            var = np.square(xhat).sum(axis=axes) / (x.size // x.shape[-1])
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
             mean, var = self.running_mean, self.running_var
+            xhat = x - mean
         ivar = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * ivar
-        self._cache = (xhat, ivar, x.shape)
-        return self.params["scale"] * xhat + self.params["shift"]
+        xhat *= ivar
+        self._cache = (xhat, ivar)
+        out = self.params["scale"] * xhat
+        out += self.params["shift"]
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        xhat, ivar, shape = self._cache
-        self.grads["scale"][...] = (dout * xhat).sum(axis=(0, 1, 2))
-        self.grads["shift"][...] = dout.sum(axis=(0, 1, 2))
-        dxhat = dout * self.params["scale"]
+        """Fill grads, drop the forward cache and return dL/dx, computed
+        in dout's own buffer (which it overwrites) and one scratch."""
+        xhat, ivar = self._cache
+        self._cache = None
+        axes = (0, 1, 2)
+        scratch = dout * xhat
+        self.grads["scale"][...] = scratch.sum(axis=axes)
+        self.grads["shift"][...] = dout.sum(axis=axes)
+        dxhat = dout
+        dxhat *= self.params["scale"]
         if not self._train_mode:
-            return dxhat * ivar
-        n_eff = shape[0] * shape[1] * shape[2]
-        sum_dxhat = dxhat.sum(axis=(0, 1, 2))
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 1, 2))
-        return (ivar / n_eff) * (n_eff * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+            dxhat *= ivar
+            return dxhat
+        n_eff = xhat.size // xhat.shape[-1]
+        sum_dxhat = dxhat.sum(axis=axes)
+        sum_dxhat_xhat = np.multiply(dxhat, xhat, out=scratch).sum(axis=axes)
+        # (ivar / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        dxhat *= n_eff
+        dxhat -= sum_dxhat
+        dxhat -= np.multiply(xhat, sum_dxhat_xhat, out=scratch)
+        dxhat *= ivar / n_eff
+        return dxhat
 
 
 class ReLU:
+    """Rectifier, in place: forward overwrites its input and backward
+    its upstream gradient."""
+
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
@@ -177,10 +250,13 @@ class ReLU:
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         self._mask = x > 0
-        return x * self._mask
+        x *= self._mask
+        return x
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout * self._mask
+        dout *= self._mask
+        self._mask = None
+        return dout
 
 
 class Dense:
@@ -198,11 +274,14 @@ class Dense:
         self._cache = (flat, x.shape)
         return flat @ self.params["w"] + self.params["b"]
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True):
+        """Fill grads and drop the forward cache; return dL/dx, or None
+        when input_grad is false."""
         flat, shape = self._cache
+        self._cache = None
         self.grads["w"][...] = flat.T @ dout
         self.grads["b"][...] = dout.sum(axis=0)
-        return (dout @ self.params["w"].T).reshape(shape)
+        return (dout @ self.params["w"].T).reshape(shape) if input_grad else None
 
 
 @dataclass
@@ -257,11 +336,15 @@ class CnnModel:
             x = layer.forward(x, train)
         return x
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, dlogits: np.ndarray) -> None:
+        """Fill every layer's grads from dL/dlogits and drop the forward
+        caches.  The first layer's input gradient is not computed:
+        nothing reads it, so this returns None."""
+        first, *rest = self.layers
         d = dlogits
-        for layer in reversed(self.layers):
+        for layer in reversed(rest):
             d = layer.backward(d)
-        return d
+        first.backward(d, input_grad=False)
 
     def param_items(self):
         for li, layer in enumerate(self.layers):
@@ -326,7 +409,25 @@ def _stack_samples(samples, request_index: int):
 
 
 def train(samples, cfg: TrainConfig):
-    """Fit one per-request model; returns (model, per-epoch loss trace)."""
+    """Fit one per-request model; returns (model, per-epoch loss trace).
+    The calling thread's free patch buffers are released at the end."""
+    steps = train_steps(samples, cfg)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value
+    finally:
+        _free_patches.by_width.clear()
+
+
+def train_steps(samples, cfg: TrainConfig):
+    """`train` as a generator of mini-batch steps, so that a caller can
+    interleave several models' training: it yields after each optimizer
+    step and returns (model, per-epoch loss trace).  The inputs are
+    checked on the call, before the first step.  Each model's seed,
+    shuffle stream and Adam state are its own, so the result does not
+    depend on what runs between its steps."""
     if not samples:
         raise CnnError("training needs at least one sample")
     shapes = {s.image.matrix.shape for s in samples}
@@ -337,13 +438,16 @@ def train(samples, cfg: TrainConfig):
     images, labels = _stack_samples(samples, cfg.request_index)
     if (labels < 0).any() or (labels >= cfg.num_classes).any():
         raise CnnError("a label falls outside the configured class range")
+    return _steps(images, labels, cfg, samples[0].image.norm_meta.digest())
 
+
+def _steps(images: np.ndarray, labels: np.ndarray, cfg: TrainConfig, norm_digest: str):
     model = CnnModel(
         input_shape=images.shape[1:3],
         num_classes=cfg.num_classes,
         request_index=cfg.request_index,
         seed=cfg.seed,
-        norm_digest=samples[0].image.norm_meta.digest(),
+        norm_digest=norm_digest,
     )
     opt = Adam(model, cfg.learning_rate)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
@@ -361,6 +465,7 @@ def train(samples, cfg: TrainConfig):
             opt.step()
             epoch_loss += loss
             batches += 1
+            yield
         mean_loss = epoch_loss / batches
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import operator
+import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -194,17 +196,21 @@ def train_models(
 ):
     """One model per request slot, trained on the corpus train split.
 
-    Returns (models, loss traces).  Models for different slots are
-    independent, so they train concurrently on up to workers threads;
-    results do not depend on workers because each slot has its own seed.
+    Returns (models, loss traces).  The slots train in interleaved
+    mini-batch steps: workers threads (at least 1) each take a slot
+    from a shared queue, run one of its steps and put it back.  Each
+    slot has its own seed, shuffle stream and Adam state, so results do
+    not depend on workers.  A slot's error stops every thread after its
+    current step and is raised here.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     samples = corpus_training_samples(corpus, "train")
     if not samples:
         raise ValueError("corpus has no training samples")
-    topo = corpus.topology()
-    num_classes = topo.num_edge_clouds + 1
+    num_classes = corpus.topology().num_edge_clouds + 1
 
-    def fit(k: int):
+    def slot(k: int):
         cfg = cnnmod.TrainConfig(
             epochs=epochs,
             batch_size=batch_size,
@@ -213,10 +219,33 @@ def train_models(
             request_index=k,
             num_classes=num_classes,
         )
-        return cnnmod.train(samples, cfg)
+        return k, cnnmod.train_steps(samples, cfg)
 
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        results = list(pool.map(fit, range(corpus.flows)))
+    ready = deque(slot(k) for k in range(corpus.flows))
+    results = [None] * corpus.flows
+    failed = threading.Event()
+
+    def work():
+        # A thread that finds the queue empty leaves: every live slot is
+        # then held by another thread, which puts it back after its step.
+        while not failed.is_set():
+            try:
+                k, steps = ready.popleft()
+            except IndexError:
+                return
+            try:
+                next(steps)
+            except StopIteration as done:
+                results[k] = done.value
+            except BaseException:
+                failed.set()
+                raise
+            else:
+                ready.append((k, steps))
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(work) for _ in range(workers)]:
+            future.result()
     models = [r[0] for r in results]
     traces = [r[1] for r in results]
 

@@ -262,18 +262,85 @@ def incidence_walk(t, h):
 # exported text back must give lpfile.milp_model term for term.
 
 
-def im2col_reference(x):
+def im2col_reference(x, out=None):
     """3x3 same-padded patches by the nine shifted slices, one tap at a
-    time: (n, h, w, cin) -> (n, h, w, 9*cin)."""
+    time: (n, h, w, cin) -> (n, h, w, 9*cin), written into out when
+    given."""
     n, h, w, cin = x.shape
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    cols = np.empty((n, h, w, 9 * cin))
+    cols = np.empty((n, h, w, 9 * cin)) if out is None else out
     idx = 0
     for di in range(3):
         for dj in range(3):
             cols[..., idx * cin : (idx + 1) * cin] = xp[:, di : di + h, dj : dj + w, :]
             idx += 1
     return cols
+
+
+# The training kernels in their first, plainer form: the conv input
+# gradient through a zero-padded buffer, batch norm in two passes
+# (np.mean and np.var, then (x - mean) * ivar) and out-of-place
+# arithmetic throughout.  Patched onto the layer classes, they must
+# train bit-equal models.
+
+
+def conv3x3_backward_reference(conv, dout, input_grad=True):
+    cols, (n, h, w, cin) = conv._cache
+    conv._cache = None
+    cout = dout.shape[-1]
+    dflat = dout.reshape(-1, cout)
+    cols2 = cols.reshape(-1, 9 * cin)
+    conv.grads["w"][...] = (cols2.T @ dflat).reshape(conv.params["w"].shape)
+    conv.grads["b"][...] = dflat.sum(axis=0)
+    if not input_grad:
+        return None
+    dcols = (dflat @ conv.params["w"].reshape(9 * cin, cout).T).reshape(n, h, w, 9 * cin)
+    dxp = np.zeros((n, h + 2, w + 2, cin))
+    idx = 0
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, di : di + h, dj : dj + w, :] += dcols[..., idx * cin : (idx + 1) * cin]
+            idx += 1
+    return dxp[:, 1 : h + 1, 1 : w + 1, :]
+
+
+def batchnorm_forward_reference(bn, x, train):
+    bn._train_mode = train
+    if train:
+        mean = x.mean(axis=(0, 1, 2))
+        var = x.var(axis=(0, 1, 2))
+        bn.running_mean = bn.momentum * bn.running_mean + (1 - bn.momentum) * mean
+        bn.running_var = bn.momentum * bn.running_var + (1 - bn.momentum) * var
+    else:
+        mean, var = bn.running_mean, bn.running_var
+    ivar = 1.0 / np.sqrt(var + bn.eps)
+    xhat = (x - mean) * ivar
+    bn._cache = (xhat, ivar)
+    return bn.params["scale"] * xhat + bn.params["shift"]
+
+
+def batchnorm_backward_reference(bn, dout):
+    xhat, ivar = bn._cache
+    bn._cache = None
+    bn.grads["scale"][...] = (dout * xhat).sum(axis=(0, 1, 2))
+    bn.grads["shift"][...] = dout.sum(axis=(0, 1, 2))
+    dxhat = dout * bn.params["scale"]
+    if not bn._train_mode:
+        return dxhat * ivar
+    n_eff = xhat.shape[0] * xhat.shape[1] * xhat.shape[2]
+    sum_dxhat = dxhat.sum(axis=(0, 1, 2))
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 1, 2))
+    return (ivar / n_eff) * (n_eff * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+
+
+def relu_forward_reference(relu, x, train):
+    relu._mask = x > 0
+    return x * relu._mask
+
+
+def relu_backward_reference(relu, dout):
+    mask, relu._mask = relu._mask, None
+    return dout * mask
 
 
 class LpFormatError(ValueError):

@@ -126,6 +126,21 @@ def test_bad_config_value_exits_2_naming_the_flag(workspace, tmp_path, capsys, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via_config", [True, False], ids=["config-key", "flag"])
+def test_abbreviated_flag_exits_2(workspace, tmp_path, capsys, via_config):
+    # "--cou" is a prefix of --count alone; it is refused, not taken for it.
+    _, topo, _, _ = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gen": {"cou": 3} if via_config else {}}))
+    out = tmp_path / "out"
+    flags = [] if via_config else ["--cou", "3"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(config), "gen", "--topology", str(topo), *flags, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --cou" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_explicit_flag_beats_config_value(workspace, tmp_path):
     _, topo, _, _ = workspace
     config = tmp_path / "config.json"
@@ -166,6 +181,7 @@ def test_config_value_starting_with_dash_stays_a_value(workspace, tmp_path, caps
         ("render", ["--r-max", "nan"]),
         ("dataset", ["--train-fraction", "1.5"]),
         ("dataset", ["--train-fraction", "nan"]),
+        ("train", ["--workers", "0"]),
     ],
 )
 def test_bad_number_flag_exits_2(workspace, tmp_path, capsys, command, flags):

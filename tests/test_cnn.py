@@ -23,6 +23,7 @@ from edgecache.encoder import NormConfig, encode, split_subimages
 from edgecache.instance import generate_instance
 from edgecache.topology import TopologyConfig, build_topology
 
+import oracles
 from oracles import im2col_reference
 
 
@@ -122,6 +123,72 @@ def test_training_with_reference_im2col_is_bit_equal(image, norm, monkeypatch):
     assert losses == ref_losses
     for (_, _, p, _), (_, _, q, _) in zip(model.param_items(), ref_model.param_items()):
         assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize(
+    "ec_rule,n,batch_size",
+    [("internal", 13, 5), ("leaves", 14, 4)],
+    ids=["width29-n13-batch5", "width30-n14-batch4"],
+)
+def test_training_with_reference_kernels_is_bit_equal(norm, monkeypatch, ec_rule, n, batch_size):
+    # The padded conv input gradient, two-pass batch norm and
+    # out-of-place ReLU of tests/oracles.py against the in-place kernels:
+    # same loss trace, parameters and running statistics, and the same
+    # inference-mode gradients after training.
+    t = build_topology(TopologyConfig(branching=2, depth=3, ec_rule=ec_rule))
+    samples = [
+        TrainingSample(image=encode(generate_instance(t, 5, seed=s), norm), labels=(s % 8,) * 5)
+        for s in range(n)
+    ]
+    cfg = TrainConfig(epochs=2, batch_size=batch_size, num_classes=9, request_index=2, seed=1)
+    probe = samples[0].image.matrix[None, ..., None]
+
+    def fit():
+        model, losses = train(samples, cfg)
+        logits = model.logits(probe, train=False)
+        model.backward(softmax_cross_entropy(logits, np.array([3]))[2])
+        return model, losses
+
+    model, losses = fit()
+    for cls, method, reference in [
+        (Conv3x3, "backward", oracles.conv3x3_backward_reference),
+        (BatchNorm, "forward", oracles.batchnorm_forward_reference),
+        (BatchNorm, "backward", oracles.batchnorm_backward_reference),
+        (cnn.ReLU, "forward", oracles.relu_forward_reference),
+        (cnn.ReLU, "backward", oracles.relu_backward_reference),
+    ]:
+        monkeypatch.setattr(cls, method, reference)
+    ref_model, ref_losses = fit()
+    assert probe.shape[2] == {"internal": 29, "leaves": 30}[ec_rule] and n % batch_size
+    assert losses == ref_losses
+    for (_, _, p, g), (_, _, q, h) in zip(model.param_items(), ref_model.param_items()):
+        assert np.array_equal(p, q) and np.array_equal(g, h)
+    for layer, ref in zip(model.layers, ref_model.layers):
+        if isinstance(layer, BatchNorm):
+            assert np.array_equal(layer.running_mean, ref.running_mean)
+            assert np.array_equal(layer.running_var, ref.running_var)
+
+
+def test_interleaved_training_passes_keep_their_own_patches(image):
+    # Train-mode passes of two models interleaved on one thread (forward
+    # a, forward b, backward a, backward b): each backward reads its own
+    # im2col patches, so every gradient equals that of the pass alone.
+    rng = np.random.default_rng(9)
+    batch = rng.uniform(0, 1, size=(3, *image.matrix.shape, 1))
+    labels = np.array([1, 4, 6])
+
+    def grads_after(models):
+        dlogits = [softmax_cross_entropy(m.logits(batch, train=True), labels)[2] for m in models]
+        for m, d in zip(models, dlogits):
+            m.backward(d)
+        return [[g.copy() for *_, g in m.param_items()] for m in models]
+
+    def pair():
+        return [CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=s) for s in (2, 3)]
+
+    alone = [grads_after([m])[0] for m in pair()]
+    for got, want in zip(grads_after(pair()), alone):
+        assert all(np.array_equal(g, h) for g, h in zip(got, want))
 
 
 # --- gradients ---------------------------------------------------------------

@@ -1,8 +1,13 @@
 import copy
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from edgecache import harness
+from edgecache.cnn import CnnError, TrainConfig, TrainingDivergedError, _named_arrays, train
 from edgecache.cost import check_feasibility, penalized_cost
 from edgecache.baselines import gca
 from edgecache.encoder import NormConfig, encode
@@ -103,8 +108,6 @@ def test_precision_definition():
 
 
 def test_training_loss_halves_on_labelled_corpus(corpus):
-    from edgecache.cnn import TrainConfig, train
-
     samples = corpus_training_samples(corpus)
     topo = corpus.topology()
     _, losses = train(
@@ -113,6 +116,86 @@ def test_training_loss_halves_on_labelled_corpus(corpus):
                     request_index=0, seed=3),
     )
     assert losses[-1] < 0.5 * losses[0]
+
+
+# --- the interleaved training scheduler --------------------------------------
+
+
+def test_train_models_is_bit_equal_for_any_workers(corpus):
+    # 24 train samples in batches of 5: the last step of each epoch is
+    # short.  A short switch interval makes the threads trade the queue
+    # often; a slot lost or stepped twice would change its result.
+    samples = corpus_training_samples(corpus)
+    num_classes = corpus.topology().num_edge_clouds + 1
+    alone = [
+        train(samples, TrainConfig(epochs=2, batch_size=5, seed=4 + k, request_index=k,
+                                   num_classes=num_classes))
+        for k in range(corpus.flows)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = {
+            workers: train_models(corpus, epochs=2, batch_size=5, seed=4, workers=workers)
+            for workers in (1, 2, 5)
+        }
+    finally:
+        sys.setswitchinterval(interval)
+    for workers, (models, traces) in runs.items():
+        for k, (ref_model, ref_trace) in enumerate(alone):
+            assert traces[k] == ref_trace, (workers, k)
+            ref = _named_arrays(ref_model)
+            for name, array in _named_arrays(models[k]).items():
+                assert np.array_equal(array, ref[name]), (workers, k, name)
+
+
+def test_train_models_leaves_no_forward_cache(corpus):
+    models, _ = train_models(corpus, epochs=1, batch_size=5, workers=2)
+    for m in models:
+        for layer in m.layers:
+            assert getattr(layer, "_cache", None) is None
+            assert getattr(layer, "_mask", None) is None
+
+
+def test_diverging_slot_reaches_the_caller(corpus, monkeypatch):
+    samples = [
+        replace(s, image=replace(s.image, matrix=np.full_like(s.image.matrix, np.nan)))
+        for s in corpus_training_samples(corpus)
+    ]
+    monkeypatch.setattr(harness, "corpus_training_samples", lambda corpus, split: samples)
+    raised = []
+
+    def run():
+        try:
+            train_models(corpus, epochs=3, batch_size=5, workers=2)
+        except Exception as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "train_models hung after a slot diverged"
+    assert len(raised) == 1 and isinstance(raised[0], TrainingDivergedError)
+    assert raised[0].epoch == 0
+
+
+def test_bad_training_input_is_refused_before_any_thread(corpus, monkeypatch):
+    samples = corpus_training_samples(corpus)
+    bad = samples[:-1] + [replace(samples[-1], labels=(99,) * corpus.flows)]
+    monkeypatch.setattr(harness, "corpus_training_samples", lambda corpus, split: bad)
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a training thread started")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_threads)
+    with pytest.raises(CnnError, match="class range"):
+        train_models(corpus, epochs=1, workers=2)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_train_models_refuses_fewer_than_one_worker(corpus, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        train_models(corpus, epochs=1, workers=workers)
 
 
 def test_models_persist_and_reload(corpus, models, tmp_path):
