@@ -103,6 +103,7 @@ def _cmd_dataset(args) -> int:
     if args.random_weights:  # keep the crowding; alpha and beta get the generator's ranges
         base = replace(base, alpha=ParameterRanges.alpha, beta=ParameterRanges.beta)
     ranges = _ranges_from_args(args, base)
+    solver_stats: dict[str, int] = {}
     corpus = build_dataset(
         topo,
         n=args.count,
@@ -113,10 +114,11 @@ def _cmd_dataset(args) -> int:
         train_fraction=args.train_fraction,
         budget=args.budget,
         require_proof=not args.allow_bounded,
+        stats=solver_stats,
     )
     _write_manifest(
         Path(args.out) / "run_manifest.json", args,
-        ranges=ranges.__dict__, norm=corpus.norm.record(),
+        ranges=ranges.__dict__, norm=corpus.norm.record(), solver=solver_stats,
     )
     train_n = len(corpus.of_split("train"))
     test_n = len(corpus.of_split("test"))

@@ -105,12 +105,15 @@ def build_dataset(
     train_fraction: float = 0.9,
     budget: int = DEFAULT_NODE_BUDGET,
     require_proof: bool = True,
+    stats: dict | None = None,
 ) -> Corpus:
     """Generate, solve and store n labelled instances.
 
     Instances whose solve exhausts the budget are excluded when
     require_proof is set (the count is reported in the manifest);
-    otherwise the bounded incumbent is kept and flagged.
+    otherwise the bounded incumbent is kept and flagged.  Pass a dict as
+    stats to have the solver's counters (`solver.SOLVER_COUNTERS`) of
+    every solve, excluded ones included, added to it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -124,7 +127,7 @@ def build_dataset(
     excluded = 0
     for idx in range(n):
         inst = generate_instance(t, flows, ranges=ranges, seed=[seed, idx])
-        sol = solve_exact(inst, budget=budget)
+        sol = solve_exact(inst, budget=budget, stats=stats)
         if sol.proof != "exhaustive" and require_proof:
             excluded += 1
             continue

@@ -20,6 +20,14 @@ links pick their serving subsets by a depth-first search, cheapest
 lost gain first, that prunes on the best loss so far and on any
 overloaded link (dropping an AR only sheds load, so flows away from
 overloaded links can keep their greedy routing without loss).
+
+A leaf reads its greedy link loads from a prefix stack: level d holds
+the loads of the flows branched above depth d, summed in branch order,
+and a leaf refills only the levels whose choices changed since the last
+leaf, usually one or two flows.  Branch-order sums can differ from
+flow-order ones in the last bits, so a link loaded within 1e-6 of 1 is
+re-summed in flow order before the overload test; every decision is
+the one the flow-order sums give.
 """
 
 from __future__ import annotations
@@ -39,6 +47,17 @@ DEFAULT_NODE_BUDGET = 2_000_000
 REASSIGNMENT_CAP = 100_000
 
 _IMPROVE_EPS = 1e-9
+
+# A link is overloaded above this load, summed over the flows in flow
+# order (k = 0..K-1).
+_OVERLOAD = 1.0 + 1e-9
+# A sum of K nonnegative floats lies within (K - 1)*eps*load of the exact
+# sum in any order (eps = 2**-52), so branch-order and flow-order sums
+# lie at most 2K*eps*load apart: under 1e-12 for loads near 1 up to
+# K = 2,000.  A branch-order load outside 1 +- _RECHECK is thus on the
+# same side of _OVERLOAD as the flow-order one, and only a link inside
+# that band needs its flow-order sum.
+_RECHECK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,17 +97,16 @@ class _Search:
         self.paths = inc.path_store
         self.serve_count = self.table.serve.sum(axis=1).tolist()  # (K, E)
 
-        # Per (flow, class): the links the serving paths touch and their
-        # (link, b_k/c_l) loads, in ascending link order; class E's rows
-        # stay empty.
-        self.loads: list[list[list[tuple[int, float]]]] = [
+        # Per (flow, class): the (link, b_k/c_l, link bit) loads of the
+        # serving paths in ascending link order, and the bitmask of those
+        # links; class E's rows stay empty.
+        self.loads: list[list[list[tuple[int, float, int]]]] = [
             [[] for _ in range(self.E + 1)] for _ in range(self.K)
         ]
+        self.masks = [[0] * (self.E + 1) for _ in range(self.K)]
         for k, c, l in zip(*(ix.tolist() for ix in np.nonzero(self.table.links))):
-            self.loads[k][c].append((l, self.r[k][l]))
-        self.links_used: list[list[frozenset[int]]] = [
-            [frozenset(dict(loads)) for loads in rows] for rows in self.loads
-        ]
+            self.loads[k][c].append((l, self.r[k][l], 1 << l))
+            self.masks[k][c] |= 1 << l
 
         # Branch order: largest content first tightens bounds earliest.
         self.order = sorted(range(self.K), key=lambda k: (-inst.content_size[k], k))
@@ -107,8 +125,23 @@ class _Search:
             )
             self.suffix[d] = self.suffix[d + 1] + free
 
+        # The prefix stack: prefix[d] holds the link loads of the flows
+        # branched above depth d in branch order, near[d] the bitmask of
+        # its links loaded above 1 - _RECHECK and sure[d] of those at or
+        # above 1 + _RECHECK (loads only grow down the tree, so these end
+        # overloaded).  Levels 0..valid match the current choices; setting
+        # the choice at depth d lowers valid to d, and a leaf refills the
+        # levels above it.
+        self.prefix: list[list[float]] = [[0.0] * self.L] * (self.K + 1)
+        self.near = [0] * (self.K + 1)
+        self.sure = [0] * (self.K + 1)
+        self.valid = 0
+
         self.nodes = 0
-        self.cap_hit = False
+        self.leaves = 0
+        self.overloaded_leaves = 0
+        self.cap_hits = 0
+        self.flow_order_rechecks = 0
         self.best_tc = self.beta * nt * self.K  # empty placement
         self.best_choices = [self.E] * self.K
         self.best_serving: dict[int, tuple[int, ...]] = {}
@@ -116,6 +149,7 @@ class _Search:
     def _descend(self, depth, choices, counts, util, placed_t, stored):
         """stored carries the caching sum of counts/util down the tree."""
         if depth == self.K:
+            self.leaves += 1
             self._evaluate_leaf(choices, counts, util, placed_t)
             return
         k = self.order[depth]
@@ -147,33 +181,81 @@ class _Search:
                 new_counts[c] += 1
                 new_util[c] += q[c]
             choices[k] = c
+            if depth < self.valid:
+                self.valid = depth
             self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step)
 
     def _evaluate_leaf(self, choices, counts, util, placed_t):
         """Price a leaf, re-serving the flows on overloaded links; with no
         overload no flow is affected and the greedy routing stands."""
-        load = [0.0] * self.L
-        for k, c in enumerate(choices):
-            for l, v in self.loads[k][c]:
-                load[l] += v
-        overloaded = {l for l, v in enumerate(load) if v > 1.0 + 1e-9}
+        over = self._overloaded_links(choices)
+        extra, serving = 0.0, {}
+        if over:
+            self.overloaded_leaves += 1
+            found = self._cheapest_serving(choices, over)
+            if found is None:
+                return
+            extra, serving = found
+        stored = sum(c / (1.0 - u) for c, u in zip(counts, util) if c)
+        tc = self.alpha * stored + self.beta * (placed_t + extra)
+        if tc < self.best_tc - _IMPROVE_EPS:
+            self.best_tc = tc
+            self.best_choices = choices.copy()
+            self.best_serving = serving
 
-        affected = [
-            k for k, c in enumerate(choices) if not overloaded.isdisjoint(self.links_used[k][c])
-        ]
+    def _overloaded_links(self, choices) -> int:
+        """Bitmask of the links that the leaf's greedy routing overloads,
+        judged on flow-order sums (see _RECHECK)."""
+        prefix, near, sure, order, loads = self.prefix, self.near, self.sure, self.order, self.loads
+        for d in range(self.valid, self.K):
+            k = order[d]
+            load, near_d, sure_d = prefix[d], near[d], sure[d]
+            rows = loads[k][choices[k]]
+            if rows:  # a level is never written in place, so it may be shared
+                load = load.copy()
+                for l, v, bit in rows:
+                    load[l] += v
+                    if load[l] > 1.0 - _RECHECK:
+                        near_d |= bit
+                        if load[l] >= 1.0 + _RECHECK:
+                            sure_d |= bit
+            prefix[d + 1], near[d + 1], sure[d + 1] = load, near_d, sure_d
+        self.valid = self.K
+
+        over = sure[self.K]
+        band = near[self.K] & ~over
+        while band:
+            bit = band & -band
+            band ^= bit
+            l = bit.bit_length() - 1
+            self.flow_order_rechecks += 1
+            v = 0.0
+            for k, c in enumerate(choices):
+                if self.masks[k][c] & bit:
+                    v += self.r[k][l]
+            if v > _OVERLOAD:
+                over |= bit
+        return over
+
+    def _cheapest_serving(self, choices, over):
+        """The cheapest re-serving of the flows on the overloaded links
+        `over`, as (lost hop gain, {flow: served ARs}); None when the
+        serving subsets exceed REASSIGNMENT_CAP or none fits the links."""
+        masks, serve_count = self.masks, self.serve_count
+        affected = [k for k, c in enumerate(choices) if masks[k][c] & over]
         # Affected flows are cached: class E touches no link.
         combos = 1
         for k in affected:
-            combos *= 2 ** self.serve_count[k][choices[k]]
+            combos *= 2 ** serve_count[k][choices[k]]
             if combos > REASSIGNMENT_CAP:
-                self.cap_hit = True
-                return
+                self.cap_hits += 1
+                return None
 
         base_load = [0.0] * self.L
         for k, c in enumerate(choices):
             if k in affected:
                 continue
-            for l, v in self.loads[k][c]:
+            for l, v, _ in self.loads[k][c]:
                 base_load[l] += v
 
         # Per affected flow, every serving subset as (lost hop gain, link
@@ -220,22 +302,15 @@ class _Search:
                 trial = load.copy()
                 for l, v in opt[1]:
                     trial[l] += v
-                    if trial[l] > 1.0 + 1e-9:
+                    if trial[l] > _OVERLOAD:
                         break
                 else:
                     walk(depth + 1, extra + opt[0], trial, combo + (opt,))
 
         walk(0, 0, base_load, ())
         if best_combo is None:
-            return  # no routing satisfies the link capacities
-        stored = sum(c / (1.0 - u) for c, u in zip(counts, util) if c)
-        tc = self.alpha * stored + self.beta * (placed_t + best_extra)
-        if tc < self.best_tc - _IMPROVE_EPS:
-            self.best_tc = tc
-            self.best_choices = choices.copy()
-            self.best_serving = {
-                k: opt[2] for k, opt in zip(affected, best_combo)
-            }
+            return None  # no routing satisfies the link capacities
+        return best_extra, {k: opt[2] for k, opt in zip(affected, best_combo)}
 
     def build_solution(self) -> Assignment:
         asg = costmod.assignment_from_classes(self.inst, self.best_choices)
@@ -248,7 +323,13 @@ class _Search:
         return Assignment(x=asg.x, z=z, y=costmod.path_links(self.inst, z))
 
 
-def solve_exact(i: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptimalSolution:
+# The _Search attributes that solve_exact(stats=) reports.
+SOLVER_COUNTERS = ("nodes", "leaves", "overloaded_leaves", "cap_hits", "flow_order_rechecks")
+
+
+def solve_exact(
+    i: Instance, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None = None
+) -> OptimalSolution:
     """Minimize total cost over placements; exact within the node budget.
 
     Returns the best placement found.  proof == "exhaustive" guarantees
@@ -256,6 +337,12 @@ def solve_exact(i: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptimalSoluti
     "bounded" means the budget or the reassignment cap cut the search
     short and the result is the best incumbent.  The empty placement is
     always feasible, so a solution always exists.
+
+    Pass a dict as stats to have the search's counters added to it, by
+    the names in SOLVER_COUNTERS: nodes tried, leaves reached, leaves
+    whose greedy routing overloads a link, leaves given up at
+    REASSIGNMENT_CAP, and links re-summed in flow order because their
+    branch-order load lay within 1e-6 of 1.
     """
     search = _Search(i, budget)
     exhausted = False
@@ -263,13 +350,15 @@ def solve_exact(i: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptimalSoluti
         search._descend(0, [search.E] * search.K, [0] * search.E, [0.0] * search.E, 0.0, 0.0)
     except _Budget:
         exhausted = True
+    if stats is not None:
+        for name in SOLVER_COUNTERS:
+            stats[name] = stats.get(name, 0) + getattr(search, name)
     asg = search.build_solution()
     breakdown = costmod.cost_breakdown(i, asg)
-    proof = "bounded" if (exhausted or search.cap_hit) else "exhaustive"
+    proof = "bounded" if (exhausted or search.cap_hits) else "exhaustive"
     return OptimalSolution(
         assignment=asg,
         cost=breakdown,
         nodes_explored=search.nodes,
         proof=proof,
     )
-

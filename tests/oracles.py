@@ -17,6 +17,7 @@ from edgecache.cost import (
     utilization,
 )
 from edgecache.pel import build_queues
+from edgecache.solver import REASSIGNMENT_CAP
 from edgecache.topology import TopologyError
 
 
@@ -256,6 +257,104 @@ def incidence_walk(t, h):
             path_store[(i, j)] = tuple(link_ids)
             entries[link_ids, i, j] = 1
     return entries, path_store
+
+
+def evaluate_leaf_reference(search, choices, counts, util, placed_t):
+    """The solver's leaf in its first form, patched in for
+    `solver._Search._evaluate_leaf`: every leaf sums all K flows' link
+    loads in flow order (k = 0..K-1), finds the overloaded links and the
+    affected flows with sets, and prices a leaf with no overload through
+    the same base-load pass and walk as an overloaded one.  It counts
+    overloaded leaves and cap hits as the solver does, and re-sums no
+    link, so it adds no flow-order recheck."""
+    if not hasattr(search, "_reference_rows"):
+        # Per (flow, class): (link, b_k/c_l) in ascending link order, and
+        # the set of those links.
+        search._reference_rows = [
+            [[(l, search.r[k][l]) for l in np.flatnonzero(search.table.links[k, c]).tolist()]
+             for c in range(search.E + 1)]
+            for k in range(search.K)
+        ]
+        search._reference_links = [
+            [frozenset(dict(r)) for r in rs] for rs in search._reference_rows
+        ]
+    rows, links_used = search._reference_rows, search._reference_links
+    load = [0.0] * search.L
+    for k, c in enumerate(choices):
+        for l, v in rows[k][c]:
+            load[l] += v
+    overloaded = {l for l, v in enumerate(load) if v > 1.0 + 1e-9}
+    if overloaded:
+        search.overloaded_leaves += 1
+
+    affected = [
+        k for k, c in enumerate(choices) if not overloaded.isdisjoint(links_used[k][c])
+    ]
+    combos = 1
+    for k in affected:
+        combos *= 2 ** search.serve_count[k][choices[k]]
+        if combos > REASSIGNMENT_CAP:
+            search.cap_hits += 1
+            return
+
+    base_load = [0.0] * search.L
+    for k, c in enumerate(choices):
+        if k in affected:
+            continue
+        for l, v in rows[k][c]:
+            base_load[l] += v
+
+    options = []
+    for k in affected:
+        e = choices[k]
+        ars = np.flatnonzero(search.table.serve[k, :, e])
+        gains = (search.inst.mobility[k, ars] * search.hops_saved[ars, e]).tolist()
+        entries = [(a, g, search.paths[(a, e)]) for a, g in zip(ars.tolist(), gains)]
+        rk = search.r[k]
+        total_gain = sum(g for _, g, _ in entries)
+        opts = []
+        for mask in range(2 ** len(entries)):
+            kept_gain = 0.0
+            links: set[int] = set()
+            served = []
+            for bit, (a, gain, path) in enumerate(entries):
+                if mask >> bit & 1:
+                    kept_gain += gain
+                    links.update(path)
+                    served.append(a)
+            contrib = [(l, rk[l]) for l in links]
+            opts.append((total_gain - kept_gain, contrib, tuple(served)))
+        opts.sort(key=lambda o: o[0])
+        options.append(opts)
+
+    best_extra = float("inf")
+    best_combo = None
+
+    def walk(depth, extra, load, combo):
+        nonlocal best_extra, best_combo
+        if depth == len(options):
+            best_extra, best_combo = extra, combo
+            return
+        for opt in options[depth]:
+            if extra + opt[0] >= best_extra:
+                return
+            trial = load.copy()
+            for l, v in opt[1]:
+                trial[l] += v
+                if trial[l] > 1.0 + 1e-9:
+                    break
+            else:
+                walk(depth + 1, extra + opt[0], trial, combo + (opt,))
+
+    walk(0, 0, base_load, ())
+    if best_combo is None:
+        return
+    stored = sum(c / (1.0 - u) for c, u in zip(counts, util) if c)
+    tc = search.alpha * stored + search.beta * (placed_t + best_extra)
+    if tc < search.best_tc - 1e-9:
+        search.best_tc = tc
+        search.best_choices = choices.copy()
+        search.best_serving = {k: opt[2] for k, opt in zip(affected, best_combo)}
 
 
 # The LP-text reader: export_milp's differential oracle.  Parsing the

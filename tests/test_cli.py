@@ -5,6 +5,10 @@ import pytest
 
 from edgecache.cli import build_parser, main
 from edgecache.encoder import read_pgm
+from edgecache.harness import DATASET_RANGES
+from edgecache.instance import generate_instance
+from edgecache.solver import SOLVER_COUNTERS, solve_exact
+from edgecache.topology import load_topology
 
 from oracles import parse_lp
 
@@ -264,6 +268,24 @@ def test_run_manifest_records_norm_constants(workspace):
     assert manifest["tool"] == "edgecache"
     assert manifest["command"] == "dataset"
     assert manifest["norm"]["q_max"] == pytest.approx(0.5)
+
+
+def test_dataset_run_manifest_sums_solver_counters(workspace):
+    # The counters go to the run manifest only; the corpus manifest keeps
+    # its version 1 fields.
+    root, topo, corpus, models = workspace
+    expected = {}
+    for idx in range(12):
+        inst = generate_instance(load_topology(topo), 3, ranges=DATASET_RANGES, seed=[3, idx])
+        solve_exact(inst, stats=expected)
+    manifest = json.loads((corpus / "run_manifest.json").read_text())
+    assert manifest["solver"] == expected
+    assert set(expected) == set(SOLVER_COUNTERS) and expected["leaves"] > 0
+    corpus_manifest = json.loads((corpus / "manifest.json").read_text())
+    assert corpus_manifest["version"] == 1
+    assert set(corpus_manifest) == {
+        "format", "version", "flows", "seed", "train_fraction", "norm", "excluded", "samples",
+    }
 
 
 def test_render_r_max_alone_overrides_only_r_max(workspace):

@@ -11,11 +11,14 @@ from edgecache.cost import check_feasibility, class_table, penalized_cost, utili
 from edgecache.baselines import gca, rgc
 from edgecache.harness import DATASET_RANGES, evaluation_topology, labels_of
 from edgecache.instance import ParameterRanges, generate_instance
-from edgecache.solver import solve_exact
+from edgecache import solver
+from edgecache.solver import SOLVER_COUNTERS, solve_exact
 from edgecache.topology import Topology
 
 from conftest import manual_instance
-from oracles import brute_force_optimum, lower_bound
+from oracles import brute_force_optimum, evaluate_leaf_reference, lower_bound
+
+TIGHT_LINKS = ParameterRanges(link_capacity=(8.0, 14.0), bandwidth=(4.0, 10.0))
 
 # Content nearly as large as an EC: each cached flow fills most of its
 # EC, so the free-flow storage term alpha/(1-q) dominates the bound.
@@ -190,10 +193,9 @@ def test_overloaded_leaves_match_reference():
     # note), and do so quickly: the product took ~21 s on 2 vCPUs.
     ref = json.loads((Path(__file__).parent / "data" / "tight_leaf_reference.json").read_text())
     topo = evaluation_topology()
-    tight = ParameterRanges(link_capacity=(8.0, 14.0), bandwidth=(4.0, 10.0))
     start = time.perf_counter()
     for case in ref["cases"]:
-        inst = generate_instance(topo, 5, ranges=tight, seed=case["seed"])
+        inst = generate_instance(topo, 5, ranges=TIGHT_LINKS, seed=case["seed"])
         sol = solve_exact(inst, budget=ref["budget"])
         asg = sol.assignment
         got = {
@@ -207,3 +209,93 @@ def test_overloaded_leaves_match_reference():
         }
         assert got == case, case["seed"]
     assert time.perf_counter() - start < 5.0
+
+
+def test_solver_counters_on_the_longest_k8_label_solve():
+    # [8, 21] reaches 34,159 leaves and gives up on all but three at the
+    # reassignment cap (counted by wrapping the first-form leaf).
+    inst = generate_instance(evaluation_topology(), 8, ranges=DATASET_RANGES, seed=[8, 21])
+    stats = {"leaves": 1}
+    sol = solve_exact(inst, stats=stats)
+    assert stats == {
+        "nodes": sol.nodes_explored,
+        "leaves": 34_159 + 1,  # counts add to what the dict holds
+        "overloaded_leaves": 34_156,
+        "cap_hits": 34_156,
+        "flow_order_rechecks": 0,
+    }
+    assert sol.nodes_explored == 175_644 and sol.proof == "bounded"
+
+
+def _solve_both(monkeypatch, inst, budget=solver.DEFAULT_NODE_BUDGET):
+    """(output, counters) of the solver and of the solver with the
+    flow-order reference leaf patched in."""
+    runs = []
+    for leaf in (None, evaluate_leaf_reference):
+        with monkeypatch.context() as patch:
+            if leaf is not None:
+                patch.setattr(solver._Search, "_evaluate_leaf", leaf)
+            stats = {}
+            sol = solve_exact(inst, budget=budget, stats=stats)
+        assert set(stats) == set(SOLVER_COUNTERS)
+        out = (
+            list(labels_of(sol.assignment.x)),
+            sol.cost.total.hex(),
+            sol.proof,
+            sol.nodes_explored,
+            sol.assignment.z.tobytes(),
+        )
+        runs.append((out, stats))
+    return runs
+
+
+def _label_tail_cases():
+    cases = [(8, [8, 21], solver.DEFAULT_NODE_BUDGET)]
+    cases += [(10, [10, j], 150_000) for j in range(8)]
+    cases += [(15, [500, j], 40_000) for j in range(2)]
+    return [(DATASET_RANGES, flows, seed, budget) for flows, seed, budget in cases]
+
+
+def _tight_leaf_cases():
+    ref = json.loads((Path(__file__).parent / "data" / "tight_leaf_reference.json").read_text())
+    return [(TIGHT_LINKS, 5, case["seed"], ref["budget"]) for case in ref["cases"]]
+
+
+@pytest.mark.parametrize(
+    "family", [_label_tail_cases, _tight_leaf_cases], ids=["label_tail", "tight_leaf"]
+)
+def test_prefix_stack_leaf_matches_flow_order_reference(monkeypatch, family):
+    # The leaf's loads come from branch-order prefix sums; the reference
+    # sums every flow in flow order at every leaf.  Outputs and counters
+    # must agree bit for bit (the reference makes no recheck, so that
+    # count is left out).
+    topo = evaluation_topology()
+    for ranges, flows, seed, budget in family():
+        inst = generate_instance(topo, flows, ranges=ranges, seed=seed)
+        (out, stats), (ref_out, ref_stats) = _solve_both(monkeypatch, inst, budget)
+        assert out == ref_out, seed
+        assert {**stats, "flow_order_rechecks": 0} == ref_stats, seed
+
+
+def test_near_threshold_link_is_judged_on_flow_order_sum(monkeypatch):
+    # Three flows share the one link.  Their loads sum to just over the
+    # 1 + 1e-9 overload line in flow order (k = 0, 1, 2) and to just under
+    # it in branch order (largest content first: k = 2, 1, 0).  The leaf
+    # must re-sum the link in flow order, find it overloaded and re-serve
+    # a flow, as the reference does.
+    t = Topology(
+        nodes=(0, 1), links=((0, 1),), access_routers=(1,), edge_clouds=(0,),
+        datacenter_hops=12,
+    )
+    b = [0.352, 0.382, 0.26600000100000026]
+    assert ((0.0 + b[0]) + b[1]) + b[2] > 1.0 + 1e-9 >= ((0.0 + b[2]) + b[1]) + b[0]
+    inst = manual_instance(
+        t, [[1.0]] * 3, content_size=[10.0, 20.0, 30.0], bandwidth=b, link_capacity=[1.0],
+        alpha=0.1, beta=1.0,
+    )
+    (out, stats), (ref_out, ref_stats) = _solve_both(monkeypatch, inst)
+    assert stats["flow_order_rechecks"] > 0
+    assert out == ref_out
+    assert {**stats, "flow_order_rechecks": 0} == ref_stats
+    assert stats["overloaded_leaves"] > 0
+    assert out[0].count(1) == 1  # one flow stays uncached
