@@ -23,13 +23,20 @@ pass over the slot models: the image's im2col is built once and each
 conv stage is one batched GEMM over a leading model axis, bit-equal to
 running each model's layers on its own.
 
-Everything is float64 numpy.  All randomness flows from explicit seeds,
-so training and inference are bit-reproducible.
+Parameters, activations, gradients and Adam state are float32
+(`DTYPE`), and nothing in a training step or in inference promotes to
+float64; `predict_all` returns float32 probabilities, which PEL widens
+to float64.  `gradient_check` alone runs on a float64 copy of a model,
+since a central difference of step 1e-5 is noise in float32.  All
+randomness flows from explicit seeds (weights are drawn in float64 and
+rounded), so training and inference are bit-reproducible.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -41,7 +48,8 @@ from .encoder import FeatureImage
 from .formats import int_tuple, read_fields, read_json, write_json
 
 MODEL_FORMAT = "edgecache-cnn"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # 2: float32 arrays
+DTYPE = np.float32  # of every parameter, activation, gradient and Adam moment
 
 
 class CnnError(ValueError):
@@ -79,7 +87,7 @@ def softmax_cross_entropy(
     probs = softmax(logits)
     n = logits.shape[0]
     picked = probs[np.arange(n), labels]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
+    loss = float(-np.log(np.maximum(picked, np.finfo(logits.dtype).tiny)).mean())
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1.0
     return loss, probs, grad / n
@@ -91,7 +99,7 @@ def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     minor, written into out when given.  One padded copy, then one
     gather of the window view."""
     n, h, w, cin = x.shape
-    xp = np.zeros((n, h + 2, w + 2, cin))
+    xp = np.zeros((n, h + 2, w + 2, cin), x.dtype)
     xp[:, 1 : h + 1, 1 : w + 1, :] = x
     windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (n, h, w, cin, 3, 3)
     patches = windows.transpose(0, 1, 2, 4, 5, 3)
@@ -108,15 +116,18 @@ class _FreePatches(threading.local):
     back, so training steps that follow one another on a thread reuse
     the same memory instead of freeing their largest arrays each step,
     which the allocator hands back to the OS and the next step faults
-    in again.  A buffer of another batch size is dropped, not kept.
+    in again.  A buffer of another batch size or dtype is dropped, not
+    kept.
     """
 
     def __init__(self):
         self.by_width: dict[int, np.ndarray] = {}
 
-    def take(self, shape: tuple) -> np.ndarray:
+    def take(self, shape: tuple, dtype) -> np.ndarray:
         buf = self.by_width.pop(shape[-1], None)
-        return buf if buf is not None and buf.shape == shape else np.empty(shape)
+        if buf is not None and buf.shape == shape and buf.dtype == dtype:
+            return buf
+        return np.empty(shape, dtype)
 
     def give(self, buf: np.ndarray) -> None:
         self.by_width[buf.shape[-1]] = buf
@@ -140,15 +151,15 @@ class Conv3x3:
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         limit = 1.0 / np.sqrt(9 * in_channels)
         self.params = {
-            "w": rng.uniform(-limit, limit, size=(3, 3, in_channels, out_channels)),
-            "b": np.zeros(out_channels),
+            "w": rng.uniform(-limit, limit, size=(3, 3, in_channels, out_channels)).astype(DTYPE),
+            "b": np.zeros(out_channels, DTYPE),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n, h, w, cin = x.shape
-        cols = _im2col(x, _free_patches.take((n, h, w, 9 * cin)))
+        cols = _im2col(x, _free_patches.take((n, h, w, 9 * cin), x.dtype))
         wmat = self.params["w"].reshape(9 * cin, -1)
         out = cols.reshape(-1, 9 * cin) @ wmat
         out += self.params["b"]
@@ -172,7 +183,7 @@ class Conv3x3:
         dx = None
         if input_grad:
             np.matmul(dflat, self.params["w"].reshape(9 * cin, cout).T, out=cols2)
-            dx = np.zeros((n, h, w, cin))
+            dx = np.zeros((n, h, w, cin), dout.dtype)
             for t, ((xi, oi), (xj, oj)) in enumerate(itertools.product(_TAP_SPANS, repeat=2)):
                 dx[:, xi, xj] += cols[:, oi, oj, t * cin : (t + 1) * cin]
         _free_patches.give(cols)
@@ -186,10 +197,10 @@ class BatchNorm:
     eps = 1e-5
 
     def __init__(self, channels: int):
-        self.params = {"scale": np.ones(channels), "shift": np.zeros(channels)}
+        self.params = {"scale": np.ones(channels, DTYPE), "shift": np.zeros(channels, DTYPE)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.running_mean = np.zeros(channels, DTYPE)
+        self.running_var = np.ones(channels, DTYPE)
         self._cache = None
         self._train_mode = False
 
@@ -263,8 +274,8 @@ class Dense:
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         limit = 1.0 / np.sqrt(in_features)
         self.params = {
-            "w": rng.uniform(-limit, limit, size=(in_features, out_features)),
-            "b": np.zeros(out_features),
+            "w": rng.uniform(-limit, limit, size=(in_features, out_features)).astype(DTYPE),
+            "b": np.zeros(out_features, DTYPE),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cache = None
@@ -351,6 +362,18 @@ class CnnModel:
             for key in layer.params:
                 yield li, key, layer.params[key], layer.grads[key]
 
+    def astype(self, dtype) -> CnnModel:
+        """A copy whose parameters, gradients and batch-norm statistics
+        are cast to dtype; its layers then compute in dtype."""
+        twin = copy.deepcopy(self)
+        for layer in twin.layers:
+            for arrays in (layer.params, layer.grads):
+                arrays.update((key, a.astype(dtype)) for key, a in arrays.items())
+            if isinstance(layer, BatchNorm):
+                layer.running_mean = layer.running_mean.astype(dtype)
+                layer.running_var = layer.running_var.astype(dtype)
+        return twin
+
     def _as_batch(self, img) -> np.ndarray:
         matrix = img.matrix if isinstance(img, FeatureImage) else np.asarray(img)
         if matrix.ndim == 2:
@@ -359,7 +382,7 @@ class CnnModel:
             raise CnnError(
                 f"input shape {matrix.shape[1:]} != model input {self.input_shape}"
             )
-        return matrix[..., None].astype(np.float64)
+        return matrix[..., None].astype(DTYPE)
 
 
 def forward(m: CnnModel, img) -> np.ndarray:
@@ -403,7 +426,7 @@ def _infer(models: list[CnnModel], x: np.ndarray) -> np.ndarray:
 
 
 def _stack_samples(samples, request_index: int):
-    images = np.stack([s.image.matrix for s in samples])[..., None]
+    images = np.stack([s.image.matrix for s in samples], dtype=DTYPE)[..., None]
     labels = np.array([int(s.labels[request_index]) for s in samples])
     return images, labels
 
@@ -492,7 +515,8 @@ class Adam:
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        correction = np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
+        # A Python float: an np.float64 here would widen every update.
+        correction = math.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
         for li, key, param, grad in self.model.param_items():
             m = self.m[(li, key)]
             v = self.v[(li, key)]
@@ -516,9 +540,13 @@ def gradient_check(
     default) or a batch; train_mode=True exercises the batch-statistics
     path of batch norm, which needs a batch of more than one image to be
     meaningful.  A seeded random subset of parameters is probed with
-    central differences of step 1e-5.
+    central differences of step 1e-5.  Both gradients are taken on a
+    float64 copy of m, at the float32 input m sees (in float32 the
+    loss's rounding would swamp a difference over a 1e-5 step), so m
+    itself is left as it was.
     """
-    x = m._as_batch(img)
+    m = m.astype(np.float64)
+    x = m._as_batch(img).astype(np.float64)
     labels = np.asarray(label, dtype=int).reshape(-1)
 
     relus = [layer for layer in m.layers if isinstance(layer, ReLU)]
@@ -626,7 +654,7 @@ def load_model(path) -> CnnModel:
     with np.load(npz_path) as data:
         for name, target in _named_arrays(m).items():
             value = data[name] if name in data else None
-            if value is None or value.shape != target.shape:
-                raise CnnError(f"{npz_path}: missing or misshapen array {name!r}")
+            if value is None or value.shape != target.shape or value.dtype != target.dtype:
+                raise CnnError(f"{npz_path}: missing, misshapen or mistyped array {name!r}")
             target[...] = value
     return m

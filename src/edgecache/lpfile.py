@@ -164,8 +164,10 @@ def export_milp(i: Instance, big_m: float | None = None) -> str:
     m = milp_model(i, big_m)
 
     def terms(pairs) -> str:
+        # An empty sum (the objective when alpha = beta = 0) is a zero
+        # multiple of the first column: the text declares no extra column.
         text = "".join(f" {'-' if v < 0 else '+'} {_fmt(abs(v))} {m.columns[j]}" for j, v in pairs)
-        return text or " 0 dummy_zero"
+        return text or f" 0 {m.columns[0]}"
 
     rows: list[list[tuple[int, float]]] = [[] for _ in m.row_names]
     for r, j, v in m.entries:

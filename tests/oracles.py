@@ -363,11 +363,11 @@ def evaluate_leaf_reference(search, choices, counts, util, placed_t):
 
 def im2col_reference(x, out=None):
     """3x3 same-padded patches by the nine shifted slices, one tap at a
-    time: (n, h, w, cin) -> (n, h, w, 9*cin), written into out when
-    given."""
+    time: (n, h, w, cin) -> (n, h, w, 9*cin) in x's dtype, written into
+    out when given."""
     n, h, w, cin = x.shape
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    cols = np.empty((n, h, w, 9 * cin)) if out is None else out
+    cols = np.empty((n, h, w, 9 * cin), x.dtype) if out is None else out
     idx = 0
     for di in range(3):
         for dj in range(3):
@@ -379,8 +379,8 @@ def im2col_reference(x, out=None):
 # The training kernels in their first, plainer form: the conv input
 # gradient through a zero-padded buffer, batch norm in two passes
 # (np.mean and np.var, then (x - mean) * ivar) and out-of-place
-# arithmetic throughout.  Patched onto the layer classes, they must
-# train bit-equal models.
+# arithmetic throughout, every buffer in its input's dtype.  Patched
+# onto the layer classes, they must train bit-equal models.
 
 
 def conv3x3_backward_reference(conv, dout, input_grad=True):
@@ -394,7 +394,7 @@ def conv3x3_backward_reference(conv, dout, input_grad=True):
     if not input_grad:
         return None
     dcols = (dflat @ conv.params["w"].reshape(9 * cin, cout).T).reshape(n, h, w, 9 * cin)
-    dxp = np.zeros((n, h + 2, w + 2, cin))
+    dxp = np.zeros((n, h + 2, w + 2, cin), dout.dtype)
     idx = 0
     for di in range(3):
         for dj in range(3):

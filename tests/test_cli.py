@@ -1,6 +1,8 @@
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from edgecache.cli import build_parser, main
@@ -72,6 +74,21 @@ def test_eval_requires_models_for_cnn(workspace, capsys):
         code = main(["eval", "--corpus", str(corpus), *flags, "--out", str(root / "bad")])
         assert code == 2, flags
         assert capsys.readouterr().err.startswith("error:"), flags
+
+
+def test_eval_refuses_a_version_1_model(workspace, tmp_path, capsys):
+    # Version 1 model files hold float64 arrays; rounding them to the
+    # float32 model on load would change its outputs silently.
+    root, topo, corpus, models = workspace
+    old = tmp_path / "models"
+    shutil.copytree(models, old)
+    with np.load(old / "model_0.npz") as data:
+        np.savez(old / "model_0.npz", **{name: data[name].astype(np.float64) for name in data})
+    manifest = json.loads((old / "model_0.manifest.json").read_text())
+    (old / "model_0.manifest.json").write_text(json.dumps({**manifest, "version": 1}))
+    argv = ["eval", "--corpus", str(corpus), "--models", str(old), "--out", str(tmp_path / "eval")]
+    assert main(argv) == 2
+    assert "unsupported edgecache-cnn version 1" in capsys.readouterr().err
 
 
 def test_missing_input_path_exits_2(workspace, tmp_path, capsys):

@@ -204,6 +204,17 @@ def test_logit_gradient_matches_closed_form():
     assert np.abs(grad - (probs - onehot) / 6).max() < 1e-12
 
 
+def test_cross_entropy_of_an_underflowed_probability_is_finite():
+    # exp(-120) is below float32's smallest subnormal, so the picked
+    # probability rounds to 0; the floor is float32's tiny, not a 1e-300
+    # that float32 rounds to 0 as well.
+    logits = np.array([[0.0, 120.0], [3.0, 1.0]], dtype=np.float32)
+    loss, probs, grad = softmax_cross_entropy(logits, np.array([0, 0]))
+    assert probs[0, 0] == 0.0 and probs.dtype == grad.dtype == np.float32
+    assert np.isfinite(loss)
+    assert loss == pytest.approx(-(np.log(np.finfo(np.float32).tiny) + np.log(probs[1, 0])) / 2)
+
+
 def test_gradient_check_dense_only(image):
     m = CnnModel(input_shape=image.matrix.shape, num_classes=8, filters=(), seed=5)
     assert gradient_check(m, image, 3, sample_fraction=0.05) < 1e-7
@@ -220,6 +231,46 @@ def test_gradient_check_full_model_training_mode(image):
     batch = rng.uniform(0, 1, size=(4, *image.matrix.shape))
     labels = np.array([0, 2, 5, 7])
     assert gradient_check(m, batch, labels, train_mode=True, sample_fraction=0.01) < 1e-4
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_float32_gradients_match_a_float64_copy(image, train_mode):
+    # gradient_check checks the gradients of a float64 copy; this ties
+    # the float32 model's own gradients to that copy's, to within 1e-5 of
+    # each array's largest entry (about 80 float32 ulps).  In train mode
+    # a conv bias ahead of batch norm has a true gradient of zero, so
+    # both copies hold rounding noise there, and it is left out.
+    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=6)
+    batch, labels = image, [2]
+    if train_mode:
+        batch = np.random.default_rng(0).uniform(0, 1, size=(4, *image.matrix.shape))
+        labels = [0, 2, 5, 7]
+    x = m._as_batch(batch)
+
+    def grads(model, x):
+        logits = model.logits(x, train=train_mode)
+        masks = [layer._mask.copy() for layer in model.layers if isinstance(layer, cnn.ReLU)]
+        model.backward(softmax_cross_entropy(logits, np.array(labels))[2])
+        return masks, [(li, key, g.copy()) for li, key, _, g in model.param_items()]
+
+    masks64, grads64 = grads(m.astype(np.float64), x.astype(np.float64))
+    masks32, grads32 = grads(m, x)
+    assert all(np.array_equal(a, b) for a, b in zip(masks32, masks64))  # no activation on a kink
+    for (li, key, g32), (_, _, g64) in zip(grads32, grads64):
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        if train_mode and isinstance(m.layers[li], Conv3x3) and key == "b":
+            continue
+        assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max(), (li, key)
+
+
+def test_gradient_check_leaves_the_model_as_it_was(image):
+    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=6)
+    before = {name: a.copy() for name, a in cnn._named_arrays(m).items()}
+    batch = np.random.default_rng(0).uniform(0, 1, size=(4, *image.matrix.shape))
+    gradient_check(m, batch, np.array([0, 2, 5, 7]), train_mode=True, sample_fraction=0.01)
+    for name, a in cnn._named_arrays(m).items():
+        assert a.dtype == cnn.DTYPE and np.array_equal(a, before[name]), name
+    assert all(not g.any() for *_, g in m.param_items())
 
 
 def test_zero_input_zeroes_first_conv_weight_gradient(image):
@@ -256,7 +307,12 @@ def test_single_sample_overfit(image):
     assert losses[-1] < losses[0]
 
 
-def test_duplicated_dataset_equals_doubled_batch(image, norm):
+def test_duplicated_dataset_equals_doubled_batch(image, norm, monkeypatch):
+    # A float64 identity.  A conv bias ahead of batch norm has a true
+    # gradient of zero, so its computed gradient is rounding noise, which
+    # Adam divides by its own size: in float32 the two runs' biases part
+    # by ~1e-3.
+    monkeypatch.setattr(cnn, "DTYPE", np.float64)
     t = build_topology(TopologyConfig(branching=2, depth=3))
     other = encode(generate_instance(t, 5, seed=1), norm)
     a = TrainingSample(image=image, labels=(1, 1, 1, 1, 1))
@@ -268,6 +324,26 @@ def test_duplicated_dataset_equals_doubled_batch(image, norm):
     for (l1, k1, p1, _), (l2, k2, p2, _) in zip(m1.param_items(), m2.param_items()):
         assert (l1, k1) == (l2, k2)
         assert np.allclose(p1, p2, atol=1e-10), f"layer {l1} {k1} differs"
+
+
+def test_a_training_step_keeps_every_array_in_dtype(image, norm):
+    # No float64 scalar or buffer may widen a step: parameters, their
+    # gradients, Adam's moments and the batch-norm statistics all stay
+    # DTYPE, and so does inference.
+    t = build_topology(TopologyConfig(branching=2, depth=3))
+    samples = [
+        TrainingSample(image=encode(generate_instance(t, 5, seed=s), norm), labels=(s % 8,) * 5)
+        for s in range(4)
+    ]
+    steps = cnn.train_steps(samples, TrainConfig(epochs=1, batch_size=3, num_classes=8))
+    next(steps)
+    model, opt = steps.gi_frame.f_locals["model"], steps.gi_frame.f_locals["opt"]
+    assert opt.t == 1
+    arrays = [a for *_, p, g in model.param_items() for a in (p, g)]
+    arrays += [*opt.m.values(), *opt.v.values(), *cnn._named_arrays(model).values()]
+    assert {a.dtype for a in arrays} == {np.dtype(cnn.DTYPE)}
+    steps.close()
+    assert predict_all([model] * 5, image).dtype == cnn.DTYPE
 
 
 def test_training_loss_halves_on_small_corpus(norm):
@@ -426,3 +502,16 @@ def test_model_round_trip(tmp_path, image):
     assert (forward(back, image) == forward(model, image)).all()
     assert back.request_index == model.request_index
     assert back.norm_digest == model.norm_digest
+    saved, loaded = cnn._named_arrays(model), cnn._named_arrays(back)
+    assert list(loaded) == list(saved)
+    for name, array in loaded.items():
+        assert array.dtype == cnn.DTYPE and np.array_equal(array, saved[name]), name
+
+
+def test_load_refuses_arrays_of_another_dtype(tmp_path, image):
+    model = CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=2)
+    save_model(model, tmp_path / "model_0")
+    arrays = {name: a.astype(np.float64) for name, a in cnn._named_arrays(model).items()}
+    np.savez(tmp_path / "model_0", **arrays)
+    with pytest.raises(CnnError, match="mistyped array 'layer0_w'"):
+        load_model(tmp_path / "model_0")

@@ -69,6 +69,8 @@ def test_loader_rejects_wrong_envelope(tmp_path, write, keys, error, field, bad)
     envelope = payload
     for key in keys:
         envelope = envelope[key]
+    if envelope[field] == bad:  # the model reader is at version 2 already
+        bad += 1
     envelope[field] = bad
     path.write_text(json.dumps(payload))
     with pytest.raises(error):

@@ -208,7 +208,12 @@ def test_export_parses_back_to_milp_model(name, lp_cases):
     def named(pairs) -> list[tuple[str, float]]:
         return [(m.columns[j], printed(v)) for j, v in pairs]
 
-    # An empty objective is written as "0 dummy_zero".
+    # The text declares the census's columns and no others, also when
+    # the objective is empty ("zero"), which is written as "0 x_0_0".
+    t = inst.topology
+    census = variable_census(inst.num_flows, t.num_access_routers, t.num_edge_clouds, t.num_links)
+    assert sorted(model.variables) == sorted(m.columns)
+    assert len(m.columns) == census["total"]
     objective = [(column, v) for column, v in model.objective.items() if v != 0]
     assert objective == named(m.objective)
     assert model.objective_constant == printed(m.constant)
