@@ -16,9 +16,10 @@ import numpy as np
 
 
 def write_json(path, payload: dict, indent: int | None = 2) -> None:
+    # json.dumps encodes an unindented payload (instance and assignment
+    # files) in C; json.dump to a file never does.
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=indent)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=indent) + "\n")
 
 
 def check_envelope(payload, fmt: str, version: int, error: type[Exception], where) -> dict:

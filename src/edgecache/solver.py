@@ -22,12 +22,21 @@ overloaded link (dropping an AR only sheds load, so flows away from
 overloaded links can keep their greedy routing without loss).
 
 A leaf reads its greedy link loads from a prefix stack: level d holds
-the loads of the flows branched above depth d, summed in branch order,
-and a leaf refills only the levels whose choices changed since the last
-leaf, usually one or two flows.  Branch-order sums can differ from
-flow-order ones in the last bits, so a link loaded within 1e-6 of 1 is
-re-summed in flow order before the overload test; every decision is
-the one the flow-order sums give.
+the loads of the flows branched above depth d, summed in branch order.
+Each parent of leaves refills only the levels whose choices changed
+since the last one, usually one or two flows, and a leaf adds its own
+flow to the top level without storing a level.  Branch-order sums can
+differ from flow-order ones in the last bits, so a link loaded within
+1e-6 of 1 is re-summed in flow order before the overload test; every
+decision is the one the flow-order sums give.
+
+A leaf gives up when the flows on its overloaded links have more than
+REASSIGNMENT_CAP serving subsets between them.  The parent of leaves
+settles that once for all its children: a link that the flows above it
+already load past 1 + 1e-6 ends overloaded at every leaf, and the last
+flow can only add affected flows.  So when the flows on those links
+alone pass the cap, each child that survives the bound is counted as a
+cap hit without being evaluated.
 """
 
 from __future__ import annotations
@@ -130,17 +139,22 @@ class _Search:
         # its links loaded above 1 - _RECHECK and sure[d] of those at or
         # above 1 + _RECHECK (loads only grow down the tree, so these end
         # overloaded).  Levels 0..valid match the current choices; setting
-        # the choice at depth d lowers valid to d, and a leaf refills the
-        # levels above it.
-        self.prefix: list[list[float]] = [[0.0] * self.L] * (self.K + 1)
-        self.near = [0] * (self.K + 1)
-        self.sure = [0] * (self.K + 1)
+        # the choice at depth d lowers valid to d, and a last-level parent
+        # refills the levels above it up to K - 1.  A leaf adds the last
+        # flow to level K - 1 without storing a level.
+        self.prefix: list[list[float]] = [[0.0] * self.L] * self.K
+        self.near = [0] * self.K
+        self.sure = [0] * self.K
         self.valid = 0
+        # The (link bitmask, serving-AR count) of each cached flow branched
+        # above depth K - 1 that touches a link, set by _settle_parent.
+        self.upper_pairs: list[tuple[int, int]] = []
 
         self.nodes = 0
         self.leaves = 0
         self.overloaded_leaves = 0
         self.cap_hits = 0
+        self.doomed_leaves = 0
         self.flow_order_rechecks = 0
         self.best_tc = self.beta * nt * self.K  # empty placement
         self.best_choices = [self.E] * self.K
@@ -166,6 +180,8 @@ class _Search:
         children.sort()
 
         rest = self.suffix[depth + 1]
+        last = depth == self.K - 1
+        doomed = None  # the last level's cap verdict, settled at its first surviving child
         for _, c, step in children:
             self.nodes += 1
             if self.nodes > self.budget:
@@ -173,6 +189,16 @@ class _Search:
             new_placed = placed_t + t[c]
             if alpha * (stored + step) + beta * new_placed + rest >= self.best_tc - _IMPROVE_EPS:
                 continue
+            if last:
+                if doomed is None:
+                    self._settle_parent(choices)
+                    doomed = self._cap_doomed()
+                if doomed:  # the leaf would give up at REASSIGNMENT_CAP
+                    self.leaves += 1
+                    self.overloaded_leaves += 1
+                    self.cap_hits += 1
+                    self.doomed_leaves += 1
+                    continue
             if c == E:  # uncached: storage untouched
                 new_counts, new_util = counts, util
             else:
@@ -185,29 +211,12 @@ class _Search:
                 self.valid = depth
             self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step)
 
-    def _evaluate_leaf(self, choices, counts, util, placed_t):
-        """Price a leaf, re-serving the flows on overloaded links; with no
-        overload no flow is affected and the greedy routing stands."""
-        over = self._overloaded_links(choices)
-        extra, serving = 0.0, {}
-        if over:
-            self.overloaded_leaves += 1
-            found = self._cheapest_serving(choices, over)
-            if found is None:
-                return
-            extra, serving = found
-        stored = sum(c / (1.0 - u) for c, u in zip(counts, util) if c)
-        tc = self.alpha * stored + self.beta * (placed_t + extra)
-        if tc < self.best_tc - _IMPROVE_EPS:
-            self.best_tc = tc
-            self.best_choices = choices.copy()
-            self.best_serving = serving
-
-    def _overloaded_links(self, choices) -> int:
-        """Bitmask of the links that the leaf's greedy routing overloads,
-        judged on flow-order sums (see _RECHECK)."""
+    def _settle_parent(self, choices):
+        """At a last-level parent: refill the prefix stack up to level
+        K - 1 and list the upper flows' (link bitmask, serving-AR count)."""
         prefix, near, sure, order, loads = self.prefix, self.near, self.sure, self.order, self.loads
-        for d in range(self.valid, self.K):
+        top = self.K - 1
+        for d in range(self.valid, top):
             k = order[d]
             load, near_d, sure_d = prefix[d], near[d], sure[d]
             rows = loads[k][choices[k]]
@@ -220,10 +229,70 @@ class _Search:
                         if load[l] >= 1.0 + _RECHECK:
                             sure_d |= bit
             prefix[d + 1], near[d + 1], sure[d + 1] = load, near_d, sure_d
-        self.valid = self.K
+        self.valid = top
 
-        over = sure[self.K]
-        band = near[self.K] & ~over
+        masks, serve_count = self.masks, self.serve_count
+        pairs = []
+        for k in order[:top]:
+            c = choices[k]
+            if masks[k][c]:
+                pairs.append((masks[k][c], serve_count[k][c]))
+        self.upper_pairs = pairs
+
+    def _cap_doomed(self) -> bool:
+        """Whether every leaf below the settled parent gives up at
+        REASSIGNMENT_CAP.  The links in sure[K - 1] end overloaded at every
+        such leaf, on flow-order sums too (see _RECHECK), so the upper
+        flows on them are affected at every leaf; the last flow can only
+        add to that set, and so to the product of serving subsets."""
+        sure = self.sure[self.K - 1]
+        if not sure:
+            return False
+        n = sum(count for mask, count in self.upper_pairs if mask & sure)
+        return 1 << n > REASSIGNMENT_CAP
+
+    def _evaluate_leaf(self, choices, counts, util, placed_t):
+        """Price a leaf, re-serving the flows on overloaded links; with no
+        overload no flow is affected and the greedy routing stands.  The
+        flows on the overloaded links may take 2**(their serving-AR
+        count) subsets between them; past REASSIGNMENT_CAP the leaf gives
+        up."""
+        last = self.order[-1]
+        cls = choices[last]
+        over = self._overloaded_links(choices, self.loads[last][cls])
+        extra, serving = 0.0, {}
+        if over:
+            self.overloaded_leaves += 1
+            n = sum(count for mask, count in self.upper_pairs if mask & over)
+            if self.masks[last][cls] & over:
+                n += self.serve_count[last][cls]
+            if 1 << n > REASSIGNMENT_CAP:
+                self.cap_hits += 1
+                return
+            found = self._cheapest_serving(choices, over)
+            if found is None:
+                return
+            extra, serving = found
+        stored = sum(c / (1.0 - u) for c, u in zip(counts, util) if c)
+        tc = self.alpha * stored + self.beta * (placed_t + extra)
+        if tc < self.best_tc - _IMPROVE_EPS:
+            self.best_tc = tc
+            self.best_choices = choices.copy()
+            self.best_serving = serving
+
+    def _overloaded_links(self, choices, rows) -> int:
+        """Bitmask of the links that the leaf's greedy routing overloads,
+        judged on flow-order sums (see _RECHECK): level K - 1 of the prefix
+        stack plus the last flow's rows."""
+        top = self.K - 1
+        load, near, over = self.prefix[top], self.near[top], self.sure[top]
+        for l, v, bit in rows:
+            if load[l] + v > 1.0 - _RECHECK:
+                near |= bit
+                if load[l] + v >= 1.0 + _RECHECK:
+                    over |= bit
+
+        band = near & ~over
         while band:
             bit = band & -band
             band ^= bit
@@ -239,17 +308,10 @@ class _Search:
 
     def _cheapest_serving(self, choices, over):
         """The cheapest re-serving of the flows on the overloaded links
-        `over`, as (lost hop gain, {flow: served ARs}); None when the
-        serving subsets exceed REASSIGNMENT_CAP or none fits the links."""
-        masks, serve_count = self.masks, self.serve_count
-        affected = [k for k, c in enumerate(choices) if masks[k][c] & over]
+        `over`, as (lost hop gain, {flow: served ARs}); None when no
+        serving fits the links.  The caller has checked REASSIGNMENT_CAP."""
         # Affected flows are cached: class E touches no link.
-        combos = 1
-        for k in affected:
-            combos *= 2 ** serve_count[k][choices[k]]
-            if combos > REASSIGNMENT_CAP:
-                self.cap_hits += 1
-                return None
+        affected = [k for k, c in enumerate(choices) if self.masks[k][c] & over]
 
         base_load = [0.0] * self.L
         for k, c in enumerate(choices):
@@ -324,7 +386,9 @@ class _Search:
 
 
 # The _Search attributes that solve_exact(stats=) reports.
-SOLVER_COUNTERS = ("nodes", "leaves", "overloaded_leaves", "cap_hits", "flow_order_rechecks")
+SOLVER_COUNTERS = (
+    "nodes", "leaves", "overloaded_leaves", "cap_hits", "doomed_leaves", "flow_order_rechecks",
+)
 
 
 def solve_exact(
@@ -341,8 +405,10 @@ def solve_exact(
     Pass a dict as stats to have the search's counters added to it, by
     the names in SOLVER_COUNTERS: nodes tried, leaves reached, leaves
     whose greedy routing overloads a link, leaves given up at
-    REASSIGNMENT_CAP, and links re-summed in flow order because their
-    branch-order load lay within 1e-6 of 1.
+    REASSIGNMENT_CAP (all of them), those of them that their parent
+    settled without evaluating them (doomed_leaves), and links
+    re-summed in flow order because their branch-order load lay within
+    1e-6 of 1 (at evaluated leaves only).
     """
     search = _Search(i, budget)
     exhausted = False

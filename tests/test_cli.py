@@ -297,7 +297,10 @@ def test_dataset_run_manifest_sums_solver_counters(workspace):
         solve_exact(inst, stats=expected)
     manifest = json.loads((corpus / "run_manifest.json").read_text())
     assert manifest["solver"] == expected
-    assert set(expected) == set(SOLVER_COUNTERS) and expected["leaves"] > 0
+    assert set(expected) == set(SOLVER_COUNTERS) == {
+        "nodes", "leaves", "overloaded_leaves", "cap_hits", "doomed_leaves", "flow_order_rechecks",
+    }
+    assert expected["leaves"] > 0
     corpus_manifest = json.loads((corpus / "manifest.json").read_text())
     assert corpus_manifest["version"] == 1
     assert set(corpus_manifest) == {

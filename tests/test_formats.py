@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -44,6 +45,14 @@ def _corpus(tmp_path):
 def _model(tmp_path):
     save_model(CnnModel(input_shape=(2, 4), num_classes=3, filters=(2,)), tmp_path / "model_0")
     return tmp_path / "model_0.manifest.json", lambda: load_model(tmp_path / "model_0")
+
+
+def test_saved_instance_file_is_byte_stable(tmp_path):
+    # Recorded while write_json still called json.dump: the C encoder
+    # must write the same bytes.
+    path, _ = _instance(tmp_path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "45a7bf4245c31e321e661e27617937beb64895f10d0dae04a08e4c697dac65cb"
 
 
 # (file kind, keys leading to the envelope inside the file, expected error)

@@ -213,7 +213,9 @@ def test_overloaded_leaves_match_reference():
 
 def test_solver_counters_on_the_longest_k8_label_solve():
     # [8, 21] reaches 34,159 leaves and gives up on all but three at the
-    # reassignment cap (counted by wrapping the first-form leaf).
+    # reassignment cap (counted by wrapping the first-form leaf).  Only
+    # the last flow takes its leaves past the cap, so none is settled at
+    # its parent.
     inst = generate_instance(evaluation_topology(), 8, ranges=DATASET_RANGES, seed=[8, 21])
     stats = {"leaves": 1}
     sol = solve_exact(inst, stats=stats)
@@ -222,18 +224,50 @@ def test_solver_counters_on_the_longest_k8_label_solve():
         "leaves": 34_159 + 1,  # counts add to what the dict holds
         "overloaded_leaves": 34_156,
         "cap_hits": 34_156,
+        "doomed_leaves": 0,
         "flow_order_rechecks": 0,
     }
     assert sol.nodes_explored == 175_644 and sol.proof == "bounded"
 
 
+@pytest.mark.parametrize(
+    "flows, seed, budget, nodes, leaves, capped, doomed",
+    [
+        (10, [10, 1], 150_000, 150_001, 28_205, 28_202, 28_202),
+        (15, [500, 1], 40_000, 40_001, 34_124, 34_121, 33_862),
+    ],
+    ids=["k10", "k15"],
+)
+def test_solver_counters_on_the_budget_bound_tail(
+    flows, seed, budget, nodes, leaves, capped, doomed
+):
+    # Budget-bound label solves where nearly every leaf gives up at the
+    # cap (the totals were counted by wrapping the first-form leaf); most
+    # of those are settled at their last-level parent.
+    inst = generate_instance(evaluation_topology(), flows, ranges=DATASET_RANGES, seed=seed)
+    stats = {}
+    sol = solve_exact(inst, budget=budget, stats=stats)
+    assert stats == {
+        "nodes": nodes,
+        "leaves": leaves,
+        "overloaded_leaves": capped,
+        "cap_hits": capped,
+        "doomed_leaves": doomed,
+        "flow_order_rechecks": 0,
+    }
+    assert sol.nodes_explored == nodes and sol.proof == "bounded"
+
+
 def _solve_both(monkeypatch, inst, budget=solver.DEFAULT_NODE_BUDGET):
     """(output, counters) of the solver and of the solver with the
-    flow-order reference leaf patched in."""
+    flow-order reference leaf patched in and the last-level cap check
+    patched out."""
     runs = []
     for leaf in (None, evaluate_leaf_reference):
         with monkeypatch.context() as patch:
             if leaf is not None:
+                # Every leaf reaches the reference: none is settled at its parent.
+                patch.setattr(solver._Search, "_cap_doomed", lambda search: False)
                 patch.setattr(solver._Search, "_evaluate_leaf", leaf)
             stats = {}
             sol = solve_exact(inst, budget=budget, stats=stats)
@@ -249,6 +283,12 @@ def _solve_both(monkeypatch, inst, budget=solver.DEFAULT_NODE_BUDGET):
     return runs
 
 
+def _without_fast_path_counts(stats):
+    """stats with the two counts that the reference never adds zeroed:
+    it re-sums no link in flow order and settles no leaf at its parent."""
+    return {**stats, "flow_order_rechecks": 0, "doomed_leaves": 0}
+
+
 def _label_tail_cases():
     cases = [(8, [8, 21], solver.DEFAULT_NODE_BUDGET)]
     cases += [(10, [10, j], 150_000) for j in range(8)]
@@ -262,19 +302,82 @@ def _tight_leaf_cases():
 
 
 @pytest.mark.parametrize(
-    "family", [_label_tail_cases, _tight_leaf_cases], ids=["label_tail", "tight_leaf"]
+    "family, min_doomed",
+    [(_label_tail_cases, 1), (_tight_leaf_cases, 0)],
+    ids=["label_tail", "tight_leaf"],
 )
-def test_prefix_stack_leaf_matches_flow_order_reference(monkeypatch, family):
-    # The leaf's loads come from branch-order prefix sums; the reference
-    # sums every flow in flow order at every leaf.  Outputs and counters
-    # must agree bit for bit (the reference makes no recheck, so that
-    # count is left out).
+def test_prefix_stack_leaf_matches_flow_order_reference(monkeypatch, family, min_doomed):
+    # The leaf's loads come from branch-order prefix sums, and a leaf
+    # doomed at its parent is counted as a cap hit unevaluated; the
+    # reference sums every flow in flow order at every leaf.  Outputs and
+    # counters must agree bit for bit.
     topo = evaluation_topology()
+    doomed = 0
     for ranges, flows, seed, budget in family():
         inst = generate_instance(topo, flows, ranges=ranges, seed=seed)
         (out, stats), (ref_out, ref_stats) = _solve_both(monkeypatch, inst, budget)
         assert out == ref_out, seed
-        assert {**stats, "flow_order_rechecks": 0} == ref_stats, seed
+        assert _without_fast_path_counts(stats) == ref_stats, seed
+        doomed += stats["doomed_leaves"]
+    assert doomed >= min_doomed  # the label tail takes the fast path
+
+
+def _uplink_instance(mobility, content_size, bandwidth):
+    """One EC (node 0) with nine ARs behind a hub on a capacity-1 uplink
+    (link 0) and nine ARs linked straight to the EC; alpha = 0.1."""
+    hub_ars, ec_ars = tuple(range(2, 11)), tuple(range(11, 20))
+    t = Topology(
+        nodes=(0, 1) + hub_ars + ec_ars,
+        links=((0, 1),) + tuple((1, a) for a in hub_ars) + tuple((0, a) for a in ec_ars),
+        access_routers=hub_ars + ec_ars, edge_clouds=(0,), datacenter_hops=12,
+    )
+    return manual_instance(
+        t, mobility, content_size=content_size, bandwidth=bandwidth,
+        link_capacity=[1.0] + [1000.0] * 18, alpha=0.1, beta=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "b1, doomed", [(0.4999995, False), (0.5000005, False), (0.6, True)],
+    ids=["just_under", "just_over", "well_over"],
+)
+def test_parent_settles_the_cap_only_on_sure_overloads(monkeypatch, b1, doomed):
+    # Flows 0 and 1 each reach the nine hub ARs through the uplink, so the
+    # two of them alone have 2**18 serving subsets, past the cap; they
+    # branch first and load the uplink to 0.5 + b1.  Only a load at or
+    # above 1 + 1e-6 settles every leaf below as a cap hit.  Within 1e-6
+    # of 1 the leaves re-sum the link in flow order: just under 1 the leaf
+    # with flow 2 uncached fits, and just over 1 each leaf finds the
+    # overload and gives up at the cap.
+    spread = [1.0 / 9] * 9 + [0.0] * 9
+    inst = _uplink_instance(
+        [spread, spread, [1.0] + [0.0] * 17], [30.0, 20.0, 10.0], [0.5, b1, 0.3]
+    )
+    (out, stats), (ref_out, ref_stats) = _solve_both(monkeypatch, inst)
+    assert out == ref_out
+    assert _without_fast_path_counts(stats) == ref_stats
+    assert stats["cap_hits"] > 0
+    assert (stats["doomed_leaves"] > 0) == doomed
+    assert (stats["flow_order_rechecks"] > 0) == (not doomed)  # the uplink lies in the band
+
+
+def test_parent_counts_only_the_flows_on_sure_overloads(monkeypatch):
+    # Flows 0 and 1 overload the uplink with 2**16 serving subsets, under
+    # the cap; flow 2 adds 2**9 more but stays off the uplink, so it is
+    # never affected.  No leaf is settled at its parent: with flow 3
+    # uncached the leaf re-serves flows 0 and 1, and with flow 3 on the
+    # uplink it gives up at the cap.
+    eight = [1.0 / 8] * 8 + [0.0] * 10
+    off_uplink = [0.0] * 9 + [1.0 / 9] * 9
+    inst = _uplink_instance(
+        [eight, eight, off_uplink, [1.0] + [0.0] * 17],
+        [30.0, 25.0, 20.0, 10.0], [0.5, 0.6, 0.3, 0.3],
+    )
+    (out, stats), (ref_out, ref_stats) = _solve_both(monkeypatch, inst)
+    assert out == ref_out
+    assert _without_fast_path_counts(stats) == ref_stats
+    assert stats["cap_hits"] > 0 and stats["doomed_leaves"] == 0
+    assert stats["overloaded_leaves"] > stats["cap_hits"]
 
 
 def test_near_threshold_link_is_judged_on_flow_order_sum(monkeypatch):
@@ -296,6 +399,6 @@ def test_near_threshold_link_is_judged_on_flow_order_sum(monkeypatch):
     (out, stats), (ref_out, ref_stats) = _solve_both(monkeypatch, inst)
     assert stats["flow_order_rechecks"] > 0
     assert out == ref_out
-    assert {**stats, "flow_order_rechecks": 0} == ref_stats
+    assert _without_fast_path_counts(stats) == ref_stats
     assert stats["overloaded_leaves"] > 0
     assert out[0].count(1) == 1  # one flow stays uncached
