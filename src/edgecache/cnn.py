@@ -21,7 +21,11 @@ step), and results do not depend on the interleaving.
 Inference (`predict_all`, and `forward` for one model) is one stacked
 pass over the slot models: the image's im2col is built once and each
 conv stage is one batched GEMM over a leading model axis, bit-equal to
-running each model's layers on its own.
+running each model's layers on its own.  The stacked weights and
+batch-norm statistics are taken once per slot set, when its
+`SlotModels` is built, not on every call, and batch norm and ReLU run
+in place on rows of w*C floats (a whole image row of every channel)
+rather than on C-float pixels.
 
 Parameters, activations, gradients and Adam state are float32
 (`DTYPE`), and nothing in a training step or in inference promotes to
@@ -391,38 +395,85 @@ def forward(m: CnnModel, img) -> np.ndarray:
     x = m._as_batch(img)
     if len(x) != 1:
         raise CnnError(f"forward scores one image, got a batch of {len(x)}")
-    return _infer([m], x)[0]
+    return _infer(SlotModels([m]), x)[0]
 
 
-def _infer(models: list[CnnModel], x: np.ndarray) -> np.ndarray:
-    """One inference pass of models of one architecture over one image
-    x (1, h, w, 1); row k is models[k]'s class probabilities.
+class SlotModels(tuple):
+    """The per-slot models of one architecture, stacked for inference.
+
+    A tuple of CnnModel (len, indexing and iteration are the tuple's)
+    that also holds every array inference reads, taken once when it is
+    built: per conv stage the (K, 9*cin, cout) weights, and the bias,
+    running mean, inverse standard deviation, scale and shift, each
+    tiled over the image width into a (K, 1, w*cout) row; then the
+    (K, F, C) dense weights and (K, 1, C) bias.  So it is a snapshot:
+    a model changed after the SlotModels is built is not seen by it.
+    `harness.train_models` and `harness.load_models` return one, and
+    nothing changes a model after that.
+    """
+
+    def __new__(cls, models):
+        self = super().__new__(cls, models)
+        if not self:
+            raise CnnError("no models to stack")
+        archs = {(m.input_shape, m.filters, m.num_classes) for m in self}
+        if len(archs) > 1:
+            raise CnnError(
+                f"models disagree on (input_shape, filters, num_classes): {sorted(archs)}"
+            )
+        self._convs, self._dense = _stack_inference(self)
+        return self
+
+
+def _stack_inference(models):
+    """The inference arrays of SlotModels, in the layout it documents."""
+    K, width = len(models), models[0].input_shape[1]
+    convs = []
+    for li in range(0, len(models[0].layers) - 1, 3):
+        conv = [m.layers[li].params for m in models]
+        bn = [m.layers[li + 1] for m in models]
+        # (K, 5, cout): bias, running mean, variance (then ivar), scale, shift
+        channels = np.array([
+            (c["b"], b.running_mean, b.running_var, b.params["scale"], b.params["shift"])
+            for c, b in zip(conv, bn)
+        ])
+        channels[:, 2] = 1.0 / np.sqrt(channels[:, 2] + BatchNorm.eps)
+        cout = channels.shape[-1]
+        rows = np.broadcast_to(channels[:, :, None, None, :], (K, 5, 1, width, cout))
+        rows = rows.reshape(K, 5, 1, width * cout).transpose(1, 0, 2, 3)
+        convs.append((np.stack([c["w"].reshape(-1, cout) for c in conv]), *rows))
+    dense = [m.layers[-1].params for m in models]
+    return convs, (np.stack([d["w"] for d in dense]), np.stack([d["b"] for d in dense])[:, None, :])
+
+
+def _infer(models: SlotModels, x: np.ndarray) -> np.ndarray:
+    """One inference pass of the slot models over one image x
+    (1, h, w, 1); row k is models[k]'s class probabilities.
 
     Every layer runs over a leading model axis: the input's im2col is
     built once, each conv stage is one np.matmul over the stacked
     (K, 9*cin, cout) weights (one GEMM per model on the operands its
-    own Conv3x3 would use), and batch norm and ReLU are elementwise in
-    the layers' own order, so each row is bit-equal to that model's
-    logits(x, train=False).  The dense layer stays a per-model product.
+    own Conv3x3 would use), batch norm and ReLU work in place on
+    (K, h, w*cout) rows in the layers' own order, and the dense layer
+    is one batched matmul.  So each row is bit-equal to that model's
+    logits(x, train=False).  The patches go into the thread's free
+    im2col buffers, as in training, so a call allocates none.
     """
     K = len(models)
-    for li in range(0, len(models[0].layers) - 1, 3):
+    for weights, bias, mean, ivar, scale, shift in models._convs:
         n, h, w, cin = x.shape
-        convs = [m.layers[li] for m in models]
-        bns = [m.layers[li + 1] for m in models]
-        weights = np.stack([conv.params["w"].reshape(9 * cin, -1) for conv in convs])
-        bias = np.stack([conv.params["b"] for conv in convs])[:, None, :]
-        x = np.matmul(_im2col(x).reshape(n, h * w, 9 * cin), weights) + bias
-        mean = np.stack([bn.running_mean for bn in bns])[:, None, None, :]
-        var = np.stack([bn.running_var for bn in bns])[:, None, None, :]
-        scale = np.stack([bn.params["scale"] for bn in bns])[:, None, None, :]
-        shift = np.stack([bn.params["shift"] for bn in bns])[:, None, None, :]
-        ivar = 1.0 / np.sqrt(var + BatchNorm.eps)
-        x = scale * ((x.reshape(K, h, w, -1) - mean) * ivar) + shift
-        x = x * (x > 0)
-    flat = np.broadcast_to(x.reshape(x.shape[0], 1, -1), (K, 1, x[0].size))
-    dense = [m.layers[-1].params for m in models]
-    return softmax(np.concatenate([flat[k] @ d["w"] + d["b"] for k, d in enumerate(dense)]))
+        cols = _im2col(x, _free_patches.take((n, h, w, 9 * cin), x.dtype))
+        x = np.matmul(cols.reshape(n, h * w, 9 * cin), weights).reshape(K, h, -1)
+        _free_patches.give(cols)
+        x += bias
+        x -= mean
+        x *= ivar
+        np.multiply(scale, x, out=x)
+        x += shift
+        x *= x > 0
+        x = x.reshape(K, h, w, -1)
+    weights, bias = models._dense
+    return softmax((x.reshape(x.shape[0], 1, -1) @ weights + bias)[:, 0])
 
 
 def _stack_samples(samples, request_index: int):
@@ -594,20 +645,21 @@ def gradient_check(
     return worst
 
 
-def predict_all(models: list[CnnModel], img) -> np.ndarray:
+def predict_all(models, img) -> np.ndarray:
     """Stack per-request predictions into the probability matrix O.
 
     Row k comes from models[k], in one inference pass over all models;
     the models are independent, so rows are unaffected by one another.
+    models is a SlotModels, or a sequence that is stacked into one for
+    this call.
     """
     matrix = img.matrix if isinstance(img, FeatureImage) else np.asarray(img)
     if len(models) != matrix.shape[0]:
         raise CnnError(
             f"{len(models)} models for {matrix.shape[0]} flow rows"
         )
-    archs = {(m.input_shape, m.filters, m.num_classes) for m in models}
-    if len(archs) > 1:
-        raise CnnError(f"models disagree on (input_shape, filters, num_classes): {sorted(archs)}")
+    if not isinstance(models, SlotModels):
+        models = SlotModels(models)
     return _infer(models, models[0]._as_batch(matrix))
 
 

@@ -199,12 +199,12 @@ def train_models(
 ):
     """One model per request slot, trained on the corpus train split.
 
-    Returns (models, loss traces).  The slots train in interleaved
-    mini-batch steps: workers threads (at least 1) each take a slot
-    from a shared queue, run one of its steps and put it back.  Each
-    slot has its own seed, shuffle stream and Adam state, so results do
-    not depend on workers.  A slot's error stops every thread after its
-    current step and is raised here.
+    Returns (models, loss traces), the models as a cnn.SlotModels.
+    The slots train in interleaved mini-batch steps: workers threads
+    (at least 1) each take a slot from a shared queue, run one of its
+    steps and put it back.  Each slot has its own seed, shuffle stream
+    and Adam state, so results do not depend on workers.  A slot's
+    error stops every thread after its current step and is raised here.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -249,7 +249,7 @@ def train_models(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for future in [pool.submit(work) for _ in range(workers)]:
             future.result()
-    models = [r[0] for r in results]
+    models = cnnmod.SlotModels(r[0] for r in results)
     traces = [r[1] for r in results]
 
     if out_dir is not None:
@@ -268,10 +268,11 @@ def train_models(
 
 
 def load_models(path):
-    """The per-slot models saved under path; model_0's input height is the slot count."""
+    """The per-slot models saved under path, as a cnn.SlotModels;
+    model_0's input height is the slot count."""
     first = cnnmod.load_model(Path(path) / "model_0")
-    rest = range(1, first.input_shape[0])
-    return [first] + [cnnmod.load_model(Path(path) / f"model_{k}") for k in rest]
+    rest = [cnnmod.load_model(Path(path) / f"model_{k}") for k in range(1, first.input_shape[0])]
+    return cnnmod.SlotModels([first, *rest])
 
 
 def predict_with_enhancement(
@@ -307,8 +308,10 @@ def recursive_allocate(
     that, EC and link capacities are reduced by what the block consumed
     and the remaining flows are re-encoded against the residual network.
     Ratios that drift beyond the trained range saturate at the image
-    maximum rather than failing.
+    maximum rather than failing.  block must be at least 1.
     """
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
     E = i.topology.num_edge_clouds
     classes = np.full(i.num_flows, E, dtype=int)
     residual = i

@@ -41,16 +41,15 @@ class CandidateQueues:
 
 def build_queues(O: np.ndarray, delta: float) -> CandidateQueues:
     """Threshold the probability matrix and split it into the queues."""
-    scores = np.maximum(0.0, O - delta)
-    omega = []
-    psi = []
-    for k in range(O.shape[0]):
-        best = int(np.argmax(O[k]))
-        omega.append((k, best, float(O[k, best])))
-        for c in range(O.shape[1]):
-            if c != best and scores[k, c] > 0.0:
-                psi.append((k, c, float(O[k, c])))
-    psi.sort(key=lambda entry: (-entry[2], entry[0], entry[1]))
+    flows = np.arange(O.shape[0])
+    best = np.argmax(O, axis=1)
+    keep = O - delta > 0.0
+    keep[flows, best] = False
+    k, c = np.nonzero(keep)
+    p = O[k, c]
+    order = np.lexsort((c, k, -p))
+    omega = zip(flows.tolist(), best.tolist(), O[flows, best].tolist())
+    psi = zip(k[order].tolist(), c[order].tolist(), p[order].tolist())
     return CandidateQueues(omega=tuple(omega), psi=tuple(psi))
 
 

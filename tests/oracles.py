@@ -16,7 +16,8 @@ from edgecache.cost import (
     network_tables,
     utilization,
 )
-from edgecache.pel import build_queues
+from edgecache.cnn import BatchNorm, _im2col, softmax
+from edgecache.pel import CandidateQueues
 from edgecache.solver import REASSIGNMENT_CAP
 from edgecache.topology import TopologyError
 
@@ -202,12 +203,29 @@ def rgc_reference(i, cfg=RgcConfig(), trace=None):
     return assignment_from_classes(i, classes)
 
 
+def build_queues_reference(O, delta):
+    """PEL's queues cell by cell: each row's argmax is its omega entry,
+    every other cell with max(0, O - delta) > 0 joins psi, and psi is
+    sorted by descending probability, then flow, then class."""
+    scores = np.maximum(0.0, O - delta)
+    omega = []
+    psi = []
+    for k in range(O.shape[0]):
+        best = int(np.argmax(O[k]))
+        omega.append((k, best, float(O[k, best])))
+        for c in range(O.shape[1]):
+            if c != best and scores[k, c] > 0.0:
+                psi.append((k, c, float(O[k, c])))
+    psi.sort(key=lambda entry: (-entry[2], entry[0], entry[1]))
+    return CandidateQueues(omega=tuple(omega), psi=tuple(psi))
+
+
 def enhance_reference(i, O, delta, gamma, trace_path=None):
     """PEL with one price call per queue entry: substitute the entry,
     price the class vector, keep it only on a strict drop.  The loop the
     stacked enhance must reproduce entry for entry, trace rows included.
     Takes inputs enhance has already validated."""
-    queues = build_queues(np.asarray(O, dtype=float), delta)
+    queues = build_queues_reference(np.asarray(O, dtype=float), delta)
     table = class_table(i)
     classes = np.array([c for _, c, _ in queues.omega])
     tc_current = table.price(classes, gamma=gamma)
@@ -355,6 +373,32 @@ def evaluate_leaf_reference(search, choices, counts, util, placed_t):
         search.best_tc = tc
         search.best_choices = choices.copy()
         search.best_serving = {k: opt[2] for k, opt in zip(affected, best_combo)}
+
+
+def infer_reference(models, x):
+    """Inference of a list of models of one architecture over one image
+    x (1, h, w, 1), stacking their weights and statistics on every call:
+    each conv stage one np.matmul over a leading model axis, batch norm
+    and ReLU out of place with (K, 1, 1, C) broadcasts, and the dense
+    layer one product per model.  Row k is models[k]'s probabilities."""
+    K = len(models)
+    for li in range(0, len(models[0].layers) - 1, 3):
+        n, h, w, cin = x.shape
+        convs = [m.layers[li] for m in models]
+        bns = [m.layers[li + 1] for m in models]
+        weights = np.stack([conv.params["w"].reshape(9 * cin, -1) for conv in convs])
+        bias = np.stack([conv.params["b"] for conv in convs])[:, None, :]
+        x = np.matmul(_im2col(x).reshape(n, h * w, 9 * cin), weights) + bias
+        mean = np.stack([bn.running_mean for bn in bns])[:, None, None, :]
+        var = np.stack([bn.running_var for bn in bns])[:, None, None, :]
+        scale = np.stack([bn.params["scale"] for bn in bns])[:, None, None, :]
+        shift = np.stack([bn.params["shift"] for bn in bns])[:, None, None, :]
+        ivar = 1.0 / np.sqrt(var + BatchNorm.eps)
+        x = scale * ((x.reshape(K, h, w, -1) - mean) * ivar) + shift
+        x = x * (x > 0)
+    flat = np.broadcast_to(x.reshape(x.shape[0], 1, -1), (K, 1, x[0].size))
+    dense = [m.layers[-1].params for m in models]
+    return softmax(np.concatenate([flat[k] @ d["w"] + d["b"] for k, d in enumerate(dense)]))
 
 
 # The LP-text reader: export_milp's differential oracle.  Parsing the

@@ -20,6 +20,7 @@ from edgecache.cnn import (
     train,
 )
 from edgecache.encoder import NormConfig, encode, split_subimages
+from edgecache.harness import evaluation_topology
 from edgecache.instance import generate_instance
 from edgecache.topology import TopologyConfig, build_topology
 
@@ -466,6 +467,79 @@ def test_predict_all_matches_per_model_layers(image, norm):
         (trained, integer),
     ):
         assert (predict_all(models, img) == _per_model_rows(models, img)).all()
+
+
+def _randomized(model: CnnModel, rng) -> CnnModel:
+    """model with every parameter and batch-norm statistic drawn at
+    random (variances positive), so each stacked array is exercised."""
+    for _, _, param, _ in model.param_items():
+        param[...] = rng.normal(scale=0.5, size=param.shape)
+    for layer in model.layers:
+        if isinstance(layer, BatchNorm):
+            shape = layer.running_mean.shape
+            layer.running_mean = rng.normal(scale=0.3, size=shape).astype(cnn.DTYPE)
+            layer.running_var = rng.uniform(0.2, 2.0, size=shape).astype(cnn.DTYPE)
+    return model
+
+
+@pytest.mark.parametrize("K", [1, 3, 5])
+@pytest.mark.parametrize(
+    "network,width",
+    [("evaluation", 28), ("internal", 29), ("leaves", 30)],
+)
+def test_slot_models_inference_matches_references(norm, network, width, K):
+    # The stacked pass over a SlotModels against the per-call stacking
+    # oracle and against each model's own layers, bit for bit, on a
+    # full block and on a block padded with phantom rows.
+    if network == "evaluation":
+        t = evaluation_topology()
+    else:
+        t = build_topology(TopologyConfig(branching=2, depth=3, ec_rule=network))
+    rng = np.random.default_rng([width, K])
+    E1 = t.num_edge_clouds + 1
+    full = encode(generate_instance(t, K, seed=K), norm)
+    padded = split_subimages(encode(generate_instance(t, max(K - 2, 1), seed=K), norm), K)[0]
+    assert full.matrix.shape == (K, width) and padded.matrix.shape == (K, width)
+    assert K < 3 or padded.phantom_rows == 2
+    models = [_randomized(CnnModel((K, width), E1, request_index=k, seed=k), rng) for k in range(K)]
+    slots = cnn.SlotModels(models)
+    for img in (full.matrix, padded.matrix):
+        O = predict_all(slots, img)
+        assert O.dtype == cnn.DTYPE
+        assert np.array_equal(O, oracles.infer_reference(models, models[0]._as_batch(img)))
+        assert np.array_equal(O, _per_model_rows(models, img))
+        assert np.array_equal(O, predict_all(models, img))
+        for m, row in zip(models, O):
+            assert np.array_equal(forward(m, img), row)
+
+
+def test_slot_models_are_a_tuple_of_their_models(image):
+    models = [CnnModel(image.matrix.shape, 8, request_index=k, seed=k) for k in range(5)]
+    slots = cnn.SlotModels(models)
+    assert isinstance(slots, tuple) and len(slots) == 5
+    assert list(slots) == models and slots[2] is models[2]
+    with pytest.raises(CnnError):
+        cnn.SlotModels([])
+
+
+def test_slot_models_stack_once_and_a_list_on_every_call(image, monkeypatch):
+    builds = []
+    stack = cnn._stack_inference
+
+    def counted(models):
+        builds.append(len(models))
+        return stack(models)
+
+    monkeypatch.setattr(cnn, "_stack_inference", counted)
+    models = [CnnModel(image.matrix.shape, 8, request_index=k, seed=k) for k in range(5)]
+    slots = cnn.SlotModels(models)
+    first = predict_all(slots, image)
+    for _ in range(9):
+        assert np.array_equal(predict_all(slots, image), first)
+    assert builds == [5]
+    for _ in range(3):
+        assert np.array_equal(predict_all(models, image), first)
+    assert builds == [5] * 4
 
 
 def test_predict_all_rejects_mixed_architectures():

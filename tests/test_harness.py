@@ -210,6 +210,29 @@ def test_models_persist_and_reload(corpus, models, tmp_path):
         assert (forward(a, img) == forward(b, img)).all()
 
 
+def test_trained_and_loaded_models_are_slot_models(corpus, models, tmp_path):
+    # Both hand out a SlotModels, whose stacked pass gives the same
+    # probabilities as the same models passed as a plain list.
+    from edgecache.cnn import SlotModels, predict_all, save_model
+
+    for k, m in enumerate(models):
+        save_model(m, tmp_path / f"model_{k}")
+    back = load_models(tmp_path)
+    assert isinstance(models, SlotModels) and isinstance(back, SlotModels)
+    for sample in corpus.samples[:4]:
+        img = encode(corpus.load(sample), corpus.norm)
+        O = predict_all(list(models), img)
+        assert np.array_equal(predict_all(models, img), O)
+        assert np.array_equal(predict_all(back, img), O)
+
+
+@pytest.mark.parametrize("block", [0, -3])
+def test_recursive_allocate_refuses_a_block_below_one(corpus, models, block):
+    inst = corpus.load(corpus.of_split("test")[0])
+    with pytest.raises(ValueError, match="block"):
+        recursive_allocate(models, inst, block=block, norm=corpus.norm)
+
+
 def test_recursive_allocate_degenerate_split_equals_plain(corpus, models):
     sample = corpus.of_split("test")[0]
     inst = corpus.load(sample)

@@ -10,7 +10,7 @@ from edgecache.pel import build_queues, enhance
 from edgecache.topology import Topology
 
 from conftest import manual_instance
-from oracles import enhance_reference
+from oracles import build_queues_reference, enhance_reference
 
 
 def argmax_assignment(inst, O):
@@ -65,6 +65,31 @@ def test_queue_construction_picks_row_maxima():
     assert (0, 1) not in psi_entries  # zero entries stay out
     probs = [p for _, _, p in queues.psi]
     assert probs == sorted(probs, reverse=True)
+
+
+def _queue_matrices():
+    rng = np.random.default_rng(21)
+    for shape in [(1, 2), (3, 7), (5, 7), (15, 9)]:
+        yield rng.dirichlet(np.ones(shape[1]), size=shape[0]), 0.001
+    # Tied probabilities: two maxima in a row, and equal values across
+    # flows and classes, so psi's order rests on the (flow, class) keys.
+    yield np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4], [0.2, 0.2, 0.6]]), 0.001
+    yield np.full((4, 5), 0.2), 0.001
+    yield rng.integers(0, 4, size=(6, 7)) / 8.0, 0.001
+    # Entries exactly at delta stay out; the next float above it is in.
+    delta = 0.125
+    yield np.array([[delta, np.nextafter(delta, 1.0), 0.5], [0.0, delta, 0.875]]), delta
+    yield np.array([[0.25, 0.25, 0.5], [0.25, 0.5, 0.25]]), 0.25
+    yield rng.dirichlet(np.ones(7), size=5).astype(np.float32), 0.001
+    yield rng.dirichlet(np.ones(7), size=5), 0.0
+
+
+def test_build_queues_matches_cell_loop():
+    for O, delta in _queue_matrices():
+        queues = build_queues(O, delta)
+        assert queues == build_queues_reference(O, delta), (O, delta)
+        for entry in queues.omega + queues.psi:
+            assert tuple(map(type, entry)) == (int, int, float)
 
 
 def test_confident_single_flow_is_left_alone(tree_topology):
