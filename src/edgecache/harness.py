@@ -119,6 +119,8 @@ def build_dataset(
         raise ValueError("n must be >= 1")
     if not 0 <= train_fraction <= 1:
         raise ValueError(f"train_fraction must be in [0, 1], got {train_fraction}")
+    if budget < 1:  # solve_exact refuses it too, but only after the corpus directory exists
+        raise ValueError(f"budget must be >= 1, got {budget}")
     root = Path(out_dir)
     (root / "instances").mkdir(parents=True, exist_ok=True)
     save_topology(t, root / "topology.json")

@@ -30,13 +30,14 @@ differ from flow-order ones in the last bits, so a link loaded within
 1e-6 of 1 is re-summed in flow order before the overload test; every
 decision is the one the flow-order sums give.
 
-A leaf gives up when the flows on its overloaded links have more than
-REASSIGNMENT_CAP serving subsets between them.  The parent of leaves
-settles that once for all its children: a link that the flows above it
-already load past 1 + 1e-6 ends overloaded at every leaf, and the last
-flow can only add affected flows.  So when the flows on those links
-alone pass the cap, each child that survives the bound is counted as a
-cap hit without being evaluated.
+Each level also holds the (link bitmask, serving-AR count) pairs of its
+flows, and one test, _over_cap, reads off them whether the flows on a
+set of links have more than REASSIGNMENT_CAP serving subsets, past
+which a leaf gives up.  The parent of leaves settles that once for all
+its children: a link that the flows above it load past 1 + 1e-6 ends
+overloaded at every leaf, and the last flow can only add a pair.  So
+when the pairs on those links pass the cap, each child that survives
+the bound is counted as a cap hit without being evaluated.
 """
 
 from __future__ import annotations
@@ -101,10 +102,11 @@ class _Search:
         self.t = self.table.T.tolist()
         self.r = ratios(inst).r.tolist()  # b_k / c_l
         # Only overloaded leaves re-serve flows, so they alone read the
-        # hop gains and paths (_serving); the cap needs just the counts.
+        # hop gains and paths (_serving); the cap needs just the counts,
+        # and class E serves no AR.
         self.hops_saved = nt - hops.entries  # (A, E) per unit of served mass
         self.paths = inc.path_store
-        self.serve_count = self.table.serve.sum(axis=1).tolist()  # (K, E)
+        self.serve_count = [row + [0] for row in self.table.serve.sum(axis=1).tolist()]  # (K, E+1)
 
         # Per (flow, class): the (link, b_k/c_l, link bit) loads of the
         # serving paths in ascending link order, and the bitmask of those
@@ -138,17 +140,17 @@ class _Search:
         # branched above depth d in branch order, near[d] the bitmask of
         # its links loaded above 1 - _RECHECK and sure[d] of those at or
         # above 1 + _RECHECK (loads only grow down the tree, so these end
-        # overloaded).  Levels 0..valid match the current choices; setting
-        # the choice at depth d lowers valid to d, and a last-level parent
-        # refills the levels above it up to K - 1.  A leaf adds the last
-        # flow to level K - 1 without storing a level.
+        # overloaded), and pairs[d] the (link bitmask, serving-AR count) of
+        # each of those flows that touches a link.  Levels 0..valid match
+        # the current choices; setting the choice at depth d lowers valid
+        # to d, and a last-level parent refills the levels above it up to
+        # K - 1.  A leaf adds the last flow to level K - 1 without storing
+        # a level.
         self.prefix: list[list[float]] = [[0.0] * self.L] * self.K
         self.near = [0] * self.K
         self.sure = [0] * self.K
+        self.pairs: list[tuple[tuple[int, int], ...]] = [()] * self.K
         self.valid = 0
-        # The (link bitmask, serving-AR count) of each cached flow branched
-        # above depth K - 1 that touches a link, set by _settle_parent.
-        self.upper_pairs: list[tuple[int, int]] = []
 
         self.nodes = 0
         self.leaves = 0
@@ -192,7 +194,9 @@ class _Search:
             if last:
                 if doomed is None:
                     self._settle_parent(choices)
-                    doomed = self._cap_doomed()
+                    # The links in sure[K - 1] stay overloaded at every leaf
+                    # (see _RECHECK) and the last flow can only add a pair.
+                    doomed = self._over_cap(self.pairs[self.K - 1], self.sure[self.K - 1])
                 if doomed:  # the leaf would give up at REASSIGNMENT_CAP
                     self.leaves += 1
                     self.overloaded_leaves += 1
@@ -212,14 +216,14 @@ class _Search:
             self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step)
 
     def _settle_parent(self, choices):
-        """At a last-level parent: refill the prefix stack up to level
-        K - 1 and list the upper flows' (link bitmask, serving-AR count)."""
-        prefix, near, sure, order, loads = self.prefix, self.near, self.sure, self.order, self.loads
+        """At a last-level parent: refill the prefix stack up to level K - 1."""
+        prefix, near, sure, pairs, order = self.prefix, self.near, self.sure, self.pairs, self.order
         top = self.K - 1
         for d in range(self.valid, top):
             k = order[d]
-            load, near_d, sure_d = prefix[d], near[d], sure[d]
-            rows = loads[k][choices[k]]
+            c = choices[k]
+            load, near_d, sure_d, pairs_d = prefix[d], near[d], sure[d], pairs[d]
+            rows = self.loads[k][c]
             if rows:  # a level is never written in place, so it may be shared
                 load = load.copy()
                 for l, v, bit in rows:
@@ -228,45 +232,29 @@ class _Search:
                         near_d |= bit
                         if load[l] >= 1.0 + _RECHECK:
                             sure_d |= bit
-            prefix[d + 1], near[d + 1], sure[d + 1] = load, near_d, sure_d
+                pairs_d += ((self.masks[k][c], self.serve_count[k][c]),)
+            prefix[d + 1], near[d + 1], sure[d + 1], pairs[d + 1] = load, near_d, sure_d, pairs_d
         self.valid = top
 
-        masks, serve_count = self.masks, self.serve_count
-        pairs = []
-        for k in order[:top]:
-            c = choices[k]
-            if masks[k][c]:
-                pairs.append((masks[k][c], serve_count[k][c]))
-        self.upper_pairs = pairs
-
-    def _cap_doomed(self) -> bool:
-        """Whether every leaf below the settled parent gives up at
-        REASSIGNMENT_CAP.  The links in sure[K - 1] end overloaded at every
-        such leaf, on flow-order sums too (see _RECHECK), so the upper
-        flows on them are affected at every leaf; the last flow can only
-        add to that set, and so to the product of serving subsets."""
-        sure = self.sure[self.K - 1]
-        if not sure:
-            return False
-        n = sum(count for mask, count in self.upper_pairs if mask & sure)
-        return 1 << n > REASSIGNMENT_CAP
+    @staticmethod
+    def _over_cap(pairs, over) -> bool:
+        """Whether the flows on the links `over`, given as (link bitmask,
+        serving-AR count) pairs, have more than REASSIGNMENT_CAP serving
+        subsets between them."""
+        return 1 << sum(count for mask, count in pairs if mask & over) > REASSIGNMENT_CAP
 
     def _evaluate_leaf(self, choices, counts, util, placed_t):
         """Price a leaf, re-serving the flows on overloaded links; with no
-        overload no flow is affected and the greedy routing stands.  The
-        flows on the overloaded links may take 2**(their serving-AR
-        count) subsets between them; past REASSIGNMENT_CAP the leaf gives
-        up."""
+        overload no flow is affected and the greedy routing stands.  Past
+        the cap (_over_cap) the leaf gives up."""
         last = self.order[-1]
         cls = choices[last]
         over = self._overloaded_links(choices, self.loads[last][cls])
         extra, serving = 0.0, {}
         if over:
             self.overloaded_leaves += 1
-            n = sum(count for mask, count in self.upper_pairs if mask & over)
-            if self.masks[last][cls] & over:
-                n += self.serve_count[last][cls]
-            if 1 << n > REASSIGNMENT_CAP:
+            pair = (self.masks[last][cls], self.serve_count[last][cls])
+            if self._over_cap(self.pairs[self.K - 1] + (pair,), over):
                 self.cap_hits += 1
                 return
             found = self._cheapest_serving(choices, over)
@@ -310,15 +298,16 @@ class _Search:
         """The cheapest re-serving of the flows on the overloaded links
         `over`, as (lost hop gain, {flow: served ARs}); None when no
         serving fits the links.  The caller has checked REASSIGNMENT_CAP."""
-        # Affected flows are cached: class E touches no link.
-        affected = [k for k, c in enumerate(choices) if self.masks[k][c] & over]
-
+        # Affected flows are cached: class E touches no link.  The others
+        # keep their greedy loads, summed in flow order.
+        affected = []
         base_load = [0.0] * self.L
         for k, c in enumerate(choices):
-            if k in affected:
-                continue
-            for l, v, _ in self.loads[k][c]:
-                base_load[l] += v
+            if self.masks[k][c] & over:
+                affected.append(k)
+            else:
+                for l, v, _ in self.loads[k][c]:
+                    base_load[l] += v
 
         # Per affected flow, every serving subset as (lost hop gain, link
         # loads, served ARs), cheapest loss first.
@@ -410,6 +399,8 @@ def solve_exact(
     re-summed in flow order because their branch-order load lay within
     1e-6 of 1 (at evaluated leaves only).
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     search = _Search(i, budget)
     exhausted = False
     try:

@@ -11,6 +11,7 @@ the data contract.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
@@ -69,6 +70,8 @@ class Topology:
             raise TopologyError("topology has no access routers")
         if not self.edge_clouds:
             raise TopologyError("topology has no edge clouds")
+        if self.datacenter_hops < 1:
+            raise TopologyError(f"datacenter_hops must be >= 1, got {self.datacenter_hops}")
         node_set = set(self.nodes)
         adj: dict[int, list[int]] = {n: [] for n in self.nodes}
         index: dict[tuple[int, int], int] = {}
@@ -283,7 +286,7 @@ def topology_from_payload(payload, where) -> Topology:
         "links": lambda links: tuple(int_tuple(l, 2) for l in links),
         "access_routers": int_tuple,
         "edge_clouds": int_tuple,
-        "datacenter_hops": int,
+        "datacenter_hops": operator.index,
     }
     return Topology(**read_fields(payload, fields, TopologyError, where))
 

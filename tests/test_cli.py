@@ -203,6 +203,8 @@ def test_config_value_starting_with_dash_stays_a_value(workspace, tmp_path, caps
         ("dataset", ["--train-fraction", "1.5"]),
         ("dataset", ["--train-fraction", "nan"]),
         ("train", ["--workers", "0"]),
+        ("dataset", ["--budget", "0"]),
+        ("topo", ["--datacenter-hops", "0"]),
     ],
 )
 def test_bad_number_flag_exits_2(workspace, tmp_path, capsys, command, flags):
@@ -212,6 +214,7 @@ def test_bad_number_flag_exits_2(workspace, tmp_path, capsys, command, flags):
         "eval": ["--corpus", str(corpus), "--models", str(models)],
         "render": ["--instance", str(corpus / "instances" / "inst_00000.json")],
         "dataset": ["--topology", str(topo), "--count", "2", "--flows", "2"],
+        "topo": [],
     }[command]
     out = tmp_path / "out"
     assert main([command, *source, *flags, "--out", str(out)]) == 2

@@ -267,7 +267,7 @@ def _solve_both(monkeypatch, inst, budget=solver.DEFAULT_NODE_BUDGET):
         with monkeypatch.context() as patch:
             if leaf is not None:
                 # Every leaf reaches the reference: none is settled at its parent.
-                patch.setattr(solver._Search, "_cap_doomed", lambda search: False)
+                patch.setattr(solver._Search, "_over_cap", staticmethod(lambda pairs, over: False))
                 patch.setattr(solver._Search, "_evaluate_leaf", leaf)
             stats = {}
             sol = solve_exact(inst, budget=budget, stats=stats)
@@ -320,6 +320,40 @@ def test_prefix_stack_leaf_matches_flow_order_reference(monkeypatch, family, min
         assert _without_fast_path_counts(stats) == ref_stats, seed
         doomed += stats["doomed_leaves"]
     assert doomed >= min_doomed  # the label tail takes the fast path
+
+
+def test_settled_pairs_match_a_scan_of_the_upper_flows(monkeypatch):
+    # After each last-level parent's refill, the top level of the prefix
+    # stack holds the (link bitmask, serving-AR count) of every cached
+    # flow branched above it, in branch order, as a scan of the choices
+    # would list them.
+    settle = solver._Search._settle_parent
+    settles = 0
+
+    def checked(search, choices):
+        nonlocal settles
+        settle(search, choices)
+        settles += 1
+        scan = tuple(
+            (search.masks[k][choices[k]], search.serve_count[k][choices[k]])
+            for k in search.order[: search.K - 1]
+            if search.masks[k][choices[k]]
+        )
+        assert search.pairs[search.K - 1] == scan
+
+    monkeypatch.setattr(solver._Search, "_settle_parent", checked)
+    topo = evaluation_topology()
+    for ranges, flows, seed, budget in _label_tail_cases() + _tight_leaf_cases():
+        inst = generate_instance(topo, flows, ranges=ranges, seed=seed)
+        solve_exact(inst, budget=budget)
+    assert settles > 0
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_solve_exact_refuses_a_budget_below_one(budget):
+    inst = generate_instance(evaluation_topology(), 3, ranges=DATASET_RANGES, seed=[0, 0])
+    with pytest.raises(ValueError, match="budget"):
+        solve_exact(inst, budget=budget)
 
 
 def _uplink_instance(mobility, content_size, bandwidth):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,23 @@ def test_topology_round_trip(tmp_path):
     t = build_topology(TopologyConfig(branching=3, depth=2, mesh_links=2, seed=5))
     save_topology(t, tmp_path / "topo.json")
     assert load_topology(tmp_path / "topo.json") == t
+
+
+@pytest.mark.parametrize("hops", [0, -2])
+def test_topology_refuses_datacenter_hops_below_one(hops):
+    with pytest.raises(TopologyError, match="datacenter_hops"):
+        Topology(
+            nodes=(0, 1), links=((0, 1),), access_routers=(1,), edge_clouds=(0,),
+            datacenter_hops=hops,
+        )
+
+
+@pytest.mark.parametrize("hops", [12.9, "7", -4])
+def test_topology_file_refuses_a_loose_datacenter_hops(tmp_path, hops):
+    path = tmp_path / "topo.json"
+    save_topology(build_topology(TopologyConfig(depth=2)), path)
+    payload = json.loads(path.read_text())
+    payload["datacenter_hops"] = hops
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TopologyError, match="datacenter_hops"):
+        load_topology(path)
