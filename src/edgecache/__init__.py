@@ -59,7 +59,6 @@ from .instance import (
     load_instance,
     ratios,
     save_instance,
-    subset_flows,
 )
 from .lpfile import export_milp
 from .pel import enhance

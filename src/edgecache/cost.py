@@ -23,7 +23,7 @@ same per-flow arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -172,7 +172,7 @@ class ClassTable:
     ignored; overloads surface in the penalty term.
     """
 
-    inst: Instance
+    inst: Instance     # the cost weights alpha and beta; a block keeps its whole instance
     serve: np.ndarray  # (K, A, E) bool: AR a retrieves from EC e when flow k is cached there
     links: np.ndarray  # (K, E+1, L) int8: links on flow k's serving paths at class c
     T: np.ndarray      # (K, E+1) hit plus miss hops; T[:, E] = N_T
@@ -207,6 +207,26 @@ class ClassTable:
             gamma,
         )
         return _float_or_rows(tc + penalty)
+
+    def block(self, rows: slice, q: np.ndarray, r: np.ndarray) -> ClassTable:
+        """The table of the flows in rows at storage ratios q and
+        bandwidth ratios r: those flows' ratios against any capacities,
+        such as the residual ones of a recursive allocation.
+
+        serve, links and T do not depend on capacities and are sliced;
+        Q and R are rebuilt from q and r row by row.  So the block
+        prices exactly as class_table of the matching sub-instance.
+        """
+        links = self.links[rows]
+        return replace(
+            self,
+            serve=self.serve[rows],
+            links=links,
+            T=self.T[rows],
+            Q=q,
+            R=r[:, None, :] * links,
+            rows=self.rows[: links.shape[0]],
+        )
 
 
 def _float_or_rows(values: np.ndarray):

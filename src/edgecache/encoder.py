@@ -85,6 +85,18 @@ def encode(i: Instance, norm: NormConfig) -> FeatureImage:
     A = i.topology.num_access_routers
     E = i.topology.num_edge_clouds
     L = i.topology.num_links
+    return FeatureImage(
+        matrix=feature_matrix(i.mobility, rat.q, rat.r, norm),
+        block_bounds={"P": (0, A), "Q": (A, A + E), "R": (A + E, A + E + L)},
+        norm_meta=norm,
+    )
+
+
+def feature_matrix(p: np.ndarray, q: np.ndarray, r: np.ndarray, norm: NormConfig) -> np.ndarray:
+    """The [P | Q | R] rows of mobility p, storage ratios q and bandwidth
+    ratios r, normalized as encode does; each row depends on its own
+    flow's values only, so a block of rows encodes as it does in the
+    whole image."""
 
     def scaled(block: np.ndarray, maximum: float, name: str) -> np.ndarray:
         out = block / maximum
@@ -98,22 +110,12 @@ def encode(i: Instance, norm: NormConfig) -> FeatureImage:
             )
         return np.minimum(out, 1.0)
 
-    p = i.mobility
     if (p < -1e-12).any() or (p > 1 + 1e-12).any():
         raise EncodingError("P block holds a probability outside [0,1]")
 
-    matrix = np.concatenate(
-        [
-            np.clip(p, 0.0, 1.0),
-            scaled(rat.q, norm.q_max, "Q"),
-            scaled(rat.r, norm.r_max, "R"),
-        ],
+    return np.concatenate(
+        [np.clip(p, 0.0, 1.0), scaled(q, norm.q_max, "Q"), scaled(r, norm.r_max, "R")],
         axis=1,
-    )
-    return FeatureImage(
-        matrix=matrix,
-        block_bounds={"P": (0, A), "Q": (A, A + E), "R": (A + E, A + E + L)},
-        norm_meta=norm,
     )
 
 

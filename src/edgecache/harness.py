@@ -21,19 +21,20 @@ from pathlib import Path
 import numpy as np
 
 from . import cnn as cnnmod
+from . import pel
 from .baselines import RgcConfig, gca, rgc
-from .cost import DEFAULT_GAMMA, assignment_from_classes, cost_breakdown, labels_of
-from .encoder import NormConfig, encode, split_subimages, update_residual
+from .cost import DEFAULT_GAMMA, assignment_from_classes, class_table, cost_breakdown, labels_of
+from .encoder import NormConfig, encode, feature_matrix
 from .formats import read_fields, read_json, write_json
 from .instance import (
     Instance,
     ParameterRanges,
     generate_instance,
     load_instance,
+    ratios,
     save_instance,
-    subset_flows,
 )
-from .pel import DEFAULT_DELTA, enhance
+from .pel import DEFAULT_DELTA
 from .solver import DEFAULT_NODE_BUDGET, solve_exact
 from .topology import Topology, TopologyConfig, build_topology, load_topology, save_topology
 
@@ -291,9 +292,21 @@ def predict_with_enhancement(
     """
     if i.num_flows > len(models):
         raise cnnmod.CnnError(f"{len(models)} models for {i.num_flows} flows")
-    img = split_subimages(encode(i, norm), len(models))[0]
-    O = cnnmod.predict_all(models, img)
-    return enhance(i, O[: i.num_flows], delta=delta, gamma=gamma)
+    rat = ratios(i)
+    classes = _place_block(models, class_table(i), i.mobility, rat.q, rat.r, norm, delta, gamma)
+    return assignment_from_classes(i, classes)
+
+
+def _place_block(models, table, p, q, r, norm, delta, gamma) -> np.ndarray:
+    """The classes CNN+PEL picks for the flows of table, whose mobility
+    rows are p and ratios q and r: their feature rows, padded with
+    phantom rows to len(models), go through the models, and PEL repairs
+    the real rows' predictions against table."""
+    rows = feature_matrix(p, q, r, norm)
+    image = np.zeros((len(models), rows.shape[1]))
+    image[: len(rows)] = rows
+    O = cnnmod.predict_all(models, image)
+    return pel.enhance(table, O[: len(rows)], delta=delta, gamma=gamma)
 
 
 def recursive_allocate(
@@ -306,26 +319,37 @@ def recursive_allocate(
 ):
     """Allocate an instance block by block, at most len(models) flows each.
 
-    Each block of flows is placed by predict_with_enhancement; after
-    that, EC and link capacities are reduced by what the block consumed
-    and the remaining flows are re-encoded against the residual network.
+    Each block of flows is placed as predict_with_enhancement places
+    an instance of those flows at the current capacities; after that,
+    EC and link capacities are reduced by what the block consumed and
+    the remaining flows are re-encoded against the residual network.
     Ratios that drift beyond the trained range saturate at the image
-    maximum rather than failing.  block must be at least 1.
+    maximum rather than failing.  block must lie in 1..len(models).
+
+    One class table serves every block: a block takes its rows, with
+    Q and R rebuilt from the residual capacities, so each block is
+    priced and encoded exactly as its own sub-instance would be.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    E = i.topology.num_edge_clouds
-    classes = np.full(i.num_flows, E, dtype=int)
-    residual = i
+    if block > len(models):
+        raise ValueError(f"block {block} exceeds the {len(models)} models, one per flow of a block")
+    table = class_table(i)
+    classes = np.full(i.num_flows, i.topology.num_edge_clouds)
+    ec_space, link_capacity = i.ec_space, i.link_capacity
     clip_norm = replace(norm, clip=True)
 
     for start in range(0, i.num_flows, block):
-        chunk = list(range(start, min(start + block, i.num_flows)))
-        sub = subset_flows(residual, chunk)
-        asg = predict_with_enhancement(models, sub, clip_norm, delta=delta, gamma=gamma)
-        classes[chunk] = labels_of(asg.x)
-        left = update_residual(sub, asg, clamp=True)
-        residual = replace(residual, ec_space=left.ec_space, link_capacity=left.link_capacity)
+        rows = slice(start, start + block)
+        size, bandwidth = i.content_size[rows, None], i.bandwidth[rows, None]
+        q, r = size / ec_space, bandwidth / link_capacity
+        sub = table.block(rows, q, r)
+        picked = _place_block(models, sub, i.mobility[rows], q, r, clip_norm, delta, gamma)
+        classes[rows] = picked
+        # The sums and floor of update_residual(clamp=True).
+        ec_space = np.maximum(ec_space - (size * table.onehot[picked]).sum(axis=0), 1e-9)
+        used_bw = (bandwidth * sub.links[sub.rows, picked]).sum(axis=0)
+        link_capacity = np.maximum(link_capacity - used_bw, 1e-9)
     return assignment_from_classes(i, classes)
 
 

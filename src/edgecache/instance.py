@@ -10,7 +10,7 @@ bandwidth 1-10 Mbps, link capacity 50-100 Mbps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,14 +167,6 @@ def generate_instance(
         link_capacity=draw(ranges.link_capacity, t.num_links),
         alpha=float(rng.uniform(*ranges.alpha)),
         beta=float(rng.uniform(*ranges.beta)),
-    )
-
-
-def subset_flows(i: Instance, indices) -> Instance:
-    """Instance restricted to the given flows (capacities unchanged)."""
-    idx = np.asarray(indices, dtype=int)
-    return replace(
-        i, mobility=i.mobility[idx], content_size=i.content_size[idx], bandwidth=i.bandwidth[idx]
     )
 
 

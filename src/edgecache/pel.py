@@ -20,55 +20,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import DEFAULT_GAMMA, Assignment, assignment_from_classes, class_table
+from .cost import DEFAULT_GAMMA, ClassTable, assignment_from_classes, class_table
 from .instance import Instance
 
 DEFAULT_DELTA = 0.001
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateQueues:
     """Current per-flow picks (omega) and the exploration queue (psi).
 
-    omega holds exactly one (flow, class, probability) entry per flow.
-    psi holds every other entry whose probability clears the threshold,
-    sorted by descending probability with (flow, class) breaking ties.
+    Both are index arrays into O.  Flow k's pick is best[k], one per
+    flow.  psi is every other entry whose probability clears the
+    threshold, flows[j] and classes[j] in queue order: descending
+    probability, with (flow, class) breaking ties.  omega and psi give
+    them as (flow, class, probability) tuples.
     """
 
-    omega: tuple[tuple[int, int, float], ...]
-    psi: tuple[tuple[int, int, float], ...]
+    O: np.ndarray
+    best: np.ndarray     # (K,) each flow's argmax class
+    flows: np.ndarray    # (P,) psi's flows
+    classes: np.ndarray  # (P,) psi's classes
+
+    @property
+    def omega(self) -> tuple[tuple[int, int, float], ...]:
+        return _entries(self.O, np.arange(self.best.size), self.best)
+
+    @property
+    def psi(self) -> tuple[tuple[int, int, float], ...]:
+        return _entries(self.O, self.flows, self.classes)
+
+
+def _entries(O, flows, classes):
+    return tuple(zip(flows.tolist(), classes.tolist(), O[flows, classes].tolist()))
 
 
 def build_queues(O: np.ndarray, delta: float) -> CandidateQueues:
     """Threshold the probability matrix and split it into the queues."""
-    flows = np.arange(O.shape[0])
     best = np.argmax(O, axis=1)
     keep = O - delta > 0.0
-    keep[flows, best] = False
+    keep[np.arange(O.shape[0]), best] = False
     k, c = np.nonzero(keep)
-    p = O[k, c]
-    order = np.lexsort((c, k, -p))
-    omega = zip(flows.tolist(), best.tolist(), O[flows, best].tolist())
-    psi = zip(k[order].tolist(), c[order].tolist(), p[order].tolist())
-    return CandidateQueues(omega=tuple(omega), psi=tuple(psi))
+    order = np.lexsort((c, k, -O[k, c]))
+    return CandidateQueues(O=O, best=best, flows=k[order], classes=c[order])
 
 
 def enhance(
-    i: Instance,
+    i: Instance | ClassTable,
     O: np.ndarray,
     delta: float = DEFAULT_DELTA,
     gamma: float = DEFAULT_GAMMA,
     trace_path=None,
-) -> Assignment:
-    """Repair a probability matrix into a single assignment.
+):
+    """Repair a probability matrix into a single placement.
 
-    O has one row per flow over |E|+1 classes (the last class means
-    "leave uncached") and rows summing to 1.  Each queue entry is tried
-    once: substitute it for its flow's current pick, price the class
-    vector, and keep the change only when the penalized cost strictly
-    drops.  The remaining entries are priced as one ClassTable.price
-    stack against the current classes; the first strictly cheaper one
-    is accepted, the ones before it are rejected with the prices a
+    i is an Instance, which gives an Assignment, or the ClassTable of
+    the flows to place, which gives their class vector.  O has one row
+    per flow over |E|+1 classes (the last class means "leave uncached")
+    and rows summing to 1.  Each queue entry is tried once: substitute
+    it for its flow's current pick, price the class vector, and keep
+    the change only when the penalized cost strictly drops.  The
+    remaining entries are priced as one ClassTable.price stack against
+    the current classes; the first strictly cheaper one is accepted,
+    the ones before it are rejected with the prices a
     one-entry-at-a-time walk computes, and the walk restarts after it.
     So a queue costs one call per accept plus one, and the trace_path
     rows are those of the one-entry walk.
@@ -78,36 +92,43 @@ def enhance(
         raise ValueError("delta must lie in [0, 1)")
     if not gamma > 0:
         raise ValueError("gamma must be positive")
+    table = i if isinstance(i, ClassTable) else class_table(i)
+    K, C = table.T.shape
     O = np.asarray(O, dtype=float)
-    if O.shape[0] != i.num_flows:
+    if O.ndim != 2:
+        raise ValueError(f"O must be 2-D (one row per flow), got shape {O.shape}")
+    if O.shape[0] != K:
         raise ValueError("O must have one row per flow")
-    if O.shape[1] != i.topology.num_edge_clouds + 1:
+    if O.shape[1] != C:
         raise ValueError("O must have |E|+1 columns (last = uncached)")
     if not np.allclose(O.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("O rows must sum to 1")
 
     queues = build_queues(O, delta)
-    table = class_table(i)
-    classes = np.array([c for _, c, _ in queues.omega])
+    classes = queues.best
     tc_current = table.price(classes, gamma=gamma)
-    psi = np.array([(k, c) for k, c, _ in queues.psi], dtype=int).reshape(-1, 2)
+    flows, subs = queues.flows, queues.classes
 
     records = []
-    while len(records) < len(psi):
-        step = len(records)
-        flows, subs = psi[step:].T
-        stack = np.repeat(classes[None, :], flows.size, axis=0)
-        stack[np.arange(flows.size), flows] = subs
+    step = 0
+    while step < flows.size:
+        m = flows.size - step
+        stack = np.repeat(classes[None, :], m, axis=0)
+        stack[np.arange(m), flows[step:]] = subs[step:]
         trial = table.price(stack, gamma=gamma)
         better = np.flatnonzero(trial < tc_current)
-        n = int(better[0]) + 1 if better.size else flows.size
-        for j, (k, c, tc_trial) in enumerate(
-            zip(flows[:n].tolist(), subs[:n].tolist(), trial[:n].tolist())
-        ):
-            accepted = better.size > 0 and j == n - 1
-            if accepted:
-                classes, tc_current = stack[j], tc_trial
-            records.append((step + j, k, c, tc_trial, tc_current, accepted))
+        n = int(better[0]) + 1 if better.size else m
+        if trace_path is not None:
+            for j, (k, c, tc_trial) in enumerate(
+                zip(flows[step:][:n].tolist(), subs[step:][:n].tolist(), trial[:n].tolist())
+            ):
+                accepted = better.size > 0 and j == n - 1
+                records.append(
+                    (step + j, k, c, tc_trial, tc_trial if accepted else tc_current, accepted)
+                )
+        if better.size:
+            classes, tc_current = stack[n - 1], float(trial[n - 1])
+        step += n
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
@@ -115,6 +136,5 @@ def enhance(
             writer.writerow(
                 ["iteration", "flow", "class", "tc_candidate", "tc_current", "accepted"]
             )
-            for row in records:
-                writer.writerow(row)
-    return assignment_from_classes(i, classes)
+            writer.writerows(records)
+    return classes if table is i else assignment_from_classes(i, classes)

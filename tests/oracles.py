@@ -3,7 +3,8 @@
 import csv
 import itertools
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -13,11 +14,12 @@ from edgecache.cost import (
     CachingCostUndefinedError,
     assignment_from_classes,
     class_table,
+    labels_of,
     network_tables,
     utilization,
 )
-from edgecache.cnn import BatchNorm, _im2col, softmax
-from edgecache.pel import CandidateQueues
+from edgecache.cnn import BatchNorm, _im2col, predict_all, softmax
+from edgecache.encoder import encode, split_subimages, update_residual
 from edgecache.solver import REASSIGNMENT_CAP
 from edgecache.topology import TopologyError
 
@@ -203,10 +205,14 @@ def rgc_reference(i, cfg=RgcConfig(), trace=None):
     return assignment_from_classes(i, classes)
 
 
+Queues = namedtuple("Queues", "omega psi")
+
+
 def build_queues_reference(O, delta):
-    """PEL's queues cell by cell: each row's argmax is its omega entry,
-    every other cell with max(0, O - delta) > 0 joins psi, and psi is
-    sorted by descending probability, then flow, then class."""
+    """PEL's queues cell by cell, as (flow, class, probability) tuples:
+    each row's argmax is its omega entry, every other cell with
+    max(0, O - delta) > 0 joins psi, and psi is sorted by descending
+    probability, then flow, then class."""
     scores = np.maximum(0.0, O - delta)
     omega = []
     psi = []
@@ -217,7 +223,7 @@ def build_queues_reference(O, delta):
             if c != best and scores[k, c] > 0.0:
                 psi.append((k, c, float(O[k, c])))
     psi.sort(key=lambda entry: (-entry[2], entry[0], entry[1]))
-    return CandidateQueues(omega=tuple(omega), psi=tuple(psi))
+    return Queues(omega=tuple(omega), psi=tuple(psi))
 
 
 def enhance_reference(i, O, delta, gamma, trace_path=None):
@@ -250,6 +256,34 @@ def enhance_reference(i, O, delta, gamma, trace_path=None):
             )
             for row in records:
                 writer.writerow(row)
+    return assignment_from_classes(i, classes)
+
+
+def subset_flows(i, indices):
+    """Instance restricted to the given flows (capacities unchanged)."""
+    idx = np.asarray(indices, dtype=int)
+    return replace(
+        i, mobility=i.mobility[idx], content_size=i.content_size[idx], bandwidth=i.bandwidth[idx]
+    )
+
+
+def recursive_allocate_reference(models, i, block, norm, delta, gamma):
+    """Recursive allocation with a sub-instance per block: cut the
+    block's flows out of the residual instance, encode and pad it,
+    predict, run the one-entry PEL walk on it, and take the residual
+    from the materialized block assignment by update_residual."""
+    classes = np.full(i.num_flows, i.topology.num_edge_clouds)
+    residual = i
+    clip_norm = replace(norm, clip=True)
+    for start in range(0, i.num_flows, block):
+        chunk = list(range(start, min(start + block, i.num_flows)))
+        sub = subset_flows(residual, chunk)
+        img = split_subimages(encode(sub, clip_norm), len(models))[0]
+        O = predict_all(models, img)[: len(chunk)]
+        asg = enhance_reference(sub, O, delta, gamma)
+        classes[chunk] = labels_of(asg.x)
+        left = update_residual(sub, asg, clamp=True)
+        residual = replace(residual, ec_space=left.ec_space, link_capacity=left.link_capacity)
     return assignment_from_classes(i, classes)
 
 

@@ -14,10 +14,11 @@ from edgecache.encoder import (
     update_residual,
     write_pgm,
 )
-from edgecache.instance import Instance, ParameterRanges, generate_instance, subset_flows
+from edgecache.instance import Instance, ParameterRanges, generate_instance
 from edgecache.topology import TopologyConfig, build_topology
 
 from conftest import manual_instance
+from oracles import subset_flows
 
 
 @pytest.fixture(scope="module")

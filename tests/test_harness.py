@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edgecache import harness
-from edgecache.cnn import CnnError, TrainConfig, TrainingDivergedError, _named_arrays, train
+from edgecache import harness, pel
+from edgecache.cnn import CnnError, CnnModel, TrainConfig, TrainingDivergedError, _named_arrays, train
 from edgecache.cost import check_feasibility, penalized_cost
 from edgecache.baselines import gca
 from edgecache.encoder import NormConfig, encode
@@ -25,11 +25,11 @@ from edgecache.harness import (
     split_counts,
     train_models,
 )
-from edgecache.instance import generate_instance, save_instance, subset_flows
+from edgecache.instance import generate_instance, save_instance
 from edgecache.solver import solve_exact
 from edgecache.topology import TopologyConfig, build_topology, save_topology
 
-from oracles import precision_of
+from oracles import precision_of, recursive_allocate_reference, subset_flows
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +231,67 @@ def test_recursive_allocate_refuses_a_block_below_one(corpus, models, block):
     inst = corpus.load(corpus.of_split("test")[0])
     with pytest.raises(ValueError, match="block"):
         recursive_allocate(models, inst, block=block, norm=corpus.norm)
+
+
+def test_recursive_allocate_refuses_a_block_above_the_model_count(corpus, models):
+    inst = generate_instance(corpus.topology(), 6, seed=77)
+    with pytest.raises(ValueError, match="block 4 exceeds the 3 models"):
+        recursive_allocate(models, inst, block=4, norm=corpus.norm)
+
+
+def _same_assignment(a, b):
+    return all(
+        x.tobytes() == y.tobytes() and x.dtype == y.dtype and x.shape == y.shape
+        for x, y in ((a.x, b.x), (a.z, b.z), (a.y, b.y))
+    )
+
+
+@pytest.mark.parametrize(
+    "flows, block, delta, gamma",
+    [(15, 5, 1e-3, 20.0), (13, 5, 1e-3, 20.0), (15, 3, 0.14, 3.5), (1, 5, 1e-3, 20.0)],
+)
+def test_recursive_allocate_matches_the_sub_instance_path(flows, block, delta, gamma):
+    # Five untrained models over the evaluation network: near-uniform
+    # rows, so PEL walks long queues, and 15 flows drive the residual
+    # ratios past the image range.  13 flows leave a short last block
+    # padded with phantom rows; block 3 pads every block.
+    topo = harness.evaluation_topology()
+    norm = NormConfig.from_ranges(harness.DATASET_RANGES)
+    width = topo.num_access_routers + topo.num_edge_clouds + topo.num_links
+    models = [CnnModel((5, width), topo.num_edge_clouds + 1, request_index=k, seed=k) for k in range(5)]
+    for seed in range(4):
+        inst = generate_instance(topo, flows, ranges=harness.DATASET_RANGES, seed=[flows, seed])
+        got = recursive_allocate(models, inst, block, norm, delta=delta, gamma=gamma)
+        want = recursive_allocate_reference(models, inst, block, norm, delta, gamma)
+        assert _same_assignment(got, want), (flows, block, seed)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_recursive_allocate_with_trained_models_matches_the_sub_instance_path(topo, corpus, models, block):
+    for seed in range(5):
+        inst = generate_instance(topo, 8, seed=[8, seed])
+        got = recursive_allocate(models, inst, block, corpus.norm)
+        want = recursive_allocate_reference(models, inst, block, corpus.norm, 1e-3, 20.0)
+        assert _same_assignment(got, want), (block, seed)
+
+
+@pytest.mark.parametrize("flows, block, calls", [(8, 3, 3), (6, 3, 2), (2, 1, 2)])
+def test_recursive_allocate_runs_pel_once_per_block(topo, corpus, models, monkeypatch, flows, block, calls):
+    counts = {"enhance": 0, "build_queues": 0}
+
+    def counted(name):
+        original = getattr(pel, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pel, name, call)
+
+    counted("enhance")
+    counted("build_queues")
+    recursive_allocate(models, generate_instance(topo, flows, seed=3), block, corpus.norm)
+    assert counts == {"enhance": calls, "build_queues": calls}
 
 
 def test_recursive_allocate_degenerate_split_equals_plain(corpus, models):

@@ -8,7 +8,6 @@ from edgecache.instance import (
     load_instance,
     ratios,
     save_instance,
-    subset_flows,
 )
 from edgecache.topology import TopologyConfig, build_topology
 
@@ -126,14 +125,6 @@ def test_validation_rejects_bad_values(topo):
             alpha=0.5,
             beta=0.5,
         )
-
-
-def test_subset_flows_slices_consistently(topo):
-    inst = generate_instance(topo, 6, seed=5)
-    sub = subset_flows(inst, [1, 4])
-    assert sub.num_flows == 2
-    assert (sub.mobility == inst.mobility[[1, 4]]).all()
-    assert (sub.ec_space == inst.ec_space).all()
 
 
 def test_instance_round_trip(tmp_path, topo):

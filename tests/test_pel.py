@@ -1,16 +1,18 @@
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from edgecache.cost import assignment_from_classes, check_feasibility, penalized_cost
+from edgecache.cost import assignment_from_classes, check_feasibility, class_table, penalized_cost
 from edgecache.harness import DATASET_RANGES, evaluation_topology, labels_of
-from edgecache.instance import generate_instance
+from edgecache.instance import generate_instance, ratios
 from edgecache.pel import build_queues, enhance
 from edgecache.topology import Topology
 
 from conftest import manual_instance
-from oracles import build_queues_reference, enhance_reference
+from oracles import build_queues_reference, enhance_reference, subset_flows
 
 
 def argmax_assignment(inst, O):
@@ -87,7 +89,7 @@ def _queue_matrices():
 def test_build_queues_matches_cell_loop():
     for O, delta in _queue_matrices():
         queues = build_queues(O, delta)
-        assert queues == build_queues_reference(O, delta), (O, delta)
+        assert (queues.omega, queues.psi) == build_queues_reference(O, delta), (O, delta)
         for entry in queues.omega + queues.psi:
             assert tuple(map(type, entry)) == (int, int, float)
 
@@ -225,6 +227,48 @@ def test_enhance_validates_inputs(tree_topology):
         enhance(inst, good[:1])
     with pytest.raises(ValueError):
         enhance(inst, good * 2)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+def test_enhance_refuses_an_o_that_is_not_2d(tree_topology, shape):
+    inst = generate_instance(tree_topology, shape[0] if len(shape) > 1 else 3, seed=0)
+    with pytest.raises(ValueError, match=rf"2-D.*{re.escape(str(shape))}"):
+        enhance(inst, np.full(shape, 1.0 / shape[-1]))
+
+
+def test_enhance_refuses_a_nan_row(tree_topology):
+    inst = generate_instance(tree_topology, 2, seed=0)
+    O = np.full((2, tree_topology.num_edge_clouds + 1), 1 / (tree_topology.num_edge_clouds + 1))
+    O[1] = np.nan
+    with pytest.raises(ValueError, match="sum to 1"):
+        enhance(inst, O)
+    with pytest.raises(ValueError, match="sum to 1"):
+        enhance(class_table(inst), O)
+
+
+def test_enhance_on_a_block_table_matches_the_sub_instance(tmp_path):
+    # A block of a whole instance's table, at residual capacities, gives
+    # the classes and trace rows of the one-entry walk on the matching
+    # sub-instance.
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng(41)
+    for seed in range(6):
+        inst = generate_instance(topo, 9, ranges=DATASET_RANGES, seed=[9, seed])
+        rows = slice(3, 7)
+        ec_space = inst.ec_space * rng.uniform(0.05, 1.0, E)
+        link_capacity = inst.link_capacity * rng.uniform(0.05, 1.0, topo.num_links)
+        sub = replace(
+            subset_flows(inst, range(3, 7)), ec_space=ec_space, link_capacity=link_capacity
+        )
+        rat = ratios(sub)
+        block = class_table(inst).block(rows, rat.q, rat.r)
+        O = rng.dirichlet(np.full(E + 1, 0.5), size=4)
+        ours, theirs = tmp_path / "block.csv", tmp_path / "reference.csv"
+        classes = enhance(block, O, trace_path=ours)
+        ref = enhance_reference(sub, O, 0.001, 20.0, trace_path=theirs)
+        assert list(classes) == list(labels_of(ref.x))
+        assert ours.read_bytes() == theirs.read_bytes()
 
 
 def assert_same_enhance(inst, O, delta, gamma, tmp_path):
