@@ -126,6 +126,7 @@ def _cmd_dataset(args) -> int:
         f"corpus at {args.out}: {train_n} train / {test_n} test samples"
         + (f", {corpus.excluded} excluded (budget)" if corpus.excluded else "")
     )
+    print("solver: " + ", ".join(f"{name} {n}" for name, n in solver_stats.items()))
     return 0
 
 

@@ -12,7 +12,12 @@ Caching a flow at e raises the storage sum by at least 1/(1 - q_ke)
 whatever e already holds, so no feasible completion is ever cheaper
 than the bound.  The f_k are summed once into a suffix over the branch
 order, and the storage sum is carried down the tree, so a node costs a
-handful of float operations.
+handful of float operations.  A child's bound is the node's own part
+plus the child's sort key, so once one key passes the incumbent's cut
+every later child fails the bound too: the node lists only the
+children under the cut, stops at the first that passes it, and counts
+the rest as tried without testing them.  The set-up tables (link
+bitmasks, free-flow suffix, beta * T rows) are built by array code.
 
 Link capacities only matter at leaves: the greedy routing is optimal
 when it fits, and when it does not, the flows crossing overloaded
@@ -43,6 +48,7 @@ the bound is counted as a cap hit without being evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +63,17 @@ DEFAULT_NODE_BUDGET = 2_000_000
 REASSIGNMENT_CAP = 100_000
 
 _IMPROVE_EPS = 1e-9
+
+# A child's bound is base + key in exact arithmetic, where base =
+# alpha * stored + beta * placed_t + rest is its node's part and key =
+# alpha * step + beta * T[k, c] its sort key; the bound test sums the
+# same nonnegative terms in another grouping.  Near the incumbent every
+# term is at most about best_tc, which starts at the empty placement's
+# beta * N_T * K, so the test's sum, base + key and the node's cut
+# best_tc - _IMPROVE_EPS + _SLACK - base differ by a few roundings of
+# best_tc: under 1e-14 * best_tc.  For any cost below 1e4 a key past
+# the cut thus fails the test, and only the keys under it need one.
+_SLACK = 1e-9
 
 # A link is overloaded above this load, summed over the flows in flow
 # order (k = 0..K-1).
@@ -82,6 +99,17 @@ class _Budget(Exception):
     pass
 
 
+@lru_cache(maxsize=4096)
+def _bits(mask: int) -> tuple[tuple[int, int], ...]:
+    """(link, bit) of each link in a link bitmask, in ascending link order."""
+    rows = []
+    while mask:
+        bit = mask & -mask
+        rows.append((bit.bit_length() - 1, bit))
+        mask ^= bit
+    return tuple(rows)
+
+
 class _Search:
     """Branch and bound over class vectors: flow k takes class c in 0..E,
     and class E (uncached) has T[k, E] = N_T and empty serving rows."""
@@ -95,46 +123,35 @@ class _Search:
         self.E = inst.topology.num_edge_clouds
         self.L = inst.topology.num_links
         nt = float(inst.topology.datacenter_hops)
-        self.alpha = inst.alpha
-        self.beta = inst.beta
+        self.alpha = alpha = inst.alpha
+        self.beta = beta = inst.beta
         # Plain Python rows: node arithmetic on floats, not numpy scalars.
         self.q = self.table.Q.tolist()
         self.t = self.table.T.tolist()
+        bt = beta * self.table.T  # the child keys' transmission terms
+        self.bt = bt.tolist()
         self.r = ratios(inst).r.tolist()  # b_k / c_l
         # Only overloaded leaves re-serve flows, so they alone read the
-        # hop gains and paths (_serving); the cap needs just the counts,
-        # and class E serves no AR.
+        # hop gains and paths (_cheapest_serving); the cap needs just the
+        # counts, and class E serves no AR.
         self.hops_saved = nt - hops.entries  # (A, E) per unit of served mass
         self.paths = inc.path_store
         self.serve_count = [row + [0] for row in self.table.serve.sum(axis=1).tolist()]  # (K, E+1)
 
-        # Per (flow, class): the (link, b_k/c_l, link bit) loads of the
-        # serving paths in ascending link order, and the bitmask of those
-        # links; class E's rows stay empty.
-        self.loads: list[list[list[tuple[int, float, int]]]] = [
-            [[] for _ in range(self.E + 1)] for _ in range(self.K)
-        ]
-        self.masks = [[0] * (self.E + 1) for _ in range(self.K)]
-        for k, c, l in zip(*(ix.tolist() for ix in np.nonzero(self.table.links))):
-            self.loads[k][c].append((l, self.r[k][l], 1 << l))
-            self.masks[k][c] |= 1 << l
+        # Per (flow, class): the bitmask of the links on the serving paths
+        # (bit l for link l), as a Python int of any width; _bits lists its
+        # links.  Class E's is 0.
+        packed = np.packbits(self.table.links, axis=-1, bitorder="little").tolist()
+        self.masks = [[int.from_bytes(bytes(b), "little") for b in row] for row in packed]
 
         # Branch order: largest content first tightens bounds earliest.
         self.order = sorted(range(self.K), key=lambda k: (-inst.content_size[k], k))
-        # suffix[d]: the free-flow bound of the flows branched at depth >= d;
-        # zip stops at the ECs, and t[k][E] prices staying uncached.
-        self.suffix = [0.0] * (self.K + 1)
-        for d in range(self.K - 1, -1, -1):
-            k = self.order[d]
-            free = min(
-                [self.beta * self.t[k][self.E]]
-                + [
-                    self.alpha / (1.0 - q) + self.beta * t
-                    for q, t in zip(self.q[k], self.t[k])
-                    if q < 1.0
-                ]
-            )
-            self.suffix[d] = self.suffix[d + 1] + free
+        # suffix[d]: the free-flow bound of the flows branched at depth >= d,
+        # summed from the last flow up; ECs with q >= 1 cannot take a flow.
+        Q = self.table.Q
+        stand = np.divide(alpha, 1.0 - Q, out=np.full_like(Q, np.inf), where=Q < 1.0)
+        free = np.minimum(bt[:, self.E], (stand + bt[:, : self.E]).min(axis=1, initial=np.inf))
+        self.suffix = np.cumsum(free[self.order[::-1]])[::-1].tolist() + [0.0]
 
         # The prefix stack: prefix[d] holds the link loads of the flows
         # branched above depth d in branch order, near[d] the bitmask of
@@ -156,6 +173,7 @@ class _Search:
         self.leaves = 0
         self.overloaded_leaves = 0
         self.cap_hits = 0
+        self.bound_prunes = 0
         self.doomed_leaves = 0
         self.flow_order_rechecks = 0
         self.best_tc = self.beta * nt * self.K  # empty placement
@@ -170,26 +188,39 @@ class _Search:
             return
         k = self.order[depth]
         alpha, beta, E = self.alpha, self.beta, self.E
-        q, t = self.q[k], self.t[k]
-        children = [(beta * t[E], E, 0.0)]
+        q, t, bt = self.q[k], self.t[k], self.bt[k]
+        rest = self.suffix[depth + 1]
+        # A child's bound is base + key; past cut it fails (see _SLACK).
+        base = alpha * stored + beta * placed_t + rest
+        cut = self.best_tc - _IMPROVE_EPS + _SLACK - base
+        children = [(bt[E], E, 0.0)] if bt[E] <= cut else []
+        untried = 1
         for e in range(E):
             if util[e] + q[e] >= 1.0:
                 continue  # EC capacity would be reached; reject branch
+            untried += 1
+            if bt[e] > cut:  # alpha * step >= 0, so key >= bt[e]
+                continue
             new_summand = (counts[e] + 1) / (1.0 - util[e] - q[e])
             old_summand = counts[e] / (1.0 - util[e]) if counts[e] else 0.0
             step = new_summand - old_summand
-            children.append((alpha * step + beta * t[e], e, step))
+            key = alpha * step + bt[e]
+            if key <= cut:
+                children.append((key, e, step))
         children.sort()
 
-        rest = self.suffix[depth + 1]
         last = depth == self.K - 1
         doomed = None  # the last level's cap verdict, settled at its first surviving child
-        for _, c, step in children:
+        for key, c, step in children:
+            if key > cut:  # so is every later key: all fail the bound
+                break
+            untried -= 1
             self.nodes += 1
             if self.nodes > self.budget:
                 raise _Budget
             new_placed = placed_t + t[c]
             if alpha * (stored + step) + beta * new_placed + rest >= self.best_tc - _IMPROVE_EPS:
+                self.bound_prunes += 1
                 continue
             if last:
                 if doomed is None:
@@ -214,6 +245,14 @@ class _Search:
             if depth < self.valid:
                 self.valid = depth
             self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step)
+            cut = self.best_tc - _IMPROVE_EPS + _SLACK - base
+        # The children left untested count as tried, up to the budget.
+        self.nodes += untried
+        self.bound_prunes += untried
+        if self.nodes > self.budget:
+            self.bound_prunes -= self.nodes - self.budget
+            self.nodes = self.budget + 1
+            raise _Budget
 
     def _settle_parent(self, choices):
         """At a last-level parent: refill the prefix stack up to level K - 1."""
@@ -223,16 +262,17 @@ class _Search:
             k = order[d]
             c = choices[k]
             load, near_d, sure_d, pairs_d = prefix[d], near[d], sure[d], pairs[d]
-            rows = self.loads[k][c]
-            if rows:  # a level is never written in place, so it may be shared
+            mask = self.masks[k][c]
+            if mask:  # a level is never written in place, so it may be shared
                 load = load.copy()
-                for l, v, bit in rows:
-                    load[l] += v
+                rk = self.r[k]
+                for l, bit in _bits(mask):
+                    load[l] += rk[l]
                     if load[l] > 1.0 - _RECHECK:
                         near_d |= bit
                         if load[l] >= 1.0 + _RECHECK:
                             sure_d |= bit
-                pairs_d += ((self.masks[k][c], self.serve_count[k][c]),)
+                pairs_d += ((mask, self.serve_count[k][c]),)
             prefix[d + 1], near[d + 1], sure[d + 1], pairs[d + 1] = load, near_d, sure_d, pairs_d
         self.valid = top
 
@@ -249,7 +289,7 @@ class _Search:
         the cap (_over_cap) the leaf gives up."""
         last = self.order[-1]
         cls = choices[last]
-        over = self._overloaded_links(choices, self.loads[last][cls])
+        over = self._overloaded_links(choices, last)
         extra, serving = 0.0, {}
         if over:
             self.overloaded_leaves += 1
@@ -268,16 +308,18 @@ class _Search:
             self.best_choices = choices.copy()
             self.best_serving = serving
 
-    def _overloaded_links(self, choices, rows) -> int:
+    def _overloaded_links(self, choices, last) -> int:
         """Bitmask of the links that the leaf's greedy routing overloads,
         judged on flow-order sums (see _RECHECK): level K - 1 of the prefix
-        stack plus the last flow's rows."""
+        stack plus the last flow's loads."""
         top = self.K - 1
         load, near, over = self.prefix[top], self.near[top], self.sure[top]
-        for l, v, bit in rows:
-            if load[l] + v > 1.0 - _RECHECK:
+        rk = self.r[last]
+        for l, bit in _bits(self.masks[last][choices[last]]):
+            v = load[l] + rk[l]
+            if v > 1.0 - _RECHECK:
                 near |= bit
-                if load[l] + v >= 1.0 + _RECHECK:
+                if v >= 1.0 + _RECHECK:
                     over |= bit
 
         band = near & ~over
@@ -306,8 +348,8 @@ class _Search:
             if self.masks[k][c] & over:
                 affected.append(k)
             else:
-                for l, v, _ in self.loads[k][c]:
-                    base_load[l] += v
+                for l, _ in _bits(self.masks[k][c]):
+                    base_load[l] += self.r[k][l]
 
         # Per affected flow, every serving subset as (lost hop gain, link
         # loads, served ARs), cheapest loss first.
@@ -377,6 +419,7 @@ class _Search:
 # The _Search attributes that solve_exact(stats=) reports.
 SOLVER_COUNTERS = (
     "nodes", "leaves", "overloaded_leaves", "cap_hits", "doomed_leaves", "flow_order_rechecks",
+    "bound_prunes",
 )
 
 
@@ -395,9 +438,10 @@ def solve_exact(
     the names in SOLVER_COUNTERS: nodes tried, leaves reached, leaves
     whose greedy routing overloads a link, leaves given up at
     REASSIGNMENT_CAP (all of them), those of them that their parent
-    settled without evaluating them (doomed_leaves), and links
-    re-summed in flow order because their branch-order load lay within
-    1e-6 of 1 (at evaluated leaves only).
+    settled without evaluating them (doomed_leaves), links re-summed in
+    flow order because their branch-order load lay within 1e-6 of 1 (at
+    evaluated leaves only), and children that failed the bound, tested
+    or counted untested past the cut (bound_prunes).
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")

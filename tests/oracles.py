@@ -20,7 +20,7 @@ from edgecache.cost import (
 )
 from edgecache.cnn import BatchNorm, _im2col, predict_all, softmax
 from edgecache.encoder import encode, split_subimages, update_residual
-from edgecache.solver import REASSIGNMENT_CAP
+from edgecache.solver import REASSIGNMENT_CAP, _IMPROVE_EPS, _Budget
 from edgecache.topology import TopologyError
 
 
@@ -309,6 +309,63 @@ def incidence_walk(t, h):
             path_store[(i, j)] = tuple(link_ids)
             entries[link_ids, i, j] = 1
     return entries, path_store
+
+
+def descend_reference(self, depth, choices, counts, util, placed_t, stored):
+    """The solver's node in its first form, patched in for
+    `solver._Search._descend`: it builds, sorts and tests every child
+    one at a time, with no early exit, and counts no bound_prunes.
+    stored carries the caching sum of counts/util down the tree."""
+    if depth == self.K:
+        self.leaves += 1
+        self._evaluate_leaf(choices, counts, util, placed_t)
+        return
+    k = self.order[depth]
+    alpha, beta, E = self.alpha, self.beta, self.E
+    q, t = self.q[k], self.t[k]
+    children = [(beta * t[E], E, 0.0)]
+    for e in range(E):
+        if util[e] + q[e] >= 1.0:
+            continue  # EC capacity would be reached; reject branch
+        new_summand = (counts[e] + 1) / (1.0 - util[e] - q[e])
+        old_summand = counts[e] / (1.0 - util[e]) if counts[e] else 0.0
+        step = new_summand - old_summand
+        children.append((alpha * step + beta * t[e], e, step))
+    children.sort()
+
+    rest = self.suffix[depth + 1]
+    last = depth == self.K - 1
+    doomed = None  # the last level's cap verdict, settled at its first surviving child
+    for _, c, step in children:
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise _Budget
+        new_placed = placed_t + t[c]
+        if alpha * (stored + step) + beta * new_placed + rest >= self.best_tc - _IMPROVE_EPS:
+            continue
+        if last:
+            if doomed is None:
+                self._settle_parent(choices)
+                # The links in sure[K - 1] stay overloaded at every leaf
+                # (see _RECHECK) and the last flow can only add a pair.
+                doomed = self._over_cap(self.pairs[self.K - 1], self.sure[self.K - 1])
+            if doomed:  # the leaf would give up at REASSIGNMENT_CAP
+                self.leaves += 1
+                self.overloaded_leaves += 1
+                self.cap_hits += 1
+                self.doomed_leaves += 1
+                continue
+        if c == E:  # uncached: storage untouched
+            new_counts, new_util = counts, util
+        else:
+            new_counts = counts.copy()
+            new_util = util.copy()
+            new_counts[c] += 1
+            new_util[c] += q[c]
+        choices[k] = c
+        if depth < self.valid:
+            self.valid = depth
+        self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step)
 
 
 def evaluate_leaf_reference(search, choices, counts, util, placed_t):

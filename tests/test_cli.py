@@ -302,6 +302,7 @@ def test_dataset_run_manifest_sums_solver_counters(workspace):
     assert manifest["solver"] == expected
     assert set(expected) == set(SOLVER_COUNTERS) == {
         "nodes", "leaves", "overloaded_leaves", "cap_hits", "doomed_leaves", "flow_order_rechecks",
+        "bound_prunes",
     }
     assert expected["leaves"] > 0
     corpus_manifest = json.loads((corpus / "manifest.json").read_text())
@@ -309,6 +310,21 @@ def test_dataset_run_manifest_sums_solver_counters(workspace):
     assert set(corpus_manifest) == {
         "format", "version", "flows", "seed", "train_fraction", "norm", "excluded", "samples",
     }
+
+
+def test_dataset_prints_the_summed_solver_counters(workspace, tmp_path, capsys):
+    # The last line shows what the solver did, in SOLVER_COUNTERS order,
+    # with the sums the run manifest holds.
+    root, topo, corpus, models = workspace
+    out = tmp_path / "corpus"
+    assert main([
+        "dataset", "--topology", str(topo), "--count", "4", "--flows", "3",
+        "--seed", "5", "--out", str(out),
+    ]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    counts = json.loads((out / "run_manifest.json").read_text())["solver"]
+    assert last == "solver: " + ", ".join(f"{name} {counts[name]}" for name in SOLVER_COUNTERS)
+    assert counts["nodes"] > 0
 
 
 def test_render_r_max_alone_overrides_only_r_max(workspace):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -13,10 +14,12 @@ from edgecache.harness import DATASET_RANGES, evaluation_topology, labels_of
 from edgecache.instance import ParameterRanges, generate_instance
 from edgecache import solver
 from edgecache.solver import SOLVER_COUNTERS, solve_exact
-from edgecache.topology import Topology
+from edgecache.topology import Topology, TopologyConfig, build_topology
 
 from conftest import manual_instance
-from oracles import brute_force_optimum, evaluate_leaf_reference, lower_bound
+from oracles import (
+    brute_force_optimum, descend_reference, evaluate_leaf_reference, lower_bound,
+)
 
 TIGHT_LINKS = ParameterRanges(link_capacity=(8.0, 14.0), bandwidth=(4.0, 10.0))
 
@@ -215,7 +218,8 @@ def test_solver_counters_on_the_longest_k8_label_solve():
     # [8, 21] reaches 34,159 leaves and gives up on all but three at the
     # reassignment cap (counted by wrapping the first-form leaf).  Only
     # the last flow takes its leaves past the cap, so none is settled at
-    # its parent.
+    # its parent.  The bound prunes are the nodes the first-form node
+    # (descend_reference) neither descended into nor settled.
     inst = generate_instance(evaluation_topology(), 8, ranges=DATASET_RANGES, seed=[8, 21])
     stats = {"leaves": 1}
     sol = solve_exact(inst, stats=stats)
@@ -226,24 +230,26 @@ def test_solver_counters_on_the_longest_k8_label_solve():
         "cap_hits": 34_156,
         "doomed_leaves": 0,
         "flow_order_rechecks": 0,
+        "bound_prunes": 116_394,
     }
     assert sol.nodes_explored == 175_644 and sol.proof == "bounded"
 
 
 @pytest.mark.parametrize(
-    "flows, seed, budget, nodes, leaves, capped, doomed",
+    "flows, seed, budget, nodes, leaves, capped, doomed, prunes",
     [
-        (10, [10, 1], 150_000, 150_001, 28_205, 28_202, 28_202),
-        (15, [500, 1], 40_000, 40_001, 34_124, 34_121, 33_862),
+        (10, [10, 1], 150_000, 150_001, 28_205, 28_202, 28_202, 100_361),
+        (15, [500, 1], 40_000, 40_001, 34_124, 34_121, 33_862, 152),
     ],
     ids=["k10", "k15"],
 )
 def test_solver_counters_on_the_budget_bound_tail(
-    flows, seed, budget, nodes, leaves, capped, doomed
+    flows, seed, budget, nodes, leaves, capped, doomed, prunes
 ):
     # Budget-bound label solves where nearly every leaf gives up at the
     # cap (the totals were counted by wrapping the first-form leaf); most
-    # of those are settled at their last-level parent.
+    # of those are settled at their last-level parent.  The prunes are
+    # counted off the first-form node, as in the K=8 case above.
     inst = generate_instance(evaluation_topology(), flows, ranges=DATASET_RANGES, seed=seed)
     stats = {}
     sol = solve_exact(inst, budget=budget, stats=stats)
@@ -254,6 +260,7 @@ def test_solver_counters_on_the_budget_bound_tail(
         "cap_hits": capped,
         "doomed_leaves": doomed,
         "flow_order_rechecks": 0,
+        "bound_prunes": prunes,
     }
     assert sol.nodes_explored == nodes and sol.proof == "bounded"
 
@@ -320,6 +327,116 @@ def test_prefix_stack_leaf_matches_flow_order_reference(monkeypatch, family, min
         assert _without_fast_path_counts(stats) == ref_stats, seed
         doomed += stats["doomed_leaves"]
     assert doomed >= min_doomed  # the label tail takes the fast path
+
+
+def _solve_counting(monkeypatch, inst, budget, descend):
+    """(output, counters, implied prunes) of a solve with `descend` patched
+    in as _Search._descend.  Every child tried fails the bound, is settled
+    at its parent (doomed), is descended into, or is the one that ran
+    over the budget, so the bound prunes are the nodes less the others."""
+    calls = -1  # the root's call is no child
+
+    def counted(search, *args):
+        nonlocal calls
+        calls += 1
+        descend(search, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver._Search, "_descend", counted)
+        stats = {}
+        sol = solve_exact(inst, budget=budget, stats=stats)
+    asg = sol.assignment
+    out = (
+        list(labels_of(asg.x)), sol.cost.total.hex(), sol.proof, sol.nodes_explored,
+        asg.z.tobytes(), asg.y.tobytes(),
+    )
+    implied = stats["nodes"] - calls - stats["doomed_leaves"] - (sol.nodes_explored > budget)
+    return out, stats, implied
+
+
+def _desk_cases():
+    return [(DATASET_RANGES, 5, [0, j], solver.DEFAULT_NODE_BUDGET) for j in range(50)]
+
+
+def _check_early_exit(monkeypatch, inst, budget, seed):
+    """The solver and the per-child reference node agree bit for bit, and
+    bound_prunes counts the children the reference's descents imply;
+    returns the solver's output."""
+    out, stats, implied = _solve_counting(monkeypatch, inst, budget, solver._Search._descend)
+    ref_out, ref_stats, ref_implied = _solve_counting(monkeypatch, inst, budget, descend_reference)
+    assert out == ref_out, seed
+    assert {**stats, "bound_prunes": 0} == ref_stats, seed  # the reference counts no prunes
+    assert stats["bound_prunes"] == implied == ref_implied, seed
+    return out
+
+
+@pytest.mark.parametrize(
+    "family", [_label_tail_cases, _tight_leaf_cases, _desk_cases],
+    ids=["label_tail", "tight_leaf", "desk"],
+)
+def test_early_exit_matches_the_per_child_reference(monkeypatch, family):
+    # The solver lists only the children under the cut and stops at the
+    # first that passes it, counting the rest as tried; the reference
+    # builds and tests every child.
+    topo = evaluation_topology()
+    for ranges, flows, seed, budget in family():
+        inst = generate_instance(topo, flows, ranges=ranges, seed=seed)
+        _check_early_exit(monkeypatch, inst, budget, seed)
+
+
+@pytest.mark.parametrize("seed", [[0, 5], [0, 27]])
+def test_every_budget_matches_the_per_child_reference(monkeypatch, seed):
+    # A budget that runs out among the children counted untested must
+    # report budget + 1 nodes, as the reference that tests each does.
+    inst = generate_instance(evaluation_topology(), 5, ranges=DATASET_RANGES, seed=seed)
+    full = solve_exact(inst)
+    assert full.proof == "exhaustive"
+    for budget in range(1, full.nodes_explored + 1):
+        out = _check_early_exit(monkeypatch, inst, budget, (seed, budget))
+        assert out[3] == min(budget + 1, full.nodes_explored)
+
+
+@pytest.mark.parametrize("gap, cached", [(0.5e-9, False), (1.5e-9, True)])
+def test_child_just_under_the_incumbent_is_tried(monkeypatch, gap, cached):
+    # One flow, one EC one hop away: caching costs 1/(1 - q) + 1 against
+    # the empty placement's 12, and q sets the gap between them.  A child
+    # is taken only when its bound lies more than 1e-9 under the
+    # incumbent, so the flow is cached at a gap of 1.5e-9 and not at
+    # 0.5e-9; an early exit that skipped children inside that band
+    # would leave it uncached.
+    t = Topology(
+        nodes=(0, 1), links=((0, 1),), access_routers=(1,), edge_clouds=(0,),
+        datacenter_hops=12,
+    )
+    q = 1.0 - 1.0 / (11.0 - gap)
+    inst = manual_instance(t, [[1.0]], content_size=[q], ec_space=[1.0], alpha=1.0, beta=1.0)
+    _check_early_exit(monkeypatch, inst, solver.DEFAULT_NODE_BUDGET, gap)
+    assert solve_exact(inst).assignment.x.any() == cached
+
+
+def test_link_masks_past_63_links_match_the_references(monkeypatch):
+    # Depth-8 binary tree: 510 links, and a leaf AR's own link has index
+    # AR - 1 >= 254, past any int64 bitmask.  Flows 0 and 1 both reach
+    # AR 300 over its leaf link, whose capacity takes only one of them,
+    # so the leaves overload it and re-serve a flow.
+    full = build_topology(TopologyConfig(branching=2, depth=8))
+    t = dataclasses.replace(full, edge_clouds=(0, 1, 2))
+    A = t.num_access_routers
+    mobility = np.zeros((3, A))
+    mobility[0, [300 - 255, 301 - 255, 400 - 255]] = [0.5, 0.3, 0.2]
+    mobility[1, [300 - 255, 260 - 255]] = [0.6, 0.4]
+    mobility[2, [500 - 255]] = [1.0]
+    capacity = np.full(t.num_links, 1000.0)
+    capacity[t.link_index[(149, 300)]] = 1.5
+    inst = manual_instance(
+        t, mobility, content_size=[30.0, 20.0, 10.0], link_capacity=capacity, alpha=0.1, beta=1.0,
+    )
+    _check_early_exit(monkeypatch, inst, solver.DEFAULT_NODE_BUDGET, "tree")
+    (out, stats), (ref_out, ref_stats) = _solve_both(monkeypatch, inst)
+    assert out == ref_out
+    assert _without_fast_path_counts(stats) == ref_stats
+    assert stats["overloaded_leaves"] > 0
+    assert float.fromhex(out[1]) == pytest.approx(brute_force_optimum(inst), abs=1e-9)
 
 
 def test_settled_pairs_match_a_scan_of_the_upper_flows(monkeypatch):
