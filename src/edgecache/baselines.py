@@ -12,16 +12,25 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .cost import DEFAULT_GAMMA, Assignment, assignment_from_classes, class_table, network_tables
+from .cost import (
+    DEFAULT_GAMMA, Assignment, assignment_from_classes, check_gamma, class_table, network_tables,
+)
 from .instance import Instance
+from .topology import Topology
 
 DEFAULT_RGC_EPOCHS = 500
 
-# Epochs drafted and priced per stacked call in rgc.
-_BLOCK = 64
+# Epochs drafted and priced per stacked call in rgc: the first block,
+# and the most that doubling after blocks with no accept reaches.
+_BLOCK_START = 32
+_BLOCK_MAX = 1024
+
+# The counters that rgc(stats=) reports.
+RGC_COUNTERS = ("accepted", "floor_skipped", "price_calls")
 
 
 @dataclass(frozen=True)
@@ -38,8 +47,7 @@ class RgcConfig:
                 raise ValueError(f"{name} must be an integer") from None
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        check_gamma(self.gamma)
 
 
 def expected_hops(i: Instance) -> np.ndarray:
@@ -55,10 +63,9 @@ def gca(i: Instance) -> Assignment:
     return assignment_from_classes(i, classes)
 
 
-def _ec_neighborhoods(i: Instance) -> list[list[int]]:
+def _ec_neighborhoods(t: Topology) -> list[list[int]]:
     """For each EC, the ECs one hop away in the graph; ECs with no EC
     neighbour fall back to their two nearest fellow ECs."""
-    t = i.topology
     ec_index = {node: j for j, node in enumerate(t.edge_clouds)}
     neighborhoods = []
     for j, node in enumerate(t.edge_clouds):
@@ -74,24 +81,30 @@ def _ec_neighborhoods(i: Instance) -> list[list[int]]:
     return neighborhoods
 
 
-def _move_table(i: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Padded (E+1, width) move options per current class, and their counts.
+@lru_cache(maxsize=32)
+def _move_table(t: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (E+1, width) move options per current class, and their
+    counts, cached per topology (read-only).
 
     A flow cached at c may stay, hop to an EC adjacent to c, or drop
     out (class E); an uncached flow may stay out or enter any EC.
     """
-    E = i.topology.num_edge_clouds
-    options = [[c, *nbrs, E] for c, nbrs in enumerate(_ec_neighborhoods(i))]
+    E = t.num_edge_clouds
+    options = [[c, *nbrs, E] for c, nbrs in enumerate(_ec_neighborhoods(t))]
     options.append([E, *range(E)])
     lengths = np.array([len(o) for o in options])
     moves = np.full((E + 1, lengths.max()), E)
     for c, o in enumerate(options):
         moves[c, : len(o)] = o
+    moves.flags.writeable = lengths.flags.writeable = False
     return moves, lengths
 
 
 def rgc(
-    i: Instance, cfg: RgcConfig = RgcConfig(), trace: list | None = None
+    i: Instance,
+    cfg: RgcConfig = RgcConfig(),
+    trace: list | None = None,
+    stats: dict | None = None,
 ) -> Assignment:
     """Randomized greedy caching: seeded local search started from GCA.
 
@@ -103,41 +116,49 @@ def rgc(
     the result never costs more than the GCA start.  Joint redraws make
     the exploration increasingly blunt as the flow count grows, which
     is the known weakness of this baseline.  Pass a list as trace to
-    record the accepted cost after every epoch.
+    record the accepted cost after every epoch, and a dict as stats to
+    have the counters in RGC_COUNTERS added to it: accepted epochs,
+    changed drafts skipped by the transmission floor, and stacked price
+    calls.
 
-    Epochs are drafted in blocks of _BLOCK.  A rejected draft leaves
-    the state alone, so every draft up to the next accept is drawn and
-    priced against the same classes: one rng.integers call over the
-    (n, K) broadcast option counts draws the block (numpy consumes a
-    broadcast bound element by element, as n successive (K,) calls
-    would), and one ClassTable.price call prices it.  Only a changed
-    draft whose transmission floor beta * C_T lies below the current
-    cost is priced: TC_N = fl(fl(alpha * C_cache) + fl(beta * C_T))
-    + gamma * hinge with every term non-negative, and rounding is
-    monotone, so TC_N >= fl(beta * C_T) and a draft at or above the
-    floor can never pass the strict test.  The floor and price share
-    ClassTable.transmission, so they use the same float.  The first
-    strictly cheaper draft is the accepted epoch; the generator is
-    then rewound and redraws the block's rows up to it, leaving it
-    where a per-epoch loop would, and the next block starts there.
+    Epochs are drafted in blocks of _BLOCK_START at first; a block with
+    no accept doubles the next one's size (up to _BLOCK_MAX) and an
+    accept keeps it, so a run that accepts rarely makes few price
+    calls.  A rejected draft leaves the state alone, so every draft up
+    to the next accept is drawn and priced against the same classes:
+    one rng.integers call over the (n, K) broadcast option counts draws
+    the block (numpy consumes a broadcast bound element by element, as n
+    successive (K,) calls would), and one ClassTable.price call prices
+    it.  Only a changed draft whose transmission floor beta * C_T lies
+    below the current cost is priced: TC_N = fl(fl(alpha * C_cache) +
+    fl(beta * C_T)) + gamma * hinge with every term non-negative, and
+    rounding is monotone, so TC_N >= fl(beta * C_T) and a draft at or
+    above the floor can never pass the strict test.  The floor and price
+    share ClassTable.transmission, so they use the same float.  The
+    first strictly cheaper draft is the accepted epoch; the generator is
+    then rewound and redraws the block's rows up to it, leaving it where
+    a per-epoch loop would, and the next block starts there.  So the
+    block sizes change the price calls, never the result or the trace.
     """
     rng = np.random.default_rng(cfg.seed)
-    moves, lengths = _move_table(i)
+    moves, lengths = _move_table(i.topology)
     table = class_table(i)
 
     classes = expected_hops(i).argmin(axis=1)  # the GCA start
     tc = table.price(classes, gamma=cfg.gamma)
 
-    done = 0
+    counts = dict.fromkeys(RGC_COUNTERS, 0)
+    done, size = 0, _BLOCK_START
     while done < cfg.epochs:
-        n = min(_BLOCK, cfg.epochs - done)
+        n = min(size, cfg.epochs - done)
         bounds = lengths[classes]
         state = rng.bit_generator.state
         trials = moves[classes, rng.integers(0, np.broadcast_to(bounds, (n, bounds.size)))]
-        live = np.flatnonzero(
-            (trials != classes).any(axis=1) & (i.beta * table.transmission(trials) < tc)
-        )
+        changed = (trials != classes).any(axis=1)
+        under_floor = changed & (i.beta * table.transmission(trials) < tc)
+        live = np.flatnonzero(under_floor)
         priced = table.price(trials[live], gamma=cfg.gamma)
+        counts["price_calls"] += 1
         better = np.flatnonzero(priced < tc)
         tc_next = tc
         if better.size:
@@ -145,8 +166,15 @@ def rgc(
             rng.bit_generator.state = state
             rng.integers(0, np.broadcast_to(bounds, (n, bounds.size)))
             classes, tc_next = trials[n - 1], float(priced[better[0]])
+            counts["accepted"] += 1
+        else:
+            size = min(2 * size, _BLOCK_MAX)
+        counts["floor_skipped"] += int((changed[:n] & ~under_floor[:n]).sum())
         if trace is not None:
             trace.extend([tc] * (n - 1) + [tc_next])
         tc = tc_next
         done += n
-    return assignment_from_classes(i, classes)
+    if stats is not None:
+        for name, value in counts.items():
+            stats[name] = stats.get(name, 0) + value
+    return table.assignment(classes)

@@ -16,15 +16,20 @@ The cost is flow-separable: each flow picks one class out of |E|+1 (an
 EC, or uncached), and the class fixes its serving set and link
 footprint.  A class vector is the one placement encoding: labels_of
 reads it off a placement, assignment_from_classes materializes it as
-x, z and y, class_table builds one per-instance table that prices any
-class vector, and cost_breakdown prices arbitrary assignments with the
-same per-flow arithmetic.
+x, z and y, and class_table builds one per-instance table that prices
+any class vector.  The table holds, per (flow, class), the hit and miss
+hops and a fused row [Q·onehot | onehot | R] of storage utilization,
+cached count and link load, so a stack of class vectors is priced by
+one gather and one sum over flows.  ClassTable.assignment materializes
+a class vector from the table's own rows, and cost_breakdown prices
+arbitrary assignments with the same per-flow arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -170,16 +175,36 @@ class ClassTable:
     The serving rule (_serving_mask) fixes a cached flow's serving set
     and link footprint by its class.  Link capacities are deliberately
     ignored; overloads surface in the penalty term.
+
+    Pricing reads the fused rows: per (flow, class), the flow's storage
+    utilization, its cached count and its link load side by side, built
+    on the first price call, so a table that never prices never builds
+    them.
     """
 
     inst: Instance     # the cost weights alpha and beta; a block keeps its whole instance
     serve: np.ndarray  # (K, A, E) bool: AR a retrieves from EC e when flow k is cached there
     links: np.ndarray  # (K, E+1, L) int8: links on flow k's serving paths at class c
+    hit: np.ndarray    # (K, E+1) mobility-weighted path hops of flow k's served mass at class c
+    miss: np.ndarray   # (K, E+1) N_T times flow k's unserved mobility mass at class c
     T: np.ndarray      # (K, E+1) hit plus miss hops; T[:, E] = N_T
     Q: np.ndarray      # (K, E) storage ratio q_ke
-    R: np.ndarray      # (K, E+1, L) link load of flow k's serving set at class c
+    r: np.ndarray      # (K, L) bandwidth ratio r_kl
     onehot: np.ndarray  # (E+1, E) int8 placement row of each class; row E is empty
     rows: np.ndarray    # (K,) flow indices 0..K-1
+
+    @cached_property
+    def fused(self) -> np.ndarray:
+        """(K, E+1, 2E+L) rows [Q·onehot | onehot | R] per (flow, class):
+        utilization, cached count and link load (R = r * links)."""
+        return np.concatenate(
+            (
+                self.Q[:, None, :] * self.onehot,
+                np.broadcast_to(self.onehot, (self.rows.size, *self.onehot.shape)),
+                self.r[:, None, :] * self.links,
+            ),
+            axis=-1,
+        )
 
     def transmission(self, classes):
         """Transmission cost C_T (hit plus miss hops) of a class vector.
@@ -193,38 +218,62 @@ class ClassTable:
         """Penalized total TC_N of a (K,) class vector, or of each row of
         an (N, K) stack.
 
-        Every row is priced by the same arithmetic as a vector alone and
-        as cost_breakdown on its materialized assignment, so a stack
-        returns exactly the floats of one call per row.
+        One gather of the fused rows and one sum over flows give each
+        row's utilization, counts and link load.  The summands and their
+        flow order are those of cost_breakdown on the materialized
+        assignment, and every row is priced by the same arithmetic as a
+        vector alone, so a stack returns exactly the floats of one call
+        per row.
         """
         classes = np.asarray(classes)
+        E = self.Q.shape[1]
+        sums = self.fused[self.rows, classes].sum(axis=-2)
         _, tc, penalty = _priced(
             self.inst,
-            self.onehot[classes],
-            self.Q,
+            sums[..., :E],
+            sums[..., E : 2 * E],
             self.transmission(classes),
-            self.R[self.rows, classes].sum(axis=-2),
+            sums[..., 2 * E :],
             gamma,
         )
         return _float_or_rows(tc + penalty)
+
+    def assignment(self, classes) -> Assignment:
+        """Materialize a (K,) class vector as x, z and y from the table's
+        rows: the bytes and dtypes of assignment_from_classes."""
+        classes = np.asarray(classes)
+        x = self.onehot[classes]
+        return Assignment(x=x, z=self.serve * x[:, None, :], y=self.links[self.rows, classes])
+
+    def breakdown(self, classes, gamma: float = DEFAULT_GAMMA) -> CostBreakdown:
+        """cost_breakdown of the assignment of a (K,) class vector, read
+        off the table of a whole instance: the same floats and verdict."""
+        classes = np.asarray(classes)
+        x, y = self.onehot[classes], self.links[self.rows, classes]
+        hit, miss = self.hit[self.rows, classes], self.miss[self.rows, classes]
+        feasible = all(_within_capacity(self.inst, x, y))
+        return _breakdown(self.inst, x, y, hit, miss, self.Q, self.r, gamma, feasible)
 
     def block(self, rows: slice, q: np.ndarray, r: np.ndarray) -> ClassTable:
         """The table of the flows in rows at storage ratios q and
         bandwidth ratios r: those flows' ratios against any capacities,
         such as the residual ones of a recursive allocation.
 
-        serve, links and T do not depend on capacities and are sliced;
-        Q and R are rebuilt from q and r row by row.  So the block
-        prices exactly as class_table of the matching sub-instance.
+        serve, links and the hop rows do not depend on capacities and
+        are sliced; Q and r are replaced, and the fused rows are built
+        from them.  So the block prices exactly as class_table of the
+        matching sub-instance.
         """
         links = self.links[rows]
         return replace(
             self,
             serve=self.serve[rows],
             links=links,
+            hit=self.hit[rows],
+            miss=self.miss[rows],
             T=self.T[rows],
             Q=q,
-            R=r[:, None, :] * links,
+            r=r,
             rows=self.rows[: links.shape[0]],
         )
 
@@ -250,9 +299,11 @@ def class_table(i: Instance) -> ClassTable:
         inst=i,
         serve=serve,
         links=links,
+        hit=hit,
+        miss=miss,
         T=hit + miss,
         Q=rat.q,
-        R=rat.r[:, None, :] * links,
+        r=rat.r,
         onehot=np.eye(E + 1, E, dtype=np.int8),
         rows=np.arange(K),
     )
@@ -295,11 +346,10 @@ def transmission_cost(i: Instance, asg: Assignment) -> tuple[float, float, float
     return float((hit + miss).sum()), float(hit.sum()), float(miss.sum())
 
 
-def _priced(
-    i: Instance, x: np.ndarray, q: np.ndarray, ct, load: np.ndarray, gamma: float
-):
-    """(caching, TC, penalty) of placements x (..., K, E) with transmission
-    ct (...) and link load (..., L), vectorized over the leading axes.
+def _priced(i: Instance, u: np.ndarray, counts: np.ndarray, ct, load: np.ndarray, gamma: float):
+    """(caching, TC, penalty) from EC utilization u (..., E), cached
+    counts (..., E), transmission ct (...) and link load (..., L),
+    vectorized over the leading axes.
 
     The caching sum runs over a zero-masked row of E summands (an EC
     hosting nothing adds 0 / 1 = 0), so a stack prices each row exactly
@@ -307,8 +357,6 @@ def _priced(
     overloaded link by its own overshoot, so it vanishes exactly on
     feasible assignments.
     """
-    u = (q * x).sum(axis=-2)
-    counts = x.sum(axis=-2)
     cc = np.where(
         u < 1.0,
         counts / (1.0 - np.minimum(u, 1.0 - 1e-12)),
@@ -318,25 +366,33 @@ def _priced(
     return cc, i.alpha * cc + i.beta * ct, gamma * hinge
 
 
-def cost_breakdown(
-    i: Instance, asg: Assignment, gamma: float = DEFAULT_GAMMA
-) -> CostBreakdown:
-    """Full cost accounting; total everywhere, even for invalid placements."""
-    rat = ratios(i)
-    ct, ch, cm = transmission_cost(i, asg)
+def _breakdown(i, x, y, hit, miss, q, r, gamma, feasible) -> CostBreakdown:
+    """The CostBreakdown of placement x with links y, per-flow hit and
+    miss hops, and storage and bandwidth ratios q and r."""
+    ct = float((hit + miss).sum())
     cc, tc, penalty = map(
-        float, _priced(i, asg.x, rat.q, ct, (rat.r * asg.y).sum(axis=0), gamma)
+        float, _priced(i, (q * x).sum(axis=0), x.sum(axis=0), ct, (r * y).sum(axis=0), gamma)
     )
     return CostBreakdown(
         caching=cc,
         transmission=ct,
-        hit=ch,
-        miss=cm,
+        hit=float(hit.sum()),
+        miss=float(miss.sum()),
         total=tc,
         penalty=penalty,
         penalized_total=tc + penalty,
-        feasible=check_feasibility(i, asg).feasible,
+        feasible=feasible,
     )
+
+
+def cost_breakdown(
+    i: Instance, asg: Assignment, gamma: float = DEFAULT_GAMMA
+) -> CostBreakdown:
+    """Full cost accounting; total everywhere, even for invalid placements."""
+    hit, miss = _flow_hops(i, i.mobility[:, :, None] * asg.z)
+    rat = ratios(i)
+    feasible = check_feasibility(i, asg).feasible
+    return _breakdown(i, asg.x, asg.y, hit, miss, rat.q, rat.r, gamma, feasible)
 
 
 def total_cost(
@@ -358,14 +414,30 @@ def penalized_cost(i: Instance, asg: Assignment, gamma: float = DEFAULT_GAMMA) -
 
 def check_feasibility(i: Instance, asg: Assignment) -> FeasibilityReport:
     """Evaluate each constraint family an Assignment can violate, independently."""
-    cached_bytes = (i.content_size[:, None] * asg.x).sum(axis=0)
-    link_bytes = (i.bandwidth[:, None] * asg.y).sum(axis=0)
-
+    ec_capacity, link_capacity = _within_capacity(i, asg.x, asg.y)
     return FeasibilityReport(
-        ec_capacity=bool((cached_bytes <= i.ec_space * (1 + _TOL)).all()),
-        link_capacity=bool((link_bytes <= i.link_capacity * (1 + _TOL)).all()),
+        ec_capacity=ec_capacity,
+        link_capacity=link_capacity,
         link_path_consistency=bool((asg.y == path_links(i, asg.z)).all()),
     )
+
+
+def _within_capacity(i: Instance, x: np.ndarray, y: np.ndarray) -> tuple[bool, bool]:
+    """Whether placement x's cached bytes fit every EC, and whether the
+    bandwidth on links y fits every link."""
+    cached_bytes = (i.content_size[:, None] * x).sum(axis=0)
+    link_bytes = (i.bandwidth[:, None] * y).sum(axis=0)
+    return (
+        bool((cached_bytes <= i.ec_space * (1 + _TOL)).all()),
+        bool((link_bytes <= i.link_capacity * (1 + _TOL)).all()),
+    )
+
+
+def check_gamma(gamma: float) -> None:
+    """Refuse a penalty weight that is not finite and positive: gamma = inf
+    makes the penalty of every feasible placement inf * 0 = NaN."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 
 def save_assignment(asg: Assignment, path) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from . import cnn as cnnmod
 from . import pel
 from .baselines import RgcConfig, gca, rgc
-from .cost import DEFAULT_GAMMA, assignment_from_classes, class_table, cost_breakdown, labels_of
+from .cost import DEFAULT_GAMMA, check_gamma, class_table, cost_breakdown, labels_of
 from .encoder import NormConfig, encode, feature_matrix
 from .formats import read_fields, read_json, write_json
 from .instance import (
@@ -293,8 +293,8 @@ def predict_with_enhancement(
     if i.num_flows > len(models):
         raise cnnmod.CnnError(f"{len(models)} models for {i.num_flows} flows")
     rat = ratios(i)
-    classes = _place_block(models, class_table(i), i.mobility, rat.q, rat.r, norm, delta, gamma)
-    return assignment_from_classes(i, classes)
+    table = class_table(i)
+    return table.assignment(_place_block(models, table, i.mobility, rat.q, rat.r, norm, delta, gamma))
 
 
 def _place_block(models, table, p, q, r, norm, delta, gamma) -> np.ndarray:
@@ -327,7 +327,7 @@ def recursive_allocate(
     maximum rather than failing.  block must lie in 1..len(models).
 
     One class table serves every block: a block takes its rows, with
-    Q and R rebuilt from the residual capacities, so each block is
+    Q and r taken from the residual capacities, so each block is
     priced and encoded exactly as its own sub-instance would be.
     """
     if block < 1:
@@ -350,7 +350,7 @@ def recursive_allocate(
         ec_space = np.maximum(ec_space - (size * table.onehot[picked]).sum(axis=0), 1e-9)
         used_bw = (bandwidth * sub.links[sub.rows, picked]).sum(axis=0)
         link_capacity = np.maximum(link_capacity - used_bw, 1e-9)
-    return assignment_from_classes(i, classes)
+    return table.assignment(classes)
 
 
 @dataclass(frozen=True)
@@ -454,6 +454,7 @@ def evaluate(
     for method in methods:
         if method != "optimal" and method not in placers:
             raise ValueError(f"unknown method {method!r}")
+    check_gamma(gamma)
     samples = corpus.of_split(split)
     if not samples:
         raise ValueError(f"corpus has no '{split}' samples")

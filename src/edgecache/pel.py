@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import DEFAULT_GAMMA, ClassTable, assignment_from_classes, class_table
+from .cost import DEFAULT_GAMMA, ClassTable, check_gamma, class_table
 from .instance import Instance
 
 DEFAULT_DELTA = 0.001
@@ -90,8 +90,7 @@ def enhance(
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     table = i if isinstance(i, ClassTable) else class_table(i)
     K, C = table.T.shape
     O = np.asarray(O, dtype=float)
@@ -137,4 +136,4 @@ def enhance(
                 ["iteration", "flow", "class", "tc_candidate", "tc_current", "accepted"]
             )
             writer.writerows(records)
-    return classes if table is i else assignment_from_classes(i, classes)
+    return classes if table is i else table.assignment(classes)

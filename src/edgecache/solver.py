@@ -54,7 +54,7 @@ import numpy as np
 
 from . import cost as costmod
 from .cost import Assignment, CostBreakdown, network_tables
-from .instance import Instance, ratios
+from .instance import Instance
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -130,7 +130,7 @@ class _Search:
         self.t = self.table.T.tolist()
         bt = beta * self.table.T  # the child keys' transmission terms
         self.bt = bt.tolist()
-        self.r = ratios(inst).r.tolist()  # b_k / c_l
+        self.r = self.table.r.tolist()  # b_k / c_l
         # Only overloaded leaves re-serve flows, so they alone read the
         # hop gains and paths (_cheapest_serving); the cap needs just the
         # counts, and class E serves no AR.
@@ -405,15 +405,19 @@ class _Search:
             return None  # no routing satisfies the link capacities
         return best_extra, {k: opt[2] for k, opt in zip(affected, best_combo)}
 
-    def build_solution(self) -> Assignment:
-        asg = costmod.assignment_from_classes(self.inst, self.best_choices)
+    def solution(self) -> tuple[Assignment, CostBreakdown]:
+        """The incumbent's assignment and cost.  A greedy-routed incumbent
+        is read off the class table; a re-served one has its flows'
+        retrieval rows replaced and is priced by cost_breakdown."""
+        asg = self.table.assignment(self.best_choices)
         if not self.best_serving:
-            return asg
+            return asg, self.table.breakdown(self.best_choices)
         z = asg.z.copy()
         for k, served in self.best_serving.items():
             z[k] = 0
             z[k, list(served), self.best_choices[k]] = 1
-        return Assignment(x=asg.x, z=z, y=costmod.path_links(self.inst, z))
+        asg = Assignment(x=asg.x, z=z, y=costmod.path_links(self.inst, z))
+        return asg, costmod.cost_breakdown(self.inst, asg)
 
 
 # The _Search attributes that solve_exact(stats=) reports.
@@ -454,8 +458,7 @@ def solve_exact(
     if stats is not None:
         for name in SOLVER_COUNTERS:
             stats[name] = stats.get(name, 0) + getattr(search, name)
-    asg = search.build_solution()
-    breakdown = costmod.cost_breakdown(i, asg)
+    asg, breakdown = search.solution()
     proof = "bounded" if (exhausted or search.cap_hits) else "exhaustive"
     return OptimalSolution(
         assignment=asg,

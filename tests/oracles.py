@@ -10,12 +10,15 @@ import numpy as np
 
 from edgecache.baselines import RgcConfig, _ec_neighborhoods, expected_hops
 from edgecache.cost import (
+    DEFAULT_GAMMA,
     Assignment,
     CachingCostUndefinedError,
     assignment_from_classes,
     class_table,
+    cost_breakdown,
     labels_of,
     network_tables,
+    path_links,
     utilization,
 )
 from edgecache.cnn import BatchNorm, _im2col, predict_all, softmax
@@ -57,6 +60,27 @@ def derive_routing_loop(i, x):
     b_flat = inc.entries.reshape(L, A * E)
     y = (b_flat @ z.reshape(K, A * E).T > 0).T.astype(np.int8)
     return Assignment(x=x, z=z, y=y)
+
+
+def price_reference(table, classes, gamma=DEFAULT_GAMMA):
+    """ClassTable.price before its rows were fused: utilization and
+    counts from the one-hot placement rows, link load from a separate
+    (K, E+1, L) table of r * links, each gathered and summed over flows
+    on its own.  Returns a float for a (K,) vector, an array for a stack."""
+    classes = np.asarray(classes)
+    x = table.onehot[classes]
+    load = (table.r[:, None, :] * table.links)[table.rows, classes].sum(axis=-2)
+    u = (table.Q * x).sum(axis=-2)
+    counts = x.sum(axis=-2)
+    cc = np.where(
+        u < 1.0,
+        counts / (1.0 - np.minimum(u, 1.0 - 1e-12)),
+        counts * (1.0 / (1.0 - 0.99)),
+    ).sum(axis=-1)
+    hinge = np.maximum(0.0, u - 1.0).sum(axis=-1) + np.maximum(0.0, load - 1.0).sum(axis=-1)
+    i = table.inst
+    priced = i.alpha * cc + i.beta * table.transmission(classes) + gamma * hinge
+    return float(priced) if np.ndim(priced) == 0 else priced
 
 
 def lower_bound(i, placements):
@@ -175,19 +199,23 @@ def precision_of(predicted, actual) -> float:
     return matches / total
 
 
-def rgc_reference(i, cfg=RgcConfig(), trace=None):
+def rgc_reference(i, cfg=RgcConfig(), trace=None, stats=None):
     """RGC with one scalar draw and one Python option list per flow per
     epoch, pricing every changed draft: the loop the vectorized rgc
-    must reproduce decision for decision."""
+    must reproduce decision for decision.  A stats dict gets the count
+    of accepted epochs, the epochs themselves (1-based, as accepted_at),
+    and the changed drafts at or above the transmission floor
+    beta * C_T, which rgc skips unpriced."""
     rng = np.random.default_rng(cfg.seed)
     E = i.topology.num_edge_clouds
-    neighborhoods = _ec_neighborhoods(i)
+    neighborhoods = _ec_neighborhoods(i.topology)
     table = class_table(i)
 
     classes = expected_hops(i).argmin(axis=1)  # the GCA start
     tc = table.price(classes, gamma=cfg.gamma)
+    accepted_at, floor_skipped = [], 0
 
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         trial_classes = classes.copy()
         for k in range(i.num_flows):
             if classes[k] >= E:  # currently uncached: stay out or re-enter
@@ -196,12 +224,16 @@ def rgc_reference(i, cfg=RgcConfig(), trace=None):
                 options = [classes[k]] + list(neighborhoods[classes[k]]) + [E]
             trial_classes[k] = options[int(rng.integers(0, len(options)))]
         if (trial_classes != classes).any():
+            floor_skipped += i.beta * table.transmission(trial_classes) >= tc
             trial_tc = table.price(trial_classes, gamma=cfg.gamma)
             if trial_tc < tc:
                 classes = trial_classes
                 tc = trial_tc
+                accepted_at.append(epoch)
         if trace is not None:
             trace.append(tc)
+    if stats is not None:
+        stats.update(accepted=len(accepted_at), accepted_at=accepted_at, floor_skipped=floor_skipped)
     return assignment_from_classes(i, classes)
 
 
@@ -366,6 +398,20 @@ def descend_reference(self, depth, choices, counts, util, placed_t, stored):
         if depth < self.valid:
             self.valid = depth
         self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step)
+
+
+def solution_reference(search):
+    """A finished search's incumbent as solve_exact once built it:
+    materialized from its classes, its re-served flows' retrieval rows
+    replaced, its links re-derived, and priced by cost_breakdown."""
+    asg = assignment_from_classes(search.inst, search.best_choices)
+    if search.best_serving:
+        z = asg.z.copy()
+        for k, served in search.best_serving.items():
+            z[k] = 0
+            z[k, list(served), search.best_choices[k]] = 1
+        asg = Assignment(x=asg.x, z=z, y=path_links(search.inst, z))
+    return asg, cost_breakdown(search.inst, asg)
 
 
 def evaluate_leaf_reference(search, choices, counts, util, placed_t):

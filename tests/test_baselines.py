@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from edgecache import baselines
 from edgecache.baselines import RgcConfig, _ec_neighborhoods, expected_hops, gca, rgc
 from edgecache.cost import check_feasibility, network_tables, penalized_cost
 from edgecache.harness import DATASET_RANGES, evaluation_topology
@@ -91,18 +92,43 @@ def test_rgc_accepts_numpy_integers():
     assert cfg.epochs == 3 and cfg.seed == 2
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
 def test_rgc_rejects_non_positive_gamma(gamma):
     with pytest.raises(ValueError, match="gamma"):
         RgcConfig(gamma=gamma)
 
 
+def draft_blocks(epochs, accepted_at):
+    """(size, accepted epoch or None) of each block rgc drafts, walking
+    its schedule over the accepts of a one-draft-per-epoch run: 32
+    epochs at first, twice the last size (up to 1024) after a block with
+    no accept, the same size after one with an accept."""
+    blocks, done, size = [], 0, 32
+    while done < epochs:
+        end = done + min(size, epochs - done)
+        accept = next((e for e in accepted_at if done < e <= end), None)
+        blocks.append((size, accept))
+        done, size = (accept, size) if accept else (end, min(2 * size, 1024))
+    return blocks
+
+
 def assert_same_rgc(inst, cfg):
-    expected_trace, trace = [], []
-    ref = rgc_reference(inst, cfg, trace=expected_trace)
-    out = rgc(inst, cfg, trace=trace)
+    """rgc leaves the classes and trace of the per-flow reference, and its
+    counters are the ones that walk implies: its accepts, its changed
+    drafts at or above the floor, and one price call per draft block.
+    Returns the draft blocks."""
+    expected_trace, trace, ref_stats, stats = [], [], {}, {}
+    ref = rgc_reference(inst, cfg, trace=expected_trace, stats=ref_stats)
+    out = rgc(inst, cfg, trace=trace, stats=stats)
     assert (out.x == ref.x).all() and (out.z == ref.z).all() and (out.y == ref.y).all()
     assert trace == expected_trace
+    blocks = draft_blocks(cfg.epochs, ref_stats["accepted_at"])
+    assert stats == {
+        "accepted": ref_stats["accepted"],
+        "floor_skipped": ref_stats["floor_skipped"],
+        "price_calls": len(blocks),
+    }
+    return blocks
 
 
 @pytest.mark.parametrize("flows,epochs", [(5, 300), (8, 200), (15, 200)])
@@ -119,18 +145,66 @@ def test_rgc_matches_per_flow_reference(flows, epochs):
                 assert_same_rgc(inst, RgcConfig(epochs=epochs, seed=seed, gamma=gamma))
 
 
-@pytest.mark.parametrize("epochs", [1, 63, 64, 65, 129, 500])
+@pytest.mark.parametrize(
+    "epochs", [1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 129, 223, 224, 225, 479, 480, 481, 500]
+)
 def test_rgc_matches_reference_across_block_boundaries(epochs):
-    # Runs that end just before, on and just after a 64-epoch block, and
-    # accepts that land anywhere inside a block, leave the same classes,
-    # trace and generator position as one draft per epoch.  Every class
-    # has at least two move options (stay, and drop out or enter), so no
-    # flow here draws nothing; the broadcast pin below covers bound 1.
+    # Without accepts the blocks end at epochs 32, 96, 224 and 480 (32,
+    # 64, 128 and 256 epochs); runs that end just before, on and just
+    # after each, and accepts that land anywhere inside a block, leave
+    # the same classes, trace and generator position as one draft per
+    # epoch.  Every class has at least two move options (stay, and drop
+    # out or enter), so no flow here draws nothing; the broadcast pin
+    # below covers bound 1.
     topo = evaluation_topology()
     for flows in (1, 5, 15):
         for seed in range(3):
             inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
             assert_same_rgc(inst, RgcConfig(epochs=epochs, seed=seed))
+
+
+def test_rgc_accepts_inside_grown_blocks():
+    # The schedule doubles a block after one with no accept and keeps its
+    # size after an accept; accepts that land inside a block of 64 or
+    # more epochs must rewind the generator just as early ones do.  The
+    # alpha = 0.01 twin of seed [15, 2] accepts at epoch 125 of a
+    # 128-epoch block, and seed [15, 3] at gamma 20 accepts four times in
+    # a row inside kept 64-epoch blocks.
+    topo = evaluation_topology()
+    grown = []
+    for seed in (2, 3):
+        base = generate_instance(topo, 15, ranges=DATASET_RANGES, seed=[15, seed])
+        for inst in (base, dataclasses.replace(base, alpha=0.01)):
+            for gamma in (20.0, 3.5):
+                blocks = assert_same_rgc(inst, RgcConfig(epochs=200, seed=seed, gamma=gamma))
+                grown += [size for size, accept in blocks if accept and size >= 64]
+    assert len(grown) >= 3 and 128 in grown
+
+
+def test_rgc_block_size_stops_at_its_cap():
+    # After 2,016 epochs without an accept the blocks reach 1,024 epochs
+    # and stay there; the price calls count them.
+    topo = evaluation_topology()
+    capped = 0
+    for seed in range(3):
+        inst = generate_instance(topo, 1, ranges=DATASET_RANGES, seed=[1, seed])
+        blocks = assert_same_rgc(inst, RgcConfig(epochs=4100, seed=seed))
+        capped += sum(size == 1024 for size, _ in blocks)
+    assert capped >= 2
+
+
+def test_rgc_stats_add_up_and_leave_the_result_alone():
+    inst = generate_instance(evaluation_topology(), 15, ranges=DATASET_RANGES, seed=[15, 3])
+    cfg = RgcConfig(epochs=200, seed=3)
+    once, twice = {}, {}
+    plain = rgc(inst, cfg)
+    counted = rgc(inst, cfg, stats=once)
+    rgc(inst, cfg, stats=twice)
+    rgc(inst, cfg, stats=twice)
+    assert set(once) == set(baselines.RGC_COUNTERS)
+    assert twice == {name: 2 * value for name, value in once.items()}
+    assert once["accepted"] > 0 and once["floor_skipped"] > 0
+    assert (plain.x == counted.x).all() and (plain.y == counted.y).all()
 
 
 def test_broadcast_draw_equals_successive_row_draws():
@@ -176,7 +250,7 @@ def test_rgc_matches_reference_without_ec_neighbours():
     topo = build_topology(TopologyConfig(branching=2, depth=3, ec_rule="leaves"))
     for seed in range(4):
         inst = generate_instance(topo, 6, ranges=DATASET_RANGES, seed=[6, seed])
-        assert all(len(n) == 2 for n in _ec_neighborhoods(inst))
+        assert all(len(n) == 2 for n in _ec_neighborhoods(topo))
         for gamma in (20.0, 3.5):
             assert_same_rgc(inst, RgcConfig(epochs=300, seed=seed, gamma=gamma))
 

@@ -205,6 +205,7 @@ def test_config_value_starting_with_dash_stays_a_value(workspace, tmp_path, caps
         ("train", ["--workers", "0"]),
         ("dataset", ["--budget", "0"]),
         ("topo", ["--datacenter-hops", "0"]),
+        ("eval", ["--methods", "optimal,gca", "--gamma", "inf"]),
     ],
 )
 def test_bad_number_flag_exits_2(workspace, tmp_path, capsys, command, flags):

@@ -28,7 +28,7 @@ from edgecache.instance import generate_instance, ratios
 from edgecache.topology import TopologyConfig, build_topology
 
 from conftest import manual_instance
-from oracles import caching_cost_via_linearization, derive_routing_loop
+from oracles import caching_cost_via_linearization, derive_routing_loop, price_reference, subset_flows
 
 
 def random_placement(inst, rng, allow_uncached=True):
@@ -387,23 +387,27 @@ def test_kernel_matches_cost_breakdown_and_routing_loop(flows):
                 expected = cost_breakdown(inst, asg, gamma=gamma).penalized_total
                 assert abs(table.price(classes, gamma) - expected) <= 1e-12 * abs(expected)
                 assert table.price(classes, gamma) == expected
+                assert price_reference(table, classes, gamma) == expected
 
 
-def assert_stack_is_exact(inst, stack, gamma):
-    # Each row of a stacked call is the float of the row alone and of
-    # cost_breakdown on the materialized row: exact equality, no tolerance.
-    table = class_table(inst)
+def assert_stack_is_exact(inst, stack, gamma, table=None):
+    # Each row of a stacked call is the float of the row alone, of the
+    # unfused kernel (price_reference) and of cost_breakdown on the
+    # materialized row: exact equality, no tolerance.  table defaults to
+    # inst's own; a block table is checked against its sub-instance.
+    table = class_table(inst) if table is None else table
     priced = table.price(stack, gamma)
     floors = table.transmission(stack)
     assert priced.shape == floors.shape == (len(stack),)
+    assert priced.tobytes() == price_reference(table, stack, gamma).tobytes()
     for row, value, floor in zip(stack, priced, floors):
-        assert value == table.price(row, gamma)
+        assert value == table.price(row, gamma) == price_reference(table, row, gamma)
         assert floor == table.transmission(row)
         asg = assignment_from_classes(inst, row)
         assert value == cost_breakdown(inst, asg, gamma=gamma).penalized_total
 
 
-@pytest.mark.parametrize("flows", [5, 15])
+@pytest.mark.parametrize("flows", [1, 5, 8, 15, 20])
 def test_stacked_price_is_exact_per_row(flows):
     topo = evaluation_topology()
     E = topo.num_edge_clouds
@@ -428,6 +432,35 @@ def test_stacked_price_is_exact_per_row(flows):
     assert overfull and overloaded  # the clamp and link-hinge branches ran
 
 
+def _residual_blocks(inst, block, rng):
+    """(sub-instance, block table) of each block of inst's flows at random
+    residual capacities, as recursive_allocate takes them."""
+    table = class_table(inst)
+    shrunk = dataclasses.replace(
+        inst,
+        ec_space=inst.ec_space * rng.uniform(0.05, 1.0, inst.ec_space.size),
+        link_capacity=inst.link_capacity * rng.uniform(0.05, 1.0, inst.link_capacity.size),
+    )
+    for start in range(0, inst.num_flows, block):
+        rows = slice(start, start + block)
+        sub = subset_flows(shrunk, range(inst.num_flows)[rows])
+        rat = ratios(sub)
+        yield sub, table.block(rows, rat.q, rat.r)
+
+
+@pytest.mark.parametrize("flows, block", [(8, 3), (15, 5), (20, 8)])
+def test_block_table_prices_exactly_as_its_sub_instance(flows, block):
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng(200 + flows)
+    for seed in range(3):
+        inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+        for sub, part in _residual_blocks(inst, block, rng):
+            stack = rng.integers(0, E + 1, size=(30, sub.num_flows))
+            for gamma in (20.0, 3.5):
+                assert_stack_is_exact(sub, stack, gamma, table=part)
+
+
 def test_stacked_price_is_exact_with_many_ecs():
     # E = 15: the caching sum runs over more than eight summands, so it is
     # not a plain left-to-right sum, and price and cost_breakdown agree
@@ -436,14 +469,63 @@ def test_stacked_price_is_exact_with_many_ecs():
     E = topo.num_edge_clouds
     assert E > 8
     rng = np.random.default_rng(7)
+    for flows in (1, 5, 8, 9, 15, 20):
+        for seed in range(3):
+            inst = generate_instance(topo, flows, seed=seed)
+            tight = dataclasses.replace(inst, ec_space=inst.ec_space * 0.05)
+            for case in (inst, tight):
+                stack = rng.integers(0, E + 1, size=(30, flows))
+                stack[0] = E
+                assert_stack_is_exact(case, stack, 20.0)
+                assert_stack_is_exact(case, stack[-1:], 20.0)
+
+
+def _same_bytes(a, b):
+    return all(
+        getattr(a, f).dtype == getattr(b, f).dtype
+        and getattr(a, f).shape == getattr(b, f).shape
+        and getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        for f in ("x", "z", "y")
+    )
+
+
+@pytest.mark.parametrize("flows", [1, 5, 15])
+def test_table_assignment_matches_assignment_from_classes(flows):
+    # On a whole table and on block tables against their sub-instances.
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng(300 + flows)
     for seed in range(3):
-        inst = generate_instance(topo, 9, seed=seed)
-        tight = dataclasses.replace(inst, ec_space=inst.ec_space * 0.05)
-        for case in (inst, tight):
-            stack = rng.integers(0, E + 1, size=(30, 9))
-            stack[0] = E
-            assert_stack_is_exact(case, stack, 20.0)
-            assert_stack_is_exact(case, stack[-1:], 20.0)
+        inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+        table = class_table(inst)
+        for classes in rng.integers(0, E + 1, size=(10, flows)):
+            assert _same_bytes(table.assignment(classes), assignment_from_classes(inst, classes))
+        for sub, part in _residual_blocks(inst, 4, rng):
+            classes = rng.integers(0, E + 1, size=sub.num_flows)
+            assert _same_bytes(part.assignment(classes), assignment_from_classes(sub, classes))
+
+
+def test_table_breakdown_matches_cost_breakdown():
+    # Every field, floats to the bit, on feasible and infeasible vectors.
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng(400)
+    verdicts = set()
+    for flows in (1, 5, 15):
+        for seed in range(3):
+            base = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+            tight = dataclasses.replace(
+                base, ec_space=base.ec_space * 0.1, link_capacity=base.link_capacity * 0.1
+            )
+            for inst in (base, tight):
+                table = class_table(inst)
+                for classes in rng.integers(0, E + 1, size=(10, flows)):
+                    for gamma in (20.0, 3.5):
+                        got = table.breakdown(classes, gamma)
+                        want = cost_breakdown(inst, assignment_from_classes(inst, classes), gamma)
+                        assert repr(got) == repr(want)  # a float's repr pins its bits
+                        verdicts.add(got.feasible)
+    assert verdicts == {True, False}
 
 
 def test_single_vector_prices_are_floats():

@@ -408,6 +408,20 @@ def test_evaluate_rejects_unknown_method_before_placing(corpus, monkeypatch):
         evaluate(corpus, methods=("rgc", "bogus"))
 
 
+@pytest.mark.parametrize("gamma", [-1.0, float("inf"), float("nan")])
+def test_evaluate_rejects_a_bad_gamma_before_placing(corpus, monkeypatch, gamma):
+    # gca prices no penalty itself, so only evaluate's own check stands
+    # between these and NaN or sign-flipped penalized_cost rows.
+    import edgecache.harness as harness
+
+    def placed(*args, **kwargs):
+        raise AssertionError("gca ran before gamma was checked")
+
+    monkeypatch.setattr(harness, "gca", placed)
+    with pytest.raises(ValueError, match="gamma must be finite and positive"):
+        evaluate(corpus, methods=("optimal", "gca"), gamma=gamma)
+
+
 def test_evaluate_is_deterministic_modulo_wall_time(corpus, models):
     def strip_wall_time(csv_text: str) -> str:
         lines = [",".join(line.split(",")[:-1]) for line in csv_text.splitlines()]

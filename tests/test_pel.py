@@ -223,6 +223,8 @@ def test_enhance_validates_inputs(tree_topology):
         enhance(inst, good, gamma=0.0)
     with pytest.raises(ValueError):
         enhance(inst, good, gamma=float("nan"))
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        enhance(inst, good, gamma=float("inf"))
     with pytest.raises(ValueError):
         enhance(inst, good[:1])
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from edgecache.topology import Topology, TopologyConfig, build_topology
 from conftest import manual_instance
 from oracles import (
     brute_force_optimum, descend_reference, evaluate_leaf_reference, lower_bound,
+    solution_reference,
 )
 
 TIGHT_LINKS = ParameterRanges(link_capacity=(8.0, 14.0), bandwidth=(4.0, 10.0))
@@ -354,8 +355,8 @@ def _solve_counting(monkeypatch, inst, budget, descend):
     return out, stats, implied
 
 
-def _desk_cases():
-    return [(DATASET_RANGES, 5, [0, j], solver.DEFAULT_NODE_BUDGET) for j in range(50)]
+def _desk_cases(count=50):
+    return [(DATASET_RANGES, 5, [0, j], solver.DEFAULT_NODE_BUDGET) for j in range(count)]
 
 
 def _check_early_exit(monkeypatch, inst, budget, seed):
@@ -382,6 +383,42 @@ def test_early_exit_matches_the_per_child_reference(monkeypatch, family):
     for ranges, flows, seed, budget in family():
         inst = generate_instance(topo, flows, ranges=ranges, seed=seed)
         _check_early_exit(monkeypatch, inst, budget, seed)
+
+
+@pytest.mark.parametrize(
+    "family, reserved",
+    [
+        (_label_tail_cases, False),
+        (_tight_leaf_cases, True),
+        (lambda: _desk_cases(250), False),
+    ],
+    ids=["label_tail", "tight_leaf", "desk250"],
+)
+def test_solution_matches_the_rebuilt_one(monkeypatch, family, reserved):
+    # A greedy-routed incumbent is read off the search's class table and
+    # priced there; a re-served one is rebuilt and priced by
+    # cost_breakdown.  Either way the assignment's bytes and dtypes and
+    # every breakdown field match the incumbent rebuilt from scratch.
+    searches = []
+    init = solver._Search.__init__
+
+    def recording(search, *args):
+        init(search, *args)
+        searches.append(search)
+
+    monkeypatch.setattr(solver._Search, "__init__", recording)
+    topo = evaluation_topology()
+    kinds = set()
+    for ranges, flows, seed, budget in family():
+        inst = generate_instance(topo, flows, ranges=ranges, seed=seed)
+        sol = solve_exact(inst, budget=budget)
+        asg, cost = solution_reference(searches[-1])
+        for name in ("x", "z", "y"):
+            got, want = getattr(sol.assignment, name), getattr(asg, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), seed
+        assert repr(sol.cost) == repr(cost), seed  # a float's repr pins its bits
+        kinds.add(bool(searches[-1].best_serving))
+    assert kinds == ({False, True} if reserved else {False})
 
 
 @pytest.mark.parametrize("seed", [[0, 5], [0, 27]])
