@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cost import (
-    DEFAULT_GAMMA, Assignment, assignment_from_classes, check_gamma, class_table, network_tables,
+    DEFAULT_GAMMA, Assignment, assignment_from_classes, check_gamma, class_table, network_constants,
 )
 from .instance import Instance
 from .topology import Topology
@@ -52,8 +52,7 @@ class RgcConfig:
 
 def expected_hops(i: Instance) -> np.ndarray:
     """(K, E) matrix of mobility-weighted hop counts to each EC."""
-    hops, _ = network_tables(i.topology)
-    return i.mobility @ hops.entries.astype(float)
+    return i.mobility @ network_constants(i.topology).hops
 
 
 def gca(i: Instance) -> Assignment:

@@ -23,6 +23,11 @@ cached count and link load, so a stack of class vectors is priced by
 one gather and one sum over flows.  ClassTable.assignment materializes
 a class vector from the table's own rows, and cost_breakdown prices
 arbitrary assignments with the same per-flow arithmetic.
+
+What depends on the topology alone (the class one-hot, float hops and
+incidence, the hops < N_T serving mask, the per-EC selectors) is built
+once per topology by network_constants, read-only, so materializing
+and pricing a placement pays only for its own arithmetic.
 """
 
 from __future__ import annotations
@@ -55,7 +60,16 @@ class CachingCostUndefinedError(ValueError):
 
 @dataclass(frozen=True)
 class Assignment:
-    """Decision variables: x (K,E) placement, z (K,A,E) retrieval, y (K,L) links."""
+    """Decision variables: x (K,E) placement, z (K,A,E) retrieval, y (K,L) links.
+
+    Construction refuses non-binary arrays, a flow at more than one EC,
+    a (flow, AR) pair retrieving from more than one EC, and retrieval
+    from an EC that does not cache the flow, checked in that order, so
+    the first violation names the error.  When x, z and y are all int8,
+    three passes (_valid_int8) accept exactly the arrays that pass every
+    check; anything else, or any failure, runs the ordered checks, so
+    every verdict and message is theirs.
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -67,6 +81,10 @@ class Assignment:
             raise ValueError("z shape inconsistent with x")
         if self.y.shape[0] != K:
             raise ValueError("y shape inconsistent with x")
+        if self.x.dtype == self.z.dtype == self.y.dtype == np.int8 and _valid_int8(
+            self.x, self.z, self.y
+        ):
+            return
         for name, arr in (("x", self.x), ("z", self.z), ("y", self.y)):
             if not ((arr == 0) | (arr == 1)).all():
                 raise ValueError(f"{name} must be binary")
@@ -76,6 +94,21 @@ class Assignment:
             raise ValueError("a (flow, AR) pair retrieves from more than one EC")
         if (self.z > self.x[:, None, :]).any():
             raise ValueError("retrieval from an EC that does not cache the flow")
+
+
+def _valid_int8(x: np.ndarray, z: np.ndarray, y: np.ndarray) -> bool:
+    """Whether int8 x, z and y pass every Assignment check, in three passes.
+
+    Binary: no byte of the three exceeds 1 read as uint8 (-1 reads 255).
+    z <= x with at most one EC per row of x implies at most one EC per
+    (flow, AR) row of z, so that check needs no pass of its own.
+    """
+    values = np.concatenate((x.ravel(), z.ravel(), y.ravel())).view(np.uint8)
+    return bool(
+        values.max(initial=0) <= 1
+        and (x.sum(axis=1) <= 1).all()
+        and not (z > x[:, None, :]).any()
+    )
 
 
 @dataclass(frozen=True)
@@ -115,6 +148,39 @@ def network_tables(t: Topology) -> tuple[HopMatrix, IncidenceTensor]:
     return h, incidence_tensor(t, h)
 
 
+@dataclass(frozen=True, eq=False)
+class NetworkConstants:
+    """Topology-only arrays that materializing and pricing placements
+    read, built once per topology (all read-only)."""
+
+    onehot: np.ndarray        # (E+1, E) int8 placement row of each class; row E is empty
+    hops: np.ndarray          # (A, E) float64 path hops
+    in_reach: np.ndarray      # (A, E) bool: the path beats the datacenter (hops < N_T)
+    incidence: np.ndarray     # (L, A*E) float64 incidence, for path counts past int8
+    selector: np.ndarray      # (E+1, 1, E) float64: class c keeps EC column c only
+    ec_incidence: np.ndarray  # (E, A, L) view of incidence: each EC's paths
+
+
+@lru_cache(maxsize=32)
+def network_constants(t: Topology) -> NetworkConstants:
+    """The NetworkConstants of a topology, cached per topology."""
+    hops, inc = network_tables(t)
+    L, A, E = inc.entries.shape
+    incidence = inc.entries.reshape(L, A * E).astype(np.float64)
+    onehot = np.eye(E + 1, E, dtype=np.int8)
+    arrays = NetworkConstants(
+        onehot=onehot,
+        hops=hops.entries.astype(np.float64),
+        in_reach=hops.entries < t.datacenter_hops,
+        incidence=incidence,
+        selector=onehot[:, None, :].astype(np.float64),
+        ec_incidence=incidence.reshape(L, A, E).transpose(2, 1, 0),
+    )
+    for arr in vars(arrays).values():
+        arr.flags.writeable = False
+    return arrays
+
+
 def utilization(i: Instance, x: np.ndarray) -> np.ndarray:
     """Space utilization U_e = sum_k q_ke * x_ke per EC."""
     q = ratios(i).q
@@ -136,11 +202,9 @@ def caching_cost(i: Instance, x: np.ndarray) -> float:
 
 def path_links(i: Instance, z: np.ndarray) -> np.ndarray:
     """(N, L) marks of the links on the canonical paths each z[n] (A, E) retrieves over."""
-    _, inc = network_tables(i.topology)
-    L = inc.entries.shape[0]
     n = z.shape[0]
     # Path counts in float64: an int8 product wraps at 128 paths per link.
-    paths = inc.entries.reshape(L, -1).astype(np.float64) @ z.reshape(n, -1).T
+    paths = network_constants(i.topology).incidence @ z.reshape(n, -1).T
     return (paths > 0).T.astype(np.int8)
 
 
@@ -151,8 +215,7 @@ def _flow_hops(i: Instance, served: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     The kernel and cost_breakdown both price through here, so a class
     vector and its materialized assignment get the same float.
     """
-    hops, _ = network_tables(i.topology)
-    hit = (served * hops.entries).sum(axis=(-2, -1))
+    hit = (served * network_constants(i.topology).hops).sum(axis=(-2, -1))
     miss = (1.0 - served.sum(axis=(-2, -1))) * i.topology.datacenter_hops
     return hit, miss
 
@@ -163,8 +226,7 @@ def _serving_mask(i: Instance) -> np.ndarray:
     A cached flow is served wherever it may appear and the path beats
     the datacenter fallback (hops < N_T).
     """
-    hops, _ = network_tables(i.topology)
-    return (i.mobility[:, :, None] > 0) & (hops.entries < i.topology.datacenter_hops)
+    return (i.mobility[:, :, None] > 0) & network_constants(i.topology).in_reach
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,17 +346,22 @@ def _float_or_rows(values: np.ndarray):
 
 
 def class_table(i: Instance) -> ClassTable:
-    """Build the pricing kernel of an instance, vectorized over (flow, class)."""
-    K, A = i.mobility.shape
+    """Build the pricing kernel of an instance, vectorized over (flow, class).
+
+    Flow k at class c < E is served from EC c alone, by the ARs in
+    serve[k, :, c].  Its served mass is the mobility on those ARs in
+    column c, zero elsewhere, which the selector picks out; its links
+    are the ones those ARs' paths to c cross, from one batched product
+    over the ECs.  Class E serves nothing.
+    """
+    K = i.num_flows
     E = i.topology.num_edge_clouds
+    net = network_constants(i.topology)
     rat = ratios(i)
     serve = _serving_mask(i)
-    # z[k, c] is flow k's retrieval tensor at class c: column c only, none at c = E.
-    z = np.zeros((K, E + 1, A, E), dtype=np.int8)
-    ecs = np.arange(E)
-    z[:, ecs, :, ecs] = serve.transpose(2, 0, 1)
-    hit, miss = _flow_hops(i, i.mobility[:, None, :, None] * z)
-    links = path_links(i, z.reshape(K * (E + 1), A, E)).reshape(K, E + 1, -1)
+    hit, miss = _flow_hops(i, (i.mobility[:, :, None] * serve)[:, None] * net.selector)
+    links = np.zeros((K, E + 1, i.topology.num_links), dtype=np.int8)
+    links[:, :E] = (serve.transpose(2, 0, 1) @ net.ec_incidence > 0).transpose(1, 0, 2)
     return ClassTable(
         inst=i,
         serve=serve,
@@ -304,7 +371,7 @@ def class_table(i: Instance) -> ClassTable:
         T=hit + miss,
         Q=rat.q,
         r=rat.r,
-        onehot=np.eye(E + 1, E, dtype=np.int8),
+        onehot=net.onehot,
         rows=np.arange(K),
     )
 
@@ -321,8 +388,7 @@ def assignment_from_classes(i: Instance, classes) -> Assignment:
     Retrieval follows the serving rule of the chosen class only; link
     capacities are ignored here, and overloads surface in the penalty.
     """
-    E = i.topology.num_edge_clouds
-    x = np.eye(E + 1, E, dtype=np.int8)[np.asarray(classes)]
+    x = network_constants(i.topology).onehot[np.asarray(classes)]
     z = _serving_mask(i) * x[:, None, :]
     return Assignment(x=x, z=z, y=path_links(i, z))
 

@@ -29,6 +29,7 @@ from .formats import read_fields, read_json, write_json
 from .instance import (
     Instance,
     ParameterRanges,
+    check_generation,
     generate_instance,
     load_instance,
     ratios,
@@ -122,6 +123,7 @@ def build_dataset(
         raise ValueError(f"train_fraction must be in [0, 1], got {train_fraction}")
     if budget < 1:  # solve_exact refuses it too, but only after the corpus directory exists
         raise ValueError(f"budget must be >= 1, got {budget}")
+    check_generation(flows, ranges)
     root = Path(out_dir)
     (root / "instances").mkdir(parents=True, exist_ok=True)
     save_topology(t, root / "topology.json")
@@ -526,6 +528,7 @@ def generate_instances(
     ranges: ParameterRanges = ParameterRanges(),
 ) -> list[str]:
     """Write a plain instance corpus (no solving) plus a manifest."""
+    check_generation(flows, ranges)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     save_topology(t, root / "topology.json")

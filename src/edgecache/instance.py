@@ -120,6 +120,14 @@ class UtilizationRatios:
     r: np.ndarray
 
 
+def check_generation(num_flows: int, ranges: ParameterRanges) -> None:
+    """Refuse a flow count below 1 or invalid sampling ranges, so callers
+    that write a corpus can check before they create anything."""
+    if num_flows < 1:
+        raise InstanceError("num_flows must be >= 1")
+    ranges.validate()
+
+
 def generate_instance(
     t: Topology,
     num_flows: int,
@@ -133,9 +141,7 @@ def generate_instance(
     presence factor so rows may sum below 1: the residual mass is the
     chance the user leaves the region, which the miss cost absorbs.
     """
-    if num_flows < 1:
-        raise InstanceError("num_flows must be >= 1")
-    ranges.validate()
+    check_generation(num_flows, ranges)
     rng = np.random.default_rng(seed)
 
     A = t.num_access_routers

@@ -141,11 +141,17 @@ class _Search:
         # Per (flow, class): the bitmask of the links on the serving paths
         # (bit l for link l), as a Python int of any width; _bits lists its
         # links.  Class E's is 0.
-        packed = np.packbits(self.table.links, axis=-1, bitorder="little").tolist()
-        self.masks = [[int.from_bytes(bytes(b), "little") for b in row] for row in packed]
+        # Row j = k * (E+1) + c is bytes j*w..(j+1)*w of one packed buffer.
+        packed = np.packbits(self.table.links, axis=-1, bitorder="little")
+        buf, w, C = packed.tobytes(), packed.shape[-1], self.E + 1
+        self.masks = [
+            [int.from_bytes(buf[j * w : (j + 1) * w], "little") for j in range(k * C, (k + 1) * C)]
+            for k in range(self.K)
+        ]
 
-        # Branch order: largest content first tightens bounds earliest.
-        self.order = sorted(range(self.K), key=lambda k: (-inst.content_size[k], k))
+        # Branch order: largest content first tightens bounds earliest;
+        # the stable sort breaks ties by flow index.
+        self.order = np.argsort(-inst.content_size, kind="stable").tolist()
         # suffix[d]: the free-flow bound of the flows branched at depth >= d,
         # summed from the last flow up; ECs with q >= 1 cannot take a flow.
         Q = self.table.Q

@@ -13,6 +13,7 @@ from edgecache.cost import (
     DEFAULT_GAMMA,
     Assignment,
     CachingCostUndefinedError,
+    ClassTable,
     assignment_from_classes,
     class_table,
     cost_breakdown,
@@ -23,6 +24,7 @@ from edgecache.cost import (
 )
 from edgecache.cnn import BatchNorm, _im2col, predict_all, softmax
 from edgecache.encoder import encode, split_subimages, update_residual
+from edgecache.instance import ratios
 from edgecache.solver import REASSIGNMENT_CAP, _IMPROVE_EPS, _Budget
 from edgecache.topology import TopologyError
 
@@ -60,6 +62,60 @@ def derive_routing_loop(i, x):
     b_flat = inc.entries.reshape(L, A * E)
     y = (b_flat @ z.reshape(K, A * E).T > 0).T.astype(np.int8)
     return Assignment(x=x, z=z, y=y)
+
+
+def validate_assignment_reference(x, z, y):
+    """Assignment's checks as first written, one full pass per check in
+    a fixed order, so the first violation found names the error."""
+    K, E = x.shape
+    if z.shape[0] != K or z.shape[2] != E:
+        raise ValueError("z shape inconsistent with x")
+    if y.shape[0] != K:
+        raise ValueError("y shape inconsistent with x")
+    for name, arr in (("x", x), ("z", z), ("y", y)):
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ValueError(f"{name} must be binary")
+    if (x.sum(axis=1) > 1).any():
+        raise ValueError("a flow is placed at more than one EC")
+    if (z.sum(axis=2) > 1).any():
+        raise ValueError("a (flow, AR) pair retrieves from more than one EC")
+    if (z > x[:, None, :]).any():
+        raise ValueError("retrieval from an EC that does not cache the flow")
+
+
+def class_table_reference(i):
+    """class_table as first written, from the uncached network tables:
+    a (K, E+1, A, E) int8 retrieval tensor z per (flow, class), its
+    served mass priced by the hop arithmetic of cost._flow_hops, and its
+    links from float64 path counts."""
+    hops, inc = network_tables(i.topology)
+    K, A = i.mobility.shape
+    E = i.topology.num_edge_clouds
+    L = inc.entries.shape[0]
+    nt = i.topology.datacenter_hops
+    rat = ratios(i)
+    serve = (i.mobility[:, :, None] > 0) & (hops.entries < nt)
+    # z[k, c] is flow k's retrieval tensor at class c: column c only, none at c = E.
+    z = np.zeros((K, E + 1, A, E), dtype=np.int8)
+    ecs = np.arange(E)
+    z[:, ecs, :, ecs] = serve.transpose(2, 0, 1)
+    served = i.mobility[:, None, :, None] * z
+    hit = (served * hops.entries).sum(axis=(-2, -1))
+    miss = (1.0 - served.sum(axis=(-2, -1))) * nt
+    paths = inc.entries.reshape(L, -1).astype(np.float64) @ z.reshape(K * (E + 1), -1).T
+    links = (paths > 0).T.astype(np.int8).reshape(K, E + 1, L)
+    return ClassTable(
+        inst=i,
+        serve=serve,
+        links=links,
+        hit=hit,
+        miss=miss,
+        T=hit + miss,
+        Q=rat.q,
+        r=rat.r,
+        onehot=np.eye(E + 1, E, dtype=np.int8),
+        rows=np.arange(K),
+    )
 
 
 def price_reference(table, classes, gamma=DEFAULT_GAMMA):

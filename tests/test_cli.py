@@ -206,6 +206,10 @@ def test_config_value_starting_with_dash_stays_a_value(workspace, tmp_path, caps
         ("dataset", ["--budget", "0"]),
         ("topo", ["--datacenter-hops", "0"]),
         ("eval", ["--methods", "optimal,gca", "--gamma", "inf"]),
+        ("dataset", ["--flows", "0"]),
+        ("dataset", ["--content-size", "5", "1"]),
+        ("gen", ["--flows", "0"]),
+        ("gen", ["--bandwidth", "5", "1"]),
     ],
 )
 def test_bad_number_flag_exits_2(workspace, tmp_path, capsys, command, flags):
@@ -215,6 +219,7 @@ def test_bad_number_flag_exits_2(workspace, tmp_path, capsys, command, flags):
         "eval": ["--corpus", str(corpus), "--models", str(models)],
         "render": ["--instance", str(corpus / "instances" / "inst_00000.json")],
         "dataset": ["--topology", str(topo), "--count", "2", "--flows", "2"],
+        "gen": ["--topology", str(topo), "--count", "1", "--flows", "2"],
         "topo": [],
     }[command]
     out = tmp_path / "out"

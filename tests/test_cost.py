@@ -16,6 +16,7 @@ from edgecache.cost import (
     derive_routing,
     empty_assignment,
     labels_of,
+    network_constants,
     network_tables,
     path_links,
     penalized_cost,
@@ -28,7 +29,14 @@ from edgecache.instance import generate_instance, ratios
 from edgecache.topology import TopologyConfig, build_topology
 
 from conftest import manual_instance
-from oracles import caching_cost_via_linearization, derive_routing_loop, price_reference, subset_flows
+from oracles import (
+    caching_cost_via_linearization,
+    class_table_reference,
+    derive_routing_loop,
+    price_reference,
+    subset_flows,
+    validate_assignment_reference,
+)
 
 
 def random_placement(inst, rng, allow_uncached=True):
@@ -550,8 +558,63 @@ def test_path_links_counts_past_int8():
     assert int(path_links(inst, z).sum()) == t.num_links == 510
 
 
+def _depth8_tree():
+    full = build_topology(TopologyConfig(branching=2, depth=8))
+    return dataclasses.replace(full, edge_clouds=(0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        evaluation_topology,
+        lambda: build_topology(TopologyConfig(branching=2, depth=3)),
+        lambda: build_topology(TopologyConfig(branching=2, depth=3, ec_rule="all")),
+        _depth8_tree,
+        lambda: dataclasses.replace(evaluation_topology(), datacenter_hops=2),
+    ],
+    ids=["evaluation-e6", "tree-e7", "tree-all-e15", "depth8-l510", "short-datacenter"],
+)
+@pytest.mark.parametrize("flows", [1, 5, 8, 15, 20])
+def test_class_table_matches_the_z_tensor_reference(make, flows):
+    # Every array field byte for byte, dtype and shape included.
+    topo = make()
+    for seed in range(2):
+        inst = generate_instance(topo, flows, seed=[flows, seed])
+        got, want = class_table(inst), class_table_reference(inst)
+        assert got.inst is want.inst
+        for name in ("serve", "links", "hit", "miss", "T", "Q", "r", "onehot", "rows"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+    reach = network_constants(topo).in_reach
+    assert reach.any()
+    if topo.datacenter_hops == 2:
+        assert not reach.all()  # some paths lose to the datacenter
+
+
+def test_network_constants_are_read_only_and_shared():
+    a = build_topology(TopologyConfig(branching=2, depth=3))
+    b = build_topology(TopologyConfig(branching=2, depth=3))
+    assert a is not b and a == b
+    net = network_constants(a)
+    assert network_constants(b) is net
+    for name, arr in vars(net).items():
+        assert not arr.flags.writeable, name
+    # A returned assignment owns its arrays: writing to them changes no
+    # later result.
+    inst = generate_instance(a, 5, seed=0)
+    table = class_table(inst)
+    classes = [0, 3, a.num_edge_clouds, 3, 6]
+    want = derive_routing_loop(inst, assignment_from_classes(inst, classes).x)
+    for make in (lambda: assignment_from_classes(inst, classes), lambda: table.assignment(classes)):
+        first = make()
+        for arr in (first.x, first.z, first.y):
+            arr[...] = 1
+        assert _same_bytes(make(), want)
+
+
 @pytest.mark.parametrize("field", ["x", "z", "y"])
-@pytest.mark.parametrize("value", [2, -1, 0.5])
+@pytest.mark.parametrize("value", [2, -1, 0.5, np.int8(-1)])
 def test_assignment_rejects_non_binary(tree_topology, field, value):
     inst = generate_instance(tree_topology, 3, seed=0)
     asg = derive_routing(inst, random_placement(inst, np.random.default_rng(0)))
@@ -581,6 +644,61 @@ def test_assignment_rejects_structural_violation(tree_topology, field, index, me
     arrays[field][index] = 1
     with pytest.raises(ValueError, match=message):
         Assignment(**arrays)
+
+
+def _verdict(check, x, z, y):
+    """None when check accepts (x, z, y), else its error message."""
+    try:
+        check(x=x, z=z, y=y)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def assert_same_verdict(x, z, y):
+    got = _verdict(Assignment, x, z, y)
+    assert got == _verdict(validate_assignment_reference, x, z, y)
+    return got
+
+
+def test_assignment_verdicts_match_the_reference_exhaustively():
+    # K = 1, A = 2, E = 2 and one link: every int8 (x, z, y) over
+    # {0, 1, 2, -1}, 4**7 cases.
+    verdicts = set()
+    for cells in itertools.product([0, 1, 2, -1], repeat=7):
+        flat = np.array(cells, dtype=np.int8)
+        x, z, y = flat[:2].reshape(1, 2), flat[2:6].reshape(1, 2, 2), flat[6:].reshape(1, 1)
+        verdicts.add(assert_same_verdict(x, z, y))
+    assert len(verdicts) == 7  # valid, three non-binary and three structural messages
+
+
+@pytest.mark.parametrize("flows", [8, 15])
+def test_assignment_verdicts_match_the_reference_on_corrupted_cells(flows):
+    # One cell of a valid assignment corrupted, in every dtype the
+    # validator may see, the three arrays' dtypes drawn independently.
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng(flows)
+    values = {
+        np.int8: [0, 1, 2, -1],
+        np.bool_: [False, True],
+        np.int64: [0, 1, 2, -1],
+        np.float64: [0.0, 1.0, 2.0, -1.0, 0.5, np.nan],
+    }
+    dtypes = list(values)
+    verdicts = set()
+    for seed in range(4):
+        inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+        for classes in rng.integers(0, E + 1, size=(60, flows)):
+            asg = assignment_from_classes(inst, classes)
+            arrays = [
+                a.astype(dtypes[d]) for a, d in zip((asg.x, asg.z, asg.y), rng.integers(0, 4, 3))
+            ]
+            bad = arrays[rng.integers(0, 3)]
+            options = values[bad.dtype.type]
+            bad.flat[rng.integers(0, bad.size)] = options[rng.integers(0, len(options))]
+            verdicts.add(assert_same_verdict(*arrays))
+    assert len(verdicts) == 7
 
 
 # --- feasibility ------------------------------------------------------------

@@ -248,6 +248,30 @@ def test_enhance_refuses_a_nan_row(tree_topology):
         enhance(class_table(inst), O)
 
 
+@pytest.mark.parametrize(
+    "total, ok",
+    [
+        (1 + 1.09e-5, True),
+        (1 - 1.09e-5, True),
+        (1 + 1.11e-5, False),
+        (1 - 1.11e-5, False),
+        (np.nan, False),
+        (np.inf, False),
+        (-np.inf, False),
+    ],
+)
+def test_enhance_row_sum_verdict_matches_allclose(tree_topology, total, ok):
+    inst = generate_instance(tree_topology, 2, seed=0)
+    O = np.zeros((2, tree_topology.num_edge_clouds + 1))
+    O[:, 0] = [1.0, total]
+    assert np.allclose(O.sum(axis=1), 1.0, atol=1e-6) == ok
+    if ok:
+        enhance(inst, O)
+    else:
+        with pytest.raises(ValueError, match="sum to 1"):
+            enhance(inst, O)
+
+
 def test_enhance_on_a_block_table_matches_the_sub_instance(tmp_path):
     # A block of a whole instance's table, at residual capacities, gives
     # the classes and trace rows of the one-entry walk on the matching
