@@ -51,7 +51,9 @@ ASSIGNMENT_FORMAT_VERSION = 1
 # the hinge penalty carries the actual violation magnitude.
 _CLAMPED_SUMMAND = 1.0 / (1.0 - 0.99)
 
-_TOL = 1e-9
+# An EC or link is over capacity when its ratio sum, over the flows in
+# flow order (k = 0..K-1), exceeds this.
+_OVERLOAD = 1.0 + 1e-9
 
 
 class CachingCostUndefinedError(ValueError):
@@ -132,7 +134,7 @@ class FeasibilityReport:
     Assignment refuses to hold a violation of any of them.
     """
 
-    ec_capacity: bool             # cached bytes fit in every EC
+    ec_capacity: bool             # cached content fits in every EC (see _within_capacity)
     link_capacity: bool           # bandwidth fits on every link
     link_path_consistency: bool   # y marks exactly the links on used paths
 
@@ -313,8 +315,7 @@ class ClassTable:
         classes = np.asarray(classes)
         x, y = self.onehot[classes], self.links[self.rows, classes]
         hit, miss = self.hit[self.rows, classes], self.miss[self.rows, classes]
-        feasible = all(_within_capacity(self.inst, x, y))
-        return _breakdown(self.inst, x, y, hit, miss, self.Q, self.r, gamma, feasible)
+        return _breakdown(self.inst, x, y, hit, miss, self.Q, self.r, gamma, consistent=True)
 
     def block(self, rows: slice, q: np.ndarray, r: np.ndarray) -> ClassTable:
         """The table of the flows in rows at storage ratios q and
@@ -419,9 +420,10 @@ def _priced(i: Instance, u: np.ndarray, counts: np.ndarray, ct, load: np.ndarray
 
     The caching sum runs over a zero-masked row of E summands (an EC
     hosting nothing adds 0 / 1 = 0), so a stack prices each row exactly
-    as its own call does.  The hinge penalizes each overfull EC and each
-    overloaded link by its own overshoot, so it vanishes exactly on
-    feasible assignments.
+    as its own call does.  The hinge penalizes each EC and each link by
+    its overshoot past 1; the capacity verdict (_within_capacity) reads
+    the same sums with 1e-9 of slack, so a load in (1, 1 + 1e-9] is
+    feasible yet priced above 0.
     """
     cc = np.where(
         u < 1.0,
@@ -432,13 +434,13 @@ def _priced(i: Instance, u: np.ndarray, counts: np.ndarray, ct, load: np.ndarray
     return cc, i.alpha * cc + i.beta * ct, gamma * hinge
 
 
-def _breakdown(i, x, y, hit, miss, q, r, gamma, feasible) -> CostBreakdown:
+def _breakdown(i, x, y, hit, miss, q, r, gamma, consistent) -> CostBreakdown:
     """The CostBreakdown of placement x with links y, per-flow hit and
-    miss hops, and storage and bandwidth ratios q and r."""
+    miss hops, and storage and bandwidth ratios q and r; feasible when
+    y is consistent with the routing and the priced sums fit."""
     ct = float((hit + miss).sum())
-    cc, tc, penalty = map(
-        float, _priced(i, (q * x).sum(axis=0), x.sum(axis=0), ct, (r * y).sum(axis=0), gamma)
-    )
+    u, load = (q * x).sum(axis=0), (r * y).sum(axis=0)
+    cc, tc, penalty = map(float, _priced(i, u, x.sum(axis=0), ct, load, gamma))
     return CostBreakdown(
         caching=cc,
         transmission=ct,
@@ -447,7 +449,7 @@ def _breakdown(i, x, y, hit, miss, q, r, gamma, feasible) -> CostBreakdown:
         total=tc,
         penalty=penalty,
         penalized_total=tc + penalty,
-        feasible=feasible,
+        feasible=consistent and all(_within_capacity(u, load)),
     )
 
 
@@ -457,8 +459,7 @@ def cost_breakdown(
     """Full cost accounting; total everywhere, even for invalid placements."""
     hit, miss = _flow_hops(i, i.mobility[:, :, None] * asg.z)
     rat = ratios(i)
-    feasible = check_feasibility(i, asg).feasible
-    return _breakdown(i, asg.x, asg.y, hit, miss, rat.q, rat.r, gamma, feasible)
+    return _breakdown(i, asg.x, asg.y, hit, miss, rat.q, rat.r, gamma, _consistent(i, asg))
 
 
 def total_cost(
@@ -480,23 +481,22 @@ def penalized_cost(i: Instance, asg: Assignment, gamma: float = DEFAULT_GAMMA) -
 
 def check_feasibility(i: Instance, asg: Assignment) -> FeasibilityReport:
     """Evaluate each constraint family an Assignment can violate, independently."""
-    ec_capacity, link_capacity = _within_capacity(i, asg.x, asg.y)
+    rat = ratios(i)
+    ec, link = _within_capacity((rat.q * asg.x).sum(axis=0), (rat.r * asg.y).sum(axis=0))
     return FeasibilityReport(
-        ec_capacity=ec_capacity,
-        link_capacity=link_capacity,
-        link_path_consistency=bool((asg.y == path_links(i, asg.z)).all()),
+        ec_capacity=ec, link_capacity=link, link_path_consistency=_consistent(i, asg)
     )
 
 
-def _within_capacity(i: Instance, x: np.ndarray, y: np.ndarray) -> tuple[bool, bool]:
-    """Whether placement x's cached bytes fit every EC, and whether the
-    bandwidth on links y fits every link."""
-    cached_bytes = (i.content_size[:, None] * x).sum(axis=0)
-    link_bytes = (i.bandwidth[:, None] * y).sum(axis=0)
-    return (
-        bool((cached_bytes <= i.ec_space * (1 + _TOL)).all()),
-        bool((link_bytes <= i.link_capacity * (1 + _TOL)).all()),
-    )
+def _within_capacity(u: np.ndarray, load: np.ndarray) -> tuple[bool, bool]:
+    """Whether EC utilizations u and link loads load, the ratio sums
+    that _priced prices, stay within capacity (at most _OVERLOAD)."""
+    return bool((u <= _OVERLOAD).all()), bool((load <= _OVERLOAD).all())
+
+
+def _consistent(i: Instance, asg: Assignment) -> bool:
+    """Whether y marks exactly the links on the paths z retrieves over."""
+    return bool((asg.y == path_links(i, asg.z)).all())
 
 
 def check_gamma(gamma: float) -> None:

@@ -32,7 +32,6 @@ from .instance import (
     check_generation,
     generate_instance,
     load_instance,
-    ratios,
     save_instance,
 )
 from .pel import DEFAULT_DELTA
@@ -287,28 +286,15 @@ def predict_with_enhancement(
     delta: float = DEFAULT_DELTA,
     gamma: float = DEFAULT_GAMMA,
 ):
-    """CNN+PEL for at most len(models) flows, one model per flow row.
+    """CNN+PEL for at most len(models) flows, one model per flow row:
+    recursive_allocate in one block.
 
     A shorter instance is padded to the trained height with phantom
     rows, whose predictions are dropped before enhancement.
     """
     if i.num_flows > len(models):
         raise cnnmod.CnnError(f"{len(models)} models for {i.num_flows} flows")
-    rat = ratios(i)
-    table = class_table(i)
-    return table.assignment(_place_block(models, table, i.mobility, rat.q, rat.r, norm, delta, gamma))
-
-
-def _place_block(models, table, p, q, r, norm, delta, gamma) -> np.ndarray:
-    """The classes CNN+PEL picks for the flows of table, whose mobility
-    rows are p and ratios q and r: their feature rows, padded with
-    phantom rows to len(models), go through the models, and PEL repairs
-    the real rows' predictions against table."""
-    rows = feature_matrix(p, q, r, norm)
-    image = np.zeros((len(models), rows.shape[1]))
-    image[: len(rows)] = rows
-    O = cnnmod.predict_all(models, image)
-    return pel.enhance(table, O[: len(rows)], delta=delta, gamma=gamma)
+    return recursive_allocate(models, i, len(models), norm, delta=delta, gamma=gamma)
 
 
 def recursive_allocate(
@@ -321,12 +307,14 @@ def recursive_allocate(
 ):
     """Allocate an instance block by block, at most len(models) flows each.
 
-    Each block of flows is placed as predict_with_enhancement places
-    an instance of those flows at the current capacities; after that,
-    EC and link capacities are reduced by what the block consumed and
-    the remaining flows are re-encoded against the residual network.
-    Ratios that drift beyond the trained range saturate at the image
-    maximum rather than failing.  block must lie in 1..len(models).
+    A block's feature rows, padded with phantom rows to len(models), go
+    through the models, and PEL repairs the real rows' predictions.  EC
+    and link capacities then shrink by what the block consumed, and the
+    next block is encoded against that residual network with clip=True:
+    its ratios may drift beyond the trained range and saturate at the
+    image maximum.  The first block, at the instance's own capacities,
+    is encoded under norm as given, so off-range data raises
+    EncodingError.  block must lie in 1..len(models).
 
     One class table serves every block: a block takes its rows, with
     Q and r taken from the residual capacities, so each block is
@@ -339,19 +327,24 @@ def recursive_allocate(
     table = class_table(i)
     classes = np.full(i.num_flows, i.topology.num_edge_clouds)
     ec_space, link_capacity = i.ec_space, i.link_capacity
-    clip_norm = replace(norm, clip=True)
 
     for start in range(0, i.num_flows, block):
         rows = slice(start, start + block)
         size, bandwidth = i.content_size[rows, None], i.bandwidth[rows, None]
         q, r = size / ec_space, bandwidth / link_capacity
         sub = table.block(rows, q, r)
-        picked = _place_block(models, sub, i.mobility[rows], q, r, clip_norm, delta, gamma)
+        features = feature_matrix(i.mobility[rows], q, r, norm)
+        image = np.zeros((len(models), features.shape[1]))
+        image[: len(features)] = features
+        O = cnnmod.predict_all(models, image)
+        picked = pel.enhance(sub, O[: len(features)], delta=delta, gamma=gamma)
         classes[rows] = picked
-        # The sums and floor of update_residual(clamp=True).
-        ec_space = np.maximum(ec_space - (size * table.onehot[picked]).sum(axis=0), 1e-9)
-        used_bw = (bandwidth * sub.links[sub.rows, picked]).sum(axis=0)
-        link_capacity = np.maximum(link_capacity - used_bw, 1e-9)
+        if start + block < i.num_flows:
+            # The sums and floor of update_residual(clamp=True).
+            ec_space = np.maximum(ec_space - (size * table.onehot[picked]).sum(axis=0), 1e-9)
+            used_bw = (bandwidth * sub.links[sub.rows, picked]).sum(axis=0)
+            link_capacity = np.maximum(link_capacity - used_bw, 1e-9)
+            norm = replace(norm, clip=True)
     return table.assignment(classes)
 
 
@@ -528,6 +521,8 @@ def generate_instances(
     ranges: ParameterRanges = ParameterRanges(),
 ) -> list[str]:
     """Write a plain instance corpus (no solving) plus a manifest."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     check_generation(flows, ranges)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)

@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import cost as costmod
-from .cost import Assignment, CostBreakdown, network_tables
+from .cost import _OVERLOAD, Assignment, CostBreakdown, network_tables
 from .instance import Instance
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -75,11 +75,10 @@ _IMPROVE_EPS = 1e-9
 # the cut thus fails the test, and only the keys under it need one.
 _SLACK = 1e-9
 
-# A link is overloaded above this load, summed over the flows in flow
-# order (k = 0..K-1).
-_OVERLOAD = 1.0 + 1e-9
-# A sum of K nonnegative floats lies within (K - 1)*eps*load of the exact
-# sum in any order (eps = 2**-52), so branch-order and flow-order sums
+# A link is overloaded above cost's _OVERLOAD, its load summed over the
+# flows in flow order (k = 0..K-1), as cost judges it.  A sum of K
+# nonnegative floats lies within (K - 1)*eps*load of the exact sum in
+# any order (eps = 2**-52), so branch-order and flow-order sums
 # lie at most 2K*eps*load apart: under 1e-12 for loads near 1 up to
 # K = 2,000.  A branch-order load outside 1 +- _RECHECK is thus on the
 # same side of _OVERLOAD as the flow-order one, and only a link inside

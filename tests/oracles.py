@@ -359,14 +359,15 @@ def recursive_allocate_reference(models, i, block, norm, delta, gamma):
     """Recursive allocation with a sub-instance per block: cut the
     block's flows out of the residual instance, encode and pad it,
     predict, run the one-entry PEL walk on it, and take the residual
-    from the materialized block assignment by update_residual."""
+    from the materialized block assignment by update_residual.  Only
+    residual blocks are encoded with clip=True."""
     classes = np.full(i.num_flows, i.topology.num_edge_clouds)
     residual = i
-    clip_norm = replace(norm, clip=True)
     for start in range(0, i.num_flows, block):
         chunk = list(range(start, min(start + block, i.num_flows)))
         sub = subset_flows(residual, chunk)
-        img = split_subimages(encode(sub, clip_norm), len(models))[0]
+        sub_norm = replace(norm, clip=True) if start else norm
+        img = split_subimages(encode(sub, sub_norm), len(models))[0]
         O = predict_all(models, img)[: len(chunk)]
         asg = enhance_reference(sub, O, delta, gamma)
         classes[chunk] = labels_of(asg.x)

@@ -33,6 +33,8 @@ from edgecache.harness import (
     evaluate,
     evaluation_topology,
     labels_of,
+    predict_with_enhancement,
+    recursive_allocate,
     train_models,
 )
 from edgecache.instance import ParameterRanges, generate_instance
@@ -42,7 +44,12 @@ from edgecache.solver import solve_exact
 from edgecache.topology import Topology
 
 from conftest import manual_instance
-from oracles import brute_force_optimum, caching_cost_via_linearization, parse_lp
+from oracles import (
+    brute_force_optimum,
+    caching_cost_via_linearization,
+    parse_lp,
+    recursive_allocate_reference,
+)
 
 DESK_SEED = 0
 DESK_SAMPLES = 250          # 200 train / 50 test
@@ -85,7 +92,7 @@ def desk(tmp_path_factory):
         split="test", rgc_epochs=500,
     )
     elapsed = time.perf_counter() - started
-    return corpus5, corpus15, report5, report15, elapsed
+    return corpus5, corpus15, report5, report15, elapsed, models
 
 
 def test_criterion_1_solver_matches_exhaustive_enumeration():
@@ -215,7 +222,7 @@ def test_criterion_4_gradient_correctness():
 
 
 def test_criterion_5_method_ordering_at_desk_scale(desk):
-    corpus5, _, report5, _, elapsed = desk
+    corpus5, _, report5, _, elapsed, _ = desk
     rows = {r.method: r for r in report5.rows}
     opt, cnn, gca_row, rgc_row = rows["optimal"], rows["cnn"], rows["gca"], rows["rgc"]
     assert opt.mean_total_cost <= cnn.mean_total_cost + 1e-9
@@ -229,7 +236,7 @@ def test_criterion_5_method_ordering_at_desk_scale(desk):
 
 
 def test_criterion_6_precision_and_feasibility_floors(desk):
-    _, _, report5, _, _ = desk
+    _, _, report5, _, _, _ = desk
     cnn = next(r for r in report5.rows if r.method == "cnn")
     assert cnn.precision >= 0.70
     assert cnn.feasible_ratio >= 0.99
@@ -238,13 +245,30 @@ def test_criterion_6_precision_and_feasibility_floors(desk):
 
 
 def test_criterion_7_scaling_behavior(desk):
-    _, _, _, report15, _ = desk
+    _, _, _, report15, _, _ = desk
     rows = {r.method: r for r in report15.rows}
     cnn, rgc_row = rows["cnn"], rows["rgc"]
     assert cnn.mean_total_cost < rgc_row.mean_total_cost
     assert cnn.max_diff < rgc_row.max_diff
     ok(7, f"15-flow recursive allocation: mean TC_N {cnn.mean_total_cost:.2f} < "
           f"{rgc_row.mean_total_cost:.2f} and max diff {cnn.max_diff:.2f} < {rgc_row.max_diff:.2f}")
+
+
+def test_one_block_placer_is_recursive_allocation(desk):
+    # predict_with_enhancement is recursive allocation in one block:
+    # x, z and y byte- and dtype-equal on the desk test split, and equal
+    # to the sub-instance reference.
+    corpus5, _, _, _, _, models = desk
+    for s in corpus5.of_split("test"):
+        inst = corpus5.load(s)
+        direct = predict_with_enhancement(models, inst, corpus5.norm)
+        one_block = recursive_allocate(models, inst, len(models), corpus5.norm)
+        reference = recursive_allocate_reference(
+            models, inst, len(models), corpus5.norm, 1e-3, 20.0
+        )
+        for got in (one_block, reference):
+            for a, b in ((direct.x, got.x), (direct.z, got.z), (direct.y, got.y)):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_criterion_8_seeded_reruns_are_byte_identical(tmp_path):

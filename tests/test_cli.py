@@ -209,6 +209,7 @@ def test_config_value_starting_with_dash_stays_a_value(workspace, tmp_path, caps
         ("dataset", ["--flows", "0"]),
         ("dataset", ["--content-size", "5", "1"]),
         ("gen", ["--flows", "0"]),
+        ("gen", ["--count", "0"]),
         ("gen", ["--bandwidth", "5", "1"]),
     ],
 )

@@ -26,7 +26,7 @@ from edgecache.cost import (
 )
 from edgecache.harness import DATASET_RANGES, evaluation_topology
 from edgecache.instance import generate_instance, ratios
-from edgecache.topology import TopologyConfig, build_topology
+from edgecache.topology import Topology, TopologyConfig, build_topology
 
 from conftest import manual_instance
 from oracles import (
@@ -338,8 +338,6 @@ def test_penalized_overfull_ec_hinge(colocated_topology):
 
 
 def test_penalized_link_hinge():
-    from edgecache.topology import Topology
-
     t = Topology(
         nodes=(0, 1),
         links=((0, 1),),
@@ -373,6 +371,35 @@ def test_penalized_never_below_total(tree_topology):
         assert bd.penalized_total >= bd.total - 1e-12
         if check_feasibility(inst, asg).feasible:
             assert bd.penalty == 0.0
+
+
+@pytest.mark.parametrize("resource", ["ec", "link"])
+@pytest.mark.parametrize("excess, feasible", [(5e-10, True), (2e-9, False)])
+def test_capacity_verdict_allows_1e9_of_slack_on_the_priced_sums(resource, excess, feasible):
+    # One flow cached at the one EC and served across the one link, its
+    # ratio 1 + excess on one of them.  The hinge prices any overshoot
+    # past 1; the verdict reads the same sum against 1 + 1e-9.
+    t = Topology(
+        nodes=(0, 1), links=((0, 1),), access_routers=(1,), edge_clouds=(0,), datacenter_hops=12
+    )
+    inst = manual_instance(
+        t,
+        [[1.0]],
+        content_size=[1.0 + excess if resource == "ec" else 0.5],
+        bandwidth=[1.0 + excess if resource == "link" else 0.5],
+        ec_space=[1.0],
+        link_capacity=[1.0],
+    )
+    asg = assignment_from_classes(inst, [0])
+    bd = cost_breakdown(inst, asg, gamma=20.0)
+    assert bd.penalty == pytest.approx(20.0 * excess, rel=1e-6)
+    assert bd.feasible == feasible
+    report = check_feasibility(inst, asg)
+    assert (report.ec_capacity, report.link_capacity) == (
+        feasible or resource == "link",
+        feasible or resource == "ec",
+    )
+    assert class_table(inst).breakdown([0]).feasible == feasible
 
 
 # --- class-table kernel ----------------------------------------------------
@@ -534,6 +561,35 @@ def test_table_breakdown_matches_cost_breakdown():
                         assert repr(got) == repr(want)  # a float's repr pins its bits
                         verdicts.add(got.feasible)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("excess", [-2e-9, 5e-10, 2e-9])
+def test_table_breakdown_matches_its_assignment_at_the_capacity_margin(excess):
+    # ClassTable.breakdown against cost_breakdown of the table's own
+    # assignment, feasible included, with each vector's used ECs and
+    # links resized to a ratio sum of 1 + excess: the verdict is decided
+    # at its 1e-9 of slack.
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng(410)
+    for flows in (5, 15):
+        base = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, 7])
+        rat = ratios(base)
+        for classes in rng.integers(0, E, size=(20, flows)):
+            asg = assignment_from_classes(base, classes)
+            u, load = (rat.q * asg.x).sum(axis=0), (rat.r * asg.y).sum(axis=0)
+            inst = dataclasses.replace(
+                base,
+                ec_space=np.where(u > 0, base.ec_space * u / (1 + excess), base.ec_space),
+                link_capacity=np.where(
+                    load > 0, base.link_capacity * load / (1 + excess), base.link_capacity
+                ),
+            )
+            table = class_table(inst)
+            asg = table.assignment(classes)
+            got = table.breakdown(classes)
+            assert repr(got) == repr(cost_breakdown(inst, asg))  # a float's repr pins its bits
+            assert got.feasible == check_feasibility(inst, asg).feasible == (excess < 1e-9)
 
 
 def test_single_vector_prices_are_floats():

@@ -10,13 +10,14 @@ from edgecache import harness, pel
 from edgecache.cnn import CnnError, CnnModel, TrainConfig, TrainingDivergedError, _named_arrays, train
 from edgecache.cost import check_feasibility, penalized_cost
 from edgecache.baselines import gca
-from edgecache.encoder import NormConfig, encode
+from edgecache.encoder import EncodingError, NormConfig, encode
 from edgecache.harness import (
     Corpus,
     CorpusSample,
     build_dataset,
     corpus_training_samples,
     evaluate,
+    generate_instances,
     labels_of,
     load_corpus,
     load_models,
@@ -314,8 +315,21 @@ def test_predict_pads_a_short_instance_and_refuses_a_long_one(topo, corpus, mode
     expected = enhance(short, predict_all(models, padded)[:2])
     asg = predict_with_enhancement(models, short, corpus.norm)
     assert (asg.x == expected.x).all() and asg.x.shape[0] == 2
+    assert _same_assignment(asg, recursive_allocate(models, short, len(models), corpus.norm))
     with pytest.raises(CnnError, match="3 models for 6 flows"):
         predict_with_enhancement(models, inst, corpus.norm)
+
+
+def test_off_range_first_block_is_refused_by_both_placers(topo, corpus, models):
+    # The first block sees the instance's own capacities, so it is
+    # encoded under the corpus normalization, which refuses it.
+    inst = generate_instance(topo, 6, seed=77)
+    tight = replace(inst, ec_space=inst.ec_space * 0.01)
+    with pytest.raises(EncodingError, match="Q"):
+        predict_with_enhancement(models, subset_flows(tight, [0, 1, 2]), corpus.norm)
+    for block in (1, 3):
+        with pytest.raises(EncodingError, match="Q"):
+            recursive_allocate(models, tight, block, corpus.norm)
 
 
 def test_recursive_allocate_consumes_residuals(topo, corpus, models):
@@ -474,6 +488,14 @@ def test_hand_built_testset_report(topo, tmp_path):
     assert gca_row.precision == pytest.approx(matches / 9, abs=1e-12)
     assert gca_row.feasible_ratio == pytest.approx(feas / 3, abs=1e-12)
     assert gca_row.max_diff == pytest.approx(max(diffs), abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_generate_instances_refuses_a_count_below_one(topo, tmp_path, count):
+    out = tmp_path / "gen"
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        generate_instances(topo, count, 2, 0, out)
+    assert not out.exists()
 
 
 def test_build_dataset_reports_exclusions(topo, tmp_path):

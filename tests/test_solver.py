@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgecache.cost import check_feasibility, class_table, penalized_cost, utilization
+from edgecache.cost import (
+    assignment_from_classes, check_feasibility, class_table, penalized_cost, utilization,
+)
 from edgecache.baselines import gca, rgc
 from edgecache.harness import DATASET_RANGES, evaluation_topology, labels_of
 from edgecache.instance import ParameterRanges, generate_instance
@@ -590,3 +592,38 @@ def test_near_threshold_link_is_judged_on_flow_order_sum(monkeypatch):
     assert _without_fast_path_counts(stats) == ref_stats
     assert stats["overloaded_leaves"] > 0
     assert out[0].count(1) == 1  # one flow stays uncached
+
+
+@pytest.mark.parametrize("excess", [None, -2e-9, 5e-10, 2e-9])
+def test_leaf_overload_matches_the_feasibility_verdict(excess):
+    # At random leaves, _overloaded_links finds no link exactly when
+    # check_feasibility passes the greedy routing's links.  With excess
+    # set, the links the leaf loads are resized to a load of 1 + excess,
+    # so the two verdicts meet at cost's 1e-9 of slack, inside the
+    # leaf's flow-order recheck band.
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng(510)
+    verdicts, rechecks = set(), 0
+    for ranges, seed in itertools.product((DATASET_RANGES, TIGHT_LINKS), range(2)):
+        base = generate_instance(topo, 6, ranges=ranges, seed=[510, seed])
+        for choices in rng.integers(0, E + 1, size=(10, base.num_flows)).tolist():
+            inst = base
+            if excess is not None:
+                y = assignment_from_classes(base, choices).y
+                load = (base.bandwidth[:, None] / base.link_capacity * y).sum(axis=0)
+                inst = dataclasses.replace(
+                    base,
+                    link_capacity=np.where(
+                        load > 0, base.link_capacity * load / (1 + excess), base.link_capacity
+                    ),
+                )
+            search = solver._Search(inst, budget=1)
+            search._settle_parent(choices)
+            over = search._overloaded_links(choices, search.order[-1])
+            fits = check_feasibility(inst, assignment_from_classes(inst, choices)).link_capacity
+            assert (over == 0) == fits, (seed, choices)
+            verdicts.add(fits)
+            rechecks += search.flow_order_rechecks
+    assert len(verdicts) == (2 if excess is None else 1)
+    assert excess is None or rechecks > 0
