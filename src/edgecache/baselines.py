@@ -47,6 +47,8 @@ class RgcConfig:
                 raise ValueError(f"{name} must be an integer") from None
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:  # np.random.default_rng refuses it only at rgc's first draw
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_gamma(self.gamma)
 
 

@@ -20,6 +20,10 @@ import numpy as np
 from .cost import Assignment
 from .instance import Instance, ParameterRanges, ratios
 
+# The positive floor on residual capacities, so that a clamped residual
+# network still has finite utilization ratios.
+RESIDUAL_FLOOR = 1e-9
+
 
 class EncodingError(ValueError):
     """A value fell outside the configured normalization range."""
@@ -246,7 +250,6 @@ def update_residual(
     """
     used_space = (i.content_size[:, None] * committed.x).sum(axis=0)
     used_bw = (i.bandwidth[:, None] * committed.y).sum(axis=0)
-    floor = 1e-9
     res_space = i.ec_space - used_space
     res_bw = i.link_capacity - used_bw
     if not clamp:
@@ -261,5 +264,7 @@ def update_residual(
                 f"committed bandwidth overloads link index {l} by {-res_bw[l]:.6g} Mbps"
             )
     return replace(
-        i, ec_space=np.maximum(res_space, floor), link_capacity=np.maximum(res_bw, floor)
+        i,
+        ec_space=np.maximum(res_space, RESIDUAL_FLOOR),
+        link_capacity=np.maximum(res_bw, RESIDUAL_FLOOR),
     )

@@ -23,8 +23,8 @@ import numpy as np
 from . import cnn as cnnmod
 from . import pel
 from .baselines import RgcConfig, gca, rgc
-from .cost import DEFAULT_GAMMA, check_gamma, class_table, cost_breakdown, labels_of
-from .encoder import NormConfig, encode, feature_matrix
+from .cost import DEFAULT_GAMMA, class_table, cost_breakdown, labels_of
+from .encoder import RESIDUAL_FLOOR, NormConfig, encode, feature_matrix
 from .formats import read_fields, read_json, write_json
 from .instance import (
     Instance,
@@ -118,6 +118,8 @@ def build_dataset(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0 <= train_fraction <= 1:
         raise ValueError(f"train_fraction must be in [0, 1], got {train_fraction}")
     if budget < 1:  # solve_exact refuses it too, but only after the corpus directory exists
@@ -341,9 +343,10 @@ def recursive_allocate(
         classes[rows] = picked
         if start + block < i.num_flows:
             # The sums and floor of update_residual(clamp=True).
-            ec_space = np.maximum(ec_space - (size * table.onehot[picked]).sum(axis=0), 1e-9)
+            used_space = (size * table.onehot[picked]).sum(axis=0)
+            ec_space = np.maximum(ec_space - used_space, RESIDUAL_FLOOR)
             used_bw = (bandwidth * sub.links[sub.rows, picked]).sum(axis=0)
-            link_capacity = np.maximum(link_capacity - used_bw, 1e-9)
+            link_capacity = np.maximum(link_capacity - used_bw, RESIDUAL_FLOOR)
             norm = replace(norm, clip=True)
     return table.assignment(classes)
 
@@ -358,6 +361,14 @@ class MethodRow:
     wall_time: float
 
 
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
     rows: tuple[MethodRow, ...]
@@ -366,39 +377,24 @@ class EvaluationReport:
     sample_count: int
 
     def summary_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["method", "mean_total_cost", "precision", "feasible_ratio", "max_diff", "wall_time"]
+        return _csv_text(
+            ["method", "mean_total_cost", "precision", "feasible_ratio", "max_diff", "wall_time"],
+            (
+                [r.method, f"{r.mean_total_cost:.12g}", f"{r.precision:.12g}",
+                 f"{r.feasible_ratio:.12g}", f"{r.max_diff:.12g}", f"{r.wall_time:.6f}"]
+                for r in self.rows
+            ),
         )
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.method,
-                    f"{r.mean_total_cost:.12g}",
-                    f"{r.precision:.12g}",
-                    f"{r.feasible_ratio:.12g}",
-                    f"{r.max_diff:.12g}",
-                    f"{r.wall_time:.6f}",
-                ]
-            )
-        return buf.getvalue()
 
     def detail_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["instance", "method", "penalized_cost", "feasible", "label_matches"])
-        for d in self.details:
-            writer.writerow(
-                [
-                    d["instance"],
-                    d["method"],
-                    f"{d['penalized_cost']:.12g}",
-                    int(d["feasible"]),
-                    d["label_matches"],
-                ]
-            )
-        return buf.getvalue()
+        return _csv_text(
+            ["instance", "method", "penalized_cost", "feasible", "label_matches"],
+            (
+                [d["instance"], d["method"], f"{d['penalized_cost']:.12g}", int(d["feasible"]),
+                 d["label_matches"]]
+                for d in self.details
+            ),
+        )
 
     def format_table(self) -> str:
         header = ["", *[r.method for r in self.rows]]
@@ -435,7 +431,10 @@ def evaluate(
     uncached class counts like any other); feasible_ratio is the
     fraction of assignments satisfying every constraint; max_diff is
     the worst penalized-cost gap to the stored optimum.  The optimal
-    method scores 1.0 / 1.0 / 0 by definition.
+    method scores 1.0 / 1.0 / 0 by definition.  Each placement is
+    scored once, as its details record, and a method's row is computed
+    from its records.  Every setting is checked before the first
+    placement.
     """
     placers = {
         "cnn": lambda inst, s_idx: recursive_allocate(
@@ -449,7 +448,8 @@ def evaluate(
     for method in methods:
         if method != "optimal" and method not in placers:
             raise ValueError(f"unknown method {method!r}")
-    check_gamma(gamma)
+    RgcConfig(epochs=rgc_epochs, seed=rgc_seed, gamma=gamma)  # refuses a bad gamma too
+    pel.check_delta(delta)
     samples = corpus.of_split(split)
     if not samples:
         raise ValueError(f"corpus has no '{split}' samples")
@@ -464,14 +464,9 @@ def evaluate(
 
     rows = []
     details: list[dict] = []
-    per_flow_total = len(samples) * corpus.flows
-
     for method in methods:
         start_time = time.perf_counter()
-        costs = []
-        matches = 0
-        feasible = 0
-        diffs = []
+        scored = []
         for s_idx, s in enumerate(samples):
             if method == "optimal":
                 tc_n, ok, match_count = s.optimal_tc, True, corpus.flows
@@ -481,26 +476,17 @@ def evaluate(
                 breakdown = cost_breakdown(inst, asg, gamma=gamma)
                 tc_n, ok = breakdown.penalized_total, breakdown.feasible
                 match_count = sum(1 for a, b in zip(labels_of(asg.x), s.labels) if a == b)
-            diffs.append(tc_n - s.optimal_tc)
-            costs.append(tc_n)
-            matches += match_count
-            feasible += int(ok)
-            details.append(
-                {
-                    "instance": s.file,
-                    "method": method,
-                    "penalized_cost": tc_n,
-                    "feasible": ok,
-                    "label_matches": match_count,
-                }
-            )
+            scored.append({"instance": s.file, "method": method, "penalized_cost": tc_n,
+                           "feasible": ok, "label_matches": match_count})
+        details += scored
+        tcs = [d["penalized_cost"] for d in scored]
         rows.append(
             MethodRow(
                 method=method,
-                mean_total_cost=float(np.mean(costs)),
-                precision=matches / per_flow_total,
-                feasible_ratio=feasible / len(samples),
-                max_diff=float(max(diffs)),
+                mean_total_cost=float(np.mean(tcs)),
+                precision=sum(d["label_matches"] for d in scored) / (len(samples) * corpus.flows),
+                feasible_ratio=sum(d["feasible"] for d in scored) / len(samples),
+                max_diff=float(max(tc - s.optimal_tc for tc, s in zip(tcs, samples))),
                 wall_time=time.perf_counter() - start_time,
             )
         )
@@ -523,6 +509,8 @@ def generate_instances(
     """Write a plain instance corpus (no solving) plus a manifest."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     check_generation(flows, ranges)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)

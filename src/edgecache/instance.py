@@ -92,6 +92,10 @@ class Instance:
             raise InstanceError("ec_space must have one entry per EC")
         if self.link_capacity.shape != (self.topology.num_links,):
             raise InstanceError("link_capacity must have one entry per link")
+        # Every check below is a comparison, which NaN fails silently.
+        for name in ("mobility", "content_size", "bandwidth", "ec_space", "link_capacity"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InstanceError(f"{name} entries must be finite")
         if (self.mobility < -_TOL).any() or (self.mobility > 1 + _TOL).any():
             raise InstanceError("mobility entries must lie in [0, 1]")
         if (self.mobility.sum(axis=1) > 1 + _TOL).any():

@@ -55,6 +55,12 @@ def _entries(O, flows, classes):
     return tuple(zip(flows.tolist(), classes.tolist(), O[flows, classes].tolist()))
 
 
+def check_delta(delta: float) -> None:
+    """Refuse a probability threshold outside [0, 1), NaN included."""
+    if not (0.0 <= delta < 1.0):
+        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+
+
 def build_queues(O: np.ndarray, delta: float) -> CandidateQueues:
     """Threshold the probability matrix and split it into the queues."""
     best = np.argmax(O, axis=1)
@@ -88,8 +94,7 @@ def enhance(
     rows are those of the one-entry walk.
     The result can never cost more than the plain argmax combination.
     """
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
+    check_delta(delta)
     check_gamma(gamma)
     table = i if isinstance(i, ClassTable) else class_table(i)
     K, C = table.T.shape

@@ -87,6 +87,12 @@ def test_rgc_rejects_non_integer_settings(field, value):
         RgcConfig(**{field: value})
 
 
+def test_rgc_rejects_a_negative_seed():
+    # np.random.default_rng would refuse it only at rgc's first draw.
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RgcConfig(seed=-1)
+
+
 def test_rgc_accepts_numpy_integers():
     cfg = RgcConfig(epochs=np.int64(3), seed=np.int32(2))
     assert cfg.epochs == 3 and cfg.seed == 2

@@ -1,7 +1,8 @@
 """Smoke runs of the demos: each must still run against the package.
 
-Demo 04 trains a small pipeline and calls both CNN placers (about 9 s
-on 2 vCPUs).  Demo 05 labels a 120-instance corpus, trains on it and
+Demo 04 trains a small pipeline and places through both entry points
+of the one CNN placer, predict_with_enhancement and recursive_allocate
+(about 9 s on 2 vCPUs).  Demo 05 labels a 120-instance corpus, trains on it and
 prints the benchmark table (about 5 s).
 """
 

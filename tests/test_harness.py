@@ -1,4 +1,5 @@
 import copy
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -436,6 +437,45 @@ def test_evaluate_rejects_a_bad_gamma_before_placing(corpus, monkeypatch, gamma)
         evaluate(corpus, methods=("optimal", "gca"), gamma=gamma)
 
 
+def _fail_placing(monkeypatch, *names):
+    def placed(*args, **kwargs):
+        raise AssertionError("a method placed before every setting was checked")
+
+    for name in names:
+        monkeypatch.setattr(harness, name, placed)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [({"rgc_epochs": 0}, "epochs must be >= 1"), ({"rgc_seed": -1}, "seed must be >= 0")],
+    ids=["epochs", "seed"],
+)
+def test_evaluate_rejects_bad_rgc_settings_before_placing(
+    corpus, models, monkeypatch, setting, message
+):
+    # rgc's settings were checked only at its first placement, after
+    # gca and cnn had placed the whole split.
+    _fail_placing(monkeypatch, "gca", "recursive_allocate", "rgc")
+    with pytest.raises(ValueError, match=message):
+        evaluate(corpus, models=models, methods=("optimal", "gca", "cnn", "rgc"), **setting)
+
+
+@pytest.mark.parametrize("delta", [-0.1, 1.0, float("nan")])
+def test_evaluate_rejects_a_bad_delta_before_placing(corpus, monkeypatch, delta):
+    # Checked even without cnn, the one method that reads it.
+    _fail_placing(monkeypatch, "gca", "rgc")
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
+        evaluate(corpus, methods=("optimal", "gca", "rgc"), delta=delta)
+
+
+@pytest.mark.parametrize("write", [build_dataset, generate_instances])
+def test_corpus_writers_refuse_a_negative_seed(topo, tmp_path, write):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        write(topo, 1, 2, -1, out)
+    assert not out.exists()
+
+
 def test_evaluate_is_deterministic_modulo_wall_time(corpus, models):
     def strip_wall_time(csv_text: str) -> str:
         lines = [",".join(line.split(",")[:-1]) for line in csv_text.splitlines()]
@@ -477,17 +517,37 @@ def test_hand_built_testset_report(topo, tmp_path):
     gca_row = report.rows[1]
 
     tcs, matches, feas, diffs = [], 0, 0, []
+    detail = ["instance,method,penalized_cost,feasible,label_matches"]
+    detail += [f"{s.file},optimal,{s.optimal_tc:.12g},1,3" for s in samples]
     for inst, s in zip(insts, samples):
         asg = gca(inst)
         tc = penalized_cost(inst, asg)
         tcs.append(tc)
-        matches += sum(int(a == b) for a, b in zip(labels_of(asg.x), s.labels))
-        feas += int(check_feasibility(inst, asg).feasible)
+        match = sum(int(a == b) for a, b in zip(labels_of(asg.x), s.labels))
+        matches += match
+        ok = check_feasibility(inst, asg).feasible
+        feas += int(ok)
         diffs.append(tc - s.optimal_tc)
+        detail.append(f"{s.file},gca,{tc:.12g},{int(ok)},{match}")
     assert gca_row.mean_total_cost == pytest.approx(np.mean(tcs), abs=1e-12)
     assert gca_row.precision == pytest.approx(matches / 9, abs=1e-12)
     assert gca_row.feasible_ratio == pytest.approx(feas / 3, abs=1e-12)
     assert gca_row.max_diff == pytest.approx(max(diffs), abs=1e-12)
+
+    # The CSV text, header and row order included; wall time is the one
+    # column left out.
+    assert report.detail_csv() == "\r\n".join(detail) + "\r\n"
+    optimal_mean = np.mean([s.optimal_tc for s in samples])
+    summary = [
+        "method,mean_total_cost,precision,feasible_ratio,max_diff",
+        f"optimal,{optimal_mean:.12g},1,1,0",
+        f"gca,{np.mean(tcs):.12g},{matches / 9:.12g},{feas / 3:.12g},{max(diffs):.12g}",
+    ]
+    lines = report.summary_csv().split("\r\n")
+    assert lines[-1] == ""
+    assert [line.rsplit(",", 1)[0] for line in lines[:-1]] == summary
+    assert lines[0].endswith(",wall_time")
+    assert all(re.fullmatch(r"\d+\.\d{6}", line.rsplit(",", 1)[1]) for line in lines[1:-1])
 
 
 @pytest.mark.parametrize("count", [0, -3])

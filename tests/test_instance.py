@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,37 @@ def test_validation_rejects_bad_values(topo):
             alpha=0.5,
             beta=0.5,
         )
+
+
+FIELDS = ("mobility", "content_size", "bandwidth", "ec_space", "link_capacity")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", FIELDS)
+def test_validation_rejects_non_finite_entries(topo, field, bad):
+    # NaN fails every comparison the other checks make, so without this
+    # one a NaN entry passed them all.
+    inst = generate_instance(topo, 3, seed=1)
+    values = getattr(inst, field).copy()
+    values.flat[1] = bad
+    with pytest.raises(InstanceError, match=f"{field} entries must be finite"):
+        replace(inst, **{field: values})
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_load_refuses_a_nan_literal(tmp_path, topo, field):
+    # json reads (and writes) the non-standard NaN literal as a float.
+    inst = generate_instance(topo, 3, seed=1)
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    payload = json.loads(path.read_text())
+    values = np.array(payload[field])
+    values.flat[1] = np.nan
+    payload[field] = values.tolist()
+    path.write_text(json.dumps(payload))
+    assert "NaN" in path.read_text()
+    with pytest.raises(InstanceError, match=f"{field} entries must be finite"):
+        load_instance(path)
 
 
 def test_instance_round_trip(tmp_path, topo):

@@ -36,20 +36,62 @@ def test_every_traced_name_resolves_in_its_module():
             assert callable(getattr(module, name, None)), f"edgecache.{layer}.{name}"
 
 
+def _sources():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        yield path.name, ast.walk(ast.parse(path.read_text()))
+
+
+def _chain(node) -> tuple[str, ...] | None:
+    """("cost", "network_tables", "cache_clear") for the expression
+    cost.network_tables.cache_clear; None unless it starts at a name."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return (node.id, *reversed(attrs)) if isinstance(node, ast.Name) else None
+
+
 def test_every_package_attribute_perfbench_reads_resolves():
+    # Whole chains: perfbench calls cost.network_tables.cache_clear(),
+    # which only an lru_cache-wrapped network_tables has.
+    modules = {name: importlib.import_module(f"edgecache.{name}") for name in MODULES}
+    chains = set()
+    for name, nodes in _sources():
+        for node in nodes:
+            chain = _chain(node) if isinstance(node, ast.Attribute) else None
+            if chain and chain[0] in modules:
+                chains.add((name, chain))
+    assert any(len(chain) > 2 for _, chain in chains)
+    for name, (module, *attrs) in sorted(chains):
+        target = modules[module]
+        for depth, attr in enumerate(attrs, 2):
+            assert hasattr(target, attr), f"{name}: {'.'.join((module, *attrs)[:depth])}"
+            target = getattr(target, attr)
+
+
+def test_every_module_call_in_perfbench_binds():
+    # <module>.<name>(...) against name's signature: the positional count
+    # and the keyword names.  A call that unpacks * or ** arguments may
+    # fill any parameter, so it is bound partially, without them.
     modules = {name: importlib.import_module(f"edgecache.{name}") for name in MODULES}
     seen = 0
-    for path in sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in modules
-            ):
-                seen += 1
-                assert hasattr(modules[node.value.id], node.attr), (
-                    f"{path.name}: {node.value.id}.{node.attr}"
-                )
+    for name, nodes in _sources():
+        for node in nodes:
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            chain = _chain(node.func)
+            if not (chain and len(chain) == 2 and chain[0] in modules):
+                continue
+            positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+            keywords = [k.arg for k in node.keywords if k.arg is not None]
+            unpacks = len(positional) < len(node.args) or len(keywords) < len(node.keywords)
+            signature = inspect.signature(getattr(modules[chain[0]], chain[1]))
+            bind = signature.bind_partial if unpacks else signature.bind
+            try:
+                bind(*positional, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                raise AssertionError(f"{name}:{node.lineno}: {ast.unparse(node)}: {exc}") from None
+            seen += 1
     assert seen > 0
 
 
