@@ -313,6 +313,8 @@ class TrainConfig:
             raise CnnError(f"epochs {self.epochs} and batch_size {self.batch_size} must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise CnnError(f"learning_rate {self.learning_rate} must be finite and positive")
+        if self.seed < 0:
+            raise CnnError(f"seed {self.seed} must be >= 0")
 
 
 class CnnModel:
@@ -329,6 +331,8 @@ class CnnModel:
     ):
         if num_classes < 2:
             raise CnnError("need at least two output classes")
+        if seed < 0:
+            raise CnnError(f"seed {seed} must be >= 0")
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
         self.request_index = request_index

@@ -214,6 +214,8 @@ def train_models(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    # The settings every slot shares are checked before the corpus loads.
+    cnnmod.TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=learning_rate, seed=seed)
     samples = corpus_training_samples(corpus, "train")
     if not samples:
         raise ValueError("corpus has no training samples")
@@ -275,10 +277,16 @@ def train_models(
 
 def load_models(path):
     """The per-slot models saved under path, as a cnn.SlotModels;
-    model_0's input height is the slot count."""
+    model_0's input height is the slot count, and model_k must have been
+    trained for request slot k."""
     first = cnnmod.load_model(Path(path) / "model_0")
     rest = [cnnmod.load_model(Path(path) / f"model_{k}") for k in range(1, first.input_shape[0])]
-    return cnnmod.SlotModels([first, *rest])
+    models = [first, *rest]
+    for k, m in enumerate(models):
+        if m.request_index != k:
+            where = Path(path) / f"model_{k}.manifest.json"
+            raise cnnmod.CnnError(f"{where}: request_index {m.request_index} in slot {k}")
+    return cnnmod.SlotModels(models)
 
 
 def predict_with_enhancement(

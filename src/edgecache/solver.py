@@ -26,18 +26,17 @@ lost gain first, that prunes on the best loss so far and on any
 overloaded link (dropping an AR only sheds load, so flows away from
 overloaded links can keep their greedy routing without loss).
 
-A leaf reads its greedy link loads from a prefix stack: level d holds
-the loads of the flows branched above depth d, summed in branch order.
-Each parent of leaves refills only the levels whose choices changed
-since the last one, usually one or two flows, and a leaf adds its own
-flow to the top level without storing a level.  Branch-order sums can
-differ from flow-order ones in the last bits, so a link loaded within
-1e-6 of 1 is re-summed in flow order before the overload test; every
-decision is the one the flow-order sums give.
+Each node carries its link loads down the tree with its storage state:
+the greedy loads of the flows branched above it, summed in branch order,
+built from its parent's on first use, so a search-bound proof builds
+few.  A leaf adds the last flow without building a state.  Branch-order
+sums can differ from flow-order ones in the last bits, so a link loaded
+within 1e-6 of 1 is re-summed in flow order before the overload test;
+every decision is the one the flow-order sums give.
 
-Each level also holds the (link bitmask, serving-AR count) pairs of its
-flows, and one test, _over_cap, reads off them whether the flows on a
-set of links have more than REASSIGNMENT_CAP serving subsets, past
+The link state also holds the (link bitmask, serving-AR count) pairs of
+its flows, and one test, _over_cap, reads off them whether the flows on
+a set of links have more than REASSIGNMENT_CAP serving subsets, past
 which a leaf gives up.  The parent of leaves settles that once for all
 its children: a link that the flows above it load past 1 + 1e-6 ends
 overloaded at every leaf, and the last flow can only add a pair.  So
@@ -158,22 +157,6 @@ class _Search:
         free = np.minimum(bt[:, self.E], (stand + bt[:, : self.E]).min(axis=1, initial=np.inf))
         self.suffix = np.cumsum(free[self.order[::-1]])[::-1].tolist() + [0.0]
 
-        # The prefix stack: prefix[d] holds the link loads of the flows
-        # branched above depth d in branch order, near[d] the bitmask of
-        # its links loaded above 1 - _RECHECK and sure[d] of those at or
-        # above 1 + _RECHECK (loads only grow down the tree, so these end
-        # overloaded), and pairs[d] the (link bitmask, serving-AR count) of
-        # each of those flows that touches a link.  Levels 0..valid match
-        # the current choices; setting the choice at depth d lowers valid
-        # to d, and a last-level parent refills the levels above it up to
-        # K - 1.  A leaf adds the last flow to level K - 1 without storing
-        # a level.
-        self.prefix: list[list[float]] = [[0.0] * self.L] * self.K
-        self.near = [0] * self.K
-        self.sure = [0] * self.K
-        self.pairs: list[tuple[tuple[int, int], ...]] = [()] * self.K
-        self.valid = 0
-
         self.nodes = 0
         self.leaves = 0
         self.overloaded_leaves = 0
@@ -185,11 +168,11 @@ class _Search:
         self.best_choices = [self.E] * self.K
         self.best_serving: dict[int, tuple[int, ...]] = {}
 
-    def _descend(self, depth, choices, counts, util, placed_t, stored):
-        """stored carries the caching sum of counts/util down the tree."""
+    def _descend(self, depth, choices, counts, util, placed_t, stored, cell):
+        """stored carries the caching sum of counts/util down the tree, cell the link state."""
         if depth == self.K:
             self.leaves += 1
-            self._evaluate_leaf(choices, counts, util, placed_t)
+            self._evaluate_leaf(choices, counts, util, placed_t, self._links(cell))
             return
         k = self.order[depth]
         alpha, beta, E = self.alpha, self.beta, self.E
@@ -229,10 +212,10 @@ class _Search:
                 continue
             if last:
                 if doomed is None:
-                    self._settle_parent(choices)
-                    # The links in sure[K - 1] stay overloaded at every leaf
-                    # (see _RECHECK) and the last flow can only add a pair.
-                    doomed = self._over_cap(self.pairs[self.K - 1], self.sure[self.K - 1])
+                    links = self._links(cell)
+                    # The links in sure stay overloaded at every leaf (see
+                    # _RECHECK) and the last flow can only add a pair.
+                    doomed = self._over_cap(links[3], links[2])
                 if doomed:  # the leaf would give up at REASSIGNMENT_CAP
                     self.leaves += 1
                     self.overloaded_leaves += 1
@@ -247,9 +230,8 @@ class _Search:
                 new_counts[c] += 1
                 new_util[c] += q[c]
             choices[k] = c
-            if depth < self.valid:
-                self.valid = depth
-            self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step)
+            down = cell if last else [None, cell, k, c]  # a leaf reads its parent's state
+            self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step, down)
             cut = self.best_tc - _IMPROVE_EPS + _SLACK - base
         # The children left untested count as tried, up to the budget.
         self.nodes += untried
@@ -259,27 +241,30 @@ class _Search:
             self.nodes = self.budget + 1
             raise _Budget
 
-    def _settle_parent(self, choices):
-        """At a last-level parent: refill the prefix stack up to level K - 1."""
-        prefix, near, sure, pairs, order = self.prefix, self.near, self.sure, self.pairs, self.order
-        top = self.K - 1
-        for d in range(self.valid, top):
-            k = order[d]
-            c = choices[k]
-            load, near_d, sure_d, pairs_d = prefix[d], near[d], sure[d], pairs[d]
+    def _links(self, cell):
+        """A node's link state, kept in its cell [state, parent cell, k, c]
+        and built on first use: the parent's state with flow k in class c
+        added, as (branch-order loads, bitmask of the links loaded above
+        1 - _RECHECK, bitmask of those at or above 1 + _RECHECK, which end
+        overloaded as loads only grow, the (link bitmask, serving-AR count)
+        pair of each flow on a link).  No state is written in place."""
+        state, parent, k, c = cell
+        if state is None:
+            state = self._links(parent)
             mask = self.masks[k][c]
-            if mask:  # a level is never written in place, so it may be shared
+            if mask:
+                load, near, sure, pairs = state
                 load = load.copy()
                 rk = self.r[k]
                 for l, bit in _bits(mask):
                     load[l] += rk[l]
                     if load[l] > 1.0 - _RECHECK:
-                        near_d |= bit
+                        near |= bit
                         if load[l] >= 1.0 + _RECHECK:
-                            sure_d |= bit
-                pairs_d += ((mask, self.serve_count[k][c]),)
-            prefix[d + 1], near[d + 1], sure[d + 1], pairs[d + 1] = load, near_d, sure_d, pairs_d
-        self.valid = top
+                            sure |= bit
+                state = load, near, sure, pairs + ((mask, self.serve_count[k][c]),)
+            cell[0] = state
+        return state
 
     @staticmethod
     def _over_cap(pairs, over) -> bool:
@@ -288,18 +273,18 @@ class _Search:
         subsets between them."""
         return 1 << sum(count for mask, count in pairs if mask & over) > REASSIGNMENT_CAP
 
-    def _evaluate_leaf(self, choices, counts, util, placed_t):
+    def _evaluate_leaf(self, choices, counts, util, placed_t, links):
         """Price a leaf, re-serving the flows on overloaded links; with no
         overload no flow is affected and the greedy routing stands.  Past
         the cap (_over_cap) the leaf gives up."""
         last = self.order[-1]
         cls = choices[last]
-        over = self._overloaded_links(choices, last)
+        over = self._overloaded_links(choices, last, links)
         extra, serving = 0.0, {}
         if over:
             self.overloaded_leaves += 1
             pair = (self.masks[last][cls], self.serve_count[last][cls])
-            if self._over_cap(self.pairs[self.K - 1] + (pair,), over):
+            if self._over_cap(links[3] + (pair,), over):
                 self.cap_hits += 1
                 return
             found = self._cheapest_serving(choices, over)
@@ -313,12 +298,11 @@ class _Search:
             self.best_choices = choices.copy()
             self.best_serving = serving
 
-    def _overloaded_links(self, choices, last) -> int:
+    def _overloaded_links(self, choices, last, links) -> int:
         """Bitmask of the links that the leaf's greedy routing overloads,
-        judged on flow-order sums (see _RECHECK): level K - 1 of the prefix
-        stack plus the last flow's loads."""
-        top = self.K - 1
-        load, near, over = self.prefix[top], self.near[top], self.sure[top]
+        judged on flow-order sums (see _RECHECK): the link state of the
+        flows above the leaf plus the last flow's loads."""
+        load, near, over, _ = links
         rk = self.r[last]
         for l, bit in _bits(self.masks[last][choices[last]]):
             v = load[l] + rk[l]
@@ -457,7 +441,8 @@ def solve_exact(
     search = _Search(i, budget)
     exhausted = False
     try:
-        search._descend(0, [search.E] * search.K, [0] * search.E, [0.0] * search.E, 0.0, 0.0)
+        root = [([0.0] * search.L, 0, 0, ()), None, None, None]  # no flow branched yet
+        search._descend(0, [search.E] * search.K, [0] * search.E, [0.0] * search.E, 0.0, 0.0, root)
     except _Budget:
         exhausted = True
     if stats is not None:

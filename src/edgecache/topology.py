@@ -51,6 +51,11 @@ class TopologyConfig:
     datacenter_hops: int = 12
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("mesh_links", "seed"):
+            if getattr(self, name) < 0:
+                raise TopologyError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class Topology:

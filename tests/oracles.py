@@ -400,14 +400,15 @@ def incidence_walk(t, h):
     return entries, path_store
 
 
-def descend_reference(self, depth, choices, counts, util, placed_t, stored):
+def descend_reference(self, depth, choices, counts, util, placed_t, stored, cell):
     """The solver's node in its first form, patched in for
     `solver._Search._descend`: it builds, sorts and tests every child
     one at a time, with no early exit, and counts no bound_prunes.
-    stored carries the caching sum of counts/util down the tree."""
+    stored carries the caching sum of counts/util down the tree and
+    cell the link state, as in _descend."""
     if depth == self.K:
         self.leaves += 1
-        self._evaluate_leaf(choices, counts, util, placed_t)
+        self._evaluate_leaf(choices, counts, util, placed_t, self._links(cell))
         return
     k = self.order[depth]
     alpha, beta, E = self.alpha, self.beta, self.E
@@ -434,10 +435,10 @@ def descend_reference(self, depth, choices, counts, util, placed_t, stored):
             continue
         if last:
             if doomed is None:
-                self._settle_parent(choices)
-                # The links in sure[K - 1] stay overloaded at every leaf
-                # (see _RECHECK) and the last flow can only add a pair.
-                doomed = self._over_cap(self.pairs[self.K - 1], self.sure[self.K - 1])
+                links = self._links(cell)
+                # The links in sure stay overloaded at every leaf (see
+                # _RECHECK) and the last flow can only add a pair.
+                doomed = self._over_cap(links[3], links[2])
             if doomed:  # the leaf would give up at REASSIGNMENT_CAP
                 self.leaves += 1
                 self.overloaded_leaves += 1
@@ -452,9 +453,8 @@ def descend_reference(self, depth, choices, counts, util, placed_t, stored):
             new_counts[c] += 1
             new_util[c] += q[c]
         choices[k] = c
-        if depth < self.valid:
-            self.valid = depth
-        self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step)
+        down = cell if last else [None, cell, k, c]
+        self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step, down)
 
 
 def solution_reference(search):
@@ -471,14 +471,14 @@ def solution_reference(search):
     return asg, cost_breakdown(search.inst, asg)
 
 
-def evaluate_leaf_reference(search, choices, counts, util, placed_t):
+def evaluate_leaf_reference(search, choices, counts, util, placed_t, links):
     """The solver's leaf in its first form, patched in for
-    `solver._Search._evaluate_leaf`: every leaf sums all K flows' link
-    loads in flow order (k = 0..K-1), finds the overloaded links and the
-    affected flows with sets, and prices a leaf with no overload through
-    the same base-load pass and walk as an overloaded one.  It counts
-    overloaded leaves and cap hits as the solver does, and re-sums no
-    link, so it adds no flow-order recheck."""
+    `solver._Search._evaluate_leaf`: it ignores the carried link state,
+    sums all K flows' link loads in flow order (k = 0..K-1), finds the
+    overloaded links and the affected flows with sets, and prices a leaf
+    with no overload through the same base-load pass and walk as an
+    overloaded one.  It counts overloaded leaves and cap hits as the
+    solver does, and re-sums no link, so it adds no flow-order recheck."""
     if not hasattr(search, "_reference_rows"):
         # Per (flow, class): (link, b_k/c_l) in ascending link order, and
         # the set of those links.

@@ -214,6 +214,9 @@ def test_config_value_starting_with_dash_stays_a_value(workspace, tmp_path, caps
         ("gen", ["--seed", "-1"]),
         ("dataset", ["--seed", "-1"]),
         ("eval", ["--seed", "-1"]),
+        ("train", ["--seed", "-1"]),
+        ("topo", ["--seed", "-1"]),
+        ("topo", ["--mesh-links", "-1"]),
     ],
 )
 def test_bad_number_flag_exits_2(workspace, tmp_path, capsys, command, flags):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -377,7 +379,8 @@ def test_training_rejects_mixed_shapes(image, norm):
 @pytest.mark.parametrize(
     "field,value",
     [("epochs", 0), ("batch_size", 0), ("batch_size", -1), ("learning_rate", 0.0),
-     ("learning_rate", -1e-3), ("learning_rate", float("nan")), ("learning_rate", float("inf"))],
+     ("learning_rate", -1e-3), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+     ("seed", -1)],
 )
 def test_train_config_rejects_bad_numbers(field, value):
     TrainConfig(epochs=1, batch_size=1, learning_rate=1e-3, num_classes=8)
@@ -580,6 +583,15 @@ def test_model_round_trip(tmp_path, image):
     assert list(loaded) == list(saved)
     for name, array in loaded.items():
         assert array.dtype == cnn.DTYPE and np.array_equal(array, saved[name]), name
+
+
+def test_load_refuses_a_negative_seed(tmp_path):
+    save_model(CnnModel(input_shape=(2, 4), num_classes=3, filters=(2,)), tmp_path / "model_0")
+    where = tmp_path / "model_0.manifest.json"
+    manifest = json.loads(where.read_text())
+    where.write_text(json.dumps({**manifest, "seed": -1}))
+    with pytest.raises(CnnError, match="seed -1 must be >= 0"):
+        load_model(tmp_path / "model_0")
 
 
 def test_load_refuses_arrays_of_another_dtype(tmp_path, image):

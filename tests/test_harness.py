@@ -194,6 +194,16 @@ def test_bad_training_input_is_refused_before_any_thread(corpus, monkeypatch):
         train_models(corpus, epochs=1, workers=2)
 
 
+def test_a_negative_seed_is_refused_before_the_corpus_loads(corpus, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the corpus was loaded or a training thread started")
+
+    monkeypatch.setattr(harness, "corpus_training_samples", fail)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", fail)
+    with pytest.raises(CnnError, match="seed -1 must be >= 0"):
+        train_models(corpus, epochs=1, seed=-1, workers=2)
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_train_models_refuses_fewer_than_one_worker(corpus, workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -226,6 +236,17 @@ def test_trained_and_loaded_models_are_slot_models(corpus, models, tmp_path):
         O = predict_all(list(models), img)
         assert np.array_equal(predict_all(models, img), O)
         assert np.array_equal(predict_all(back, img), O)
+
+
+def test_load_models_refuses_swapped_slots(models, tmp_path):
+    from edgecache.cnn import save_model
+
+    for k, m in enumerate(models):
+        save_model(m, tmp_path / f"model_{k}")
+    save_model(models[1], tmp_path / "model_0")
+    save_model(models[0], tmp_path / "model_1")
+    with pytest.raises(CnnError, match=r"model_0\.manifest\.json: request_index 1 in slot 0"):
+        load_models(tmp_path)
 
 
 @pytest.mark.parametrize("block", [0, -3])

@@ -217,6 +217,28 @@ def test_overloaded_leaves_match_reference():
     assert time.perf_counter() - start < 5.0
 
 
+def test_reproduces_the_label_workload():
+    # The label benchmark's 50 solves: labels, cost bits, proof, nodes and
+    # every counter, as recorded in the fixture (see its note).
+    ref = json.loads((Path(__file__).parent / "data" / "label_reference.json").read_text())
+    topo = evaluation_topology()
+    assert len(ref["cases"]) == 50
+    for case in ref["cases"]:
+        inst = generate_instance(topo, case["flows"], ranges=DATASET_RANGES, seed=case["seed"])
+        budget = case["budget"] or solver.DEFAULT_NODE_BUDGET
+        stats = {}
+        sol = solve_exact(inst, budget=budget, stats=stats)
+        got = {
+            **case,
+            "labels": list(labels_of(sol.assignment.x)),
+            "total": sol.cost.total.hex(),
+            "proof": sol.proof,
+            "nodes_explored": sol.nodes_explored,
+            "counters": stats,
+        }
+        assert got == case, case["seed"]
+
+
 def test_solver_counters_on_the_longest_k8_label_solve():
     # [8, 21] reaches 34,159 leaves and gives up on all but three at the
     # reassignment cap (counted by wrapping the first-form leaf).  Only
@@ -316,11 +338,11 @@ def _tight_leaf_cases():
     [(_label_tail_cases, 1), (_tight_leaf_cases, 0)],
     ids=["label_tail", "tight_leaf"],
 )
-def test_prefix_stack_leaf_matches_flow_order_reference(monkeypatch, family, min_doomed):
-    # The leaf's loads come from branch-order prefix sums, and a leaf
-    # doomed at its parent is counted as a cap hit unevaluated; the
-    # reference sums every flow in flow order at every leaf.  Outputs and
-    # counters must agree bit for bit.
+def test_carried_loads_leaf_matches_flow_order_reference(monkeypatch, family, min_doomed):
+    # The leaf's loads are carried down the tree as branch-order sums,
+    # and a leaf doomed at its parent is counted as a cap hit unevaluated;
+    # the reference sums every flow in flow order at every leaf.  Outputs
+    # and counters must agree bit for bit.
     topo = evaluation_topology()
     doomed = 0
     for ranges, flows, seed, budget in family():
@@ -479,30 +501,68 @@ def test_link_masks_past_63_links_match_the_references(monkeypatch):
 
 
 def test_settled_pairs_match_a_scan_of_the_upper_flows(monkeypatch):
-    # After each last-level parent's refill, the top level of the prefix
-    # stack holds the (link bitmask, serving-AR count) of every cached
-    # flow branched above it, in branch order, as a scan of the choices
-    # would list them.
-    settle = solver._Search._settle_parent
-    settles = 0
+    # At every node, and so at every last-level parent that settles the
+    # cap and every evaluated leaf, the link state carried down holds the
+    # (link bitmask, serving-AR count) of every cached flow branched above
+    # it, in branch order, as a scan of the choices would list them.  A
+    # leaf's state is its parent's: the last flow is added by the leaf.
+    descend = solver._Search._descend
+    leaves = 0
 
-    def checked(search, choices):
-        nonlocal settles
-        settle(search, choices)
-        settles += 1
+    def checked(search, depth, choices, *rest):
+        nonlocal leaves
         scan = tuple(
             (search.masks[k][choices[k]], search.serve_count[k][choices[k]])
-            for k in search.order[: search.K - 1]
+            for k in search.order[: min(depth, search.K - 1)]
             if search.masks[k][choices[k]]
         )
-        assert search.pairs[search.K - 1] == scan
+        assert search._links(rest[-1])[3] == scan
+        leaves += depth == search.K
+        descend(search, depth, choices, *rest)
 
-    monkeypatch.setattr(solver._Search, "_settle_parent", checked)
+    monkeypatch.setattr(solver._Search, "_descend", checked)
     topo = evaluation_topology()
     for ranges, flows, seed, budget in _label_tail_cases() + _tight_leaf_cases():
         inst = generate_instance(topo, flows, ranges=ranges, seed=seed)
         solve_exact(inst, budget=budget)
-    assert settles > 0
+    assert leaves > 0
+
+
+@pytest.mark.parametrize(
+    "family", [_label_tail_cases, _tight_leaf_cases], ids=["label_tail", "tight_leaf"]
+)
+def test_carried_loads_are_the_branch_order_sums_of_the_upper_flows(monkeypatch, family):
+    # At every evaluated leaf the carried loads equal, bit for bit, the
+    # loads of the flows branched above it summed in branch order, and
+    # the near and sure bitmasks are the threshold scans of those loads.
+    leaf = solver._Search._evaluate_leaf
+    rows = {}
+    leaves = 0
+
+    def checked(search, choices, counts, util, placed_t, links):
+        nonlocal leaves
+        if search not in rows:
+            rows[search] = [
+                [np.flatnonzero(search.table.links[k, c]).tolist() for c in range(search.E + 1)]
+                for k in range(search.K)
+            ]
+        load = [0.0] * search.L
+        for k in search.order[:-1]:
+            for l in rows[search][k][choices[k]]:
+                load[l] += search.r[k][l]
+        assert [v.hex() for v in links[0]] == [v.hex() for v in load]
+        near = sum(1 << l for l, v in enumerate(load) if v > 1.0 - 1e-6)
+        sure = sum(1 << l for l, v in enumerate(load) if v >= 1.0 + 1e-6)
+        assert links[1:3] == (near, sure)
+        leaves += 1
+        leaf(search, choices, counts, util, placed_t, links)
+
+    monkeypatch.setattr(solver._Search, "_evaluate_leaf", checked)
+    topo = evaluation_topology()
+    for ranges, flows, seed, budget in family():
+        inst = generate_instance(topo, flows, ranges=ranges, seed=seed)
+        solve_exact(inst, budget=budget)
+    assert leaves > 0
 
 
 @pytest.mark.parametrize("budget", [0, -5])
@@ -619,8 +679,10 @@ def test_leaf_overload_matches_the_feasibility_verdict(excess):
                     ),
                 )
             search = solver._Search(inst, budget=1)
-            search._settle_parent(choices)
-            over = search._overloaded_links(choices, search.order[-1])
+            cell = [([0.0] * search.L, 0, 0, ()), None, None, None]
+            for k in search.order[:-1]:
+                cell = [None, cell, k, choices[k]]
+            over = search._overloaded_links(choices, search.order[-1], search._links(cell))
             fits = check_feasibility(inst, assignment_from_classes(inst, choices)).link_capacity
             assert (over == 0) == fits, (seed, choices)
             verdicts.add(fits)

@@ -237,6 +237,12 @@ def test_hop_matrix_invariant_to_link_insertion_order():
     assert (hop_matrix(a).entries == hop_matrix(b).entries).all()
 
 
+@pytest.mark.parametrize("field", ["mesh_links", "seed"])
+def test_config_refuses_a_negative_count_or_seed(field):
+    with pytest.raises(TopologyError, match=f"{field} must be >= 0, got -3"):
+        TopologyConfig(**{field: -3})
+
+
 def test_topology_round_trip(tmp_path):
     t = build_topology(TopologyConfig(branching=3, depth=2, mesh_links=2, seed=5))
     save_topology(t, tmp_path / "topo.json")
