@@ -20,19 +20,16 @@ from .cost import (
     check_feasibility,
     cost_breakdown,
     derive_routing,
-    empty_assignment,
     load_assignment,
     penalized_cost,
     save_assignment,
     total_cost,
-    transmission_cost,
     utilization,
 )
 from .encoder import (
     FeatureImage,
     NormConfig,
     encode,
-    from_grayscale,
     read_feature_csv,
     read_pgm,
     split_subimages,

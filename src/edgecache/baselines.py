@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cost import (
-    DEFAULT_GAMMA, Assignment, assignment_from_classes, check_gamma, class_table, network_constants,
+    DEFAULT_GAMMA, Assignment, assignment_from_classes, check_gamma, class_table, network_tables,
 )
 from .instance import Instance
 from .topology import Topology
@@ -54,7 +54,7 @@ class RgcConfig:
 
 def expected_hops(i: Instance) -> np.ndarray:
     """(K, E) matrix of mobility-weighted hop counts to each EC."""
-    return i.mobility @ network_constants(i.topology).hops
+    return i.mobility @ network_tables(i.topology).hops
 
 
 def gca(i: Instance) -> Assignment:

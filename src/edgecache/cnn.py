@@ -313,8 +313,9 @@ class TrainConfig:
             raise CnnError(f"epochs {self.epochs} and batch_size {self.batch_size} must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise CnnError(f"learning_rate {self.learning_rate} must be finite and positive")
-        if self.seed < 0:
-            raise CnnError(f"seed {self.seed} must be >= 0")
+        for name in ("seed", "request_index"):
+            if getattr(self, name) < 0:
+                raise CnnError(f"{name} {getattr(self, name)} must be >= 0")
 
 
 class CnnModel:
@@ -334,6 +335,9 @@ class CnnModel:
         if seed < 0:
             raise CnnError(f"seed {seed} must be >= 0")
         self.input_shape = tuple(input_shape)
+        rows = self.input_shape[0]
+        if not 0 <= request_index < rows:
+            raise CnnError(f"request_index {request_index} is outside the {rows} image rows")
         self.num_classes = num_classes
         self.request_index = request_index
         self.filters = tuple(filters)
@@ -513,6 +517,9 @@ def train_steps(samples, cfg: TrainConfig):
         raise CnnError(f"images disagree on shape: {sorted(shapes)}")
     if cfg.num_classes < 2:
         raise CnnError("cfg.num_classes must be set to |E| + 1")
+    flows = min(len(s.labels) for s in samples)
+    if cfg.request_index >= flows:
+        raise CnnError(f"request_index {cfg.request_index} is past the samples' {flows} flows")
     images, labels = _stack_samples(samples, cfg.request_index)
     if (labels < 0).any() or (labels >= cfg.num_classes).any():
         raise CnnError("a label falls outside the configured class range")

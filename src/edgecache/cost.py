@@ -24,9 +24,9 @@ one gather and one sum over flows.  ClassTable.assignment materializes
 a class vector from the table's own rows, and cost_breakdown prices
 arbitrary assignments with the same per-flow arithmetic.
 
-What depends on the topology alone (the class one-hot, float hops and
-incidence, the hops < N_T serving mask, the per-EC selectors) is built
-once per topology by network_constants, read-only, so materializing
+What depends on the topology alone (the class one-hot, float hops,
+incidence and paths, the hops < N_T mask, the per-EC selectors) is
+built once per topology by network_tables, read-only, so materializing
 and pricing a placement pays only for its own arithmetic.
 """
 
@@ -35,12 +35,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .formats import array, read_fields, read_json, write_json
 from .instance import Instance, ratios
-from .topology import HopMatrix, IncidenceTensor, Topology, hop_matrix, incidence_tensor
+from .topology import Topology, hop_matrix, incidence_tensor
 
 DEFAULT_GAMMA = 20.0
 
@@ -143,17 +144,10 @@ class FeasibilityReport:
         return self.ec_capacity and self.link_capacity and self.link_path_consistency
 
 
-@lru_cache(maxsize=32)
-def network_tables(t: Topology) -> tuple[HopMatrix, IncidenceTensor]:
-    """Hop matrix and incidence tensor, cached per topology."""
-    h = hop_matrix(t)
-    return h, incidence_tensor(t, h)
-
-
 @dataclass(frozen=True, eq=False)
-class NetworkConstants:
-    """Topology-only arrays that materializing and pricing placements
-    read, built once per topology (all read-only)."""
+class NetworkTables:
+    """Topology-only arrays that materializing, pricing, the solver, the
+    MILP and the baselines read, built once per topology (all read-only)."""
 
     onehot: np.ndarray        # (E+1, E) int8 placement row of each class; row E is empty
     hops: np.ndarray          # (A, E) float64 path hops
@@ -161,26 +155,30 @@ class NetworkConstants:
     incidence: np.ndarray     # (L, A*E) float64 incidence, for path counts past int8
     selector: np.ndarray      # (E+1, 1, E) float64: class c keeps EC column c only
     ec_incidence: np.ndarray  # (E, A, L) view of incidence: each EC's paths
+    path_store: MappingProxyType  # (a, e) -> links of the canonical path, in path order
 
 
 @lru_cache(maxsize=32)
-def network_constants(t: Topology) -> NetworkConstants:
-    """The NetworkConstants of a topology, cached per topology."""
-    hops, inc = network_tables(t)
+def network_tables(t: Topology) -> NetworkTables:
+    """The NetworkTables of a topology, cached per topology."""
+    hops = hop_matrix(t)
+    inc = incidence_tensor(t, hops)
     L, A, E = inc.entries.shape
     incidence = inc.entries.reshape(L, A * E).astype(np.float64)
     onehot = np.eye(E + 1, E, dtype=np.int8)
-    arrays = NetworkConstants(
+    tables = NetworkTables(
         onehot=onehot,
         hops=hops.entries.astype(np.float64),
         in_reach=hops.entries < t.datacenter_hops,
         incidence=incidence,
         selector=onehot[:, None, :].astype(np.float64),
         ec_incidence=incidence.reshape(L, A, E).transpose(2, 1, 0),
+        path_store=MappingProxyType(inc.path_store),
     )
-    for arr in vars(arrays).values():
-        arr.flags.writeable = False
-    return arrays
+    for arr in vars(tables).values():
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return tables
 
 
 def utilization(i: Instance, x: np.ndarray) -> np.ndarray:
@@ -190,23 +188,21 @@ def utilization(i: Instance, x: np.ndarray) -> np.ndarray:
 
 
 def caching_cost(i: Instance, x: np.ndarray) -> float:
-    """Storage cost: each item at EC e costs 1 / (1 - U_e)."""
+    """Storage cost: each item at EC e costs 1 / (1 - U_e), as every price has it."""
     u = utilization(i, x)
-    counts = x.sum(axis=0)
     if (u >= 1.0).any():
         bad = int(np.argmax(u >= 1.0))
         raise CachingCostUndefinedError(
             f"EC index {bad} at utilization {u[bad]:.6f} >= 1; caching cost undefined"
         )
-    hosting = counts > 0
-    return float((counts[hosting] / (1.0 - u[hosting])).sum())
+    return float(_caching(u, x.sum(axis=0)))
 
 
 def path_links(i: Instance, z: np.ndarray) -> np.ndarray:
     """(N, L) marks of the links on the canonical paths each z[n] (A, E) retrieves over."""
     n = z.shape[0]
     # Path counts in float64: an int8 product wraps at 128 paths per link.
-    paths = network_constants(i.topology).incidence @ z.reshape(n, -1).T
+    paths = network_tables(i.topology).incidence @ z.reshape(n, -1).T
     return (paths > 0).T.astype(np.int8)
 
 
@@ -217,7 +213,7 @@ def _flow_hops(i: Instance, served: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     The kernel and cost_breakdown both price through here, so a class
     vector and its materialized assignment get the same float.
     """
-    hit = (served * network_constants(i.topology).hops).sum(axis=(-2, -1))
+    hit = (served * network_tables(i.topology).hops).sum(axis=(-2, -1))
     miss = (1.0 - served.sum(axis=(-2, -1))) * i.topology.datacenter_hops
     return hit, miss
 
@@ -228,7 +224,7 @@ def _serving_mask(i: Instance) -> np.ndarray:
     A cached flow is served wherever it may appear and the path beats
     the datacenter fallback (hops < N_T).
     """
-    return (i.mobility[:, :, None] > 0) & network_constants(i.topology).in_reach
+    return (i.mobility[:, :, None] > 0) & network_tables(i.topology).in_reach
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +353,7 @@ def class_table(i: Instance) -> ClassTable:
     """
     K = i.num_flows
     E = i.topology.num_edge_clouds
-    net = network_constants(i.topology)
+    net = network_tables(i.topology)
     rat = ratios(i)
     serve = _serving_mask(i)
     hit, miss = _flow_hops(i, (i.mobility[:, :, None] * serve)[:, None] * net.selector)
@@ -389,7 +385,7 @@ def assignment_from_classes(i: Instance, classes) -> Assignment:
     Retrieval follows the serving rule of the chosen class only; link
     capacities are ignored here, and overloads surface in the penalty.
     """
-    x = network_constants(i.topology).onehot[np.asarray(classes)]
+    x = network_tables(i.topology).onehot[np.asarray(classes)]
     z = _serving_mask(i) * x[:, None, :]
     return Assignment(x=x, z=z, y=path_links(i, z))
 
@@ -403,14 +399,19 @@ def derive_routing(i: Instance, x: np.ndarray) -> Assignment:
     return asg
 
 
-def transmission_cost(i: Instance, asg: Assignment) -> tuple[float, float, float]:
-    """Return (C_transmission, C_hit, C_miss).
+def _caching(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Caching cost C_cache of EC utilization u (..., E) and cached
+    counts (..., E), vectorized over the leading axes.
 
-    Hits pay mobility-weighted path hops; each flow's unserved mass,
-    including the whole flow when nothing is cached, pays N_T hops.
+    The sum runs over a zero-masked row of E summands (an EC hosting
+    nothing adds 0 / 1 = 0), so a stack prices each row exactly as its
+    own call does; an EC at or past capacity prices at _CLAMPED_SUMMAND.
     """
-    hit, miss = _flow_hops(i, i.mobility[:, :, None] * asg.z)
-    return float((hit + miss).sum()), float(hit.sum()), float(miss.sum())
+    return np.where(
+        u < 1.0,
+        counts / (1.0 - np.minimum(u, 1.0 - 1e-12)),
+        counts * _CLAMPED_SUMMAND,
+    ).sum(axis=-1)
 
 
 def _priced(i: Instance, u: np.ndarray, counts: np.ndarray, ct, load: np.ndarray, gamma: float):
@@ -418,18 +419,12 @@ def _priced(i: Instance, u: np.ndarray, counts: np.ndarray, ct, load: np.ndarray
     counts (..., E), transmission ct (...) and link load (..., L),
     vectorized over the leading axes.
 
-    The caching sum runs over a zero-masked row of E summands (an EC
-    hosting nothing adds 0 / 1 = 0), so a stack prices each row exactly
-    as its own call does.  The hinge penalizes each EC and each link by
-    its overshoot past 1; the capacity verdict (_within_capacity) reads
-    the same sums with 1e-9 of slack, so a load in (1, 1 + 1e-9] is
-    feasible yet priced above 0.
+    The hinge penalizes each EC and each link by its overshoot past 1;
+    the capacity verdict (_within_capacity) reads the same sums with
+    1e-9 of slack, so a load in (1, 1 + 1e-9] is feasible yet priced
+    above 0.
     """
-    cc = np.where(
-        u < 1.0,
-        counts / (1.0 - np.minimum(u, 1.0 - 1e-12)),
-        counts * _CLAMPED_SUMMAND,
-    ).sum(axis=-1)
+    cc = _caching(u, counts)
     hinge = np.maximum(0.0, u - 1.0).sum(axis=-1) + np.maximum(0.0, load - 1.0).sum(axis=-1)
     return cc, i.alpha * cc + i.beta * ct, gamma * hinge
 
@@ -522,7 +517,3 @@ def load_assignment(path) -> Assignment:
     fields = {"x": array(2, np.int8), "z": array(3, np.int8), "y": array(2, np.int8)}
     return Assignment(**read_fields(payload, fields, ValueError, path))
 
-
-def empty_assignment(i: Instance) -> Assignment:
-    """The always-feasible fallback: nothing cached, everything misses."""
-    return assignment_from_classes(i, np.full(i.num_flows, i.topology.num_edge_clouds))

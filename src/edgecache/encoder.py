@@ -72,10 +72,6 @@ class FeatureImage:
     def num_flows(self) -> int:
         return self.matrix.shape[0] - self.phantom_rows
 
-    def block(self, name: str) -> np.ndarray:
-        lo, hi = self.block_bounds[name]
-        return self.matrix[:, lo:hi]
-
 
 def encode(i: Instance, norm: NormConfig) -> FeatureImage:
     """Build the normalized feature matrix for one instance.
@@ -126,14 +122,6 @@ def feature_matrix(p: np.ndarray, q: np.ndarray, r: np.ndarray, norm: NormConfig
 def to_grayscale(f: FeatureImage) -> np.ndarray:
     """8-bit rendering: larger values map to darker pixels."""
     return np.round(255.0 * (1.0 - f.matrix)).astype(np.uint8)
-
-
-def from_grayscale(
-    pixels: np.ndarray, bounds: dict[str, tuple[int, int]], norm: NormConfig
-) -> FeatureImage:
-    """Inverse of to_grayscale up to quantization (max error 1/510)."""
-    matrix = 1.0 - pixels.astype(np.float64) / 255.0
-    return FeatureImage(matrix=matrix, block_bounds=dict(bounds), norm_meta=norm)
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:

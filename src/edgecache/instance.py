@@ -10,6 +10,7 @@ bandwidth 1-10 Mbps, link capacity 50-100 Mbps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class ParameterRanges:
     def validate(self) -> None:
         for name in ("content_size", "ec_space", "bandwidth", "link_capacity"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise InstanceError(f"range {name} must satisfy 0 < lo <= hi")
+            if not (0 < lo <= hi < math.inf):
+                raise InstanceError(f"range {name} must satisfy 0 < lo <= hi < inf")
         for name in ("alpha", "beta"):
             lo, hi = getattr(self, name)
             if not (0 <= lo <= hi <= 1):
@@ -63,8 +64,8 @@ class ParameterRanges:
         lo, hi = self.mobility_support
         if not (1 <= lo <= hi):
             raise InstanceError("mobility_support must satisfy 1 <= lo <= hi")
-        if self.ar_crowding is not None and self.ar_crowding <= 0:
-            raise InstanceError("ar_crowding must be positive when set")
+        if self.ar_crowding is not None and not 0 < self.ar_crowding < math.inf:
+            raise InstanceError("ar_crowding must be positive and finite when set")
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def milp_model(i: Instance, big_m: float | None = None) -> Milp:
     if not (math.isfinite(big_m) and big_m >= 1):
         # tdef forces t_e >= 1, and chigate/chibind force t_e <= M where x_ke = 1.
         raise ValueError(f"big_m must be finite and >= 1, got {big_m!r}")
-    hops, inc = network_tables(i.topology)
+    net = network_tables(i.topology)
     rat = ratios(i)
     K = i.num_flows
     A = i.topology.num_access_routers
@@ -112,7 +112,7 @@ def milp_model(i: Instance, big_m: float | None = None) -> Milp:
         return [(int(j), float(v)) for j, v in terms if v != 0]
 
     # alpha * sum chi  +  beta * [sum p (N - NT) z  +  K * NT]
-    hop_gain = (i.beta * i.mobility)[:, :, None] * (hops.entries - nt)
+    hop_gain = (i.beta * i.mobility)[:, :, None] * (net.hops - nt)
     objective = nonzero([(j, i.alpha) for j in chi.ravel()] + [*zip(z.ravel(), hop_gain.ravel())])
 
     row_names: list[str] = []
@@ -141,7 +141,7 @@ def milp_model(i: Instance, big_m: float | None = None) -> Milp:
         row(f"bw_{l}", [(y[k, l], i.bandwidth[k]) for k in range(K)], "<=", i.link_capacity[l])
     for k in range(K):
         for l in range(L):
-            path = [(z[k, a, e], -1.0) for a in range(A) for e in range(E) if inc.entries[l, a, e]]
+            path = [(j, -1.0) for j, on in zip(z[k].ravel(), net.incidence[l]) if on]
             row(f"luselo_{k}_{l}", [(y[k, l], 1.0)] + path, "<=", 0.0)
             row(f"lusehi_{k}_{l}", [(y[k, l], big_m)] + path, ">=", 0.0)
     for e in range(E):

@@ -115,7 +115,7 @@ class _Search:
     def __init__(self, inst: Instance, budget: int):
         self.inst = inst
         self.budget = budget
-        hops, inc = network_tables(inst.topology)
+        net = network_tables(inst.topology)
         self.table = costmod.class_table(inst)
         self.K = inst.num_flows
         self.E = inst.topology.num_edge_clouds
@@ -132,8 +132,8 @@ class _Search:
         # Only overloaded leaves re-serve flows, so they alone read the
         # hop gains and paths (_cheapest_serving); the cap needs just the
         # counts, and class E serves no AR.
-        self.hops_saved = nt - hops.entries  # (A, E) per unit of served mass
-        self.paths = inc.path_store
+        self.hops_saved = nt - net.hops  # (A, E) per unit of served mass
+        self.paths = net.path_store
         self.serve_count = [row + [0] for row in self.table.serve.sum(axis=1).tolist()]  # (K, E+1)
 
         # Per (flow, class): the bitmask of the links on the serving paths

@@ -55,6 +55,8 @@ class TopologyConfig:
         for name in ("mesh_links", "seed"):
             if getattr(self, name) < 0:
                 raise TopologyError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.ec_count is not None and self.ec_rule != "random":
+            raise TopologyError(f"ec_count is read only by ec_rule='random', not {self.ec_rule!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from edgecache.cost import (
     class_table,
     cost_breakdown,
     labels_of,
-    network_tables,
     path_links,
     utilization,
 )
@@ -26,7 +25,7 @@ from edgecache.cnn import BatchNorm, _im2col, predict_all, softmax
 from edgecache.encoder import encode, split_subimages, update_residual
 from edgecache.instance import ratios
 from edgecache.solver import REASSIGNMENT_CAP, _IMPROVE_EPS, _Budget
-from edgecache.topology import TopologyError
+from edgecache.topology import TopologyError, hop_matrix, incidence_tensor
 
 
 def caching_cost_via_linearization(i, x):
@@ -42,7 +41,8 @@ def caching_cost_via_linearization(i, x):
 def derive_routing_loop(i, x):
     """Per-flow routing loop: every AR a flow may appear at retrieves from
     the nearest cached EC when that beats the datacenter (hops < N_T)."""
-    hops, inc = network_tables(i.topology)
+    hops = hop_matrix(i.topology)
+    inc = incidence_tensor(i.topology, hops)
     K, A = i.mobility.shape
     E = i.topology.num_edge_clouds
     L = i.topology.num_links
@@ -88,7 +88,8 @@ def class_table_reference(i):
     a (K, E+1, A, E) int8 retrieval tensor z per (flow, class), its
     served mass priced by the hop arithmetic of cost._flow_hops, and its
     links from float64 path counts."""
-    hops, inc = network_tables(i.topology)
+    hops = hop_matrix(i.topology)
+    inc = incidence_tensor(i.topology, hops)
     K, A = i.mobility.shape
     E = i.topology.num_edge_clouds
     L = inc.entries.shape[0]
@@ -176,7 +177,8 @@ def brute_force_optimum(inst):
     """Exhaustive search over every placement and, per placement, every
     serving decision; entirely independent of the branch and bound."""
     t = inst.topology
-    hops, inc = network_tables(t)
+    hops = hop_matrix(t)
+    inc = incidence_tensor(t, hops)
     K = inst.num_flows
     E = t.num_edge_clouds
     nt = float(t.datacenter_hops)

@@ -5,10 +5,10 @@ import pytest
 
 from edgecache import baselines
 from edgecache.baselines import RgcConfig, _ec_neighborhoods, expected_hops, gca, rgc
-from edgecache.cost import check_feasibility, network_tables, penalized_cost
+from edgecache.cost import check_feasibility, penalized_cost
 from edgecache.harness import DATASET_RANGES, evaluation_topology
 from edgecache.instance import Instance, generate_instance
-from edgecache.topology import Topology, TopologyConfig, build_topology
+from edgecache.topology import Topology, TopologyConfig, build_topology, hop_matrix
 
 from conftest import manual_instance
 from oracles import rgc_reference
@@ -47,7 +47,7 @@ def test_gca_is_capacity_blind(escape_topology):
 
 
 def test_gca_matches_argmin_oracle(tree_topology):
-    hops, _ = network_tables(tree_topology)
+    hops = hop_matrix(tree_topology)
     for seed in range(20):
         inst = generate_instance(tree_topology, 5, seed=seed)
         asg = gca(inst)

@@ -217,6 +217,9 @@ def test_config_value_starting_with_dash_stays_a_value(workspace, tmp_path, caps
         ("train", ["--seed", "-1"]),
         ("topo", ["--seed", "-1"]),
         ("topo", ["--mesh-links", "-1"]),
+        ("dataset", ["--content-size", "1", "inf"]),
+        ("gen", ["--ec-space", "100", "1e309"]),
+        ("topo", ["--ec-count", "3"]),
     ],
 )
 def test_bad_number_flag_exits_2(workspace, tmp_path, capsys, command, flags):

@@ -357,7 +357,8 @@ def test_training_loss_halves_on_small_corpus(norm):
         inst = generate_instance(t, 5, seed=seed)
         img = encode(inst, norm)
         # synthetic but input-dependent label: argmax mobility bucket
-        label = int(img.block("P")[0].argmax() % 8)
+        lo, hi = img.block_bounds["P"]
+        label = int(img.matrix[0, lo:hi].argmax() % 8)
         labels = (label, 0, 0, 0, 0)
         samples.append(TrainingSample(image=img, labels=labels))
     _, losses = train(
@@ -380,12 +381,26 @@ def test_training_rejects_mixed_shapes(image, norm):
     "field,value",
     [("epochs", 0), ("batch_size", 0), ("batch_size", -1), ("learning_rate", 0.0),
      ("learning_rate", -1e-3), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-     ("seed", -1)],
+     ("seed", -1), ("request_index", -1)],
 )
 def test_train_config_rejects_bad_numbers(field, value):
     TrainConfig(epochs=1, batch_size=1, learning_rate=1e-3, num_classes=8)
     with pytest.raises(CnnError, match=f"{field} {value}"):
         TrainConfig(**{"num_classes": 8, field: value})
+
+
+@pytest.mark.parametrize("slot", [-1, 2])
+def test_model_refuses_a_slot_outside_the_image(slot):
+    CnnModel(input_shape=(2, 4), num_classes=3, request_index=1)
+    with pytest.raises(CnnError, match=f"request_index {slot} is outside the 2 image rows"):
+        CnnModel(input_shape=(2, 4), num_classes=3, request_index=slot)
+
+
+def test_training_refuses_a_slot_past_the_flows_before_the_first_step(image):
+    samples = [TrainingSample(image, (0,) * 5)]
+    cnn.train_steps(samples, TrainConfig(epochs=1, num_classes=8, request_index=4))
+    with pytest.raises(CnnError, match="request_index 5 is past the samples' 5 flows"):
+        cnn.train_steps(samples, TrainConfig(epochs=1, num_classes=8, request_index=5))
 
 
 def test_training_divergence_raises_with_epoch(image):
@@ -591,6 +606,15 @@ def test_load_refuses_a_negative_seed(tmp_path):
     manifest = json.loads(where.read_text())
     where.write_text(json.dumps({**manifest, "seed": -1}))
     with pytest.raises(CnnError, match="seed -1 must be >= 0"):
+        load_model(tmp_path / "model_0")
+
+
+def test_load_refuses_a_slot_outside_the_image(tmp_path):
+    save_model(CnnModel(input_shape=(2, 4), num_classes=3, filters=(2,)), tmp_path / "model_0")
+    where = tmp_path / "model_0.manifest.json"
+    manifest = json.loads(where.read_text())
+    where.write_text(json.dumps({**manifest, "request_index": 2}))
+    with pytest.raises(CnnError, match="request_index 2 is outside the 2 image rows"):
         load_model(tmp_path / "model_0")
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from edgecache import cost as costmod
 from edgecache.cost import (
     Assignment,
     CachingCostUndefinedError,
@@ -14,19 +15,18 @@ from edgecache.cost import (
     class_table,
     cost_breakdown,
     derive_routing,
-    empty_assignment,
     labels_of,
-    network_constants,
     network_tables,
     path_links,
     penalized_cost,
     total_cost,
-    transmission_cost,
     utilization,
 )
 from edgecache.harness import DATASET_RANGES, evaluation_topology
-from edgecache.instance import generate_instance, ratios
-from edgecache.topology import Topology, TopologyConfig, build_topology
+from edgecache.instance import ParameterRanges, generate_instance, ratios
+from edgecache.topology import (
+    Topology, TopologyConfig, build_topology, hop_matrix, incidence_tensor,
+)
 
 from conftest import manual_instance
 from oracles import (
@@ -64,7 +64,8 @@ def test_utilization_single_flow(colocated_topology):
 
 def test_utilization_empty_placement(tree_topology):
     inst = generate_instance(tree_topology, 4, seed=0)
-    assert (utilization(inst, empty_assignment(inst).x) == 0).all()
+    x = assignment_from_classes(inst, [tree_topology.num_edge_clouds] * 4).x
+    assert (utilization(inst, x) == 0).all()
 
 
 def test_utilization_matches_brute_sum(tree_topology):
@@ -101,7 +102,8 @@ def test_caching_cost_half_utilization(colocated_topology):
 
 def test_caching_cost_empty_is_zero(tree_topology):
     inst = generate_instance(tree_topology, 3, seed=1)
-    assert caching_cost(inst, empty_assignment(inst).x) == 0.0
+    x = assignment_from_classes(inst, [tree_topology.num_edge_clouds] * 3).x
+    assert caching_cost(inst, x) == 0.0
 
 
 def test_caching_cost_two_flows_sharing(colocated_topology):
@@ -172,7 +174,7 @@ def test_derive_routing_skips_retrieval_beyond_datacenter(path_topology):
 def exhaustive_best_transmission(inst, x):
     """Enumerate every z satisfying uniqueness and cache-consistency and
     return the minimum transmission cost (links unconstrained)."""
-    hops, inc = network_tables(inst.topology)
+    inc = incidence_tensor(inst.topology, hop_matrix(inst.topology))
     K, A = inst.mobility.shape
     E = inst.topology.num_edge_clouds
     choices_per_slot = []
@@ -188,7 +190,7 @@ def exhaustive_best_transmission(inst, x):
                 z[entry] = 1
         y = (inc.entries.reshape(inst.topology.num_links, A * E) @ z.reshape(K, A * E).T > 0).T
         asg = Assignment(x=np.asarray(x, dtype=np.int8), z=z, y=y.astype(np.int8))
-        ct, _, _ = transmission_cost(inst, asg)
+        ct = cost_breakdown(inst, asg).transmission
         best = min(best, ct)
     return best
 
@@ -209,7 +211,7 @@ def test_derive_routing_minimizes_transmission(tree_topology):
         inst = generate_instance(t, 2, seed=seed)
         x = random_placement(inst, rng)
         asg = derive_routing(inst, x)
-        ct, _, _ = transmission_cost(inst, asg)
+        ct = cost_breakdown(inst, asg).transmission
         assert ct == pytest.approx(exhaustive_best_transmission(inst, x), abs=1e-9)
 
 
@@ -219,13 +221,15 @@ def test_derive_routing_minimizes_transmission(tree_topology):
 def test_transmission_single_hit(path_topology):
     inst = manual_instance(path_topology, [[1.0]], content_size=[10.0])
     x = np.array([[0, 1]], dtype=np.int8)  # EC at node 3, one hop from AR 4
-    ct, ch, cm = transmission_cost(inst, derive_routing(inst, x))
+    bd = cost_breakdown(inst, derive_routing(inst, x))
+    ct, ch, cm = bd.transmission, bd.hit, bd.miss
     assert (ct, ch, cm) == (pytest.approx(1.0), pytest.approx(1.0), pytest.approx(0.0))
 
 
 def test_transmission_all_miss(path_topology):
     inst = manual_instance(path_topology, [[1.0]], content_size=[10.0])
-    ct, ch, cm = transmission_cost(inst, empty_assignment(inst))
+    bd = cost_breakdown(inst, assignment_from_classes(inst, [path_topology.num_edge_clouds]))
+    ct, ch = bd.transmission, bd.hit
     assert ct == pytest.approx(12.0)
     assert ch == 0.0
 
@@ -242,7 +246,8 @@ def test_transmission_partial_hit():
     )
     inst = manual_instance(t, [[0.6, 0.0]], content_size=[10.0])
     x = np.array([[1]], dtype=np.int8)
-    ct, ch, cm = transmission_cost(inst, derive_routing(inst, x))
+    bd = cost_breakdown(inst, derive_routing(inst, x))
+    ct, ch, cm = bd.transmission, bd.hit, bd.miss
     # 0.6 of the mass hits at 1 hop, the remaining 0.4 misses at 10.
     assert ch == pytest.approx(0.6)
     assert cm == pytest.approx(0.4 * 10)
@@ -276,13 +281,13 @@ def test_total_cost_beta_zero_empty_is_free(tree_topology):
     inst = manual_instance(
         tree_topology, inst.mobility, inst.content_size, alpha=0.9, beta=0.0
     )
-    bd = total_cost(inst, empty_assignment(inst))
+    bd = total_cost(inst, assignment_from_classes(inst, [tree_topology.num_edge_clouds] * 3))
     assert bd.total == 0.0
 
 
 def test_total_cost_matches_unfused_oracle(tree_topology):
     rng = np.random.default_rng(3)
-    hops, _ = network_tables(tree_topology)
+    hops = hop_matrix(tree_topology)
     nt = tree_topology.datacenter_hops
     for seed in range(20):
         inst = generate_instance(tree_topology, 5, seed=seed)
@@ -642,20 +647,24 @@ def test_class_table_matches_the_z_tensor_reference(make, flows):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tobytes() == b.tobytes(), name
-    reach = network_constants(topo).in_reach
+    reach = network_tables(topo).in_reach
     assert reach.any()
     if topo.datacenter_hops == 2:
         assert not reach.all()  # some paths lose to the datacenter
 
 
-def test_network_constants_are_read_only_and_shared():
+def test_network_tables_are_read_only_and_shared():
     a = build_topology(TopologyConfig(branching=2, depth=3))
     b = build_topology(TopologyConfig(branching=2, depth=3))
     assert a is not b and a == b
-    net = network_constants(a)
-    assert network_constants(b) is net
+    net = network_tables(a)
+    assert network_tables(b) is net
     for name, arr in vars(net).items():
-        assert not arr.flags.writeable, name
+        if name == "path_store":
+            with pytest.raises(TypeError):
+                arr[0, 0] = ()
+        else:
+            assert not arr.flags.writeable, name
     # A returned assignment owns its arrays: writing to them changes no
     # later result.
     inst = generate_instance(a, 5, seed=0)
@@ -667,6 +676,38 @@ def test_network_constants_are_read_only_and_shared():
         for arr in (first.x, first.z, first.y):
             arr[...] = 1
         assert _same_bytes(make(), want)
+
+
+def test_cost_caches_one_table_per_topology(tree_topology):
+    caches = [name for name, value in vars(costmod).items() if hasattr(value, "cache_clear")]
+    assert caches == ["network_tables"]
+    inst = generate_instance(tree_topology, 5, seed=0)
+    before = class_table(inst)
+    network_tables.cache_clear()
+    table = class_table(inst)
+    assert network_tables.cache_info().currsize == 1
+    assert table.onehot is network_tables(tree_topology).onehot
+    for name in ("serve", "links", "hit", "miss", "T"):
+        assert getattr(table, name).tobytes() == getattr(before, name).tobytes(), name
+
+
+def test_caching_cost_is_the_priced_caching_term():
+    # At 15 ECs a sum over the hosting ECs alone differs from the priced
+    # row of E summands in the last bit on about a quarter of these.
+    topo = build_topology(TopologyConfig(branching=2, depth=3, ec_rule="all"))
+    assert topo.num_edge_clouds == 15
+    ranges = ParameterRanges(ec_space=(400.0, 600.0))
+    rng = np.random.default_rng(0)
+    checked = 0
+    for seed in range(400):
+        inst = generate_instance(topo, 12, ranges=ranges, seed=[77, seed])
+        asg = assignment_from_classes(inst, rng.integers(0, 16, 12))
+        if (utilization(inst, asg.x) >= 1.0).any():
+            continue
+        want = cost_breakdown(inst, asg).caching
+        assert caching_cost(inst, asg.x).hex() == want.hex(), seed
+        checked += 1
+    assert checked == 400
 
 
 @pytest.mark.parametrize("field", ["x", "z", "y"])
@@ -762,7 +803,8 @@ def test_assignment_verdicts_match_the_reference_on_corrupted_cells(flows):
 
 def test_empty_assignment_is_feasible(tree_topology):
     inst = generate_instance(tree_topology, 3, seed=5)
-    assert check_feasibility(inst, empty_assignment(inst)).feasible
+    empty = assignment_from_classes(inst, [tree_topology.num_edge_clouds] * 3)
+    assert check_feasibility(inst, empty).feasible
 
 
 def test_capacity_violation_detected(colocated_topology):

@@ -7,7 +7,6 @@ from edgecache.encoder import (
     FeatureImage,
     NormConfig,
     encode,
-    from_grayscale,
     read_pgm,
     split_subimages,
     to_grayscale,
@@ -44,9 +43,10 @@ def test_zero_mobility_row_keeps_positive_ratios(tree_topology, norm):
     inst = manual_instance(tree_topology, mobility, content_size=[20.0, 30.0],
                            ec_space=[200.0] * tree_topology.num_edge_clouds)
     img = encode(inst, norm)
-    assert (img.block("P")[0] == 0).all()
-    assert (img.block("Q")[0] > 0).all()
-    assert (img.block("R")[0] > 0).all()
+    first = {name: img.matrix[0, lo:hi] for name, (lo, hi) in img.block_bounds.items()}
+    assert (first["P"] == 0).all()
+    assert (first["Q"] > 0).all()
+    assert (first["R"] > 0).all()
 
 
 def test_normalization_endpoint_hits_one(tree_topology):
@@ -61,7 +61,8 @@ def test_normalization_endpoint_hits_one(tree_topology):
         ec_space=[100.0] * tree_topology.num_edge_clouds,
     )
     img = encode(inst, norm)
-    assert img.block("Q").max() == pytest.approx(1.0)
+    lo, hi = img.block_bounds["Q"]
+    assert img.matrix[:, lo:hi].max() == pytest.approx(1.0)
 
 
 def test_encode_rejects_off_range_values(tree_topology, norm):
@@ -74,7 +75,8 @@ def test_encode_rejects_off_range_values(tree_topology, norm):
     with pytest.raises(EncodingError, match=r"Q\[0,"):
         encode(inst, norm)
     clipped = encode(inst, NormConfig(q_max=norm.q_max, r_max=norm.r_max, clip=True))
-    assert clipped.block("Q").max() == 1.0
+    lo, hi = clipped.block_bounds["Q"]
+    assert clipped.matrix[:, lo:hi].max() == 1.0
 
 
 @pytest.mark.parametrize(
@@ -131,8 +133,8 @@ def test_grayscale_round_trip_quantization_bound(norm):
             block_bounds={"P": (0, 4), "Q": (4, 7), "R": (7, 11)},
             norm_meta=norm,
         )
-        back = from_grayscale(to_grayscale(img), img.block_bounds, norm)
-        assert np.abs(back.matrix - matrix).max() <= 1 / 510 + 1e-12
+        back = 1.0 - to_grayscale(img).astype(np.float64) / 255.0
+        assert np.abs(back - matrix).max() <= 1 / 510 + 1e-12
 
 
 def test_pgm_round_trip(tmp_path, tree_topology, norm):
@@ -231,10 +233,11 @@ def test_update_residual_simple_commit(tree_topology):
 
 
 def test_update_residual_identity_on_empty_commit(tree_topology):
-    from edgecache.cost import empty_assignment
+    from edgecache.cost import assignment_from_classes
 
     inst = generate_instance(tree_topology, 3, seed=8)
-    residual = update_residual(inst, empty_assignment(inst))
+    empty = assignment_from_classes(inst, [tree_topology.num_edge_clouds] * 3)
+    residual = update_residual(inst, empty)
     assert (residual.ec_space == inst.ec_space).all()
     assert (residual.link_capacity == inst.link_capacity).all()
 

@@ -7,6 +7,7 @@ import pytest
 from edgecache.instance import (
     Instance,
     InstanceError,
+    ParameterRanges,
     generate_instance,
     load_instance,
     ratios,
@@ -58,6 +59,17 @@ def test_corpus_scan_stays_in_range(topo):
 def test_rejects_zero_flows(topo):
     with pytest.raises(InstanceError):
         generate_instance(topo, 0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("content_size", (1.0, np.inf), "range content_size must satisfy 0 < lo <= hi < inf"),
+     ("link_capacity", (np.inf, np.inf), "range link_capacity must satisfy"),
+     ("ar_crowding", np.inf, "ar_crowding must be positive and finite")],
+)
+def test_ranges_refuse_infinite_bounds(field, value, message):
+    with pytest.raises(InstanceError, match=message):
+        ParameterRanges(**{field: value}).validate()
 
 
 def test_ratio_arithmetic(topo):

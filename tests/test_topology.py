@@ -243,6 +243,12 @@ def test_config_refuses_a_negative_count_or_seed(field):
         TopologyConfig(**{field: -3})
 
 
+@pytest.mark.parametrize("rule", ["internal", "all", "leaves"])
+def test_config_refuses_an_ec_count_the_rule_ignores(rule):
+    with pytest.raises(TopologyError, match=f"ec_count is read only by ec_rule='random', not '{rule}'"):
+        TopologyConfig(ec_rule=rule, ec_count=3)
+
+
 def test_topology_round_trip(tmp_path):
     t = build_topology(TopologyConfig(branching=3, depth=2, mesh_links=2, seed=5))
     save_topology(t, tmp_path / "topo.json")
