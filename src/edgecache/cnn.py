@@ -7,11 +7,18 @@ probability distribution over |E|+1 classes: one per EC plus an
 explicit "uncached" class, since the optimum often leaves a flow
 unplaced.
 
-Architecture: three conv stages (16, 32, 64 filters of 3x3, stride 1,
-same padding, each followed by batch normalization and ReLU), then a
-dense layer to class logits and softmax.  No pooling; spatial size is
-preserved until the dense layer.  Training is mini-batch gradient
-descent with adaptive per-parameter steps (Adam) on the cross-entropy.
+Architecture: by default one conv stage of 16 filters of 3x3 (stride
+1, same padding), followed by batch normalization and ReLU, then a
+dense layer to class logits and softmax.  `filters` sets the stages,
+one entry each, so `(16, 32, 64)` builds three and `()` none (softmax
+regression on the pixels); a saved model records its own.  One stage
+was chosen over three by a sweep of training seeds on the desk
+pipeline: it matched the three-stage cost and precision at 5 flows,
+placed 15 flows below randomized greedy at every seed (three stages at
+half of them), and needs about 1% of the three stages' multiply-adds
+per image.  No pooling; spatial size is preserved until the dense
+layer.  Training is mini-batch gradient descent with adaptive
+per-parameter steps (Adam) on the cross-entropy.
 `train_steps` yields after each step, so `harness.train_models` can
 interleave the slot models' steps on its worker threads; each layer
 drops its forward cache in backward, so a model between steps holds
@@ -326,7 +333,7 @@ class CnnModel:
         input_shape: tuple[int, int],
         num_classes: int,
         request_index: int = 0,
-        filters: tuple[int, ...] = (16, 32, 64),
+        filters: tuple[int, ...] = (16,),
         seed: int = 0,
         norm_digest: str = "",
     ):
@@ -334,13 +341,16 @@ class CnnModel:
             raise CnnError("need at least two output classes")
         if seed < 0:
             raise CnnError(f"seed {seed} must be >= 0")
+        filters = tuple(filters)
+        if any(f < 1 for f in filters):
+            raise CnnError(f"filters {filters} must all be >= 1")
         self.input_shape = tuple(input_shape)
         rows = self.input_shape[0]
         if not 0 <= request_index < rows:
             raise CnnError(f"request_index {request_index} is outside the {rows} image rows")
         self.num_classes = num_classes
         self.request_index = request_index
-        self.filters = tuple(filters)
+        self.filters = filters
         self.seed = seed
         self.norm_digest = norm_digest
         rng = np.random.default_rng([seed, 0])

@@ -11,6 +11,7 @@ bandwidth 1-10 Mbps, link capacity 50-100 Mbps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,11 @@ class ParameterRanges:
         if not (0 < lo <= hi <= 1):
             raise InstanceError("presence range must lie within (0, 1]")
         lo, hi = self.mobility_support
-        if not (1 <= lo <= hi):
-            raise InstanceError("mobility_support must satisfy 1 <= lo <= hi")
+        # generate_instance draws integers(lo, hi + 1), which would floor
+        # a fractional lo and cannot take an infinite hi.
+        integral = all(isinstance(v, numbers.Integral) for v in (lo, hi))
+        if not (integral and 1 <= lo <= hi):
+            raise InstanceError("mobility_support must be integers with 1 <= lo <= hi")
         if self.ar_crowding is not None and not 0 < self.ar_crowding < math.inf:
             raise InstanceError("ar_crowding must be positive and finite when set")
 

@@ -200,7 +200,7 @@ def test_criterion_4_gradient_correctness():
     err_dense = gradient_check(dense_only, img, 3, sample_fraction=0.05)
     assert err_dense < 1e-4
 
-    full = CnnModel(input_shape=shape, num_classes=7, seed=5)
+    full = CnnModel(input_shape=shape, num_classes=7, filters=(16, 32, 64), seed=5)
     err_full = gradient_check(full, img, 2, sample_fraction=0.01)
     assert err_full < 1e-4
 

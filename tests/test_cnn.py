@@ -1,4 +1,6 @@
+import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +41,18 @@ def norm():
 def image(norm):
     t = build_topology(TopologyConfig(branching=2, depth=3))
     return encode(generate_instance(t, 5, seed=0), norm)
+
+
+# CnnModel builds one conv stage by default.  The tests of gradients,
+# stacked inference and training through stages pin three, so a conv
+# input gradient and batch norm between stages stay covered.
+MULTI_STAGE = (16, 32, 64)
+
+
+@pytest.fixture
+def multi_stage_training(monkeypatch):
+    """train() builds its models with MULTI_STAGE filters."""
+    monkeypatch.setattr(cnn, "CnnModel", functools.partial(CnnModel, filters=MULTI_STAGE))
 
 
 def zeroed(model: CnnModel) -> CnnModel:
@@ -113,7 +127,7 @@ def test_im2col_matches_nine_slice_reference(shape):
     assert np.array_equal(cnn._im2col(x), im2col_reference(x))
 
 
-def test_training_with_reference_im2col_is_bit_equal(image, norm, monkeypatch):
+def test_training_with_reference_im2col_is_bit_equal(image, norm, monkeypatch, multi_stage_training):
     t = build_topology(TopologyConfig(branching=2, depth=3))
     samples = [
         TrainingSample(image=encode(generate_instance(t, 5, seed=s), norm), labels=(s % 8,) * 5)
@@ -133,7 +147,9 @@ def test_training_with_reference_im2col_is_bit_equal(image, norm, monkeypatch):
     [("internal", 13, 5), ("leaves", 14, 4)],
     ids=["width29-n13-batch5", "width30-n14-batch4"],
 )
-def test_training_with_reference_kernels_is_bit_equal(norm, monkeypatch, ec_rule, n, batch_size):
+def test_training_with_reference_kernels_is_bit_equal(
+    norm, monkeypatch, multi_stage_training, ec_rule, n, batch_size
+):
     # The padded conv input gradient, two-pass batch norm and
     # out-of-place ReLU of tests/oracles.py against the in-place kernels:
     # same loss trace, parameters and running statistics, and the same
@@ -163,6 +179,7 @@ def test_training_with_reference_kernels_is_bit_equal(norm, monkeypatch, ec_rule
         monkeypatch.setattr(cls, method, reference)
     ref_model, ref_losses = fit()
     assert probe.shape[2] == {"internal": 29, "leaves": 30}[ec_rule] and n % batch_size
+    assert model.filters == ref_model.filters == MULTI_STAGE
     assert losses == ref_losses
     for (_, _, p, g), (_, _, q, h) in zip(model.param_items(), ref_model.param_items()):
         assert np.array_equal(p, q) and np.array_equal(g, h)
@@ -187,7 +204,10 @@ def test_interleaved_training_passes_keep_their_own_patches(image):
         return [[g.copy() for *_, g in m.param_items()] for m in models]
 
     def pair():
-        return [CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=s) for s in (2, 3)]
+        return [
+            CnnModel(input_shape=image.matrix.shape, num_classes=8, filters=MULTI_STAGE, seed=s)
+            for s in (2, 3)
+        ]
 
     alone = [grads_after([m])[0] for m in pair()]
     for got, want in zip(grads_after(pair()), alone):
@@ -224,12 +244,12 @@ def test_gradient_check_dense_only(image):
 
 
 def test_gradient_check_full_model(image):
-    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=5)
+    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, filters=MULTI_STAGE, seed=5)
     assert gradient_check(m, image, 2, sample_fraction=0.01) < 1e-4
 
 
 def test_gradient_check_full_model_training_mode(image):
-    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=6)
+    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, filters=MULTI_STAGE, seed=6)
     rng = np.random.default_rng(0)
     batch = rng.uniform(0, 1, size=(4, *image.matrix.shape))
     labels = np.array([0, 2, 5, 7])
@@ -243,7 +263,7 @@ def test_float32_gradients_match_a_float64_copy(image, train_mode):
     # each array's largest entry (about 80 float32 ulps).  In train mode
     # a conv bias ahead of batch norm has a true gradient of zero, so
     # both copies hold rounding noise there, and it is left out.
-    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=6)
+    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, filters=MULTI_STAGE, seed=6)
     batch, labels = image, [2]
     if train_mode:
         batch = np.random.default_rng(0).uniform(0, 1, size=(4, *image.matrix.shape))
@@ -267,7 +287,7 @@ def test_float32_gradients_match_a_float64_copy(image, train_mode):
 
 
 def test_gradient_check_leaves_the_model_as_it_was(image):
-    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, seed=6)
+    m = CnnModel(input_shape=image.matrix.shape, num_classes=8, filters=MULTI_STAGE, seed=6)
     before = {name: a.copy() for name, a in cnn._named_arrays(m).items()}
     batch = np.random.default_rng(0).uniform(0, 1, size=(4, *image.matrix.shape))
     gradient_check(m, batch, np.array([0, 2, 5, 7]), train_mode=True, sample_fraction=0.01)
@@ -454,7 +474,7 @@ def _per_model_rows(models, img):
     return np.stack([softmax(m.logits(m._as_batch(img), train=False))[0] for m in models])
 
 
-def test_predict_all_matches_per_model_layers(image, norm):
+def test_predict_all_matches_per_model_layers(image, norm, multi_stage_training):
     # Each row of the stacked pass equals its own model's layer-by-layer
     # inference bit for bit.
     K, E1 = image.matrix.shape[0], 8
@@ -470,7 +490,10 @@ def test_predict_all_matches_per_model_layers(image, norm):
         train(samples, TrainConfig(epochs=2, batch_size=4, num_classes=E1, request_index=k, seed=k))[0]
         for k in range(K)
     ]
-    untrained = [CnnModel(image.matrix.shape, E1, request_index=k, seed=40 + k) for k in range(K)]
+    untrained = [
+        CnnModel(image.matrix.shape, E1, request_index=k, filters=MULTI_STAGE, seed=40 + k)
+        for k in range(K)
+    ]
     dense_only = [
         CnnModel(image.matrix.shape, E1, request_index=k, filters=(), seed=k) for k in range(K)
     ]
@@ -508,7 +531,8 @@ def _randomized(model: CnnModel, rng) -> CnnModel:
 def test_slot_models_inference_matches_references(norm, network, width, K):
     # The stacked pass over a SlotModels against the per-call stacking
     # oracle and against each model's own layers, bit for bit, on a
-    # full block and on a block padded with phantom rows.
+    # full block and on a block padded with phantom rows, for models of
+    # one stage and of three.
     if network == "evaluation":
         t = evaluation_topology()
     else:
@@ -519,16 +543,20 @@ def test_slot_models_inference_matches_references(norm, network, width, K):
     padded = split_subimages(encode(generate_instance(t, max(K - 2, 1), seed=K), norm), K)[0]
     assert full.matrix.shape == (K, width) and padded.matrix.shape == (K, width)
     assert K < 3 or padded.phantom_rows == 2
-    models = [_randomized(CnnModel((K, width), E1, request_index=k, seed=k), rng) for k in range(K)]
-    slots = cnn.SlotModels(models)
-    for img in (full.matrix, padded.matrix):
-        O = predict_all(slots, img)
-        assert O.dtype == cnn.DTYPE
-        assert np.array_equal(O, oracles.infer_reference(models, models[0]._as_batch(img)))
-        assert np.array_equal(O, _per_model_rows(models, img))
-        assert np.array_equal(O, predict_all(models, img))
-        for m, row in zip(models, O):
-            assert np.array_equal(forward(m, img), row)
+    for filters in ((16,), MULTI_STAGE):
+        models = [
+            _randomized(CnnModel((K, width), E1, request_index=k, filters=filters, seed=k), rng)
+            for k in range(K)
+        ]
+        slots = cnn.SlotModels(models)
+        for img in (full.matrix, padded.matrix):
+            O = predict_all(slots, img)
+            assert O.dtype == cnn.DTYPE
+            assert np.array_equal(O, oracles.infer_reference(models, models[0]._as_batch(img)))
+            assert np.array_equal(O, _per_model_rows(models, img))
+            assert np.array_equal(O, predict_all(models, img))
+            for m, row in zip(models, O):
+                assert np.array_equal(forward(m, img), row)
 
 
 def test_slot_models_are_a_tuple_of_their_models(image):
@@ -584,20 +612,30 @@ def test_predict_all_rejects_wrong_model_count():
 # --- persistence -------------------------------------------------------------
 
 
-def test_model_round_trip(tmp_path, image):
+def test_model_round_trip(tmp_path, image, monkeypatch):
+    # A trained model of one stage or of three comes back with its own
+    # filters, every array byte-equal, and the same inference bytes.
     sample = TrainingSample(image=image, labels=(3, 0, 0, 0, 0))
-    model, _ = train(
-        [sample], TrainConfig(epochs=5, batch_size=1, num_classes=8, seed=2)
-    )
-    save_model(model, tmp_path / "model_0")
-    back = load_model(tmp_path / "model_0")
-    assert (forward(back, image) == forward(model, image)).all()
-    assert back.request_index == model.request_index
-    assert back.norm_digest == model.norm_digest
-    saved, loaded = cnn._named_arrays(model), cnn._named_arrays(back)
-    assert list(loaded) == list(saved)
-    for name, array in loaded.items():
-        assert array.dtype == cnn.DTYPE and np.array_equal(array, saved[name]), name
+    for filters in ((16,), MULTI_STAGE):
+        with monkeypatch.context() as patch:
+            patch.setattr(cnn, "CnnModel", functools.partial(CnnModel, filters=filters))
+            model, _ = train(
+                [sample], TrainConfig(epochs=5, batch_size=1, num_classes=8, seed=2)
+            )
+        before = predict_all([model] * 5, image).tobytes()
+        path = tmp_path / f"model_{len(filters)}"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.filters == model.filters == filters
+        assert predict_all([back] * 5, image).tobytes() == before
+        assert (forward(back, image) == forward(model, image)).all()
+        assert back.request_index == model.request_index
+        assert back.norm_digest == model.norm_digest
+        saved, loaded = cnn._named_arrays(model), cnn._named_arrays(back)
+        assert list(loaded) == list(saved)
+        for name, array in loaded.items():
+            assert array.tobytes() == saved[name].tobytes(), name
+            assert array.dtype == cnn.DTYPE and array.shape == saved[name].shape, name
 
 
 def test_load_refuses_a_negative_seed(tmp_path):
@@ -606,6 +644,21 @@ def test_load_refuses_a_negative_seed(tmp_path):
     manifest = json.loads(where.read_text())
     where.write_text(json.dumps({**manifest, "seed": -1}))
     with pytest.raises(CnnError, match="seed -1 must be >= 0"):
+        load_model(tmp_path / "model_0")
+
+
+@pytest.mark.parametrize("filters", [(0,), (16, 0), (-3,)])
+def test_model_refuses_a_filter_count_below_one(filters):
+    with pytest.raises(CnnError, match=re.escape(f"filters {filters} must all be >= 1")):
+        CnnModel(input_shape=(2, 4), num_classes=3, filters=filters)
+
+
+def test_load_refuses_a_filter_count_below_one(tmp_path):
+    save_model(CnnModel(input_shape=(2, 4), num_classes=3, filters=(2,)), tmp_path / "model_0")
+    where = tmp_path / "model_0.manifest.json"
+    manifest = json.loads(where.read_text())
+    where.write_text(json.dumps({**manifest, "filters": [0]}))
+    with pytest.raises(CnnError, match=r"filters \(0,\) must all be >= 1"):
         load_model(tmp_path / "model_0")
 
 

@@ -72,6 +72,13 @@ def test_ranges_refuse_infinite_bounds(field, value, message):
         ParameterRanges(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("bounds", [(2.5, 3), (2, np.inf), (2, 3.0), (0, 3), (3, 2)])
+def test_ranges_refuse_a_mobility_support_that_is_not_an_integer_range(bounds):
+    ParameterRanges(mobility_support=(np.int64(2), 3)).validate()
+    with pytest.raises(InstanceError, match="mobility_support must be integers with 1 <= lo <= hi"):
+        ParameterRanges(mobility_support=bounds).validate()
+
+
 def test_ratio_arithmetic(topo):
     inst = generate_instance(topo, 3, seed=1)
     inst = Instance(
