@@ -129,13 +129,14 @@ def rgc(
     to the next accept is drawn and priced against the same classes:
     one rng.integers call over the (n, K) broadcast option counts draws
     the block (numpy consumes a broadcast bound element by element, as n
-    successive (K,) calls would), and one ClassTable.price call prices
-    it.  Only a changed draft whose transmission floor beta * C_T lies
-    below the current cost is priced: TC_N = fl(fl(alpha * C_cache) +
+    successive (K,) calls would), and one ClassTable._price call prices
+    it (the moves keep every class in 0..E, so no call checks them).
+    Only a changed draft whose transmission floor beta * C_T lies below
+    the current cost is priced: TC_N = fl(fl(alpha * C_cache) +
     fl(beta * C_T)) + gamma * hinge with every term non-negative, and
     rounding is monotone, so TC_N >= fl(beta * C_T) and a draft at or
     above the floor can never pass the strict test.  The floor and price
-    share ClassTable.transmission, so they use the same float.  The
+    share ClassTable._transmission, so they use the same float.  The
     first strictly cheaper draft is the accepted epoch; the generator is
     then rewound and redraws the block's rows up to it, leaving it where
     a per-epoch loop would, and the next block starts there.  So the
@@ -156,9 +157,9 @@ def rgc(
         state = rng.bit_generator.state
         trials = moves[classes, rng.integers(0, np.broadcast_to(bounds, (n, bounds.size)))]
         changed = (trials != classes).any(axis=1)
-        under_floor = changed & (i.beta * table.transmission(trials) < tc)
+        under_floor = changed & (i.beta * table._transmission(trials) < tc)
         live = np.flatnonzero(under_floor)
-        priced = table.price(trials[live], gamma=cfg.gamma)
+        priced = table._price(trials[live], cfg.gamma)
         counts["price_calls"] += 1
         better = np.flatnonzero(priced < tc)
         tc_next = tc

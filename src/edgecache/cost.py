@@ -20,7 +20,7 @@ x, z and y, and class_table builds one per-instance table that prices
 any class vector.  The table holds, per (flow, class), the hit and miss
 hops and a fused row [Q·onehot | onehot | R] of storage utilization,
 cached count and link load, so a stack of class vectors is priced by
-one gather and one sum over flows.  ClassTable.assignment materializes
+one flat gather and one sum over flows.  ClassTable.assignment materializes
 a class vector from the table's own rows, and cost_breakdown prices
 arbitrary assignments with the same per-flow arithmetic.
 
@@ -239,7 +239,7 @@ class ClassTable:
     Pricing reads the fused rows: per (flow, class), the flow's storage
     utilization, its cached count and its link load side by side, built
     on the first price call, so a table that never prices never builds
-    them.
+    them.  The public methods refuse a class outside 0..E.
     """
 
     inst: Instance     # the cost weights alpha and beta; a block keeps its whole instance
@@ -254,17 +254,28 @@ class ClassTable:
     rows: np.ndarray    # (K,) flow indices 0..K-1
 
     @cached_property
+    def pattern(self) -> np.ndarray:
+        """(K, E+1, 2E+L) int8 [onehot | onehot | links] per (flow, class):
+        the columns of the fused row that a flow at that class fills."""
+        onehot = np.broadcast_to(self.onehot, (self.rows.size, *self.onehot.shape))
+        return np.concatenate((onehot, onehot, self.links), axis=-1)
+
+    @cached_property
     def fused(self) -> np.ndarray:
-        """(K, E+1, 2E+L) rows [Q·onehot | onehot | R] per (flow, class):
-        utilization, cached count and link load (R = r * links)."""
-        return np.concatenate(
-            (
-                self.Q[:, None, :] * self.onehot,
-                np.broadcast_to(self.onehot, (self.rows.size, *self.onehot.shape)),
-                self.r[:, None, :] * self.links,
-            ),
-            axis=-1,
-        )
+        """(K·(E+1), 2E+L) rows [Q·onehot | onehot | R] per (flow, class),
+        flat in (flow, class) order: utilization, cached count and link
+        load (R = r * links), each flow's ratio row [Q | 1 | r] times its
+        pattern."""
+        K, E = self.Q.shape
+        ratio = np.ones((K, self.pattern.shape[-1]))
+        ratio[:, :E], ratio[:, 2 * E :] = self.Q, self.r
+        return (ratio[:, None, :] * self.pattern).reshape(-1, ratio.shape[1])
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(K,) flat row of each flow's class 0: class c of flow k is
+        row offsets[k] + c of fused and of T flattened."""
+        return self.rows * self.T.shape[1]
 
     def transmission(self, classes):
         """Transmission cost C_T (hit plus miss hops) of a class vector.
@@ -272,43 +283,52 @@ class ClassTable:
         A (K,) vector gives a float; an (N, K) stack gives an (N,) array
         whose rows equal the vectors' own floats.
         """
-        return _float_or_rows(self.T[self.rows, classes].sum(axis=-1))
+        return _float_or_rows(self._transmission(_checked(classes, *self.Q.shape, stack=True)))
 
     def price(self, classes, gamma: float = DEFAULT_GAMMA):
         """Penalized total TC_N of a (K,) class vector, or of each row of
         an (N, K) stack.
 
-        One gather of the fused rows and one sum over flows give each
-        row's utilization, counts and link load.  The summands and their
-        flow order are those of cost_breakdown on the materialized
+        One flat gather of the fused rows and one sum over flows give
+        each row's utilization, counts and link load.  The summands and
+        their flow order are those of cost_breakdown on the materialized
         assignment, and every row is priced by the same arithmetic as a
         vector alone, so a stack returns exactly the floats of one call
         per row.
         """
-        classes = np.asarray(classes)
-        E = self.Q.shape[1]
-        sums = self.fused[self.rows, classes].sum(axis=-2)
-        _, tc, penalty = _priced(
-            self.inst,
-            sums[..., :E],
-            sums[..., E : 2 * E],
-            self.transmission(classes),
-            sums[..., 2 * E :],
-            gamma,
-        )
-        return _float_or_rows(tc + penalty)
+        return _float_or_rows(self._price(_checked(classes, *self.Q.shape, stack=True), gamma))
+
+    def _transmission(self, classes: np.ndarray) -> np.ndarray:
+        """transmission of classes already known to lie in 0..E, unchecked."""
+        return np.add.reduce(self.T.ravel().take(np.add(classes, self.offsets)), axis=-1)
+
+    def _price(self, classes: np.ndarray, gamma: float) -> np.ndarray:
+        """price of a (K,) vector or (N, K) stack already known to lie in
+        0..E, unchecked: PEL and RGC draw theirs from 0..E and pay for no
+        check per call.
+
+        The fused rows are gathered flow-major, (K, N, 2E+L), so the sum
+        over flows runs along the outer axis and adds them one at a time
+        in flow order, as the sums of cost_breakdown do.  T is gathered
+        and summed apart, along its last axis: there numpy sums eight or
+        more flows pairwise, as cost_breakdown's sum of per-flow hops
+        does."""
+        at = np.add(classes, self.offsets).T
+        sums = np.add.reduce(self.fused.take(at, axis=0), axis=0)
+        _, tc, penalty = _priced(self.inst, sums, self._transmission(classes), gamma)
+        return np.add(tc, penalty)
 
     def assignment(self, classes) -> Assignment:
         """Materialize a (K,) class vector as x, z and y from the table's
         rows: the bytes and dtypes of assignment_from_classes."""
-        classes = np.asarray(classes)
+        classes = _checked(classes, *self.Q.shape)
         x = self.onehot[classes]
         return Assignment(x=x, z=self.serve * x[:, None, :], y=self.links[self.rows, classes])
 
     def breakdown(self, classes, gamma: float = DEFAULT_GAMMA) -> CostBreakdown:
         """cost_breakdown of the assignment of a (K,) class vector, read
         off the table of a whole instance: the same floats and verdict."""
-        classes = np.asarray(classes)
+        classes = _checked(classes, *self.Q.shape)
         x, y = self.onehot[classes], self.links[self.rows, classes]
         hit, miss = self.hit[self.rows, classes], self.miss[self.rows, classes]
         return _breakdown(self.inst, x, y, hit, miss, self.Q, self.r, gamma, consistent=True)
@@ -335,6 +355,21 @@ class ClassTable:
             r=r,
             rows=self.rows[: links.shape[0]],
         )
+
+
+def _checked(classes, K: int, E: int, stack: bool = False) -> np.ndarray:
+    """classes as a (K,) array, or with stack also an (N, K) one,
+    refusing any other shape and a class outside 0..E: a flat gather
+    would read class E+1 of flow k as class 0 of flow k+1."""
+    classes = np.asarray(classes)
+    if classes.ndim not in ((1, 2) if stack else (1,)) or classes.shape[-1] != K:
+        want = "(K,) or (N, K)" if stack else "(K,)"
+        raise ValueError(f"classes must have shape {want} with K = {K}, got {classes.shape}")
+    # A class vector is short: min and max of a list beat two numpy reductions.
+    values = classes.ravel().tolist()
+    if values and not (0 <= min(values) and max(values) <= E):
+        raise ValueError(f"classes must lie in 0..{E}, got {min(values)}..{max(values)}")
+    return classes
 
 
 def _float_or_rows(values: np.ndarray):
@@ -385,7 +420,8 @@ def assignment_from_classes(i: Instance, classes) -> Assignment:
     Retrieval follows the serving rule of the chosen class only; link
     capacities are ignored here, and overloads surface in the penalty.
     """
-    x = network_tables(i.topology).onehot[np.asarray(classes)]
+    classes = _checked(classes, i.num_flows, i.topology.num_edge_clouds)
+    x = network_tables(i.topology).onehot[classes]
     z = _serving_mask(i) * x[:, None, :]
     return Assignment(x=x, z=z, y=path_links(i, z))
 
@@ -407,26 +443,30 @@ def _caching(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
     nothing adds 0 / 1 = 0), so a stack prices each row exactly as its
     own call does; an EC at or past capacity prices at _CLAMPED_SUMMAND.
     """
-    return np.where(
-        u < 1.0,
-        counts / (1.0 - np.minimum(u, 1.0 - 1e-12)),
-        counts * _CLAMPED_SUMMAND,
-    ).sum(axis=-1)
+    summands = np.divide(
+        counts,
+        np.subtract(1.0, np.minimum(u, 1.0 - 1e-12)),
+        out=np.multiply(counts, _CLAMPED_SUMMAND),
+        where=u < 1.0,
+    )
+    return np.add.reduce(summands, axis=-1)
 
 
-def _priced(i: Instance, u: np.ndarray, counts: np.ndarray, ct, load: np.ndarray, gamma: float):
-    """(caching, TC, penalty) from EC utilization u (..., E), cached
-    counts (..., E), transmission ct (...) and link load (..., L),
-    vectorized over the leading axes.
+def _priced(i: Instance, sums: np.ndarray, ct, gamma: float):
+    """(caching, TC, penalty) from the ratio sums [u | counts | load]
+    (..., 2E+L), EC utilization, cached counts and link load side by
+    side, and transmission ct (...), vectorized over the leading axes.
 
     The hinge penalizes each EC and each link by its overshoot past 1;
     the capacity verdict (_within_capacity) reads the same sums with
     1e-9 of slack, so a load in (1, 1 + 1e-9] is feasible yet priced
     above 0.
     """
-    cc = _caching(u, counts)
-    hinge = np.maximum(0.0, u - 1.0).sum(axis=-1) + np.maximum(0.0, load - 1.0).sum(axis=-1)
-    return cc, i.alpha * cc + i.beta * ct, gamma * hinge
+    E = i.ec_space.size
+    cc = _caching(sums[..., :E], sums[..., E : 2 * E])
+    over = np.maximum(sums - 1.0, 0.0)
+    hinge = np.add.reduce(over[..., :E], axis=-1) + np.add.reduce(over[..., 2 * E :], axis=-1)
+    return cc, cc * i.alpha + ct * i.beta, hinge * gamma
 
 
 def _breakdown(i, x, y, hit, miss, q, r, gamma, consistent) -> CostBreakdown:
@@ -435,7 +475,8 @@ def _breakdown(i, x, y, hit, miss, q, r, gamma, consistent) -> CostBreakdown:
     y is consistent with the routing and the priced sums fit."""
     ct = float((hit + miss).sum())
     u, load = (q * x).sum(axis=0), (r * y).sum(axis=0)
-    cc, tc, penalty = map(float, _priced(i, u, x.sum(axis=0), ct, load, gamma))
+    sums = np.concatenate((u, x.sum(axis=0), load))
+    cc, tc, penalty = map(float, _priced(i, sums, ct, gamma))
     return CostBreakdown(
         caching=cc,
         transmission=ct,

@@ -351,9 +351,9 @@ def recursive_allocate(
         classes[rows] = picked
         if start + block < i.num_flows:
             # The sums and floor of update_residual(clamp=True).
-            used_space = (size * table.onehot[picked]).sum(axis=0)
+            used_space = np.add.reduce(size * table.onehot[picked], axis=0)
             ec_space = np.maximum(ec_space - used_space, RESIDUAL_FLOOR)
-            used_bw = (bandwidth * sub.links[sub.rows, picked]).sum(axis=0)
+            used_bw = np.add.reduce(bandwidth * sub.links[sub.rows, picked], axis=0)
             link_capacity = np.maximum(link_capacity - used_bw, RESIDUAL_FLOOR)
             norm = replace(norm, clip=True)
     return table.assignment(classes)

@@ -10,7 +10,10 @@ state is a valid assignment, so the search can stop anywhere.
 A rejected substitution leaves the classes alone, so every entry up
 to the next accept is tried against the same classes: the walk prices
 the rest of the queue as one stack of one-substitution class vectors
-and moves on from the first strictly cheaper one.
+and moves on from the first strictly cheaper one.  The first stack
+carries the argmax vector as its row 0, and an accept updates the rows
+after it in place, so a queue costs accepts + 1 price calls (accepts
+alone when its last entry is accepted).
 """
 
 from __future__ import annotations
@@ -62,12 +65,16 @@ def check_delta(delta: float) -> None:
 
 
 def build_queues(O: np.ndarray, delta: float) -> CandidateQueues:
-    """Threshold the probability matrix and split it into the queues."""
+    """Threshold the probability matrix and split it into the queues.
+
+    np.nonzero lists the kept cells in (flow, class) order, so one
+    stable sort by descending probability breaks ties by (flow, class).
+    """
     best = np.argmax(O, axis=1)
     keep = O - delta > 0.0
     keep[np.arange(O.shape[0]), best] = False
     k, c = np.nonzero(keep)
-    order = np.lexsort((c, k, -O[k, c]))
+    order = np.argsort(-O[k, c], kind="stable")
     return CandidateQueues(O=O, best=best, flows=k[order], classes=c[order])
 
 
@@ -82,17 +89,20 @@ def enhance(
 
     i is an Instance, which gives an Assignment, or the ClassTable of
     the flows to place, which gives their class vector.  O has one row
-    per flow over |E|+1 classes (the last class means "leave uncached")
-    and rows summing to 1.  Each queue entry is tried once: substitute
-    it for its flow's current pick, price the class vector, and keep
-    the change only when the penalized cost strictly drops.  The
-    remaining entries are priced as one ClassTable.price stack against
-    the current classes; the first strictly cheaper one is accepted,
+    per flow over |E|+1 classes (the last class means "leave uncached"),
+    entries in [0, 1] and rows summing to 1.  Each queue entry is tried
+    once: substitute it for its flow's current pick, price the class
+    vector, and keep the change only when the penalized cost strictly
+    drops.  The remaining entries are priced as one ClassTable price
+    stack against the current classes, the first stack led by the
+    argmax vector itself; the first strictly cheaper entry is accepted,
     the ones before it are rejected with the prices a
-    one-entry-at-a-time walk computes, and the walk restarts after it.
-    So a queue costs one call per accept plus one, and the trace_path
-    rows are those of the one-entry walk.
-    The result can never cost more than the plain argmax combination.
+    one-entry-at-a-time walk computes, and the walk restarts after it
+    on the same stack, each remaining row updated in place.  So a queue
+    costs one price call per accept plus one (one fewer when its last
+    entry is accepted), and the trace_path rows are those of the
+    one-entry walk.  The result can never cost more than the plain
+    argmax combination.
     """
     check_delta(delta)
     check_gamma(gamma)
@@ -108,32 +118,44 @@ def enhance(
     # np.allclose(sums, 1.0, atol=1e-6) written out: NaN and inf fail.
     if not (np.abs(O.sum(axis=1) - 1.0) <= 1e-6 + 1e-5).all():
         raise ValueError("O rows must sum to 1")
+    if not (O.min() >= 0.0 and O.max() <= 1.0):
+        raise ValueError("O entries must lie in [0, 1]")
 
     queues = build_queues(O, delta)
-    classes = queues.best
-    tc_current = table.price(classes, gamma=gamma)
     flows, subs = queues.flows, queues.classes
+    # Row 0 is the argmax vector, row 1 + j the one-substitution vector of
+    # queue entry j; an accept leaves the rows after it to be priced next.
+    stack = np.repeat(queues.best[None, :], flows.size + 1, axis=0)
+    stack[np.arange(1, flows.size + 1), flows] = subs
+    trial = table._price(stack, gamma)
+    classes, tc_current = stack[0], float(trial[0])
 
     records = []
     step = 0
-    while step < flows.size:
-        m = flows.size - step
-        stack = np.repeat(classes[None, :], m, axis=0)
-        stack[np.arange(m), flows[step:]] = subs[step:]
-        trial = table.price(stack, gamma=gamma)
-        better = np.flatnonzero(trial < tc_current)
-        n = int(better[0]) + 1 if better.size else m
+    rest, trial = stack[1:], trial[1:]
+    while rest.size:
+        cheaper = trial < tc_current
+        first = int(cheaper.argmax())
+        found = bool(cheaper[first])
+        n = first + 1 if found else len(rest)
         if trace_path is not None:
             for j, (k, c, tc_trial) in enumerate(
                 zip(flows[step:][:n].tolist(), subs[step:][:n].tolist(), trial[:n].tolist())
             ):
-                accepted = better.size > 0 and j == n - 1
+                accepted = found and j == n - 1
                 records.append(
                     (step + j, k, c, tc_trial, tc_trial if accepted else tc_current, accepted)
                 )
-        if better.size:
-            classes, tc_current = stack[n - 1], float(trial[n - 1])
         step += n
+        if not found:
+            break
+        classes, tc_current = rest[n - 1], float(trial[n - 1])
+        rest = rest[n:]
+        if rest.size:
+            # Only column k changed; a row substituting flow k keeps its own class.
+            k = flows[step - 1]
+            rest[flows[step:] != k, k] = subs[step - 1]
+            trial = table._price(rest, gamma)
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:

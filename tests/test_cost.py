@@ -468,7 +468,9 @@ def test_stacked_price_is_exact_per_row(flows):
                 overloaded += not report.link_capacity
             for gamma in (20.0, 3.5):
                 assert_stack_is_exact(inst, stack, gamma)
-                assert_stack_is_exact(inst, stack[:1], gamma)  # N = 1
+                # PEL's last stacks are this small, and its walk can end on an empty one.
+                for n in (0, 1, 2):
+                    assert_stack_is_exact(inst, stack[:n], gamma)
     assert overfull and overloaded  # the clamp and link-hinge branches ran
 
 
@@ -595,6 +597,55 @@ def test_table_breakdown_matches_its_assignment_at_the_capacity_margin(excess):
             got = table.breakdown(classes)
             assert repr(got) == repr(cost_breakdown(inst, asg))  # a float's repr pins its bits
             assert got.feasible == check_feasibility(inst, asg).feasible == (excess < 1e-9)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", ["-1", "-E-1", "E+1"])
+def test_a_class_outside_0_to_e_is_refused(bad, where):
+    # A flat gather would read class E+1 of one flow as class 0 of the
+    # next, and a negative class from the end of the row.
+    inst = generate_instance(evaluation_topology(), 3, ranges=DATASET_RANGES, seed=[3, 0])
+    E = inst.topology.num_edge_clouds
+    classes = [0, 1, E]
+    classes[{"first": 0, "middle": 1, "last": 2}[where]] = {"-1": -1, "-E-1": -E - 1, "E+1": E + 1}[bad]
+    table = class_table(inst)
+    calls = {
+        "price": lambda c: table.price(c),
+        "price of a stack": lambda c: table.price([[0, 0, 0], c]),
+        "transmission": lambda c: table.transmission(c),
+        "assignment": lambda c: table.assignment(c),
+        "breakdown": lambda c: table.breakdown(c),
+        "assignment_from_classes": lambda c: assignment_from_classes(inst, c),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=rf"classes must lie in 0\.\.{E}"):
+            call(classes)
+            pytest.fail(name)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 1), (1, 2, 3), (3, 3, 3)])
+def test_a_class_array_of_another_shape_is_refused(shape):
+    # Only a (K,) vector, or for price and transmission an (N, K) stack:
+    # a 3-D stack would gather flow-major on the wrong axis, and a
+    # (N, 1) stack would broadcast one class to every flow.
+    inst = generate_instance(evaluation_topology(), 3, ranges=DATASET_RANGES, seed=[3, 0])
+    table = class_table(inst)
+    classes = np.zeros(shape, dtype=int)
+    calls = {
+        "price": table.price,
+        "transmission": table.transmission,
+        "assignment": table.assignment,
+        "breakdown": table.breakdown,
+        "assignment_from_classes": lambda c: assignment_from_classes(inst, c),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"classes must have shape \(K,\)"):
+            call(classes)
+            pytest.fail(name)
+    for name in ("assignment", "breakdown", "assignment_from_classes"):
+        with pytest.raises(ValueError, match=r"classes must have shape \(K,\) with K = 3"):
+            calls[name](np.zeros((2, 3), dtype=int))
+            pytest.fail(name)
 
 
 def test_single_vector_prices_are_floats():

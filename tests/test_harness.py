@@ -1,16 +1,18 @@
 import copy
+import json
 import re
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from edgecache import harness, pel
 from edgecache.cnn import CnnError, CnnModel, TrainConfig, TrainingDivergedError, _named_arrays, train
-from edgecache.cost import check_feasibility, penalized_cost
-from edgecache.baselines import gca
+from edgecache.cost import check_feasibility, class_table, penalized_cost
+from edgecache.baselines import RgcConfig, gca, rgc
 from edgecache.encoder import EncodingError, NormConfig, encode
 from edgecache.harness import (
     Corpus,
@@ -274,14 +276,12 @@ def _same_assignment(a, b):
     [(15, 5, 1e-3, 20.0), (13, 5, 1e-3, 20.0), (15, 3, 0.14, 3.5), (1, 5, 1e-3, 20.0)],
 )
 def test_recursive_allocate_matches_the_sub_instance_path(flows, block, delta, gamma):
-    # Five untrained models over the evaluation network: near-uniform
-    # rows, so PEL walks long queues, and 15 flows drive the residual
-    # ratios past the image range.  13 flows leave a short last block
+    # Untrained models give near-uniform rows, so PEL walks long queues,
+    # and 15 flows drive the residual ratios past the image range.  13 flows leave a short last block
     # padded with phantom rows; block 3 pads every block.
     topo = harness.evaluation_topology()
     norm = NormConfig.from_ranges(harness.DATASET_RANGES)
-    width = topo.num_access_routers + topo.num_edge_clouds + topo.num_links
-    models = [CnnModel((5, width), topo.num_edge_clouds + 1, request_index=k, seed=k) for k in range(5)]
+    models = _untrained_slot_models(topo)
     for seed in range(4):
         inst = generate_instance(topo, flows, ranges=harness.DATASET_RANGES, seed=[flows, seed])
         got = recursive_allocate(models, inst, block, norm, delta=delta, gamma=gamma)
@@ -315,6 +315,41 @@ def test_recursive_allocate_runs_pel_once_per_block(topo, corpus, models, monkey
     counted("build_queues")
     recursive_allocate(models, generate_instance(topo, flows, seed=3), block, corpus.norm)
     assert counts == {"enhance": calls, "build_queues": calls}
+
+
+def _untrained_slot_models(topo):
+    # Five untrained models over the evaluation network: near-uniform
+    # rows, so PEL walks long queues.
+    width = topo.num_access_routers + topo.num_edge_clouds + topo.num_links
+    return [CnnModel((5, width), topo.num_edge_clouds + 1, request_index=k, seed=k) for k in range(5)]
+
+
+def test_placements_match_the_recorded_reference():
+    # recursive_allocate (block 5) and rgc on seeded K=15 and K=5
+    # instances: classes and penalized cost bits as recorded before the
+    # flat pricing kernel (see the fixture's note).  The per-entry
+    # oracles price through the kernel under test, so only a recording
+    # catches a kernel rewrite that agrees with itself.
+    ref = json.loads((Path(__file__).parent / "data" / "placement_reference.json").read_text())
+    topo = harness.evaluation_topology()
+    norm = NormConfig.from_ranges(harness.DATASET_RANGES)
+    models = _untrained_slot_models(topo)
+    assert len(ref["cases"]) == 20
+    for case in ref["cases"]:
+        inst = generate_instance(topo, case["flows"], ranges=harness.DATASET_RANGES, seed=case["seed"])
+        got = dict(case)
+        for method, asg in (
+            ("cnn", recursive_allocate(models, inst, 5, norm)),
+            ("rgc", rgc(inst, RgcConfig(epochs=200, seed=case["seed"][1]))),
+        ):
+            got[f"{method}_labels"] = list(labels_of(asg.x))
+            got[f"{method}_tc"] = penalized_cost(inst, asg).hex()
+        # The kernel's own floats too: placements can survive a kernel
+        # that moves a last bit without flipping a decision.
+        probe = np.random.default_rng([case["flows"], case["seed"][1]])
+        stack = probe.integers(0, inst.topology.num_edge_clouds + 1, size=(8, case["flows"]))
+        got["probe_tc"] = [value.hex() for value in class_table(inst).price(stack).tolist()]
+        assert got == case, case["seed"]
 
 
 def test_recursive_allocate_degenerate_split_equals_plain(corpus, models):

@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edgecache.cost import assignment_from_classes, check_feasibility, class_table, penalized_cost
+from edgecache.cost import (
+    ClassTable,
+    assignment_from_classes,
+    check_feasibility,
+    class_table,
+    penalized_cost,
+)
 from edgecache.harness import DATASET_RANGES, evaluation_topology, labels_of
 from edgecache.instance import generate_instance, ratios
 from edgecache.pel import build_queues, enhance
@@ -229,6 +235,15 @@ def test_enhance_validates_inputs(tree_topology):
         enhance(inst, good[:1])
     with pytest.raises(ValueError):
         enhance(inst, good * 2)
+    # Rows that sum to 1 with an entry outside [0, 1].
+    for bad in ([1.5, -0.5], [-0.5, 1.5], [1.0 + 1e-9, -1e-9]):
+        O = good.copy()
+        O[1] = 0.0
+        O[1, :2] = bad
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
+            enhance(inst, O)
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
+            enhance(class_table(inst), O)
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
@@ -262,8 +277,10 @@ def test_enhance_refuses_a_nan_row(tree_topology):
 )
 def test_enhance_row_sum_verdict_matches_allclose(tree_topology, total, ok):
     inst = generate_instance(tree_topology, 2, seed=0)
+    # Two halves, so that every finite row keeps its entries in [0, 1].
     O = np.zeros((2, tree_topology.num_edge_clouds + 1))
-    O[:, 0] = [1.0, total]
+    O[:, 0] = 0.5
+    O[:, 1] = [0.5, total - 0.5]
     assert np.allclose(O.sum(axis=1), 1.0, atol=1e-6) == ok
     if ok:
         enhance(inst, O)
@@ -316,7 +333,8 @@ def test_enhance_matches_per_entry_reference(delta, gamma, crafted, tmp_path):
     topo = evaluation_topology()
     E = topo.num_edge_clouds
     rng = np.random.default_rng([11, int(delta * 1e3), int(gamma)])
-    for flows in range(1, 9):
+    # From 8 flows on, numpy sums T's rows pairwise.
+    for flows in range(1, 16):
         for seed in range(3):
             inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
             O = rng.dirichlet(np.full(E + 1, 0.5), size=flows)
@@ -337,3 +355,41 @@ def test_enhance_accepting_only_the_last_entry_matches_reference(crafted, tmp_pa
     O = np.array([[0.89, 0.11, 0.0], [1.0, 0.0, 0.0], [0.2, 0.5, 0.3]])
     rows = assert_same_enhance(inst, O, 0.001, 20.0, tmp_path)
     assert [row.split(",")[-1] for row in rows] == ["False", "False", "True"]
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3, 0.2])
+def test_enhance_prices_once_per_accept_plus_one(delta, crafted, tmp_path, monkeypatch):
+    # The first stack also prices the argmax vector, so a queue costs
+    # one price call per accept plus one, one fewer when its last entry
+    # is the accept and nothing is left to price.  The accepts are the
+    # reference walk's.
+    topo = evaluation_topology()
+    E = topo.num_edge_clouds
+    rng = np.random.default_rng([13, int(delta * 1e3)])
+    cases = [crafted, (crafted[0], np.array([[0.89, 0.11, 0.0], [1.0, 0.0, 0.0], [0.2, 0.5, 0.3]]))]
+    for flows in range(1, 16):
+        for seed in range(3):
+            inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+            cases.append((inst, rng.dirichlet(np.full(E + 1, 0.5), size=flows)))
+    calls = []
+    price = ClassTable._price
+
+    def counted(self, classes, gamma):
+        calls.append(len(classes))
+        return price(self, classes, gamma)
+
+    monkeypatch.setattr(ClassTable, "_price", counted)
+    accepted = ends_on_accept = 0
+    for inst, O in cases:
+        path = tmp_path / "reference.csv"
+        enhance_reference(inst, O, delta, 20.0, trace_path=path)
+        accepts = [row.split(",")[-1] == "True" for row in path.read_text().splitlines()[1:]]
+        last = bool(accepts) and accepts[-1]
+        calls.clear()
+        enhance(class_table(inst), O, delta=delta)
+        assert len(calls) == sum(accepts) + 1 - last
+        # The first stack is the argmax vector and the whole queue.
+        assert calls[0] == len(accepts) + 1
+        accepted += sum(accepts)
+        ends_on_accept += last
+    assert accepted > 0 and ends_on_accept > 0
