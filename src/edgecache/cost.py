@@ -200,9 +200,14 @@ def caching_cost(i: Instance, x: np.ndarray) -> float:
 
 def path_links(i: Instance, z: np.ndarray) -> np.ndarray:
     """(N, L) marks of the links on the canonical paths each z[n] (A, E) retrieves over."""
+    return _path_links(network_tables(i.topology), z)
+
+
+def _path_links(net: NetworkTables, z: np.ndarray) -> np.ndarray:
+    """path_links over the tables net of the instance's topology."""
     n = z.shape[0]
     # Path counts in float64: an int8 product wraps at 128 paths per link.
-    paths = network_tables(i.topology).incidence @ z.reshape(n, -1).T
+    paths = net.incidence @ z.reshape(n, -1).T
     return (paths > 0).T.astype(np.int8)
 
 
@@ -218,13 +223,14 @@ def _flow_hops(i: Instance, served: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return hit, miss
 
 
-def _serving_mask(i: Instance) -> np.ndarray:
-    """(K, A, E) bool: AR a retrieves flow k from EC e when e caches it.
+def _serving_mask(i: Instance, net: NetworkTables) -> np.ndarray:
+    """(K, A, E) bool: AR a retrieves flow k from EC e when e caches it,
+    net being the tables of the instance's topology.
 
     A cached flow is served wherever it may appear and the path beats
     the datacenter fallback (hops < N_T).
     """
-    return (i.mobility[:, :, None] > 0) & network_tables(i.topology).in_reach
+    return (i.mobility[:, :, None] > 0) & net.in_reach
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,7 +396,7 @@ def class_table(i: Instance) -> ClassTable:
     E = i.topology.num_edge_clouds
     net = network_tables(i.topology)
     rat = ratios(i)
-    serve = _serving_mask(i)
+    serve = _serving_mask(i, net)
     hit, miss = _flow_hops(i, (i.mobility[:, :, None] * serve)[:, None] * net.selector)
     links = np.zeros((K, E + 1, i.topology.num_links), dtype=np.int8)
     links[:, :E] = (serve.transpose(2, 0, 1) @ net.ec_incidence > 0).transpose(1, 0, 2)
@@ -421,9 +427,10 @@ def assignment_from_classes(i: Instance, classes) -> Assignment:
     capacities are ignored here, and overloads surface in the penalty.
     """
     classes = _checked(classes, i.num_flows, i.topology.num_edge_clouds)
-    x = network_tables(i.topology).onehot[classes]
-    z = _serving_mask(i) * x[:, None, :]
-    return Assignment(x=x, z=z, y=path_links(i, z))
+    net = network_tables(i.topology)
+    x = net.onehot[classes]
+    z = _serving_mask(i, net) * x[:, None, :]
+    return Assignment(x=x, z=z, y=_path_links(net, z))
 
 
 def derive_routing(i: Instance, x: np.ndarray) -> Assignment:
@@ -493,9 +500,16 @@ def cost_breakdown(
     i: Instance, asg: Assignment, gamma: float = DEFAULT_GAMMA
 ) -> CostBreakdown:
     """Full cost accounting; total everywhere, even for invalid placements."""
+    return _assignment_breakdown(i, asg, gamma, _consistent(i, asg))
+
+
+def _assignment_breakdown(
+    i: Instance, asg: Assignment, gamma: float, consistent: bool
+) -> CostBreakdown:
+    """cost_breakdown of asg, taking the verdict on y's consistency as given."""
     hit, miss = _flow_hops(i, i.mobility[:, :, None] * asg.z)
     rat = ratios(i)
-    return _breakdown(i, asg.x, asg.y, hit, miss, rat.q, rat.r, gamma, _consistent(i, asg))
+    return _breakdown(i, asg.x, asg.y, hit, miss, rat.q, rat.r, gamma, consistent)
 
 
 def total_cost(
@@ -511,8 +525,12 @@ def total_cost(
 
 
 def penalized_cost(i: Instance, asg: Assignment, gamma: float = DEFAULT_GAMMA) -> float:
-    """Penalized total TC_N: finite for every assignment."""
-    return cost_breakdown(i, asg, gamma=gamma).penalized_total
+    """Penalized total TC_N: finite for every assignment.
+
+    The total does not read the feasibility verdict, so y's consistency
+    with z goes unchecked: its path product would be discarded.
+    """
+    return _assignment_breakdown(i, asg, gamma, consistent=False).penalized_total
 
 
 def check_feasibility(i: Instance, asg: Assignment) -> FeasibilityReport:

@@ -10,8 +10,11 @@ bandwidth 1-10 Mbps, link capacity 50-100 Mbps.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,13 +140,46 @@ def check_generation(num_flows: int, ranges: ParameterRanges) -> None:
     ranges.validate()
 
 
+def _sample_without_replacement(rng: np.random.Generator, p: list[float], size: int) -> list[int]:
+    """size distinct indices of p drawn with probabilities p: the indices
+    of rng.choice(len(p), size, replace=False, p=p), in its order and from
+    the same draws, so rng ends in the same state.
+
+    numpy's algorithm, on Python floats: each round draws one uniform per
+    index still missing, maps it through the running-sum CDF of the
+    weights (over its last entry) with bisect_right, and keeps each
+    index's first occurrence in the round; the found weights then drop
+    to zero for the next round.
+    """
+    weights = list(p)
+    found: list[int] = []
+    while len(found) < size:
+        draws = rng.random(size - len(found)).tolist()
+        for j in found:
+            weights[j] = 0.0
+        cdf = list(itertools.accumulate(weights))
+        total = cdf[-1]
+        cdf = [c / total for c in cdf]
+        new: list[int] = []
+        for x in draws:
+            j = bisect.bisect_right(cdf, x)
+            if j not in new:
+                new.append(j)
+        found += new
+    return found
+
+
 def generate_instance(
     t: Topology,
     num_flows: int,
     ranges: ParameterRanges = ParameterRanges(),
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> Instance:
     """Draw a random instance; deterministic for a fixed seed.
+
+    seed is anything np.random.default_rng takes, an int or a sequence
+    of ints; the corpus writers pass [seed, idx], so that instance idx
+    of a corpus does not depend on the others.
 
     Each flow's mobility is concentrated on a small random subset of
     ARs (weights from a flat Dirichlet), then scaled by a random total
@@ -162,10 +198,11 @@ def generate_instance(
         popularity = popularity + 1e-9
     else:
         popularity = np.full(A, 1.0 / A)
+    p = (popularity / popularity.sum()).tolist()
     mobility = np.zeros((num_flows, A))
     for k in range(num_flows):
         support = int(rng.integers(lo, hi + 1))
-        ars = rng.choice(A, size=support, replace=False, p=popularity / popularity.sum())
+        ars = _sample_without_replacement(rng, p, support)
         weights = rng.dirichlet(np.ones(support))
         presence = rng.uniform(*ranges.presence)
         mobility[k, ars] = weights * presence

@@ -378,6 +378,39 @@ def test_penalized_never_below_total(tree_topology):
             assert bd.penalty == 0.0
 
 
+@pytest.mark.parametrize("flows", [3, 8, 15])
+def test_penalized_cost_is_the_breakdown_total_bit_for_bit(flows):
+    # penalized_cost skips the consistency check of y that cost_breakdown
+    # runs for its verdict; the total must not move, even when y is wrong.
+    topo = evaluation_topology()
+    rng = np.random.default_rng([flows, 31])
+    E = topo.num_edge_clouds
+    for seed in range(6):
+        inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, seed])
+        asg = assignment_from_classes(inst, rng.integers(0, E + 1, size=flows))
+        flipped = asg.y.copy()
+        flipped[rng.integers(flows), rng.integers(topo.num_links)] ^= 1
+        for a in (asg, Assignment(x=asg.x, z=asg.z, y=flipped)):
+            bd = cost_breakdown(inst, a, gamma=7.5)
+            assert penalized_cost(inst, a, gamma=7.5).hex() == bd.penalized_total.hex()
+        assert not cost_breakdown(inst, Assignment(x=asg.x, z=asg.z, y=flipped)).feasible
+
+
+def test_assignment_from_classes_looks_the_network_tables_up_once(tree_topology, monkeypatch):
+    inst = generate_instance(tree_topology, 5, seed=3)
+    want = assignment_from_classes(inst, [0, 1, 2, 6, 3])
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return network_tables(t)
+
+    monkeypatch.setattr(costmod, "network_tables", counted)
+    got = assignment_from_classes(inst, [0, 1, 2, 6, 3])
+    assert len(calls) == 1
+    assert _same_bytes(got, want)
+
+
 @pytest.mark.parametrize("resource", ["ec", "link"])
 @pytest.mark.parametrize("excess, feasible", [(5e-10, True), (2e-9, False)])
 def test_capacity_verdict_allows_1e9_of_slack_on_the_priced_sums(resource, excess, feasible):

@@ -5,6 +5,7 @@ import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from edgecache.harness import (
     split_counts,
     train_models,
 )
-from edgecache.instance import generate_instance, save_instance
+from edgecache.instance import generate_instance, load_instance, save_instance
 from edgecache.solver import solve_exact
 from edgecache.topology import TopologyConfig, build_topology, save_topology
 
@@ -79,6 +80,62 @@ def test_corpus_round_trip(corpus):
     assert back.flows == corpus.flows
     assert back.samples == corpus.samples
     assert back.norm.q_max == corpus.norm.q_max
+
+
+INSTANCE_ARRAYS = ("mobility", "content_size", "bandwidth", "ec_space", "link_capacity")
+
+
+def _count_loads(monkeypatch) -> list:
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_instance(path)
+
+    monkeypatch.setattr(harness, "load_instance", counted)
+    return loads
+
+
+def test_built_corpus_holds_what_it_wrote(corpus, monkeypatch):
+    # The held copy is the instance as written: what load_instance reads
+    # back from its file, array bytes, dtypes and all.
+    assert sorted(corpus.instances) == sorted(s.file for s in corpus.samples)
+    for s in corpus.samples:
+        held, disk = corpus.instances[s.file], load_instance(corpus.root / s.file)
+        for name in INSTANCE_ARRAYS:
+            a, b = getattr(held, name), getattr(disk, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert held.topology == disk.topology
+        assert (held.alpha, held.beta) == (disk.alpha, disk.beta)
+    loads = _count_loads(monkeypatch)
+    assert all(corpus.load(s) is corpus.instances[s.file] for s in corpus.samples)
+    assert loads == []
+    back = load_corpus(corpus.root)
+    assert back == corpus and back.instances == {}
+    back.load(corpus.samples[0])
+    assert loads == [corpus.root / corpus.samples[0].file]
+
+
+def test_load_corpus_sees_an_edit_made_after_the_build(topo, tmp_path):
+    built = build_dataset(topo, n=3, flows=2, seed=4, out_dir=tmp_path)
+    sample = built.samples[1]
+    written = built.load(sample)
+    save_instance(replace(written, alpha=0.125), tmp_path / sample.file)
+    assert load_corpus(tmp_path).load(sample).alpha == 0.125
+    assert built.load(sample) is written and written.alpha != 0.125
+
+
+def test_evaluate_loads_each_sample_once(corpus, models, monkeypatch):
+    # Each sample of the split is read once for all methods, and a corpus
+    # read from disk scores byte for byte as the one build_dataset held.
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    methods = ("optimal", "cnn", "gca", "rgc")
+    held = evaluate(corpus, models=models, methods=methods, rgc_epochs=40)
+    loads = _count_loads(monkeypatch)
+    disk = evaluate(load_corpus(corpus.root), models=models, methods=methods, rgc_epochs=40)
+    assert sorted(loads) == sorted(corpus.root / s.file for s in corpus.of_split("test"))
+    assert disk.summary_csv() == held.summary_csv()
+    assert disk.detail_csv() == held.detail_csv()
 
 
 def test_stored_labels_resolve_to_identical_cost(corpus):

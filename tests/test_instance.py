@@ -1,13 +1,17 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from edgecache.harness import DATASET_RANGES, evaluation_topology
 from edgecache.instance import (
     Instance,
     InstanceError,
     ParameterRanges,
+    _sample_without_replacement,
     generate_instance,
     load_instance,
     ratios,
@@ -54,6 +58,49 @@ def test_corpus_scan_stays_in_range(topo):
     assert lo["w"] >= 100 and hi["w"] <= 500
     assert lo["b"] >= 1 and hi["b"] <= 10
     assert lo["c"] >= 50 and hi["c"] <= 100
+
+
+def test_sampler_matches_numpy_weighted_choice():
+    # The sampler must return numpy's indices from numpy's draws: the
+    # same ARs, and the generator left where rng.choice leaves it.
+    cases = np.random.default_rng(2024)
+    for case in range(10_000):
+        A = int(cases.integers(2, 13))
+        size = int(cases.integers(1, A + 1))
+        if case % 10 == 0:  # ar_crowding=None
+            popularity = np.full(A, 1.0 / A)
+        else:
+            concentration = float(np.exp(cases.uniform(np.log(0.05), np.log(5.0))))
+            popularity = cases.dirichlet(np.full(A, concentration)) + 1e-9
+        p = popularity / popularity.sum()
+        ours, theirs = np.random.default_rng([case, 1]), np.random.default_rng([case, 1])
+        want = theirs.choice(A, size=size, replace=False, p=p).tolist()
+        assert _sample_without_replacement(ours, p.tolist(), size) == want, case
+        assert ours.random() == theirs.random(), case
+
+
+def _instance_digest(topo, flows: int, seed: int, count: int) -> str:
+    h = hashlib.sha256()
+    for j in range(count):
+        inst = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[seed, j])
+        for name in ("mobility", "content_size", "bandwidth", "ec_space", "link_capacity"):
+            arr = getattr(inst, name)
+            h.update(arr.dtype.str.encode())
+            h.update(arr.tobytes())
+        h.update(float(inst.alpha).hex().encode() + float(inst.beta).hex().encode())
+    return h.hexdigest()
+
+
+def test_benchmark_instance_sets_match_the_recorded_digests():
+    # The benchmark's and the acceptance suite's instance sets, hashed
+    # array by array as recorded before the in-package sampler: any
+    # drift in generation shows here (see the fixture's note).
+    ref = json.loads((Path(__file__).parent / "data" / "instance_digests.json").read_text())
+    topo = evaluation_topology()
+    assert len(ref["sets"]) == 6
+    for entry in ref["sets"]:
+        got = _instance_digest(topo, entry["flows"], entry["seed"], entry["count"])
+        assert got == entry["sha256"], entry["name"]
 
 
 def test_rejects_zero_flows(topo):
