@@ -27,20 +27,21 @@ from edgecache.harness import (
 from edgecache.pel import build_queues
 
 topo = evaluation_topology()
-workdir = Path(tempfile.mkdtemp(prefix="edgecache-demo-"))
-corpus = build_dataset(topo, n=60, flows=5, seed=11, out_dir=workdir, train_fraction=0.9)
-print(f"labelled corpus: {len(corpus.of_split('train'))} train / "
-      f"{len(corpus.of_split('test'))} test instances")
+with tempfile.TemporaryDirectory(prefix="edgecache-demo-") as workdir:
+    corpus = build_dataset(topo, n=60, flows=5, seed=11, out_dir=Path(workdir),
+                           train_fraction=0.9)
+    print(f"labelled corpus: {len(corpus.of_split('train'))} train / "
+          f"{len(corpus.of_split('test'))} test instances")
 
-models, traces = train_models(corpus, epochs=10, batch_size=16, seed=0, workers=5)
-print("training losses (first -> last):",
-      ", ".join(f"{t[0]:.2f}->{t[-1]:.2f}" for t in traces))
+    models, traces = train_models(corpus, epochs=10, batch_size=16, seed=0, workers=5)
+    print("training losses (first -> last):",
+          ", ".join(f"{t[0]:.2f}->{t[-1]:.2f}" for t in traces))
 
-sample = corpus.of_split("test")[0]
-inst = corpus.load(sample)
-O = predict_all(models, encode(inst, corpus.norm))
-print("\npredicted probabilities (rows = requests, last column = leave uncached):")
-print(np.array2string(O, precision=3, suppress_small=True))
+    sample = corpus.of_split("test")[0]
+    inst = corpus.load(sample)
+    O = predict_all(models, encode(inst, corpus.norm))
+    print("\npredicted probabilities (rows = requests, last column = leave uncached):")
+    print(np.array2string(O, precision=3, suppress_small=True))
 
 queues = build_queues(O, delta=0.001)
 print("\nconfident picks:", [(k, c, round(p, 3)) for k, c, p in queues.omega])

@@ -22,8 +22,7 @@ per-parameter steps (Adam) on the cross-entropy.
 `train_steps` yields after each step, so `harness.train_models` can
 interleave the slot models' steps on its worker threads; each layer
 drops its forward cache in backward, so a model between steps holds
-no activations (a thread keeps its free im2col buffers for its next
-step), and results do not depend on the interleaving.
+no activations, and results do not depend on the interleaving.
 
 Inference (`predict_all`, and `forward` for one model) is one stacked
 pass over the slot models: the image's im2col is built once and each
@@ -49,7 +48,6 @@ import copy
 import itertools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,47 +102,19 @@ def softmax_cross_entropy(
     return loss, probs, grad / n
 
 
-def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _im2col(x: np.ndarray) -> np.ndarray:
     """Patches of a 3x3 same-padded convolution: (n, h, w, cin) ->
     (n, h, w, 9*cin), tap (row offset, column offset) major, channel
-    minor, written into out when given.  One padded copy, then one
-    gather of the window view."""
+    minor.  One padded copy, then one gather of the window view into a
+    new C-contiguous array, which Conv3x3.backward overwrites in place:
+    a reshape of the view is itself a read-only view at width 1."""
     n, h, w, cin = x.shape
     xp = np.zeros((n, h + 2, w + 2, cin), x.dtype)
     xp[:, 1 : h + 1, 1 : w + 1, :] = x
     windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (n, h, w, cin, 3, 3)
-    patches = windows.transpose(0, 1, 2, 4, 5, 3)
-    if out is None:
-        return patches.reshape(n, h, w, 9 * cin)
-    np.copyto(out.reshape(n, h, w, 3, 3, cin), patches)
-    return out
-
-
-class _FreePatches(threading.local):
-    """A thread's free im2col buffers, at most one per patch width.
-
-    Conv3x3.forward takes its patch buffer here and backward gives it
-    back, so training steps that follow one another on a thread reuse
-    the same memory instead of freeing their largest arrays each step,
-    which the allocator hands back to the OS and the next step faults
-    in again.  A buffer of another batch size or dtype is dropped, not
-    kept.
-    """
-
-    def __init__(self):
-        self.by_width: dict[int, np.ndarray] = {}
-
-    def take(self, shape: tuple, dtype) -> np.ndarray:
-        buf = self.by_width.pop(shape[-1], None)
-        if buf is not None and buf.shape == shape and buf.dtype == dtype:
-            return buf
-        return np.empty(shape, dtype)
-
-    def give(self, buf: np.ndarray) -> None:
-        self.by_width[buf.shape[-1]] = buf
-
-
-_free_patches = _FreePatches()
+    cols = np.empty((n, h, w, 9 * cin), x.dtype)
+    np.copyto(cols.reshape(n, h, w, 3, 3, cin), windows.transpose(0, 1, 2, 4, 5, 3))
+    return cols
 
 
 # Tap offset d in 0..2 reads input pixel i + d - 1 for output pixel i:
@@ -170,7 +140,7 @@ class Conv3x3:
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n, h, w, cin = x.shape
-        cols = _im2col(x, _free_patches.take((n, h, w, 9 * cin), x.dtype))
+        cols = _im2col(x)
         wmat = self.params["w"].reshape(9 * cin, -1)
         out = cols.reshape(-1, 9 * cin) @ wmat
         out += self.params["b"]
@@ -178,12 +148,12 @@ class Conv3x3:
         return out.reshape(n, h, w, -1)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
-        """Fill grads, drop the forward cache and give its patch buffer
-        back; return dL/dx, or None when input_grad is false.  dcols is
-        computed into the patch buffer, which the weight gradient was
-        the last to read.  Tap t of dcols is added into the gradient at
-        the input pixels it read, taps in im2col order from a zero
-        start: the order of summing into the padded gradient."""
+        """Fill grads and drop the forward cache; return dL/dx, or None
+        when input_grad is false.  dcols is computed into the patches,
+        which the weight gradient was the last to read.  Tap t of dcols
+        is added into the gradient at the input pixels it read, taps in
+        im2col order from a zero start: the order of summing into the
+        padded gradient."""
         cols, (n, h, w, cin) = self._cache
         self._cache = None
         cout = dout.shape[-1]
@@ -197,7 +167,6 @@ class Conv3x3:
             dx = np.zeros((n, h, w, cin), dout.dtype)
             for t, ((xi, oi), (xj, oj)) in enumerate(itertools.product(_TAP_SPANS, repeat=2)):
                 dx[:, xi, xj] += cols[:, oi, oj, t * cin : (t + 1) * cin]
-        _free_patches.give(cols)
         return dx
 
 
@@ -316,6 +285,11 @@ class TrainConfig:
     num_classes: int = 0  # |E| + 1; required
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed", "request_index", "num_classes"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise CnnError(f"{name} {getattr(self, name)} must be an integer") from None
         if self.epochs < 1 or self.batch_size < 1:
             raise CnnError(f"epochs {self.epochs} and batch_size {self.batch_size} must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -474,15 +448,12 @@ def _infer(models: SlotModels, x: np.ndarray) -> np.ndarray:
     own Conv3x3 would use), batch norm and ReLU work in place on
     (K, h, w*cout) rows in the layers' own order, and the dense layer
     is one batched matmul.  So each row is bit-equal to that model's
-    logits(x, train=False).  The patches go into the thread's free
-    im2col buffers, as in training, so a call allocates none.
+    logits(x, train=False).
     """
     K = len(models)
     for weights, bias, mean, ivar, scale, shift in models._convs:
         n, h, w, cin = x.shape
-        cols = _im2col(x, _free_patches.take((n, h, w, 9 * cin), x.dtype))
-        x = np.matmul(cols.reshape(n, h * w, 9 * cin), weights).reshape(K, h, -1)
-        _free_patches.give(cols)
+        x = np.matmul(_im2col(x).reshape(n, h * w, 9 * cin), weights).reshape(K, h, -1)
         x += bias
         x -= mean
         x *= ivar
@@ -501,16 +472,13 @@ def _stack_samples(samples, request_index: int):
 
 
 def train(samples, cfg: TrainConfig):
-    """Fit one per-request model; returns (model, per-epoch loss trace).
-    The calling thread's free patch buffers are released at the end."""
+    """Fit one per-request model; returns (model, per-epoch loss trace)."""
     steps = train_steps(samples, cfg)
     try:
         while True:
             next(steps)
     except StopIteration as done:
         return done.value
-    finally:
-        _free_patches.by_width.clear()
 
 
 def train_steps(samples, cfg: TrainConfig):

@@ -365,9 +365,13 @@ class ClassTable:
 
 def _checked(classes, K: int, E: int, stack: bool = False) -> np.ndarray:
     """classes as a (K,) array, or with stack also an (N, K) one,
-    refusing any other shape and a class outside 0..E: a flat gather
-    would read class E+1 of flow k as class 0 of flow k+1."""
+    refusing any other shape, a dtype that is not integer (a bool
+    vector would be read as classes 1 and 0) and a class outside 0..E:
+    a flat gather would read class E+1 of flow k as class 0 of flow
+    k+1."""
     classes = np.asarray(classes)
+    if classes.dtype.kind not in "iu":
+        raise ValueError(f"classes must be integers, got dtype {classes.dtype}")
     if classes.ndim not in ((1, 2) if stack else (1,)) or classes.shape[-1] != K:
         want = "(K,) or (N, K)" if stack else "(K,)"
         raise ValueError(f"classes must have shape {want} with K = {K}, got {classes.shape}")

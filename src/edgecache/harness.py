@@ -227,9 +227,14 @@ def train_models(
     and Adam state, so results do not depend on workers.  A slot's
     error stops every thread after its current step and is raised here.
     """
+    # workers and the settings every slot shares are checked before the
+    # corpus loads.
+    try:
+        operator.index(workers)
+    except TypeError:
+        raise ValueError(f"workers must be an integer, got {workers}") from None
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    # The settings every slot shares are checked before the corpus loads.
     cnnmod.TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=learning_rate, seed=seed)
     samples = corpus_training_samples(corpus, "train")
     if not samples:

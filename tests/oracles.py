@@ -601,13 +601,12 @@ def infer_reference(models, x):
 # exported text back must give lpfile.milp_model term for term.
 
 
-def im2col_reference(x, out=None):
+def im2col_reference(x):
     """3x3 same-padded patches by the nine shifted slices, one tap at a
-    time: (n, h, w, cin) -> (n, h, w, 9*cin) in x's dtype, written into
-    out when given."""
+    time: (n, h, w, cin) -> (n, h, w, 9*cin) in x's dtype."""
     n, h, w, cin = x.shape
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    cols = np.empty((n, h, w, 9 * cin), x.dtype) if out is None else out
+    cols = np.empty((n, h, w, 9 * cin), x.dtype)
     idx = 0
     for di in range(3):
         for dj in range(3):

@@ -127,6 +127,19 @@ def test_im2col_matches_nine_slice_reference(shape):
     assert np.array_equal(cnn._im2col(x), im2col_reference(x))
 
 
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_im2col_returns_a_writeable_array_of_its_own(n, width):
+    # Conv3x3.backward computes dcols into the patches in place: a view
+    # (a plain reshape of the window view is one at width 1) would take
+    # the write into a copy, or refuse it, and dx would read stale taps.
+    x = np.random.default_rng(width).normal(size=(n, 3, width, 2)).astype(np.float32)
+    cols = cnn._im2col(x)
+    assert cols.flags.c_contiguous and cols.flags.writeable
+    assert not np.shares_memory(cols, x)
+    assert np.array_equal(cols, im2col_reference(x))
+
+
 def test_training_with_reference_im2col_is_bit_equal(image, norm, monkeypatch, multi_stage_training):
     t = build_topology(TopologyConfig(branching=2, depth=3))
     samples = [
@@ -401,7 +414,8 @@ def test_training_rejects_mixed_shapes(image, norm):
     "field,value",
     [("epochs", 0), ("batch_size", 0), ("batch_size", -1), ("learning_rate", 0.0),
      ("learning_rate", -1e-3), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-     ("seed", -1), ("request_index", -1)],
+     ("seed", -1), ("request_index", -1), ("epochs", 2.5), ("batch_size", 1.5),
+     ("seed", 1.5), ("request_index", 0.5), ("num_classes", 8.5)],
 )
 def test_train_config_rejects_bad_numbers(field, value):
     TrainConfig(epochs=1, batch_size=1, learning_rate=1e-3, num_classes=8)

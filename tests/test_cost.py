@@ -633,25 +633,36 @@ def test_table_breakdown_matches_its_assignment_at_the_capacity_margin(excess):
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-@pytest.mark.parametrize("bad", ["-1", "-E-1", "E+1"])
+@pytest.mark.parametrize("bad", ["-1", "-E-1", "E+1", "float", "bool"])
 def test_a_class_outside_0_to_e_is_refused(bad, where):
     # A flat gather would read class E+1 of one flow as class 0 of the
-    # next, and a negative class from the end of the row.
+    # next, and a negative class from the end of the row.  A float or
+    # bool vector is refused by its dtype, though its values lie in
+    # 0..E: a bool one would be read as classes 1 and 0.
     inst = generate_instance(evaluation_topology(), 3, ranges=DATASET_RANGES, seed=[3, 0])
     E = inst.topology.num_edge_clouds
     classes = [0, 1, E]
-    classes[{"first": 0, "middle": 1, "last": 2}[where]] = {"-1": -1, "-E-1": -E - 1, "E+1": E + 1}[bad]
+    at = {"first": 0, "middle": 1, "last": 2}[where]
+    if bad == "float":
+        classes[at] = float(classes[at])
+        match = "classes must be integers, got dtype float64"
+    elif bad == "bool":
+        classes = np.arange(3) == at
+        match = "classes must be integers, got dtype bool"
+    else:
+        classes[at] = {"-1": -1, "-E-1": -E - 1, "E+1": E + 1}[bad]
+        match = rf"classes must lie in 0\.\.{E}"
     table = class_table(inst)
     calls = {
         "price": lambda c: table.price(c),
-        "price of a stack": lambda c: table.price([[0, 0, 0], c]),
+        "price of a stack": lambda c: table.price([np.zeros_like(c), c]),
         "transmission": lambda c: table.transmission(c),
         "assignment": lambda c: table.assignment(c),
         "breakdown": lambda c: table.breakdown(c),
         "assignment_from_classes": lambda c: assignment_from_classes(inst, c),
     }
     for name, call in calls.items():
-        with pytest.raises(ValueError, match=rf"classes must lie in 0\.\.{E}"):
+        with pytest.raises(ValueError, match=match):
             call(classes)
             pytest.fail(name)
 

@@ -32,12 +32,15 @@ DEMOS = [
 @pytest.mark.parametrize(
     "demo,args,needs", DEMOS, ids=[f"{demo}-{needs}" for demo, _, needs in DEMOS]
 )
-def test_demo_exits_cleanly(demo, args, needs):
+def test_demo_exits_cleanly(demo, args, needs, tmp_path):
+    # With TMPDIR pointed at an empty directory, a demo that leaves a
+    # temporary file or directory behind shows it there.
     if needs:
         pytest.importorskip(needs)
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmp_path.iterdir()), sorted(p.name for p in tmp_path.iterdir())

@@ -253,14 +253,33 @@ def test_bad_training_input_is_refused_before_any_thread(corpus, monkeypatch):
         train_models(corpus, epochs=1, workers=2)
 
 
-def test_a_negative_seed_is_refused_before_the_corpus_loads(corpus, monkeypatch):
+@pytest.fixture
+def corpus_must_not_load(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the corpus was loaded or a training thread started")
 
     monkeypatch.setattr(harness, "corpus_training_samples", fail)
     monkeypatch.setattr(harness, "ThreadPoolExecutor", fail)
+
+
+def test_a_negative_seed_is_refused_before_the_corpus_loads(corpus, corpus_must_not_load):
     with pytest.raises(CnnError, match="seed -1 must be >= 0"):
         train_models(corpus, epochs=1, seed=-1, workers=2)
+
+
+@pytest.mark.parametrize(
+    "setting,error,match",
+    [({"epochs": 2.5}, CnnError, "epochs 2.5 must be an integer"),
+     ({"batch_size": 1.5}, CnnError, "batch_size 1.5 must be an integer"),
+     ({"seed": 1.5}, CnnError, "seed 1.5 must be an integer"),
+     ({"workers": 1.5}, ValueError, "workers must be an integer, got 1.5")],
+    ids=["epochs", "batch_size", "seed", "workers"],
+)
+def test_a_non_integer_setting_is_refused_before_the_corpus_loads(
+    corpus, corpus_must_not_load, setting, error, match
+):
+    with pytest.raises(error, match=match):
+        train_models(corpus, **{"epochs": 1, "workers": 2, **setting})
 
 
 @pytest.mark.parametrize("workers", [0, -1])
