@@ -36,7 +36,7 @@ from .instance import (
     save_instance,
 )
 from .pel import DEFAULT_DELTA
-from .solver import DEFAULT_NODE_BUDGET, solve_exact
+from .solver import DEFAULT_NODE_BUDGET, check_budget, solve_exact
 from .topology import Topology, TopologyConfig, build_topology, load_topology, save_topology
 
 CORPUS_FORMAT = "edgecache-corpus"
@@ -133,8 +133,7 @@ def build_dataset(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0 <= train_fraction <= 1:
         raise ValueError(f"train_fraction must be in [0, 1], got {train_fraction}")
-    if budget < 1:  # solve_exact refuses it too, but only after the corpus directory exists
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_budget(budget)  # solve_exact checks it too, but only after the corpus directory exists
     check_generation(flows, ranges)
     root = Path(out_dir)
     (root / "instances").mkdir(parents=True, exist_ok=True)

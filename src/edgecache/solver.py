@@ -29,19 +29,24 @@ overloaded links can keep their greedy routing without loss).
 Each node carries its link loads down the tree with its storage state:
 the greedy loads of the flows branched above it, summed in branch order,
 built from its parent's on first use, so a search-bound proof builds
-few.  A leaf adds the last flow without building a state.  Branch-order
-sums can differ from flow-order ones in the last bits, so a link loaded
-within 1e-6 of 1 is re-summed in flow order before the overload test;
-every decision is the one the flow-order sums give.
+few.  The last level (_evaluate_leaves) reads its state once and judges
+each of its leaves in one loop, with no call and no state of the leaf's
+own: it adds the last flow's loads, and prices a leaf that overloads no
+link at once.  Branch-order sums can differ from flow-order ones in the
+last bits, so a link loaded within 1e-6 of 1 is re-summed in flow order
+before the overload test; every decision is the one the flow-order sums
+give.
 
 The link state also holds the (link bitmask, serving-AR count) pairs of
-its flows, and one test, _over_cap, reads off them whether the flows on
-a set of links have more than REASSIGNMENT_CAP serving subsets, past
-which a leaf gives up.  The parent of leaves settles that once for all
-its children: a link that the flows above it load past 1 + 1e-6 ends
-overloaded at every leaf, and the last flow can only add a pair.  So
-when the pairs on those links pass the cap, each child that survives
-the bound is counted as a cap hit without being evaluated.
+its flows, and the serving subsets of the flows on a set of links are
+counted off them: past REASSIGNMENT_CAP a leaf gives up.  The last
+level settles that once for all its leaves: a link that the flows above
+them load past 1 + 1e-6 ends overloaded at every leaf, and the last
+flow can only add a pair.  So when the pairs on those links pass the
+cap, each leaf that survives the bound is counted as a cap hit without
+being judged.  Otherwise an overloaded leaf counts the pairs on its own
+overloaded links, its own pair included, and only a leaf under the cap
+re-serves its flows.
 """
 
 from __future__ import annotations
@@ -169,11 +174,9 @@ class _Search:
         self.best_serving: dict[int, tuple[int, ...]] = {}
 
     def _descend(self, depth, choices, counts, util, placed_t, stored, cell):
-        """stored carries the caching sum of counts/util down the tree, cell the link state."""
-        if depth == self.K:
-            self.leaves += 1
-            self._evaluate_leaf(choices, counts, util, placed_t, self._links(cell))
-            return
+        """stored carries the caching sum of counts/util down the tree, cell
+        the link state.  The last level's children are leaves, and
+        _evaluate_leaves tries them."""
         k = self.order[depth]
         alpha, beta, E = self.alpha, self.beta, self.E
         q, t, bt = self.q[k], self.t[k], self.bt[k]
@@ -197,42 +200,36 @@ class _Search:
                 children.append((key, e, step))
         children.sort()
 
-        last = depth == self.K - 1
-        doomed = None  # the last level's cap verdict, settled at its first surviving child
-        for key, c, step in children:
-            if key > cut:  # so is every later key: all fail the bound
-                break
-            untried -= 1
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise _Budget
-            new_placed = placed_t + t[c]
-            if alpha * (stored + step) + beta * new_placed + rest >= self.best_tc - _IMPROVE_EPS:
-                self.bound_prunes += 1
-                continue
-            if last:
-                if doomed is None:
-                    links = self._links(cell)
-                    # The links in sure stay overloaded at every leaf (see
-                    # _RECHECK) and the last flow can only add a pair.
-                    doomed = self._over_cap(links[3], links[2])
-                if doomed:  # the leaf would give up at REASSIGNMENT_CAP
-                    self.leaves += 1
-                    self.overloaded_leaves += 1
-                    self.cap_hits += 1
-                    self.doomed_leaves += 1
+        if depth == self.K - 1:
+            untried -= self._evaluate_leaves(
+                children, base, choices, counts, util, placed_t, stored, cell
+            )
+        else:
+            for key, c, step in children:
+                if key > cut:  # so is every later key: all fail the bound
+                    break
+                untried -= 1
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    raise _Budget
+                new_placed = placed_t + t[c]
+                bound = alpha * (stored + step) + beta * new_placed + rest
+                if bound >= self.best_tc - _IMPROVE_EPS:
+                    self.bound_prunes += 1
                     continue
-            if c == E:  # uncached: storage untouched
-                new_counts, new_util = counts, util
-            else:
-                new_counts = counts.copy()
-                new_util = util.copy()
-                new_counts[c] += 1
-                new_util[c] += q[c]
-            choices[k] = c
-            down = cell if last else [None, cell, k, c]  # a leaf reads its parent's state
-            self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step, down)
-            cut = self.best_tc - _IMPROVE_EPS + _SLACK - base
+                if c == E:  # uncached: storage untouched
+                    new_counts, new_util = counts, util
+                else:
+                    new_counts = counts.copy()
+                    new_util = util.copy()
+                    new_counts[c] += 1
+                    new_util[c] += q[c]
+                choices[k] = c
+                self._descend(
+                    depth + 1, choices, new_counts, new_util, new_placed, stored + step,
+                    [None, cell, k, c],
+                )
+                cut = self.best_tc - _IMPROVE_EPS + _SLACK - base
         # The children left untested count as tried, up to the budget.
         self.nodes += untried
         self.bound_prunes += untried
@@ -240,6 +237,99 @@ class _Search:
             self.bound_prunes -= self.nodes - self.budget
             self.nodes = self.budget + 1
             raise _Budget
+
+    def _evaluate_leaves(self, children, base, choices, counts, util, placed_t, stored, cell):
+        """Try the last level's sorted children, which are leaves, as
+        _descend tries its own, and return how many were tried.  The
+        node's link state is read once, at the first leaf that passes the
+        bound.  Each leaf adds the last flow's loads to it and judges
+        every link on flow-order sums (see _RECHECK).  A leaf that
+        overloads no link keeps its greedy routing and is priced at once.
+        An overloaded one gives up past REASSIGNMENT_CAP and otherwise
+        re-serves the flows on its overloaded links (_cheapest_serving)."""
+        k = self.order[-1]
+        alpha, beta, E = self.alpha, self.beta, self.E
+        q, t, rk, masks, serve = self.q[k], self.t[k], self.r[k], self.masks[k], self.serve_count[k]
+        best = self.best_tc - _IMPROVE_EPS
+        cut = best + _SLACK - base
+        tried = 0
+        state = None
+        for key, c, step in children:
+            if key > cut:  # so is every later key: all fail the bound
+                break
+            tried += 1
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise _Budget
+            new_placed = placed_t + t[c]
+            # No flow is left unplaced: the bound's rest is 0.
+            if alpha * (stored + step) + beta * new_placed >= best:
+                self.bound_prunes += 1
+                continue
+            self.leaves += 1
+            if state is None:
+                load, near_above, sure, pairs = state = self._links(cell)
+                # The links in sure stay overloaded at every leaf (see
+                # _RECHECK) and the last flow can only add a pair.
+                doomed = 1 << sum(n for m, n in pairs if m & sure) > REASSIGNMENT_CAP
+            if doomed:  # the leaf would give up at REASSIGNMENT_CAP
+                self.overloaded_leaves += 1
+                self.cap_hits += 1
+                self.doomed_leaves += 1
+                continue
+            choices[k] = c
+            mask = masks[c]
+            near, over = near_above, sure
+            for l, bit in _bits(mask):
+                v = load[l] + rk[l]
+                if v > 1.0 - _RECHECK:
+                    near |= bit
+                    if v >= 1.0 + _RECHECK:
+                        over |= bit
+            band = near & ~over
+            while band:
+                bit = band & -band
+                band ^= bit
+                l = bit.bit_length() - 1
+                self.flow_order_rechecks += 1
+                v = 0.0
+                for j, cj in enumerate(choices):
+                    if self.masks[j][cj] & bit:
+                        v += self.r[j][l]
+                if v > _OVERLOAD:
+                    over |= bit
+
+            extra, serving = 0.0, {}
+            if over:
+                self.overloaded_leaves += 1
+                # The serving subsets of the flows on the overloaded links.
+                n = serve[c] if mask & over else 0
+                for m, count in pairs:
+                    if m & over:
+                        n += count
+                if 1 << n > REASSIGNMENT_CAP:
+                    self.cap_hits += 1
+                    continue
+                found = self._cheapest_serving(choices, over)
+                if found is None:
+                    continue
+                extra, serving = found
+            # The caching sum over the ECs, with flow k's class in it.
+            stored_sum = 0.0
+            for e in range(E):
+                n, u = counts[e], util[e]
+                if e == c:
+                    n, u = n + 1, u + q[c]
+                if n:
+                    stored_sum += n / (1.0 - u)
+            tc = alpha * stored_sum + beta * (new_placed + extra)
+            if tc < best:
+                self.best_tc = tc
+                self.best_choices = choices.copy()
+                self.best_serving = serving
+                best = tc - _IMPROVE_EPS
+                cut = best + _SLACK - base
+        return tried
 
     def _links(self, cell):
         """A node's link state, kept in its cell [state, parent cell, k, c]
@@ -265,65 +355,6 @@ class _Search:
                 state = load, near, sure, pairs + ((mask, self.serve_count[k][c]),)
             cell[0] = state
         return state
-
-    @staticmethod
-    def _over_cap(pairs, over) -> bool:
-        """Whether the flows on the links `over`, given as (link bitmask,
-        serving-AR count) pairs, have more than REASSIGNMENT_CAP serving
-        subsets between them."""
-        return 1 << sum(count for mask, count in pairs if mask & over) > REASSIGNMENT_CAP
-
-    def _evaluate_leaf(self, choices, counts, util, placed_t, links):
-        """Price a leaf, re-serving the flows on overloaded links; with no
-        overload no flow is affected and the greedy routing stands.  Past
-        the cap (_over_cap) the leaf gives up."""
-        last = self.order[-1]
-        cls = choices[last]
-        over = self._overloaded_links(choices, last, links)
-        extra, serving = 0.0, {}
-        if over:
-            self.overloaded_leaves += 1
-            pair = (self.masks[last][cls], self.serve_count[last][cls])
-            if self._over_cap(links[3] + (pair,), over):
-                self.cap_hits += 1
-                return
-            found = self._cheapest_serving(choices, over)
-            if found is None:
-                return
-            extra, serving = found
-        stored = sum(c / (1.0 - u) for c, u in zip(counts, util) if c)
-        tc = self.alpha * stored + self.beta * (placed_t + extra)
-        if tc < self.best_tc - _IMPROVE_EPS:
-            self.best_tc = tc
-            self.best_choices = choices.copy()
-            self.best_serving = serving
-
-    def _overloaded_links(self, choices, last, links) -> int:
-        """Bitmask of the links that the leaf's greedy routing overloads,
-        judged on flow-order sums (see _RECHECK): the link state of the
-        flows above the leaf plus the last flow's loads."""
-        load, near, over, _ = links
-        rk = self.r[last]
-        for l, bit in _bits(self.masks[last][choices[last]]):
-            v = load[l] + rk[l]
-            if v > 1.0 - _RECHECK:
-                near |= bit
-                if v >= 1.0 + _RECHECK:
-                    over |= bit
-
-        band = near & ~over
-        while band:
-            bit = band & -band
-            band ^= bit
-            l = bit.bit_length() - 1
-            self.flow_order_rechecks += 1
-            v = 0.0
-            for k, c in enumerate(choices):
-                if self.masks[k][c] & bit:
-                    v += self.r[k][l]
-            if v > _OVERLOAD:
-                over |= bit
-        return over
 
     def _cheapest_serving(self, choices, over):
         """The cheapest re-serving of the flows on the overloaded links
@@ -416,6 +447,19 @@ SOLVER_COUNTERS = (
 )
 
 
+def check_budget(budget) -> None:
+    """Refuse a node budget that is not an integer >= 1 (NaN would never
+    run out, and a fraction is no count)."""
+    import operator  # here, so loading the solver imports nothing more
+
+    try:
+        operator.index(budget)
+    except TypeError:
+        raise ValueError(f"budget must be an integer, got {budget!r}") from None
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+
+
 def solve_exact(
     i: Instance, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None = None
 ) -> OptimalSolution:
@@ -430,14 +474,14 @@ def solve_exact(
     Pass a dict as stats to have the search's counters added to it, by
     the names in SOLVER_COUNTERS: nodes tried, leaves reached, leaves
     whose greedy routing overloads a link, leaves given up at
-    REASSIGNMENT_CAP (all of them), those of them that their parent
-    settled without evaluating them (doomed_leaves), links re-summed in
-    flow order because their branch-order load lay within 1e-6 of 1 (at
-    evaluated leaves only), and children that failed the bound, tested
-    or counted untested past the cut (bound_prunes).
+    REASSIGNMENT_CAP (all of them), those of them settled from the links
+    that the flows above them surely overload, without the last flow's
+    loads (doomed_leaves), links re-summed in flow order because their
+    branch-order load lay within 1e-6 of 1 (at the other leaves only),
+    and children that failed the bound, tested or counted untested past
+    the cut (bound_prunes).
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_budget(budget)
     search = _Search(i, budget)
     exhausted = False
     try:

@@ -20,11 +20,12 @@ from edgecache.cost import (
     labels_of,
     path_links,
     utilization,
+    _OVERLOAD,
 )
 from edgecache.cnn import BatchNorm, _im2col, predict_all, softmax
 from edgecache.encoder import encode, split_subimages, update_residual
 from edgecache.instance import ratios
-from edgecache.solver import REASSIGNMENT_CAP, _IMPROVE_EPS, _Budget
+from edgecache.solver import REASSIGNMENT_CAP, _IMPROVE_EPS, _RECHECK, _SLACK, _Budget, _bits
 from edgecache.topology import TopologyError, hop_matrix, incidence_tensor
 
 
@@ -405,12 +406,14 @@ def incidence_walk(t, h):
 def descend_reference(self, depth, choices, counts, util, placed_t, stored, cell):
     """The solver's node in its first form, patched in for
     `solver._Search._descend`: it builds, sorts and tests every child
-    one at a time, with no early exit, and counts no bound_prunes.
-    stored carries the caching sum of counts/util down the tree and
-    cell the link state, as in _descend."""
+    one at a time, with no early exit, and counts no bound_prunes.  The
+    last level descends into each leaf it does not settle, and the leaf
+    is evaluated one at a time (carried_leaf_reference).  stored carries
+    the caching sum of counts/util down the tree and cell the link
+    state, as in _descend."""
     if depth == self.K:
         self.leaves += 1
-        self._evaluate_leaf(choices, counts, util, placed_t, self._links(cell))
+        carried_leaf_reference(self, choices, counts, util, placed_t, self._links(cell))
         return
     k = self.order[depth]
     alpha, beta, E = self.alpha, self.beta, self.E
@@ -440,7 +443,7 @@ def descend_reference(self, depth, choices, counts, util, placed_t, stored, cell
                 links = self._links(cell)
                 # The links in sure stay overloaded at every leaf (see
                 # _RECHECK) and the last flow can only add a pair.
-                doomed = self._over_cap(links[3], links[2])
+                doomed = _over_cap(links[3], links[2])
             if doomed:  # the leaf would give up at REASSIGNMENT_CAP
                 self.leaves += 1
                 self.overloaded_leaves += 1
@@ -455,8 +458,94 @@ def descend_reference(self, depth, choices, counts, util, placed_t, stored, cell
             new_counts[c] += 1
             new_util[c] += q[c]
         choices[k] = c
-        down = cell if last else [None, cell, k, c]
+        down = cell if last else [None, cell, k, c]  # a leaf reads its parent's state
         self._descend(depth + 1, choices, new_counts, new_util, new_placed, stored + step, down)
+
+
+def _over_cap(pairs, over):
+    """Whether the flows on the links `over`, given as (link bitmask,
+    serving-AR count) pairs, have more than REASSIGNMENT_CAP serving
+    subsets between them."""
+    return 1 << sum(count for mask, count in pairs if mask & over) > REASSIGNMENT_CAP
+
+
+def carried_leaf_reference(search, choices, counts, util, placed_t, links):
+    """The solver's leaf when each leaf was a call of its own: the link
+    state of the flows above it (`links`) plus the last flow's loads,
+    with a link within _RECHECK of 1 re-summed in flow order (k =
+    0..K-1).  An overloaded leaf checks the cap on the carried pairs
+    plus its own and re-serves its flows by the solver's
+    `_cheapest_serving`."""
+    last = search.order[-1]
+    cls = choices[last]
+    load, near, over, pairs = links
+    rk = search.r[last]
+    for l, bit in _bits(search.masks[last][cls]):
+        v = load[l] + rk[l]
+        if v > 1.0 - _RECHECK:
+            near |= bit
+            if v >= 1.0 + _RECHECK:
+                over |= bit
+    band = near & ~over
+    while band:
+        bit = band & -band
+        band ^= bit
+        l = bit.bit_length() - 1
+        search.flow_order_rechecks += 1
+        v = 0.0
+        for k, c in enumerate(choices):
+            if search.masks[k][c] & bit:
+                v += search.r[k][l]
+        if v > _OVERLOAD:
+            over |= bit
+
+    extra, serving = 0.0, {}
+    if over:
+        search.overloaded_leaves += 1
+        pair = (search.masks[last][cls], search.serve_count[last][cls])
+        if _over_cap(pairs + (pair,), over):
+            search.cap_hits += 1
+            return
+        found = search._cheapest_serving(choices, over)
+        if found is None:
+            return
+        extra, serving = found
+    stored = sum(c / (1.0 - u) for c, u in zip(counts, util) if c)
+    tc = search.alpha * stored + search.beta * (placed_t + extra)
+    if tc < search.best_tc - _IMPROVE_EPS:
+        search.best_tc = tc
+        search.best_choices = choices.copy()
+        search.best_serving = serving
+
+
+def leaves_reference(search, children, base, choices, counts, util, placed_t, stored, cell):
+    """The last level with every leaf evaluated by the flow-order
+    evaluate_leaf_reference, patched in for
+    `solver._Search._evaluate_leaves`: it tries and bound-tests the
+    children as the solver does, settles no leaf at the node, and
+    returns how many children it tried."""
+    k = search.order[-1]
+    alpha, beta, E = search.alpha, search.beta, search.E
+    tried = 0
+    for key, c, step in children:
+        if key > search.best_tc - _IMPROVE_EPS + _SLACK - base:
+            break  # so is every later key, as in the solver
+        tried += 1
+        search.nodes += 1
+        if search.nodes > search.budget:
+            raise _Budget
+        new_placed = placed_t + search.t[k][c]
+        if alpha * (stored + step) + beta * new_placed >= search.best_tc - _IMPROVE_EPS:
+            search.bound_prunes += 1
+            continue
+        search.leaves += 1
+        new_counts, new_util = list(counts), list(util)
+        if c != E:
+            new_counts[c] += 1
+            new_util[c] += search.q[k][c]
+        choices[k] = c
+        evaluate_leaf_reference(search, choices, new_counts, new_util, new_placed)
+    return tried
 
 
 def solution_reference(search):
@@ -473,12 +562,11 @@ def solution_reference(search):
     return asg, cost_breakdown(search.inst, asg)
 
 
-def evaluate_leaf_reference(search, choices, counts, util, placed_t, links):
-    """The solver's leaf in its first form, patched in for
-    `solver._Search._evaluate_leaf`: it ignores the carried link state,
-    sums all K flows' link loads in flow order (k = 0..K-1), finds the
-    overloaded links and the affected flows with sets, and prices a leaf
-    with no overload through the same base-load pass and walk as an
+def evaluate_leaf_reference(search, choices, counts, util, placed_t):
+    """The solver's leaf in its first form, called by leaves_reference:
+    it reads no carried link state, sums all K flows' link loads in flow
+    order (k = 0..K-1), finds the overloaded links and the affected
+    flows with sets, and prices a leaf with no overload through the same base-load pass and walk as an
     overloaded one.  It counts overloaded leaves and cap hits as the
     solver does, and re-sums no link, so it adds no flow-order recheck."""
     if not hasattr(search, "_reference_rows"):

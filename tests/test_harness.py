@@ -608,6 +608,20 @@ def test_corpus_writers_refuse_a_negative_seed(topo, tmp_path, write):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [(0, "budget must be >= 1"), (float("nan"), "budget must be an integer"),
+     (2.5, "budget must be an integer")],
+    ids=["zero", "nan", "fraction"],
+)
+def test_build_dataset_refuses_a_bad_budget_before_writing(topo, tmp_path, budget, message):
+    # A NaN budget never runs out: every label would read "exhaustive".
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        build_dataset(topo, 1, 2, 0, out, budget=budget)
+    assert not out.exists()
+
+
 def test_evaluate_is_deterministic_modulo_wall_time(corpus, models):
     def strip_wall_time(csv_text: str) -> str:
         lines = [",".join(line.split(",")[:-1]) for line in csv_text.splitlines()]

@@ -20,8 +20,7 @@ from edgecache.topology import Topology, TopologyConfig, build_topology
 
 from conftest import manual_instance
 from oracles import (
-    brute_force_optimum, descend_reference, evaluate_leaf_reference, lower_bound,
-    solution_reference,
+    brute_force_optimum, descend_reference, leaves_reference, lower_bound, solution_reference,
 )
 
 TIGHT_LINKS = ParameterRanges(link_capacity=(8.0, 14.0), bandwidth=(4.0, 10.0))
@@ -239,13 +238,22 @@ def test_reproduces_the_label_workload():
         assert got == case, case["seed"]
 
 
-def test_solver_counters_on_the_longest_k8_label_solve():
+def test_solver_counters_on_the_longest_k8_label_solve(monkeypatch):
     # [8, 21] reaches 34,159 leaves and gives up on all but three at the
     # reassignment cap (counted by wrapping the first-form leaf).  Only
     # the last flow takes its leaves past the cap, so none is settled at
     # its parent.  The bound prunes are the nodes the first-form node
     # (descend_reference) neither descended into nor settled.
     inst = generate_instance(evaluation_topology(), 8, ranges=DATASET_RANGES, seed=[8, 21])
+    descend = solver._Search._descend
+    calls = 0
+
+    def counted(search, *args):
+        nonlocal calls
+        calls += 1
+        descend(search, *args)
+
+    monkeypatch.setattr(solver._Search, "_descend", counted)
     stats = {"leaves": 1}
     sol = solve_exact(inst, stats=stats)
     assert stats == {
@@ -258,6 +266,10 @@ def test_solver_counters_on_the_longest_k8_label_solve():
         "bound_prunes": 116_394,
     }
     assert sol.nodes_explored == 175_644 and sol.proof == "bounded"
+    # _descend is entered at the root and at each internal child that
+    # passes the bound, never at a leaf: the last level evaluates its
+    # leaves in its own loop.
+    assert calls == 25_092 == sol.nodes_explored - 34_159 - 116_394 + 1
 
 
 @pytest.mark.parametrize(
@@ -291,16 +303,15 @@ def test_solver_counters_on_the_budget_bound_tail(
 
 
 def _solve_both(monkeypatch, inst, budget=solver.DEFAULT_NODE_BUDGET):
-    """(output, counters) of the solver and of the solver with the
-    flow-order reference leaf patched in and the last-level cap check
-    patched out."""
+    """(output, counters) of the solver and of the solver with its last
+    level swapped for one that sends every leaf to the flow-order
+    reference leaf."""
     runs = []
-    for leaf in (None, evaluate_leaf_reference):
+    for leaves in (None, leaves_reference):
         with monkeypatch.context() as patch:
-            if leaf is not None:
+            if leaves is not None:
                 # Every leaf reaches the reference: none is settled at its parent.
-                patch.setattr(solver._Search, "_over_cap", staticmethod(lambda pairs, over: False))
-                patch.setattr(solver._Search, "_evaluate_leaf", leaf)
+                patch.setattr(solver._Search, "_evaluate_leaves", leaves)
             stats = {}
             sol = solve_exact(inst, budget=budget, stats=stats)
         assert set(stats) == set(SOLVER_COUNTERS)
@@ -356,15 +367,15 @@ def test_carried_loads_leaf_matches_flow_order_reference(monkeypatch, family, mi
 
 def _solve_counting(monkeypatch, inst, budget, descend):
     """(output, counters, implied prunes) of a solve with `descend` patched
-    in as _Search._descend.  Every child tried fails the bound, is settled
-    at its parent (doomed), is descended into, or is the one that ran
-    over the budget, so the bound prunes are the nodes less the others."""
-    calls = -1  # the root's call is no child
+    in as _Search._descend.  Every child tried fails the bound, is an
+    internal node descended into, is a leaf, or is the one that ran over
+    the budget, so the bound prunes are the nodes less the others."""
+    descents = -1  # the root's call is no child
 
-    def counted(search, *args):
-        nonlocal calls
-        calls += 1
-        descend(search, *args)
+    def counted(search, depth, *args):
+        nonlocal descents
+        descents += depth < search.K  # the reference also descends into leaves
+        descend(search, depth, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(solver._Search, "_descend", counted)
@@ -375,7 +386,7 @@ def _solve_counting(monkeypatch, inst, budget, descend):
         list(labels_of(asg.x)), sol.cost.total.hex(), sol.proof, sol.nodes_explored,
         asg.z.tobytes(), asg.y.tobytes(),
     )
-    implied = stats["nodes"] - calls - stats["doomed_leaves"] - (sol.nodes_explored > budget)
+    implied = stats["nodes"] - descents - stats["leaves"] - (sol.nodes_explored > budget)
     return out, stats, implied
 
 
@@ -500,27 +511,39 @@ def test_link_masks_past_63_links_match_the_references(monkeypatch):
     assert float.fromhex(out[1]) == pytest.approx(brute_force_optimum(inst), abs=1e-9)
 
 
+def _scan_pairs(search, choices, depth):
+    """The (link bitmask, serving-AR count) of every cached flow branched
+    above depth, in branch order, from a scan of the choices."""
+    return tuple(
+        (search.masks[k][choices[k]], search.serve_count[k][choices[k]])
+        for k in search.order[:depth]
+        if search.masks[k][choices[k]]
+    )
+
+
 def test_settled_pairs_match_a_scan_of_the_upper_flows(monkeypatch):
-    # At every node, and so at every last-level parent that settles the
-    # cap and every evaluated leaf, the link state carried down holds the
+    # At every node, and so where the last level reads its state to settle
+    # the cap and judge its leaves, the link state carried down holds the
     # (link bitmask, serving-AR count) of every cached flow branched above
-    # it, in branch order, as a scan of the choices would list them.  A
-    # leaf's state is its parent's: the last flow is added by the leaf.
-    descend = solver._Search._descend
+    # it, in branch order, as a scan of the choices would list them.  The
+    # leaves add the last flow themselves.
+    descend, last_level = solver._Search._descend, solver._Search._evaluate_leaves
     leaves = 0
 
     def checked(search, depth, choices, *rest):
-        nonlocal leaves
-        scan = tuple(
-            (search.masks[k][choices[k]], search.serve_count[k][choices[k]])
-            for k in search.order[: min(depth, search.K - 1)]
-            if search.masks[k][choices[k]]
-        )
-        assert search._links(rest[-1])[3] == scan
-        leaves += depth == search.K
+        assert search._links(rest[-1])[3] == _scan_pairs(search, choices, depth)
         descend(search, depth, choices, *rest)
 
+    def checked_last(search, children, base, choices, *rest):
+        nonlocal leaves
+        assert search._links(rest[-1])[3] == _scan_pairs(search, choices, search.K - 1)
+        before = search.leaves
+        tried = last_level(search, children, base, choices, *rest)
+        leaves += search.leaves - before
+        return tried
+
     monkeypatch.setattr(solver._Search, "_descend", checked)
+    monkeypatch.setattr(solver._Search, "_evaluate_leaves", checked_last)
     topo = evaluation_topology()
     for ranges, flows, seed, budget in _label_tail_cases() + _tight_leaf_cases():
         inst = generate_instance(topo, flows, ranges=ranges, seed=seed)
@@ -532,14 +555,15 @@ def test_settled_pairs_match_a_scan_of_the_upper_flows(monkeypatch):
     "family", [_label_tail_cases, _tight_leaf_cases], ids=["label_tail", "tight_leaf"]
 )
 def test_carried_loads_are_the_branch_order_sums_of_the_upper_flows(monkeypatch, family):
-    # At every evaluated leaf the carried loads equal, bit for bit, the
-    # loads of the flows branched above it summed in branch order, and
-    # the near and sure bitmasks are the threshold scans of those loads.
-    leaf = solver._Search._evaluate_leaf
+    # Where the last level reads its state, the carried loads equal, bit
+    # for bit, the loads of the flows branched above its leaves summed in
+    # branch order, and the near and sure bitmasks are the threshold
+    # scans of those loads.
+    last_level = solver._Search._evaluate_leaves
     rows = {}
     leaves = 0
 
-    def checked(search, choices, counts, util, placed_t, links):
+    def checked(search, children, base, choices, counts, util, placed_t, stored, cell):
         nonlocal leaves
         if search not in rows:
             rows[search] = [
@@ -550,14 +574,17 @@ def test_carried_loads_are_the_branch_order_sums_of_the_upper_flows(monkeypatch,
         for k in search.order[:-1]:
             for l in rows[search][k][choices[k]]:
                 load[l] += search.r[k][l]
+        links = search._links(cell)
         assert [v.hex() for v in links[0]] == [v.hex() for v in load]
         near = sum(1 << l for l, v in enumerate(load) if v > 1.0 - 1e-6)
         sure = sum(1 << l for l, v in enumerate(load) if v >= 1.0 + 1e-6)
         assert links[1:3] == (near, sure)
-        leaves += 1
-        leaf(search, choices, counts, util, placed_t, links)
+        before = search.leaves
+        tried = last_level(search, children, base, choices, counts, util, placed_t, stored, cell)
+        leaves += search.leaves - before
+        return tried
 
-    monkeypatch.setattr(solver._Search, "_evaluate_leaf", checked)
+    monkeypatch.setattr(solver._Search, "_evaluate_leaves", checked)
     topo = evaluation_topology()
     for ranges, flows, seed, budget in family():
         inst = generate_instance(topo, flows, ranges=ranges, seed=seed)
@@ -565,8 +592,10 @@ def test_carried_loads_are_the_branch_order_sums_of_the_upper_flows(monkeypatch,
     assert leaves > 0
 
 
-@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("budget", [0, -5, float("nan"), 2.5])
 def test_solve_exact_refuses_a_budget_below_one(budget):
+    # NaN is no smaller than 1 and would never run out, so a budget must
+    # be an integer before it is compared.
     inst = generate_instance(evaluation_topology(), 3, ranges=DATASET_RANGES, seed=[0, 0])
     with pytest.raises(ValueError, match="budget"):
         solve_exact(inst, budget=budget)
@@ -656,11 +685,13 @@ def test_near_threshold_link_is_judged_on_flow_order_sum(monkeypatch):
 
 @pytest.mark.parametrize("excess", [None, -2e-9, 5e-10, 2e-9])
 def test_leaf_overload_matches_the_feasibility_verdict(excess):
-    # At random leaves, _overloaded_links finds no link exactly when
-    # check_feasibility passes the greedy routing's links.  With excess
-    # set, the links the leaf loads are resized to a load of 1 + excess,
-    # so the two verdicts meet at cost's 1e-9 of slack, inside the
-    # leaf's flow-order recheck band.
+    # At random leaves, the last level finds no overloaded link exactly
+    # when check_feasibility passes the greedy routing's links.  With
+    # excess set, the links the leaf loads are resized to a load of
+    # 1 + excess, so the two verdicts meet at cost's 1e-9 of slack,
+    # inside the leaf's flow-order recheck band.  The leaf is the last
+    # level's one child, under an incumbent that every leaf beats; no
+    # overloaded leaf is re-served, as only its verdict is under test.
     topo = evaluation_topology()
     E = topo.num_edge_clouds
     rng = np.random.default_rng(510)
@@ -679,12 +710,17 @@ def test_leaf_overload_matches_the_feasibility_verdict(excess):
                     ),
                 )
             search = solver._Search(inst, budget=1)
+            search.best_tc = float("inf")
+            search._cheapest_serving = lambda choices, over: None
             cell = [([0.0] * search.L, 0, 0, ()), None, None, None]
             for k in search.order[:-1]:
                 cell = [None, cell, k, choices[k]]
-            over = search._overloaded_links(choices, search.order[-1], search._links(cell))
+            child = [(0.0, choices[search.order[-1]], 0.0)]
+            zeros = [0] * search.E, [0.0] * search.E
+            assert search._evaluate_leaves(child, 0.0, list(choices), *zeros, 0.0, 0.0, cell) == 1
+            assert search.leaves == 1
             fits = check_feasibility(inst, assignment_from_classes(inst, choices)).link_capacity
-            assert (over == 0) == fits, (seed, choices)
+            assert (search.overloaded_leaves == 0) == fits, (seed, choices)
             verdicts.add(fits)
             rechecks += search.flow_order_rechecks
     assert len(verdicts) == (2 if excess is None else 1)
