@@ -19,6 +19,16 @@ half of them), and needs about 1% of the three stages' multiply-adds
 per image.  No pooling; spatial size is preserved until the dense
 layer.  Training is mini-batch gradient descent with adaptive
 per-parameter steps (Adam) on the cross-entropy.
+A step's per-channel sums (batch-norm statistics and backward sums,
+scale, shift and conv bias gradients) are one np.einsum each over the
+(R, C) rows (`_channel_sums`), bit-equal to np.add.reduce(axis=0)
+because both add the rows in order; at one channel reduce sums the
+contiguous column pairwise, so a one-filter stage keeps it.  Channel
+vectors are laid out over a whole image (`_over_image`), so an
+elementwise op runs an h*w*C-float inner loop, not a C-float one.
+Batch norm centres its input in place, and the dense input gradient
+overwrites the dense layer's cached input: fewer fresh arrays, so
+fewer page faults per step.
 `train_steps` yields after each step, so `harness.train_models` can
 interleave the slot models' steps on its worker threads; each layer
 drops its forward cache in backward, so a model between steps holds
@@ -45,13 +55,13 @@ rounded), so training and inference are bit-reproducible.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import FeatureImage
 from .formats import int_tuple, read_fields, read_json, write_json
@@ -102,19 +112,57 @@ def softmax_cross_entropy(
     return loss, probs, grad / n
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_rows(h: int, w: int) -> np.ndarray:
+    """The pixel row each 3x3 tap of an (h, w) image reads in its
+    zero-padded (h+2)*(w+2) pixel rows, flat in im2col order: output
+    pixel, then tap row offset, then tap column offset.  Read-only, as
+    every call for that shape shares it."""
+    rows = np.arange(h)[:, None, None, None] + np.arange(3)[:, None]  # (h, 1, 3, 1)
+    cols = np.arange(w)[:, None, None] + np.arange(3)  # (w, 1, 3)
+    index = (rows * (w + 2) + cols).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 def _im2col(x: np.ndarray) -> np.ndarray:
     """Patches of a 3x3 same-padded convolution: (n, h, w, cin) ->
     (n, h, w, 9*cin), tap (row offset, column offset) major, channel
-    minor.  One padded copy, then one gather of the window view into a
-    new C-contiguous array, which Conv3x3.backward overwrites in place:
-    a reshape of the view is itself a read-only view at width 1."""
+    minor.  One padded copy, then one take of its pixel rows (cin floats
+    each) through the shape's cached tap index: the same code for any
+    cin, in training and in the stacked inference pass.  The take makes
+    a new C-contiguous array, which Conv3x3.backward overwrites in
+    place."""
     n, h, w, cin = x.shape
     xp = np.zeros((n, h + 2, w + 2, cin), x.dtype)
     xp[:, 1 : h + 1, 1 : w + 1, :] = x
-    windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (n, h, w, cin, 3, 3)
-    cols = np.empty((n, h, w, 9 * cin), x.dtype)
-    np.copyto(cols.reshape(n, h, w, 3, 3, cin), windows.transpose(0, 1, 2, 4, 5, 3))
-    return cols
+    return xp.reshape(n, -1, cin).take(_tap_rows(h, w), axis=1).reshape(n, h, w, 9 * cin)
+
+
+def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sums of a, or of a * b, over every axis but the last,
+    bit-equal to np.add.reduce over the (R, C) rows: from two channels
+    one np.einsum, with no product temporary, which adds the rows in
+    order as reduce does there (and runs its C-float loop R times at a
+    fifth of reduce's cost).  A single channel is one contiguous column,
+    which reduce sums pairwise and einsum does not, so it keeps reduce."""
+    c = a.shape[-1]
+    rows = a.reshape(-1, c)
+    if c == 1:
+        return (rows if b is None else rows * b.reshape(-1, c)).sum(axis=0)
+    if b is None:
+        return np.einsum("rc->c", rows)
+    return np.einsum("rc,rc->c", rows, b.reshape(-1, c))
+
+
+def _over_image(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-channel vector v laid out over one image of x, (h, w, C): an
+    elementwise op of x with it runs an h*w*C-float inner loop per image,
+    where v itself would run a C-float loop per pixel.  The layout leaves
+    each element's arithmetic as it is, so results are bit-equal."""
+    image = np.empty(x.shape[1:], v.dtype)
+    image[...] = v
+    return image
 
 
 # Tap offset d in 0..2 reads input pixel i + d - 1 for output pixel i:
@@ -142,10 +190,10 @@ class Conv3x3:
         n, h, w, cin = x.shape
         cols = _im2col(x)
         wmat = self.params["w"].reshape(9 * cin, -1)
-        out = cols.reshape(-1, 9 * cin) @ wmat
-        out += self.params["b"]
+        out = (cols.reshape(-1, 9 * cin) @ wmat).reshape(n, h, w, -1)
+        out += _over_image(self.params["b"], out)
         self._cache = (cols, x.shape)
-        return out.reshape(n, h, w, -1)
+        return out
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
         """Fill grads and drop the forward cache; return dL/dx, or None
@@ -160,7 +208,7 @@ class Conv3x3:
         dflat = dout.reshape(-1, cout)
         cols2 = cols.reshape(-1, 9 * cin)
         self.grads["w"][...] = (cols2.T @ dflat).reshape(self.params["w"].shape)
-        self.grads["b"][...] = dflat.sum(axis=0)
+        self.grads["b"][...] = _channel_sums(dflat)
         dx = None
         if input_grad:
             np.matmul(dflat, self.params["w"].reshape(9 * cin, cout).T, out=cols2)
@@ -185,48 +233,49 @@ class BatchNorm:
         self._train_mode = False
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        """In train mode the variance is np.var's: the mean of the
-        squared centred copy, which is then scaled in place into xhat."""
+        """Overwrites x with xhat, which it caches, and returns a new
+        array.  In train mode the mean and variance are np.mean's and
+        np.var's, the variance the mean of the squared centred copy,
+        which is then scaled in place into xhat."""
         self._train_mode = train
-        axes = (0, 1, 2)
         if train:
-            mean = x.mean(axis=axes)
-            xhat = x - mean
-            var = np.square(xhat).sum(axis=axes) / (x.size // x.shape[-1])
+            n_eff = x.size // x.shape[-1]
+            mean = _channel_sums(x) / n_eff
+            xhat = np.subtract(x, _over_image(mean, x), out=x)
+            var = _channel_sums(xhat, xhat) / n_eff
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
             mean, var = self.running_mean, self.running_var
-            xhat = x - mean
+            xhat = np.subtract(x, _over_image(mean, x), out=x)
         ivar = 1.0 / np.sqrt(var + self.eps)
-        xhat *= ivar
+        xhat *= _over_image(ivar, x)
         self._cache = (xhat, ivar)
-        out = self.params["scale"] * xhat
-        out += self.params["shift"]
+        out = _over_image(self.params["scale"], x) * xhat
+        out += _over_image(self.params["shift"], x)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """Fill grads, drop the forward cache and return dL/dx, computed
-        in dout's own buffer (which it overwrites) and one scratch."""
+        in dout's own buffer, with the cached xhat's as scratch: both are
+        overwritten."""
         xhat, ivar = self._cache
         self._cache = None
-        axes = (0, 1, 2)
-        scratch = dout * xhat
-        self.grads["scale"][...] = scratch.sum(axis=axes)
-        self.grads["shift"][...] = dout.sum(axis=axes)
+        self.grads["scale"][...] = _channel_sums(dout, xhat)
+        self.grads["shift"][...] = _channel_sums(dout)
         dxhat = dout
-        dxhat *= self.params["scale"]
+        dxhat *= _over_image(self.params["scale"], dout)
         if not self._train_mode:
-            dxhat *= ivar
+            dxhat *= _over_image(ivar, dout)
             return dxhat
         n_eff = xhat.size // xhat.shape[-1]
-        sum_dxhat = dxhat.sum(axis=axes)
-        sum_dxhat_xhat = np.multiply(dxhat, xhat, out=scratch).sum(axis=axes)
+        sum_dxhat = _channel_sums(dxhat)
+        sum_dxhat_xhat = _channel_sums(dxhat, xhat)
         # (ivar / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
         dxhat *= n_eff
-        dxhat -= sum_dxhat
-        dxhat -= np.multiply(xhat, sum_dxhat_xhat, out=scratch)
-        dxhat *= ivar / n_eff
+        dxhat -= _over_image(sum_dxhat, dout)
+        dxhat -= np.multiply(xhat, _over_image(sum_dxhat_xhat, dout), out=xhat)
+        dxhat *= _over_image(ivar / n_eff, dout)
         return dxhat
 
 
@@ -266,13 +315,14 @@ class Dense:
         return flat @ self.params["w"] + self.params["b"]
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
-        """Fill grads and drop the forward cache; return dL/dx, or None
-        when input_grad is false."""
+        """Fill grads and drop the forward cache; return dL/dx, computed
+        into the cached input, which the weight gradient was the last to
+        read, or None when input_grad is false."""
         flat, shape = self._cache
         self._cache = None
         self.grads["w"][...] = flat.T @ dout
         self.grads["b"][...] = dout.sum(axis=0)
-        return (dout @ self.params["w"].T).reshape(shape) if input_grad else None
+        return np.matmul(dout, self.params["w"].T, out=flat).reshape(shape) if input_grad else None
 
 
 @dataclass

@@ -238,7 +238,8 @@ def train_models(
     samples = corpus_training_samples(corpus, "train")
     if not samples:
         raise ValueError("corpus has no training samples")
-    num_classes = corpus.topology().num_edge_clouds + 1
+    # From the instances the images came from, not a re-read of topology.json.
+    num_classes = corpus.load(corpus.of_split("train")[0]).topology.num_edge_clouds + 1
 
     def slot(k: int):
         cfg = cnnmod.TrainConfig(

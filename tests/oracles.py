@@ -759,6 +759,14 @@ def batchnorm_backward_reference(bn, dout):
     return (ivar / n_eff) * (n_eff * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
 
 
+def dense_backward_reference(dense, dout, input_grad=True):
+    flat, shape = dense._cache
+    dense._cache = None
+    dense.grads["w"][...] = flat.T @ dout
+    dense.grads["b"][...] = dout.sum(axis=0)
+    return (dout @ dense.params["w"].T).reshape(shape) if input_grad else None
+
+
 def relu_forward_reference(relu, x, train):
     relu._mask = x > 0
     return x * relu._mask

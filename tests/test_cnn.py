@@ -121,10 +121,46 @@ def test_convolution_matches_hand_loop():
     assert np.allclose(out, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(1, 5, 28, 1), (32, 5, 28, 16), (5, 5, 28, 32), (3, 4, 12, 32)])
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 5, 28, 1), (32, 5, 28, 16), (5, 5, 28, 32), (3, 4, 12, 32), (32, 5, 28, 1),
+     (4, 5, 28, 2), (2, 1, 6, 1), (2, 1, 6, 16), (3, 4, 1, 2), (3, 4, 1, 32), (2, 1, 1, 1)],
+)
 def test_im2col_matches_nine_slice_reference(shape):
     x = np.random.default_rng(sum(shape)).normal(size=shape)
-    assert np.array_equal(cnn._im2col(x), im2col_reference(x))
+    cols = cnn._im2col(x)
+    assert cols.dtype == x.dtype and np.array_equal(cols, im2col_reference(x))
+    x32 = x.astype(np.float32)
+    assert np.array_equal(cnn._im2col(x32), im2col_reference(x32))
+
+
+def test_im2col_shares_one_read_only_tap_index_per_shape():
+    index = cnn._tap_rows(5, 28)
+    assert cnn._tap_rows(5, 28) is index and not index.flags.writeable
+    assert index.shape == (5 * 28 * 9,)
+    assert index.min() == 0 and index.max() == 6 * 30 + 29  # pixel rows of the 7 x 30 pad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_einsum_channel_sums_equal_reduce_over_rows(dtype):
+    # cnn._channel_sums takes batch norm's statistics and sums and the
+    # conv bias gradient by np.einsum over (R, C) rows.  That is exact
+    # only while einsum adds the rows in order, as np.add.reduce(axis=0)
+    # does when its inner loop runs over the C channels.  One channel is
+    # the exception: reduce sums a contiguous column pairwise, einsum in
+    # order, so _channel_sums keeps the reduce at that width.
+    rng = np.random.default_rng(35)
+    for width in (2, 3, 5, 9, 16, 32, 64):
+        for rows in (1, 2, 7, 130, 4480, 20000):
+            a, b = rng.normal(size=(2, rows, width)).astype(dtype)
+            assert np.array_equal(np.einsum("rc->c", a), np.add.reduce(a, axis=0))
+            assert np.array_equal(np.einsum("rc,rc->c", a, b), np.add.reduce(a * b, axis=0))
+            assert np.array_equal(cnn._channel_sums(a, b), np.add.reduce(a * b, axis=0))
+    columns = rng.normal(size=(8, 2, 20000, 1)).astype(dtype)
+    assert any(not np.array_equal(np.einsum("rc->c", a), np.add.reduce(a, axis=0)) for a, _ in columns)
+    for a, b in columns:
+        assert np.array_equal(cnn._channel_sums(a), np.add.reduce(a, axis=0))
+        assert np.array_equal(cnn._channel_sums(a, b), np.add.reduce(a * b, axis=0))
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -156,17 +192,22 @@ def test_training_with_reference_im2col_is_bit_equal(image, norm, monkeypatch, m
 
 
 @pytest.mark.parametrize(
-    "ec_rule,n,batch_size",
-    [("internal", 13, 5), ("leaves", 14, 4)],
-    ids=["width29-n13-batch5", "width30-n14-batch4"],
+    "ec_rule,n,batch_size,filters",
+    [("internal", 13, 5, MULTI_STAGE), ("leaves", 14, 4, MULTI_STAGE),
+     ("internal", 13, 5, (1,)), ("internal", 13, 5, (16,))],
+    ids=["width29-n13-batch5", "width30-n14-batch4",
+         "width29-n13-batch5-filters1", "width29-n13-batch5-filters16"],
 )
 def test_training_with_reference_kernels_is_bit_equal(
-    norm, monkeypatch, multi_stage_training, ec_rule, n, batch_size
+    norm, monkeypatch, ec_rule, n, batch_size, filters
 ):
-    # The padded conv input gradient, two-pass batch norm and
-    # out-of-place ReLU of tests/oracles.py against the in-place kernels:
-    # same loss trace, parameters and running statistics, and the same
-    # inference-mode gradients after training.
+    # The padded conv input gradient, two-pass batch norm, and the
+    # out-of-place dense input gradient and ReLU of tests/oracles.py
+    # against the in-place kernels: same loss trace, parameters and
+    # running statistics, and the same inference-mode gradients after
+    # training.  One filter takes the one-channel sums, the others the
+    # einsum sums.
+    monkeypatch.setattr(cnn, "CnnModel", functools.partial(CnnModel, filters=filters))
     t = build_topology(TopologyConfig(branching=2, depth=3, ec_rule=ec_rule))
     samples = [
         TrainingSample(image=encode(generate_instance(t, 5, seed=s), norm), labels=(s % 8,) * 5)
@@ -186,13 +227,14 @@ def test_training_with_reference_kernels_is_bit_equal(
         (Conv3x3, "backward", oracles.conv3x3_backward_reference),
         (BatchNorm, "forward", oracles.batchnorm_forward_reference),
         (BatchNorm, "backward", oracles.batchnorm_backward_reference),
+        (cnn.Dense, "backward", oracles.dense_backward_reference),
         (cnn.ReLU, "forward", oracles.relu_forward_reference),
         (cnn.ReLU, "backward", oracles.relu_backward_reference),
     ]:
         monkeypatch.setattr(cls, method, reference)
     ref_model, ref_losses = fit()
     assert probe.shape[2] == {"internal": 29, "leaves": 30}[ec_rule] and n % batch_size
-    assert model.filters == ref_model.filters == MULTI_STAGE
+    assert model.filters == ref_model.filters == filters
     assert losses == ref_losses
     for (_, _, p, g), (_, _, q, h) in zip(model.param_items(), ref_model.param_items()):
         assert np.array_equal(p, q) and np.array_equal(g, h)

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import re
 import sys
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from edgecache import harness, pel
+from edgecache import cnn as cnnmod, harness, pel
 from edgecache.cnn import CnnError, CnnModel, TrainConfig, TrainingDivergedError, _named_arrays, train
 from edgecache.cost import check_feasibility, class_table, penalized_cost
 from edgecache.baselines import RgcConfig, gca, rgc
@@ -182,32 +183,47 @@ def test_training_loss_halves_on_labelled_corpus(corpus):
 # --- the interleaved training scheduler --------------------------------------
 
 
-def test_train_models_is_bit_equal_for_any_workers(corpus):
+def test_train_models_is_bit_equal_for_any_workers(corpus, monkeypatch):
     # 24 train samples in batches of 5: the last step of each epoch is
     # short.  A short switch interval makes the threads trade the queue
-    # often; a slot lost or stepped twice would change its result.
+    # often; a slot lost or stepped twice would change its result.  One
+    # filter takes the one-channel sums, the others the einsum sums.
     samples = corpus_training_samples(corpus)
     num_classes = corpus.topology().num_edge_clouds + 1
-    alone = [
-        train(samples, TrainConfig(epochs=2, batch_size=5, seed=4 + k, request_index=k,
-                                   num_classes=num_classes))
-        for k in range(corpus.flows)
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        runs = {
-            workers: train_models(corpus, epochs=2, batch_size=5, seed=4, workers=workers)
-            for workers in (1, 2, 5)
-        }
-    finally:
-        sys.setswitchinterval(interval)
-    for workers, (models, traces) in runs.items():
-        for k, (ref_model, ref_trace) in enumerate(alone):
-            assert traces[k] == ref_trace, (workers, k)
-            ref = _named_arrays(ref_model)
-            for name, array in _named_arrays(models[k]).items():
-                assert np.array_equal(array, ref[name]), (workers, k, name)
+    for filters in ((1,), (16,), (16, 32, 64)):
+        monkeypatch.setattr(cnnmod, "CnnModel", functools.partial(CnnModel, filters=filters))
+        alone = [
+            train(samples, TrainConfig(epochs=2, batch_size=5, seed=4 + k, request_index=k,
+                                       num_classes=num_classes))
+            for k in range(corpus.flows)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = {
+                workers: train_models(corpus, epochs=2, batch_size=5, seed=4, workers=workers)
+                for workers in (1, 2, 5)
+            }
+        finally:
+            sys.setswitchinterval(interval)
+        for workers, (models, traces) in runs.items():
+            for k, (ref_model, ref_trace) in enumerate(alone):
+                assert models[k].filters == ref_model.filters == filters
+                assert traces[k] == ref_trace, (filters, workers, k)
+                ref = _named_arrays(ref_model)
+                for name, array in _named_arrays(models[k]).items():
+                    assert np.array_equal(array, ref[name]), (filters, workers, k, name)
+
+
+def test_train_models_takes_the_class_count_from_the_held_instances(topo, tmp_path):
+    # The images and labels come from the instances the corpus holds, so
+    # the class count must too, not from topology.json as it now reads.
+    corpus = build_dataset(topo, n=6, flows=2, seed=3, out_dir=tmp_path, train_fraction=0.5)
+    wider = build_topology(TopologyConfig(branching=2, depth=3, ec_rule="internal"))
+    assert wider.num_edge_clouds != topo.num_edge_clouds
+    save_topology(wider, tmp_path / "topology.json")
+    models, _ = train_models(corpus, epochs=1, batch_size=2)
+    assert {m.num_classes for m in models} == {topo.num_edge_clouds + 1}
 
 
 def test_train_models_leaves_no_forward_cache(corpus):
