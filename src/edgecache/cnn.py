@@ -29,10 +29,12 @@ elementwise op runs an h*w*C-float inner loop, not a C-float one.
 Batch norm centres its input in place, and the dense input gradient
 overwrites the dense layer's cached input: fewer fresh arrays, so
 fewer page faults per step.
-`train_steps` yields after each step, so `harness.train_models` can
-interleave the slot models' steps on its worker threads; each layer
-drops its forward cache in backward, so a model between steps holds
-no activations, and results do not depend on the interleaving.
+`harness.train_models` runs `train` once per slot on its `workers`
+threads, each thread training whole slots; a slot's error cancels the
+slots not yet started and reaches the caller once the running slots
+finish.  A model's seed, shuffle stream and Adam state are its own, so
+results do not depend on `workers`.  Each layer drops its forward
+cache in backward, so a trained model holds no activations.
 
 Inference (`predict_all`, and `forward` for one model) is one stacked
 pass over the slot models: the image's im2col is built once and each
@@ -349,6 +351,17 @@ class TrainConfig:
                 raise CnnError(f"{name} {getattr(self, name)} must be >= 0")
 
 
+# The integer settings of a CnnModel, in its argument order, and how
+# each is read; CnnModel and load_model refuse what these refuse.
+_MODEL_FIELDS = {
+    "input_shape": lambda shape: int_tuple(shape, 2),
+    "num_classes": operator.index,
+    "request_index": operator.index,
+    "filters": int_tuple,
+    "seed": operator.index,
+}
+
+
 class CnnModel:
     """One per-request classifier: image in, class probabilities out."""
 
@@ -361,14 +374,18 @@ class CnnModel:
         seed: int = 0,
         norm_digest: str = "",
     ):
+        given = dict(input_shape=input_shape, num_classes=num_classes,
+                     request_index=request_index, filters=filters, seed=seed)
+        input_shape, num_classes, request_index, filters, seed = read_fields(
+            given, _MODEL_FIELDS, CnnError, "CnnModel"
+        ).values()
         if num_classes < 2:
             raise CnnError("need at least two output classes")
         if seed < 0:
             raise CnnError(f"seed {seed} must be >= 0")
-        filters = tuple(filters)
         if any(f < 1 for f in filters):
             raise CnnError(f"filters {filters} must all be >= 1")
-        self.input_shape = tuple(input_shape)
+        self.input_shape = input_shape
         rows = self.input_shape[0]
         if not 0 <= request_index < rows:
             raise CnnError(f"request_index {request_index} is outside the {rows} image rows")
@@ -515,29 +532,11 @@ def _infer(models: SlotModels, x: np.ndarray) -> np.ndarray:
     return softmax((x.reshape(x.shape[0], 1, -1) @ weights + bias)[:, 0])
 
 
-def _stack_samples(samples, request_index: int):
-    images = np.stack([s.image.matrix for s in samples], dtype=DTYPE)[..., None]
-    labels = np.array([int(s.labels[request_index]) for s in samples])
-    return images, labels
-
-
-def train(samples, cfg: TrainConfig):
-    """Fit one per-request model; returns (model, per-epoch loss trace)."""
-    steps = train_steps(samples, cfg)
-    try:
-        while True:
-            next(steps)
-    except StopIteration as done:
-        return done.value
-
-
-def train_steps(samples, cfg: TrainConfig):
-    """`train` as a generator of mini-batch steps, so that a caller can
-    interleave several models' training: it yields after each optimizer
-    step and returns (model, per-epoch loss trace).  The inputs are
-    checked on the call, before the first step.  Each model's seed,
-    shuffle stream and Adam state are its own, so the result does not
-    depend on what runs between its steps."""
+def _slot_labels(samples, cfg: TrainConfig) -> np.ndarray:
+    """cfg's slot labels of samples, once samples and cfg are checked
+    to train a model: at least one sample, one image shape, a class
+    count, a slot inside every sample's flows, labels in class range.
+    `harness.train_models` calls it per slot before its threads start."""
     if not samples:
         raise CnnError("training needs at least one sample")
     shapes = {s.image.matrix.shape for s in samples}
@@ -548,19 +547,25 @@ def train_steps(samples, cfg: TrainConfig):
     flows = min(len(s.labels) for s in samples)
     if cfg.request_index >= flows:
         raise CnnError(f"request_index {cfg.request_index} is past the samples' {flows} flows")
-    images, labels = _stack_samples(samples, cfg.request_index)
+    labels = np.array([int(s.labels[cfg.request_index]) for s in samples])
     if (labels < 0).any() or (labels >= cfg.num_classes).any():
         raise CnnError("a label falls outside the configured class range")
-    return _steps(images, labels, cfg, samples[0].image.norm_meta.digest())
+    return labels
 
 
-def _steps(images: np.ndarray, labels: np.ndarray, cfg: TrainConfig, norm_digest: str):
+def train(samples, cfg: TrainConfig):
+    """Fit one per-request model; returns (model, per-epoch loss trace).
+    The inputs are checked before the first step.  The model's seed,
+    shuffle stream and Adam state are its own, so the result does not
+    depend on what else runs meanwhile."""
+    labels = _slot_labels(samples, cfg)
+    images = np.stack([s.image.matrix for s in samples], dtype=DTYPE)[..., None]
     model = CnnModel(
         input_shape=images.shape[1:3],
         num_classes=cfg.num_classes,
         request_index=cfg.request_index,
         seed=cfg.seed,
-        norm_digest=norm_digest,
+        norm_digest=samples[0].image.norm_meta.digest(),
     )
     opt = Adam(model, cfg.learning_rate)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
@@ -578,7 +583,6 @@ def _steps(images: np.ndarray, labels: np.ndarray, cfg: TrainConfig, norm_digest
             opt.step()
             epoch_loss += loss
             batches += 1
-            yield
         mean_loss = epoch_loss / batches
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch)
@@ -732,14 +736,7 @@ def save_model(m: CnnModel, path) -> None:
 def load_model(path) -> CnnModel:
     where = str(path) + ".manifest.json"
     manifest = read_json(where, MODEL_FORMAT, MODEL_FORMAT_VERSION, CnnError)
-    fields = {
-        "input_shape": lambda shape: int_tuple(shape, 2),
-        "num_classes": operator.index,
-        "request_index": operator.index,
-        "filters": int_tuple,
-        "seed": operator.index,
-        "norm_digest": str,
-    }
+    fields = {**_MODEL_FIELDS, "norm_digest": str}
     m = CnnModel(**read_fields(manifest, fields, CnnError, where))
     npz_path = str(path) if str(path).endswith(".npz") else str(path) + ".npz"
     with np.load(npz_path) as data:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import operator
-import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -220,11 +218,11 @@ def train_models(
     """One model per request slot, trained on the corpus train split.
 
     Returns (models, loss traces), the models as a cnn.SlotModels.
-    The slots train in interleaved mini-batch steps: workers threads
-    (at least 1) each take a slot from a shared queue, run one of its
-    steps and put it back.  Each slot has its own seed, shuffle stream
-    and Adam state, so results do not depend on workers.  A slot's
-    error stops every thread after its current step and is raised here.
+    Every slot's inputs are checked first; then workers threads (at
+    least 1) each run cnn.train for whole slots.  A slot's error cancels
+    the slots not yet started and is raised here once the running slots
+    finish.  Each slot has its own seed, shuffle stream and Adam state,
+    so results do not depend on workers.
     """
     # workers and the settings every slot shares are checked before the
     # corpus loads.
@@ -241,8 +239,8 @@ def train_models(
     # From the instances the images came from, not a re-read of topology.json.
     num_classes = corpus.load(corpus.of_split("train")[0]).topology.num_edge_clouds + 1
 
-    def slot(k: int):
-        cfg = cnnmod.TrainConfig(
+    cfgs = [
+        cnnmod.TrainConfig(
             epochs=epochs,
             batch_size=batch_size,
             learning_rate=learning_rate,
@@ -250,33 +248,12 @@ def train_models(
             request_index=k,
             num_classes=num_classes,
         )
-        return k, cnnmod.train_steps(samples, cfg)
-
-    ready = deque(slot(k) for k in range(corpus.flows))
-    results = [None] * corpus.flows
-    failed = threading.Event()
-
-    def work():
-        # A thread that finds the queue empty leaves: every live slot is
-        # then held by another thread, which puts it back after its step.
-        while not failed.is_set():
-            try:
-                k, steps = ready.popleft()
-            except IndexError:
-                return
-            try:
-                next(steps)
-            except StopIteration as done:
-                results[k] = done.value
-            except BaseException:
-                failed.set()
-                raise
-            else:
-                ready.append((k, steps))
-
+        for k in range(corpus.flows)
+    ]
+    for cfg in cfgs:
+        cnnmod._slot_labels(samples, cfg)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(work) for _ in range(workers)]:
-            future.result()
+        results = list(pool.map(lambda cfg: cnnmod.train(samples, cfg), cfgs))
     models = cnnmod.SlotModels(r[0] for r in results)
     traces = [r[1] for r in results]
 
@@ -477,6 +454,8 @@ def evaluate(
     for method in methods:
         if method != "optimal" and method not in placers:
             raise ValueError(f"unknown method {method!r}")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"methods {tuple(methods)} must name each method once, and at least one")
     RgcConfig(epochs=rgc_epochs, seed=rgc_seed, gamma=gamma)  # refuses a bad gamma too
     pel.check_delta(delta)
     samples = corpus.of_split(split)

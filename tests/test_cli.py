@@ -220,6 +220,7 @@ def test_config_value_starting_with_dash_stays_a_value(workspace, tmp_path, caps
         ("dataset", ["--content-size", "1", "inf"]),
         ("gen", ["--ec-space", "100", "1e309"]),
         ("topo", ["--ec-count", "3"]),
+        ("eval", ["--methods", "gca,gca"]),
     ],
 )
 def test_bad_number_flag_exits_2(workspace, tmp_path, capsys, command, flags):

@@ -404,7 +404,7 @@ def test_duplicated_dataset_equals_doubled_batch(image, norm, monkeypatch):
         assert np.allclose(p1, p2, atol=1e-10), f"layer {l1} {k1} differs"
 
 
-def test_a_training_step_keeps_every_array_in_dtype(image, norm):
+def test_a_training_step_keeps_every_array_in_dtype(image, norm, monkeypatch):
     # No float64 scalar or buffer may widen a step: parameters, their
     # gradients, Adam's moments and the batch-norm statistics all stay
     # DTYPE, and so does inference.
@@ -413,14 +413,26 @@ def test_a_training_step_keeps_every_array_in_dtype(image, norm):
         TrainingSample(image=encode(generate_instance(t, 5, seed=s), norm), labels=(s % 8,) * 5)
         for s in range(4)
     ]
-    steps = cnn.train_steps(samples, TrainConfig(epochs=1, batch_size=3, num_classes=8))
-    next(steps)
-    model, opt = steps.gi_frame.f_locals["model"], steps.gi_frame.f_locals["opt"]
+    # Training stops right after its first optimizer step, which hands
+    # over the model and its Adam state.
+    first_step = cnn.Adam.step
+
+    class FirstStep(Exception):
+        pass
+
+    def step_once(opt):
+        first_step(opt)
+        raise FirstStep(opt)
+
+    monkeypatch.setattr(cnn.Adam, "step", step_once)
+    with pytest.raises(FirstStep) as stopped:
+        train(samples, TrainConfig(epochs=1, batch_size=3, num_classes=8))
+    opt = stopped.value.args[0]
+    model = opt.model
     assert opt.t == 1
     arrays = [a for *_, p, g in model.param_items() for a in (p, g)]
     arrays += [*opt.m.values(), *opt.v.values(), *cnn._named_arrays(model).values()]
     assert {a.dtype for a in arrays} == {np.dtype(cnn.DTYPE)}
-    steps.close()
     assert predict_all([model] * 5, image).dtype == cnn.DTYPE
 
 
@@ -472,11 +484,21 @@ def test_model_refuses_a_slot_outside_the_image(slot):
         CnnModel(input_shape=(2, 4), num_classes=3, request_index=slot)
 
 
-def test_training_refuses_a_slot_past_the_flows_before_the_first_step(image):
+def test_training_refuses_a_slot_past_the_flows_before_the_first_step(image, monkeypatch):
+    # The first step's forward pass fails, so a refusal that reaches the
+    # caller was made before any step ran.
+    class StepRan(Exception):
+        pass
+
+    def no_step(*args, **kwargs):
+        raise StepRan
+
+    monkeypatch.setattr(cnn.CnnModel, "logits", no_step)
     samples = [TrainingSample(image, (0,) * 5)]
-    cnn.train_steps(samples, TrainConfig(epochs=1, num_classes=8, request_index=4))
+    with pytest.raises(StepRan):
+        train(samples, TrainConfig(epochs=1, num_classes=8, request_index=4))
     with pytest.raises(CnnError, match="request_index 5 is past the samples' 5 flows"):
-        cnn.train_steps(samples, TrainConfig(epochs=1, num_classes=8, request_index=5))
+        train(samples, TrainConfig(epochs=1, num_classes=8, request_index=5))
 
 
 def test_training_divergence_raises_with_epoch(image):
@@ -725,6 +747,37 @@ def test_load_refuses_a_slot_outside_the_image(tmp_path):
     where.write_text(json.dumps({**manifest, "request_index": 2}))
     with pytest.raises(CnnError, match="request_index 2 is outside the 2 image rows"):
         load_model(tmp_path / "model_0")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("request_index", 1.5), ("seed", 1.5), ("num_classes", 2.5), ("filters", (1.5,)),
+     ("filters", 16), ("input_shape", (5.0, 28)), ("input_shape", (5,))],
+)
+def test_model_refuses_a_setting_load_model_would_refuse(field, value):
+    # A model that save_model writes must be one load_model reads back.
+    CnnModel(input_shape=(5, 28), num_classes=7, request_index=1)
+    with pytest.raises(CnnError, match=f"malformed field '{field}'"):
+        CnnModel(**{"input_shape": (5, 28), "num_classes": 7, field: value})
+
+
+def test_a_model_of_numpy_integer_settings_saves_and_loads(tmp_path):
+    model = CnnModel(
+        input_shape=np.array([5, 28]),
+        num_classes=np.int64(7),
+        request_index=np.int32(1),
+        filters=np.array([2, 3]),
+        seed=np.uint8(3),
+    )
+    assert (model.input_shape, model.filters) == ((5, 28), (2, 3))
+    save_model(model, tmp_path / "model_1")
+    back = load_model(tmp_path / "model_1")
+    for name in ("input_shape", "num_classes", "request_index", "filters", "seed"):
+        assert getattr(back, name) == getattr(model, name), name
+        assert type(getattr(back, name)) is type(getattr(model, name)), name
+    saved, loaded = cnn._named_arrays(model), cnn._named_arrays(back)
+    for name, array in loaded.items():
+        assert array.tobytes() == saved[name].tobytes(), name
 
 
 def test_load_refuses_arrays_of_another_dtype(tmp_path, image):

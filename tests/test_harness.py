@@ -571,6 +571,22 @@ def test_evaluate_rejects_unknown_method_before_placing(corpus, monkeypatch):
         evaluate(corpus, methods=("rgc", "bogus"))
 
 
+@pytest.mark.parametrize("methods", [("gca", "gca"), ("optimal", "gca", "optimal"), ()])
+def test_evaluate_rejects_an_empty_or_repeated_method_list_before_placing(
+    corpus, monkeypatch, methods
+):
+    # A repeated method would be placed and scored twice and written as
+    # two rows of both CSVs; an empty list would report nothing.
+    import edgecache.harness as harness
+
+    def placed(*args, **kwargs):
+        raise AssertionError("gca ran before the method list was checked")
+
+    monkeypatch.setattr(harness, "gca", placed)
+    with pytest.raises(ValueError, match="must name each method once, and at least one"):
+        evaluate(corpus, methods=methods)
+
+
 @pytest.mark.parametrize("gamma", [-1.0, float("inf"), float("nan")])
 def test_evaluate_rejects_a_bad_gamma_before_placing(corpus, monkeypatch, gamma):
     # gca prices no penalty itself, so only evaluate's own check stands

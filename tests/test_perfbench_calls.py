@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from edgecache import baselines, harness, pel
+from edgecache import baselines, cnn, harness, pel
+from edgecache.topology import TopologyConfig, build_topology
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = (
@@ -108,3 +109,22 @@ def test_every_module_call_in_perfbench_binds():
 def test_perfbench_call_forms_bind(fn, positional, keywords):
     bound = inspect.signature(fn).bind(*positional, **dict.fromkeys(keywords))
     assert list(bound.arguments.values())[: len(positional)] == list(positional)
+
+
+def test_train_models_trains_each_slot_through_cnn_train(tmp_path, monkeypatch):
+    # perfbench's tracer books training under cnn by wrapping cnn.train.
+    # Were train_models to train a slot any other way, its time would
+    # count as harness self time and cnn.self_share would read near 0.
+    assert "train" in _traced()["cnn"]
+    topo = build_topology(TopologyConfig(branching=2, depth=2, ec_rule="internal"))
+    corpus = harness.build_dataset(topo, n=10, flows=3, seed=5, out_dir=tmp_path)
+    calls = []
+    train = cnn.train
+
+    def counting(samples, cfg):
+        calls.append(cfg.request_index)
+        return train(samples, cfg)
+
+    monkeypatch.setattr(cnn, "train", counting)
+    models, _ = harness.train_models(corpus, epochs=1, workers=2)
+    assert sorted(calls) == list(range(corpus.flows)) == [m.request_index for m in models]
