@@ -10,7 +10,6 @@ when the penalized cost strictly decreases.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +18,7 @@ import numpy as np
 from .cost import (
     DEFAULT_GAMMA, Assignment, assignment_from_classes, check_gamma, class_table, network_tables,
 )
+from .formats import integer
 from .instance import Instance
 from .topology import Topology
 
@@ -40,15 +40,8 @@ class RgcConfig:
     gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
-        for name in ("epochs", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.seed < 0:  # np.random.default_rng refuses it only at rgc's first draw
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        integer(self.epochs, "epochs", ValueError, 1)
+        integer(self.seed, "seed", ValueError, 0)  # default_rng refuses it only at rgc's first draw
         check_gamma(self.gamma)
 
 

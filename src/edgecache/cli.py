@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import DEFAULT_RGC_EPOCHS
+from .cnn import TrainConfig
 from .cost import DEFAULT_GAMMA
 from .encoder import NormConfig, encode, to_grayscale, write_pgm
 from .formats import write_json
@@ -238,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("train", help="train the per-request classifiers")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)

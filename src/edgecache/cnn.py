@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import FeatureImage
-from .formats import int_tuple, read_fields, read_json, write_json
+from .formats import int_tuple, integer, read_fields, read_json, write_json
 
 MODEL_FORMAT = "edgecache-cnn"
 MODEL_FORMAT_VERSION = 2  # 2: float32 arrays
@@ -337,18 +337,11 @@ class TrainConfig:
     num_classes: int = 0  # |E| + 1; required
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed", "request_index", "num_classes"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise CnnError(f"{name} {getattr(self, name)} must be an integer") from None
-        if self.epochs < 1 or self.batch_size < 1:
-            raise CnnError(f"epochs {self.epochs} and batch_size {self.batch_size} must be >= 1")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("request_index", 0),
+                              ("num_classes", None)):
+            integer(getattr(self, name), name, CnnError, minimum)
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise CnnError(f"learning_rate {self.learning_rate} must be finite and positive")
-        for name in ("seed", "request_index"):
-            if getattr(self, name) < 0:
-                raise CnnError(f"{name} {getattr(self, name)} must be >= 0")
 
 
 # The integer settings of a CnnModel, in its argument order, and how
@@ -379,10 +372,8 @@ class CnnModel:
         input_shape, num_classes, request_index, filters, seed = read_fields(
             given, _MODEL_FIELDS, CnnError, "CnnModel"
         ).values()
-        if num_classes < 2:
-            raise CnnError("need at least two output classes")
-        if seed < 0:
-            raise CnnError(f"seed {seed} must be >= 0")
+        integer(num_classes, "num_classes", CnnError, 2)
+        integer(seed, "seed", CnnError, 0)
         if any(f < 1 for f in filters):
             raise CnnError(f"filters {filters} must all be >= 1")
         self.input_shape = input_shape

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost import Assignment
+from .formats import integer
 from .instance import Instance, ParameterRanges, ratios
 
 # The positive floor on residual capacities, so that a clamped residual
@@ -205,8 +206,7 @@ def split_subimages(f: FeatureImage, rows_per_block: int) -> list[FeatureImage]:
     block is padded with all-zero phantom rows (flows with no demand);
     the padding count is recorded on that block.
     """
-    if rows_per_block < 1:
-        raise EncodingError("rows_per_block must be >= 1")
+    integer(rows_per_block, "rows_per_block", EncodingError, 1)
     rows, width = f.matrix.shape
     blocks = []
     for start in range(0, rows, rows_per_block):

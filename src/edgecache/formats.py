@@ -1,10 +1,12 @@
-"""Versioned JSON files: one writer and one envelope-checking reader.
+"""Versioned JSON files and integer settings: one writer, one
+envelope-checking reader, one integer check.
 
 Every structured-text file the package writes is a JSON object that
 ends in a newline; data files carry a {"format": ..., "version": ...}
 envelope, which readers check before touching any other field, and
 then read each field through read_fields, so that a missing or
 malformed field raises the reader's own error type naming the field.
+Every count, seed and size a caller passes in goes through integer.
 """
 
 from __future__ import annotations
@@ -46,6 +48,22 @@ def read_fields(payload: dict, converters: dict, error: type[Exception], where) 
             out[key] = convert(payload[key])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise error(f"{where}: malformed field {key!r}: {exc}") from exc
+    return out
+
+
+def integer(value, name: str, error: type[ValueError], minimum: int | None = None) -> int:
+    """value as an int, for an integer setting (a count, seed or size).
+
+    Floats, strings and None are refused and numpy integers accepted,
+    as operator.index does; so is a value below minimum, when given.
+    A refusal raises error, naming the setting and the value.
+    """
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and out < minimum:
+        raise error(f"{name} must be >= {minimum}, got {out}")
     return out
 
 

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import cnn as cnnmod
 from . import pel
-from .baselines import RgcConfig, gca, rgc
+from .baselines import DEFAULT_RGC_EPOCHS, RgcConfig, gca, rgc
 from .cost import DEFAULT_GAMMA, class_table, cost_breakdown, labels_of
 from .encoder import RESIDUAL_FLOOR, NormConfig, encode, feature_matrix
-from .formats import read_fields, read_json, write_json
+from .formats import int_tuple, integer, read_fields, read_json, write_json
 from .instance import (
     Instance,
     ParameterRanges,
@@ -125,10 +125,8 @@ def build_dataset(
     stats to have the solver's counters (`solver.SOLVER_COUNTERS`) of
     every solve, excluded ones included, added to it.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    integer(n, "n", ValueError, 1)
+    integer(seed, "seed", ValueError, 0)
     if not 0 <= train_fraction <= 1:
         raise ValueError(f"train_fraction must be in [0, 1], got {train_fraction}")
     check_budget(budget)  # solve_exact checks it too, but only after the corpus directory exists
@@ -186,15 +184,15 @@ def load_corpus(path) -> Corpus:
     root = Path(path)
     where = root / "manifest.json"
     manifest = read_json(where, CORPUS_FORMAT, CORPUS_FORMAT_VERSION, ValueError)
+    flows = read_fields(manifest, {"flows": operator.index}, ValueError, where)["flows"]
     fields = {
-        "flows": operator.index,
         "norm": lambda record: NormConfig(**record),
         "samples": lambda rows: tuple(
-            CorpusSample(**{**s, "labels": tuple(s["labels"])}) for s in rows
+            CorpusSample(**{**s, "labels": int_tuple(s["labels"], flows)}) for s in rows
         ),
         "excluded": operator.index,
     }
-    return Corpus(root=root, **read_fields(manifest, fields, ValueError, where))
+    return Corpus(root=root, flows=flows, **read_fields(manifest, fields, ValueError, where))
 
 
 def corpus_training_samples(corpus: Corpus, split: str = "train"):
@@ -208,9 +206,9 @@ def corpus_training_samples(corpus: Corpus, split: str = "train"):
 
 def train_models(
     corpus: Corpus,
-    epochs: int = 200,
-    batch_size: int = 32,
-    learning_rate: float = 1e-3,
+    epochs: int = cnnmod.TrainConfig.epochs,
+    batch_size: int = cnnmod.TrainConfig.batch_size,
+    learning_rate: float = cnnmod.TrainConfig.learning_rate,
     seed: int = 0,
     workers: int = 1,
     out_dir=None,
@@ -226,12 +224,7 @@ def train_models(
     """
     # workers and the settings every slot shares are checked before the
     # corpus loads.
-    try:
-        operator.index(workers)
-    except TypeError:
-        raise ValueError(f"workers must be an integer, got {workers}") from None
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    integer(workers, "workers", ValueError, 1)
     cnnmod.TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=learning_rate, seed=seed)
     samples = corpus_training_samples(corpus, "train")
     if not samples:
@@ -327,8 +320,7 @@ def recursive_allocate(
     Q and r taken from the residual capacities, so each block is
     priced and encoded exactly as its own sub-instance would be.
     """
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
+    integer(block, "block", ValueError, 1)
     if block > len(models):
         raise ValueError(f"block {block} exceeds the {len(models)} models, one per flow of a block")
     table = class_table(i)
@@ -423,7 +415,7 @@ def evaluate(
     models=None,
     methods: tuple[str, ...] = ("optimal", "cnn", "gca", "rgc"),
     split: str = "test",
-    rgc_epochs: int = 500,
+    rgc_epochs: int = DEFAULT_RGC_EPOCHS,
     rgc_seed: int = 0,
     delta: float = DEFAULT_DELTA,
     gamma: float = DEFAULT_GAMMA,
@@ -517,10 +509,8 @@ def generate_instances(
     ranges: ParameterRanges = ParameterRanges(),
 ) -> list[str]:
     """Write a plain instance corpus (no solving) plus a manifest."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    integer(count, "count", ValueError, 1)
+    integer(seed, "seed", ValueError, 0)
     check_generation(flows, ranges)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)

@@ -13,13 +13,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import array, read_fields, read_json, write_json
+from .formats import array, integer, read_fields, read_json, write_json
 from .topology import Topology, topology_from_payload, topology_payload
 
 INSTANCE_FORMAT = "edgecache-instance"
@@ -65,12 +64,11 @@ class ParameterRanges:
         lo, hi = self.presence
         if not (0 < lo <= hi <= 1):
             raise InstanceError("presence range must lie within (0, 1]")
-        lo, hi = self.mobility_support
         # generate_instance draws integers(lo, hi + 1), which would floor
         # a fractional lo and cannot take an infinite hi.
-        integral = all(isinstance(v, numbers.Integral) for v in (lo, hi))
-        if not (integral and 1 <= lo <= hi):
-            raise InstanceError("mobility_support must be integers with 1 <= lo <= hi")
+        lo, hi = self.mobility_support
+        lo = integer(lo, "mobility_support lo", InstanceError, 1)
+        integer(hi, "mobility_support hi", InstanceError, lo)
         if self.ar_crowding is not None and not 0 < self.ar_crowding < math.inf:
             raise InstanceError("ar_crowding must be positive and finite when set")
 
@@ -135,8 +133,7 @@ class UtilizationRatios:
 def check_generation(num_flows: int, ranges: ParameterRanges) -> None:
     """Refuse a flow count below 1 or invalid sampling ranges, so callers
     that write a corpus can check before they create anything."""
-    if num_flows < 1:
-        raise InstanceError("num_flows must be >= 1")
+    integer(num_flows, "num_flows", InstanceError, 1)
     ranges.validate()
 
 

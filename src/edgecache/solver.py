@@ -58,6 +58,7 @@ import numpy as np
 
 from . import cost as costmod
 from .cost import _OVERLOAD, Assignment, CostBreakdown, network_tables
+from .formats import integer
 from .instance import Instance
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -450,14 +451,7 @@ SOLVER_COUNTERS = (
 def check_budget(budget) -> None:
     """Refuse a node budget that is not an integer >= 1 (NaN would never
     run out, and a fraction is no count)."""
-    import operator  # here, so loading the solver imports nothing more
-
-    try:
-        operator.index(budget)
-    except TypeError:
-        raise ValueError(f"budget must be an integer, got {budget!r}") from None
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    integer(budget, "budget", ValueError, 1)
 
 
 def solve_exact(

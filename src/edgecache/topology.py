@@ -18,7 +18,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .formats import check_envelope, int_tuple, read_fields, write_json
+from .formats import check_envelope, int_tuple, integer, read_fields, write_json
 
 TOPOLOGY_FORMAT = "edgecache-topology"
 TOPOLOGY_FORMAT_VERSION = 1
@@ -52,16 +52,18 @@ class TopologyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("mesh_links", "seed"):
-            if getattr(self, name) < 0:
-                raise TopologyError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.ec_count is not None and self.ec_rule != "random":
-            raise TopologyError(f"ec_count is read only by ec_rule='random', not {self.ec_rule!r}")
+        for name, minimum in (("depth", 1), ("mesh_links", 0), ("datacenter_hops", 1), ("seed", 0)):
+            integer(getattr(self, name), name, TopologyError, minimum)
+        if self.ec_count is not None:
+            if self.ec_rule != "random":
+                raise TopologyError(f"ec_count is read only by ec_rule='random', not {self.ec_rule!r}")
+            integer(self.ec_count, "ec_count", TopologyError, 1)
 
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable network graph with canonical AR/EC/link orderings."""
+    """Immutable network graph with canonical AR/EC/link orderings; the
+    nodes are distinct, and so are the ARs and the ECs, each a node."""
 
     nodes: tuple[int, ...]
     links: tuple[tuple[int, int], ...]
@@ -77,9 +79,17 @@ class Topology:
             raise TopologyError("topology has no access routers")
         if not self.edge_clouds:
             raise TopologyError("topology has no edge clouds")
-        if self.datacenter_hops < 1:
-            raise TopologyError(f"datacenter_hops must be >= 1, got {self.datacenter_hops}")
+        hops = integer(self.datacenter_hops, "datacenter_hops", TopologyError, 1)
+        object.__setattr__(self, "datacenter_hops", hops)  # a numpy integer would not save
         node_set = set(self.nodes)
+        for name, members in (("nodes", self.nodes), ("access_routers", self.access_routers),
+                              ("edge_clouds", self.edge_clouds)):
+            if len(set(members)) < len(members):
+                repeated = next(n for n in members if members.count(n) > 1)
+                raise TopologyError(f"{name} repeat node {repeated}")
+            if not node_set.issuperset(members):
+                stranger = next(n for n in members if n not in node_set)
+                raise TopologyError(f"{name} name node {stranger}, which is not among the nodes")
         adj: dict[int, list[int]] = {n: [] for n in self.nodes}
         index: dict[tuple[int, int], int] = {}
         for idx, (u, v) in enumerate(self.links):
@@ -147,14 +157,13 @@ class IncidenceTensor:
 
 
 def _per_level_branching(branching, depth: int) -> tuple[int, ...]:
-    """One branching factor per level: a uniform factor repeats."""
-    if isinstance(branching, int):
-        if branching < 2:
-            raise TopologyError("uniform branching factor must be >= 2")
-        return (branching,) * depth
-    factors = tuple(int(b) for b in branching)
-    if not factors or any(b < 1 for b in factors):
-        raise TopologyError("per-level branching factors must be >= 1")
+    """One branching factor per level: a uniform factor (>= 2) repeats,
+    and a sequence gives each level its own (>= 1)."""
+    try:
+        factors = tuple(branching)
+    except TypeError:  # not a sequence: one factor for every level
+        return (integer(branching, "branching", TopologyError, 2),) * depth
+    factors = tuple(integer(b, "branching factor", TopologyError, 1) for b in factors)
     if len(factors) != depth:
         raise TopologyError(f"branching sequence length {len(factors)} != depth {depth}")
     return factors
@@ -168,8 +177,6 @@ def build_topology(config: TopologyConfig) -> Topology:
     breadth-first order, links are sorted (min, max) pairs, so the same
     config and seed always yield the same Topology.
     """
-    if config.depth < 1:
-        raise TopologyError("depth must be >= 1")
     per_level = _per_level_branching(config.branching, config.depth)
 
     rng = np.random.default_rng(config.seed)
@@ -208,7 +215,7 @@ def build_topology(config: TopologyConfig) -> Topology:
     elif config.ec_rule == "leaves":
         edge_clouds = access_routers
     elif config.ec_rule == "random":
-        if config.ec_count is None or config.ec_count < 1:
+        if config.ec_count is None:
             raise TopologyError("ec_rule='random' requires ec_count >= 1")
         if config.ec_count > len(nodes):
             raise TopologyError("ec_count exceeds node count")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgecache.cli import build_parser, main
+from edgecache.cnn import TrainConfig
 from edgecache.encoder import read_pgm
 from edgecache.harness import DATASET_RANGES
 from edgecache.instance import generate_instance
@@ -403,3 +404,21 @@ def test_run_manifest_records_every_flag(workspace, tmp_path, command):
     assert manifest["config"] == str(config)
     for key, value in recorded.items():
         assert manifest[key] == value
+
+
+def test_dataset_on_a_topology_naming_an_unknown_ec_exits_2(workspace, tmp_path, capsys):
+    root, topo, corpus, models = workspace
+    bad = tmp_path / "topo.json"
+    bad.write_text(json.dumps({**json.loads(topo.read_text()), "edge_clouds": [99]}))
+    argv = ["dataset", "--topology", str(bad), "--count", "1", "--flows", "2",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "edge_clouds name node 99" in capsys.readouterr().err
+
+
+def test_train_flag_defaults_are_the_training_config_defaults():
+    args = build_parser().parse_args(["train", "--corpus", "c", "--out", "o"])
+    cfg = TrainConfig()
+    assert (args.epochs, args.batch_size, args.learning_rate) == (
+        cfg.epochs, cfg.batch_size, cfg.learning_rate
+    )

@@ -1,5 +1,6 @@
 import copy
 import functools
+import inspect
 import json
 import re
 import sys
@@ -14,7 +15,7 @@ import pytest
 from edgecache import cnn as cnnmod, harness, pel
 from edgecache.cnn import CnnError, CnnModel, TrainConfig, TrainingDivergedError, _named_arrays, train
 from edgecache.cost import check_feasibility, class_table, penalized_cost
-from edgecache.baselines import RgcConfig, gca, rgc
+from edgecache.baselines import DEFAULT_RGC_EPOCHS, RgcConfig, gca, rgc
 from edgecache.encoder import EncodingError, NormConfig, encode
 from edgecache.harness import (
     Corpus,
@@ -279,15 +280,15 @@ def corpus_must_not_load(monkeypatch):
 
 
 def test_a_negative_seed_is_refused_before_the_corpus_loads(corpus, corpus_must_not_load):
-    with pytest.raises(CnnError, match="seed -1 must be >= 0"):
+    with pytest.raises(CnnError, match="seed must be >= 0, got -1"):
         train_models(corpus, epochs=1, seed=-1, workers=2)
 
 
 @pytest.mark.parametrize(
     "setting,error,match",
-    [({"epochs": 2.5}, CnnError, "epochs 2.5 must be an integer"),
-     ({"batch_size": 1.5}, CnnError, "batch_size 1.5 must be an integer"),
-     ({"seed": 1.5}, CnnError, "seed 1.5 must be an integer"),
+    [({"epochs": 2.5}, CnnError, "epochs must be an integer, got 2.5"),
+     ({"batch_size": 1.5}, CnnError, "batch_size must be an integer, got 1.5"),
+     ({"seed": 1.5}, CnnError, "seed must be an integer, got 1.5"),
      ({"workers": 1.5}, ValueError, "workers must be an integer, got 1.5")],
     ids=["epochs", "batch_size", "seed", "workers"],
 )
@@ -748,3 +749,12 @@ def test_build_dataset_reports_exclusions(topo, tmp_path):
     )
     assert len(kept.samples) == 6
     assert all(s.proof == "bounded" for s in kept.samples)
+
+
+def test_setting_defaults_are_read_from_their_owners():
+    train_defaults = inspect.signature(train_models).parameters
+    cfg = TrainConfig()
+    for name in ("epochs", "batch_size", "learning_rate"):
+        assert train_defaults[name].default == getattr(cfg, name), name
+    rgc_epochs = inspect.signature(evaluate).parameters["rgc_epochs"].default
+    assert rgc_epochs == DEFAULT_RGC_EPOCHS == RgcConfig().epochs

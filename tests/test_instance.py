@@ -119,10 +119,19 @@ def test_ranges_refuse_infinite_bounds(field, value, message):
         ParameterRanges(**{field: value}).validate()
 
 
-@pytest.mark.parametrize("bounds", [(2.5, 3), (2, np.inf), (2, 3.0), (0, 3), (3, 2)])
+SUPPORT_REFUSALS = {
+    (2.5, 3): "lo must be an integer, got 2.5",
+    (2, np.inf): "hi must be an integer, got inf",
+    (2, 3.0): "hi must be an integer, got 3.0",
+    (0, 3): "lo must be >= 1, got 0",
+    (3, 2): "hi must be >= 3, got 2",
+}
+
+
+@pytest.mark.parametrize("bounds", list(SUPPORT_REFUSALS))
 def test_ranges_refuse_a_mobility_support_that_is_not_an_integer_range(bounds):
     ParameterRanges(mobility_support=(np.int64(2), 3)).validate()
-    with pytest.raises(InstanceError, match="mobility_support must be integers with 1 <= lo <= hi"):
+    with pytest.raises(InstanceError, match=f"mobility_support {SUPPORT_REFUSALS[bounds]}"):
         ParameterRanges(mobility_support=bounds).validate()
 
 

@@ -273,3 +273,33 @@ def test_topology_file_refuses_a_loose_datacenter_hops(tmp_path, hops):
     path.write_text(json.dumps(payload))
     with pytest.raises(TopologyError, match="datacenter_hops"):
         load_topology(path)
+
+
+def test_numpy_integer_settings_build_a_topology_that_saves(tmp_path):
+    t = build_topology(TopologyConfig(branching=np.int64(2), depth=np.int64(2),
+                                      datacenter_hops=np.int64(7)))
+    assert t == build_topology(TopologyConfig(branching=2, depth=2, datacenter_hops=7))
+    save_topology(t, tmp_path / "topo.json")
+    assert load_topology(tmp_path / "topo.json") == t
+
+
+def _star(**changes):
+    """A hub with three leaves, with the given fields changed."""
+    fields = dict(nodes=(0, 1, 2, 3), links=((0, 1), (0, 2), (0, 3)), access_routers=(1, 2, 3),
+                  edge_clouds=(0, 1), datacenter_hops=12)
+    return Topology(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [({"access_routers": (1, 99)}, "access_routers name node 99, which is not among the nodes"),
+     ({"edge_clouds": (99,)}, "edge_clouds name node 99, which is not among the nodes"),
+     ({"edge_clouds": (0, 0, 1)}, "edge_clouds repeat node 0"),
+     ({"access_routers": (1, 2, 2)}, "access_routers repeat node 2"),
+     ({"nodes": (0, 1, 2, 3, 3)}, "nodes repeat node 3")],
+    ids=["unknown-ar", "unknown-ec", "repeated-ec", "repeated-ar", "repeated-node"],
+)
+def test_topology_refuses_a_repeated_or_unknown_node(changes, message):
+    _star()
+    with pytest.raises(TopologyError, match=message):
+        _star(**changes)
