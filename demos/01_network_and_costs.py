@@ -26,7 +26,7 @@ print(f"  datacenter fallback:     {topo.datacenter_hops} hops")
 
 hops = hop_matrix(topo)
 print("\nhop matrix (AR rows x EC columns):")
-print(hops.entries)
+print(hops)
 
 inst = generate_instance(topo, num_flows=5, ranges=DATASET_RANGES, seed=42)
 print("\na 5-flow instance:")

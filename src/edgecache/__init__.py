@@ -51,7 +51,6 @@ from .harness import (
 from .instance import (
     Instance,
     ParameterRanges,
-    UtilizationRatios,
     generate_instance,
     load_instance,
     ratios,
@@ -61,8 +60,6 @@ from .lpfile import export_milp
 from .pel import enhance
 from .solver import OptimalSolution, solve_exact
 from .topology import (
-    HopMatrix,
-    IncidenceTensor,
     Topology,
     TopologyConfig,
     build_topology,

@@ -206,13 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = add_parser("topo", help="build and save a network topology")
-    p.add_argument("--branching", nargs="+", type=int, default=[2])
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--mesh-links", type=int, default=0)
-    p.add_argument("--ec-rule", choices=["internal", "all", "leaves", "random"], default="internal")
-    p.add_argument("--ec-count", type=int, default=None)
-    p.add_argument("--datacenter-hops", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--branching", nargs="+", type=int, default=[TopologyConfig.branching])
+    p.add_argument("--depth", type=int, default=TopologyConfig.depth)
+    p.add_argument("--mesh-links", type=int, default=TopologyConfig.mesh_links)
+    p.add_argument("--ec-rule", choices=["internal", "all", "leaves", "random"],
+                   default=TopologyConfig.ec_rule)
+    p.add_argument("--ec-count", type=int, default=TopologyConfig.ec_count)
+    p.add_argument("--datacenter-hops", type=int, default=TopologyConfig.datacenter_hops)
+    p.add_argument("--seed", type=int, default=TopologyConfig.seed)
     p.add_argument("--out", required=True)
 
     p = add_parser("gen", help="generate random instances")
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
 

@@ -340,8 +340,14 @@ class TrainConfig:
         for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("request_index", 0),
                               ("num_classes", None)):
             integer(getattr(self, name), name, CnnError, minimum)
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+        try:
+            valid = np.isfinite(self.learning_rate) and self.learning_rate > 0
+        except TypeError:  # a string, None or another non-number
+            raise CnnError(f"learning_rate must be a number, got {self.learning_rate!r}") from None
+        if not valid:
             raise CnnError(f"learning_rate {self.learning_rate} must be finite and positive")
+        # A numpy scalar would widen Adam's float32 update; a Python float does not.
+        self.learning_rate = float(self.learning_rate)
 
 
 # The integer settings of a CnnModel, in its argument order, and how

@@ -162,18 +162,18 @@ class NetworkTables:
 def network_tables(t: Topology) -> NetworkTables:
     """The NetworkTables of a topology, cached per topology."""
     hops = hop_matrix(t)
-    inc = incidence_tensor(t, hops)
-    L, A, E = inc.entries.shape
-    incidence = inc.entries.reshape(L, A * E).astype(np.float64)
+    entries, path_store = incidence_tensor(t, hops)
+    L, A, E = entries.shape
+    incidence = entries.reshape(L, A * E).astype(np.float64)
     onehot = np.eye(E + 1, E, dtype=np.int8)
     tables = NetworkTables(
         onehot=onehot,
-        hops=hops.entries.astype(np.float64),
-        in_reach=hops.entries < t.datacenter_hops,
+        hops=hops.astype(np.float64),
+        in_reach=hops < t.datacenter_hops,
         incidence=incidence,
         selector=onehot[:, None, :].astype(np.float64),
         ec_incidence=incidence.reshape(L, A, E).transpose(2, 1, 0),
-        path_store=MappingProxyType(inc.path_store),
+        path_store=MappingProxyType(path_store),
     )
     for arr in vars(tables).values():
         if isinstance(arr, np.ndarray):
@@ -183,7 +183,7 @@ def network_tables(t: Topology) -> NetworkTables:
 
 def utilization(i: Instance, x: np.ndarray) -> np.ndarray:
     """Space utilization U_e = sum_k q_ke * x_ke per EC."""
-    q = ratios(i).q
+    q, _ = ratios(i)
     return (q * x).sum(axis=0)
 
 
@@ -399,7 +399,7 @@ def class_table(i: Instance) -> ClassTable:
     K = i.num_flows
     E = i.topology.num_edge_clouds
     net = network_tables(i.topology)
-    rat = ratios(i)
+    q, r = ratios(i)
     serve = _serving_mask(i, net)
     hit, miss = _flow_hops(i, (i.mobility[:, :, None] * serve)[:, None] * net.selector)
     links = np.zeros((K, E + 1, i.topology.num_links), dtype=np.int8)
@@ -411,8 +411,8 @@ def class_table(i: Instance) -> ClassTable:
         hit=hit,
         miss=miss,
         T=hit + miss,
-        Q=rat.q,
-        r=rat.r,
+        Q=q,
+        r=r,
         onehot=net.onehot,
         rows=np.arange(K),
     )
@@ -512,8 +512,8 @@ def _assignment_breakdown(
 ) -> CostBreakdown:
     """cost_breakdown of asg, taking the verdict on y's consistency as given."""
     hit, miss = _flow_hops(i, i.mobility[:, :, None] * asg.z)
-    rat = ratios(i)
-    return _breakdown(i, asg.x, asg.y, hit, miss, rat.q, rat.r, gamma, consistent)
+    q, r = ratios(i)
+    return _breakdown(i, asg.x, asg.y, hit, miss, q, r, gamma, consistent)
 
 
 def total_cost(
@@ -539,8 +539,8 @@ def penalized_cost(i: Instance, asg: Assignment, gamma: float = DEFAULT_GAMMA) -
 
 def check_feasibility(i: Instance, asg: Assignment) -> FeasibilityReport:
     """Evaluate each constraint family an Assignment can violate, independently."""
-    rat = ratios(i)
-    ec, link = _within_capacity((rat.q * asg.x).sum(axis=0), (rat.r * asg.y).sum(axis=0))
+    q, r = ratios(i)
+    ec, link = _within_capacity((q * asg.x).sum(axis=0), (r * asg.y).sum(axis=0))
     return FeasibilityReport(
         ec_capacity=ec, link_capacity=link, link_path_consistency=_consistent(i, asg)
     )

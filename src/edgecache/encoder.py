@@ -82,12 +82,12 @@ def encode(i: Instance, norm: NormConfig) -> FeatureImage:
     meant for residual-capacity re-encoding, where ratios legitimately
     drift above the generation range.
     """
-    rat = ratios(i)
+    q, r = ratios(i)
     A = i.topology.num_access_routers
     E = i.topology.num_edge_clouds
     L = i.topology.num_links
     return FeatureImage(
-        matrix=feature_matrix(i.mobility, rat.q, rat.r, norm),
+        matrix=feature_matrix(i.mobility, q, r, norm),
         block_bounds={"P": (0, A), "Q": (A, A + E), "R": (A + E, A + E + L)},
         norm_meta=norm,
     )

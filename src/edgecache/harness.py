@@ -181,6 +181,8 @@ def build_dataset(
 
 
 def load_corpus(path) -> Corpus:
+    """Read a corpus manifest; a label outside 0..E, for the E edge
+    clouds of the corpus's topology.json, raises ValueError."""
     root = Path(path)
     where = root / "manifest.json"
     manifest = read_json(where, CORPUS_FORMAT, CORPUS_FORMAT_VERSION, ValueError)
@@ -192,7 +194,13 @@ def load_corpus(path) -> Corpus:
         ),
         "excluded": operator.index,
     }
-    return Corpus(root=root, flows=flows, **read_fields(manifest, fields, ValueError, where))
+    corpus = Corpus(root=root, flows=flows, **read_fields(manifest, fields, ValueError, where))
+    E = corpus.topology().num_edge_clouds
+    for s in corpus.samples:
+        for label in s.labels:
+            if not 0 <= label <= E:
+                raise ValueError(f"{where}: sample {s.file} has label {label} outside 0..{E}")
+    return corpus
 
 
 def corpus_training_samples(corpus: Corpus, split: str = "train"):
@@ -209,7 +217,7 @@ def train_models(
     epochs: int = cnnmod.TrainConfig.epochs,
     batch_size: int = cnnmod.TrainConfig.batch_size,
     learning_rate: float = cnnmod.TrainConfig.learning_rate,
-    seed: int = 0,
+    seed: int = cnnmod.TrainConfig.seed,
     workers: int = 1,
     out_dir=None,
 ):

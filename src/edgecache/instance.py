@@ -122,14 +122,6 @@ class Instance:
         return self.mobility.shape[0]
 
 
-@dataclass(frozen=True)
-class UtilizationRatios:
-    """q[k, e] = s_k / w_e and r[k, l] = b_k / c_l."""
-
-    q: np.ndarray
-    r: np.ndarray
-
-
 def check_generation(num_flows: int, ranges: ParameterRanges) -> None:
     """Refuse a flow count below 1 or invalid sampling ranges, so callers
     that write a corpus can check before they create anything."""
@@ -219,11 +211,11 @@ def generate_instance(
     )
 
 
-def ratios(i: Instance) -> UtilizationRatios:
-    """Elementwise demand-to-capacity ratios."""
+def ratios(i: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Demand-to-capacity ratios (q, r): q[k, e] = s_k / w_e and r[k, l] = b_k / c_l."""
     q = i.content_size[:, None] / i.ec_space[None, :]
     r = i.bandwidth[:, None] / i.link_capacity[None, :]
-    return UtilizationRatios(q=q, r=r)
+    return q, r
 
 
 def save_instance(i: Instance, path) -> None:

@@ -90,7 +90,7 @@ def milp_model(i: Instance, big_m: float | None = None) -> Milp:
         # tdef forces t_e >= 1, and chigate/chibind force t_e <= M where x_ke = 1.
         raise ValueError(f"big_m must be finite and >= 1, got {big_m!r}")
     net = network_tables(i.topology)
-    rat = ratios(i)
+    q, _ = ratios(i)
     K = i.num_flows
     A = i.topology.num_access_routers
     E = i.topology.num_edge_clouds
@@ -145,7 +145,7 @@ def milp_model(i: Instance, big_m: float | None = None) -> Milp:
             row(f"luselo_{k}_{l}", [(y[k, l], 1.0)] + path, "<=", 0.0)
             row(f"lusehi_{k}_{l}", [(y[k, l], big_m)] + path, ">=", 0.0)
     for e in range(E):
-        row(f"tdef_{e}", [(t[e], 1.0)] + [(chi[k, e], -rat.q[k, e]) for k in range(K)], "=", 1.0)
+        row(f"tdef_{e}", [(t[e], 1.0)] + [(chi[k, e], -q[k, e]) for k in range(K)], "=", 1.0)
     for k in range(K):
         for e in range(E):
             row(f"chicap_{k}_{e}", [(chi[k, e], 1.0), (t[e], -1.0)], "<=", 0.0)

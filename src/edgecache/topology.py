@@ -132,30 +132,6 @@ class Topology:
         return dist
 
 
-@dataclass(frozen=True)
-class HopMatrix:
-    """entries[a, e] = shortest-path hop count from AR a to EC e."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if (self.entries < 0).any():
-            raise TopologyError("hop counts must be non-negative")
-
-
-@dataclass(frozen=True)
-class IncidenceTensor:
-    """Binary tensor of shape (|L|, |A|, |E|) marking canonical paths.
-
-    entries[l, a, e] == 1 exactly when link l lies on the stored
-    canonical shortest path from AR a to EC e.  path_store[(a, e)] is
-    that path as an ordered list of link indices.
-    """
-
-    entries: np.ndarray
-    path_store: dict[tuple[int, int], tuple[int, ...]]
-
-
 def _per_level_branching(branching, depth: int) -> tuple[int, ...]:
     """One branching factor per level: a uniform factor (>= 2) repeats,
     and a sequence gives each level its own (>= 1)."""
@@ -233,18 +209,23 @@ def build_topology(config: TopologyConfig) -> Topology:
     )
 
 
-def hop_matrix(t: Topology) -> HopMatrix:
-    """BFS shortest-path hop counts from every AR to every EC."""
-    entries = np.zeros((t.num_access_routers, t.num_edge_clouds), dtype=np.int64)
+def hop_matrix(t: Topology) -> np.ndarray:
+    """(|A|, |E|) int64: BFS shortest-path hop count from AR a to EC e."""
+    hops = np.zeros((t.num_access_routers, t.num_edge_clouds), dtype=np.int64)
     for i, a in enumerate(t.access_routers):
         dist = t.bfs_distances(a)
         for j, e in enumerate(t.edge_clouds):
-            entries[i, j] = dist[e]
-    return HopMatrix(entries=entries)
+            hops[i, j] = dist[e]
+    return hops
 
 
-def incidence_tensor(t: Topology, h: HopMatrix) -> IncidenceTensor:
+def incidence_tensor(t: Topology, h: np.ndarray) -> tuple[np.ndarray, dict]:
     """Mark which links belong to each canonical AR-to-EC shortest path.
+
+    Returns (entries, path_store): entries[l, a, e] == 1 (int8, shape
+    (|L|, |A|, |E|)) when link l lies on the canonical path from AR a to
+    EC e, and path_store[(a, e)] is that path's ordered link indices; its
+    length must equal the hop count h[a, e].
 
     The canonical path is the lexicographically smallest node sequence
     among shortest paths: walk from the AR, always to the smallest-id
@@ -268,15 +249,15 @@ def incidence_tensor(t: Topology, h: HopMatrix) -> IncidenceTensor:
         to_ec.append(paths)
     path_store = {(i, j): to_ec[j][a] for i, a in enumerate(t.access_routers) for j in range(E)}
     lengths = np.array([len(p) for p in path_store.values()]).reshape(A, E)
-    if (lengths != h.entries).any():
-        i, j = np.argwhere(lengths != h.entries)[0]
+    if (lengths != h).any():
+        i, j = np.argwhere(lengths != h)[0]
         raise TopologyError(
             f"path length mismatch for AR {t.access_routers[i]} -> EC {t.edge_clouds[j]}"
         )
     links = np.fromiter(chain.from_iterable(path_store.values()), np.int64, lengths.sum())
     entries = np.zeros(t.num_links * A * E, dtype=np.int8)
     entries[links * (A * E) + np.repeat(np.arange(A * E), lengths.ravel())] = 1
-    return IncidenceTensor(entries=entries.reshape(t.num_links, A, E), path_store=path_store)
+    return entries.reshape(t.num_links, A, E), path_store
 
 
 def topology_payload(t: Topology) -> dict:

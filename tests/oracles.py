@@ -43,7 +43,7 @@ def derive_routing_loop(i, x):
     """Per-flow routing loop: every AR a flow may appear at retrieves from
     the nearest cached EC when that beats the datacenter (hops < N_T)."""
     hops = hop_matrix(i.topology)
-    inc = incidence_tensor(i.topology, hops)
+    entries, _ = incidence_tensor(i.topology, hops)
     K, A = i.mobility.shape
     E = i.topology.num_edge_clouds
     L = i.topology.num_links
@@ -56,11 +56,11 @@ def derive_routing_loop(i, x):
         if cached.size == 0:
             continue
         for a in np.flatnonzero(i.mobility[k] > 0):
-            e_best = cached[np.argmin(hops.entries[a, cached])]
-            if hops.entries[a, e_best] < n_t:
+            e_best = cached[np.argmin(hops[a, cached])]
+            if hops[a, e_best] < n_t:
                 z[k, a, e_best] = 1
 
-    b_flat = inc.entries.reshape(L, A * E)
+    b_flat = entries.reshape(L, A * E)
     y = (b_flat @ z.reshape(K, A * E).T > 0).T.astype(np.int8)
     return Assignment(x=x, z=z, y=y)
 
@@ -90,21 +90,21 @@ def class_table_reference(i):
     served mass priced by the hop arithmetic of cost._flow_hops, and its
     links from float64 path counts."""
     hops = hop_matrix(i.topology)
-    inc = incidence_tensor(i.topology, hops)
+    entries, _ = incidence_tensor(i.topology, hops)
     K, A = i.mobility.shape
     E = i.topology.num_edge_clouds
-    L = inc.entries.shape[0]
+    L = entries.shape[0]
     nt = i.topology.datacenter_hops
-    rat = ratios(i)
-    serve = (i.mobility[:, :, None] > 0) & (hops.entries < nt)
+    q, r = ratios(i)
+    serve = (i.mobility[:, :, None] > 0) & (hops < nt)
     # z[k, c] is flow k's retrieval tensor at class c: column c only, none at c = E.
     z = np.zeros((K, E + 1, A, E), dtype=np.int8)
     ecs = np.arange(E)
     z[:, ecs, :, ecs] = serve.transpose(2, 0, 1)
     served = i.mobility[:, None, :, None] * z
-    hit = (served * hops.entries).sum(axis=(-2, -1))
+    hit = (served * hops).sum(axis=(-2, -1))
     miss = (1.0 - served.sum(axis=(-2, -1))) * nt
-    paths = inc.entries.reshape(L, -1).astype(np.float64) @ z.reshape(K * (E + 1), -1).T
+    paths = entries.reshape(L, -1).astype(np.float64) @ z.reshape(K * (E + 1), -1).T
     links = (paths > 0).T.astype(np.int8).reshape(K, E + 1, L)
     return ClassTable(
         inst=i,
@@ -113,8 +113,8 @@ def class_table_reference(i):
         hit=hit,
         miss=miss,
         T=hit + miss,
-        Q=rat.q,
-        r=rat.r,
+        Q=q,
+        r=r,
         onehot=np.eye(E + 1, E, dtype=np.int8),
         rows=np.arange(K),
     )
@@ -179,7 +179,7 @@ def brute_force_optimum(inst):
     serving decision; entirely independent of the branch and bound."""
     t = inst.topology
     hops = hop_matrix(t)
-    inc = incidence_tensor(t, hops)
+    entries, _ = incidence_tensor(t, hops)
     K = inst.num_flows
     E = t.num_edge_clouds
     nt = float(t.datacenter_hops)
@@ -189,8 +189,8 @@ def brute_force_optimum(inst):
         for e in range(E):
             opts = []
             for a in np.flatnonzero(inst.mobility[k] > 0):
-                n_ae = float(hops.entries[a, e])
-                links = {l for l in range(t.num_links) if inc.entries[l, a, e]}
+                n_ae = float(hops[a, e])
+                links = {l for l in range(t.num_links) if entries[l, a, e]}
                 opts.append((int(a), float(inst.mobility[k, a]), n_ae, links))
             serve_options[(k, e)] = opts
 
@@ -396,7 +396,7 @@ def incidence_walk(t, h):
                 step = min(nb for nb in t.adjacency[node] if dist[nb] == dist[node] - 1)
                 link_ids.append(t.link_index[(node, step)])
                 node = step
-            if len(link_ids) != h.entries[i, j]:
+            if len(link_ids) != h[i, j]:
                 raise TopologyError(f"path length mismatch for AR {a} -> EC {e}")
             path_store[(i, j)] = tuple(link_ids)
             entries[link_ids, i, j] = 1

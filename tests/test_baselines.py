@@ -54,7 +54,7 @@ def test_gca_matches_argmin_oracle(tree_topology):
         scores = expected_hops(inst)
         for k in range(5):
             expected = sum(
-                inst.mobility[k, a] * hops.entries[a, :]
+                inst.mobility[k, a] * hops[a, :]
                 for a in range(tree_topology.num_access_routers)
             )
             assert np.allclose(scores[k], expected)

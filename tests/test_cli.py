@@ -1,3 +1,4 @@
+import inspect
 import json
 import shutil
 from pathlib import Path
@@ -8,10 +9,10 @@ import pytest
 from edgecache.cli import build_parser, main
 from edgecache.cnn import TrainConfig
 from edgecache.encoder import read_pgm
-from edgecache.harness import DATASET_RANGES
+from edgecache.harness import DATASET_RANGES, build_dataset, evaluate, train_models
 from edgecache.instance import generate_instance
 from edgecache.solver import SOLVER_COUNTERS, solve_exact
-from edgecache.topology import load_topology
+from edgecache.topology import TopologyConfig, load_topology
 
 from oracles import parse_lp
 
@@ -416,9 +417,54 @@ def test_dataset_on_a_topology_naming_an_unknown_ec_exits_2(workspace, tmp_path,
     assert "edge_clouds name node 99" in capsys.readouterr().err
 
 
+def test_eval_on_a_label_outside_the_ecs_exits_2(workspace, tmp_path, capsys):
+    root, topo, corpus, models = workspace
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    sample = manifest["samples"][-1]
+    sample["labels"] = [99] + sample["labels"][1:]
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["eval", "--corpus", str(bad), "--methods", "optimal,gca", "--out", str(tmp_path / "e")]
+    assert main(argv) == 2
+    assert f"sample {sample['file']} has label 99 outside 0..3" in capsys.readouterr().err
+
+
 def test_train_flag_defaults_are_the_training_config_defaults():
     args = build_parser().parse_args(["train", "--corpus", "c", "--out", "o"])
     cfg = TrainConfig()
-    assert (args.epochs, args.batch_size, args.learning_rate) == (
-        cfg.epochs, cfg.batch_size, cfg.learning_rate
+    assert (args.epochs, args.batch_size, args.learning_rate, args.seed) == (
+        cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.seed
     )
+
+
+def test_topo_flag_defaults_are_the_topology_config_defaults():
+    args = build_parser().parse_args(["topo", "--out", "o"])
+    cfg = TopologyConfig()
+    assert args.branching == [cfg.branching]
+    for name in ("depth", "mesh_links", "ec_rule", "ec_count", "datacenter_hops", "seed"):
+        assert getattr(args, name) == getattr(cfg, name), name
+
+
+def _default(fn, parameter):
+    return inspect.signature(fn).parameters[parameter].default
+
+
+@pytest.mark.parametrize(
+    "argv,flag,fn,parameter",
+    [
+        (["train", "--corpus", "c"], "workers", train_models, "workers"),
+        (["dataset", "--topology", "t"], "train_fraction", build_dataset, "train_fraction"),
+        (["eval", "--corpus", "c"], "split", evaluate, "split"),
+        (["eval", "--corpus", "c"], "seed", evaluate, "rgc_seed"),
+    ],
+    ids=["train-workers", "dataset-train-fraction", "eval-split", "eval-seed"],
+)
+def test_flag_default_is_its_parameter_default(argv, flag, fn, parameter):
+    args = build_parser().parse_args([*argv, "--out", "o"])
+    assert getattr(args, flag) == _default(fn, parameter)
+
+
+def test_eval_methods_default_is_the_evaluate_default():
+    args = build_parser().parse_args(["eval", "--corpus", "c", "--out", "o"])
+    assert tuple(args.methods.split(",")) == _default(evaluate, "methods")

@@ -477,6 +477,29 @@ def test_train_config_rejects_bad_numbers(field, value):
         TrainConfig(**{"num_classes": 8, field: value})
 
 
+@pytest.mark.parametrize("value", ["1e-3", None])
+def test_train_config_refuses_a_learning_rate_that_is_not_a_number(value):
+    with pytest.raises(CnnError, match=re.escape(f"learning_rate must be a number, got {value!r}")):
+        TrainConfig(num_classes=8, learning_rate=value)
+
+
+def test_a_numpy_learning_rate_trains_the_bits_of_a_python_float(image, norm):
+    # A numpy float64 rate would widen Adam's float32 update.
+    t = build_topology(TopologyConfig(branching=2, depth=3))
+    samples = [
+        TrainingSample(image=encode(generate_instance(t, 5, seed=s), norm), labels=(s % 8,) * 5)
+        for s in range(12)
+    ]
+    settings = dict(epochs=2, batch_size=4, num_classes=8, request_index=1, seed=3)
+    numpy_cfg = TrainConfig(**settings, learning_rate=np.float64(1e-3))
+    assert type(numpy_cfg.learning_rate) is float
+    model, losses = train(samples, TrainConfig(**settings, learning_rate=1e-3))
+    numpy_model, numpy_losses = train(samples, numpy_cfg)
+    assert losses == numpy_losses
+    for (_, _, p, _), (_, _, q, _) in zip(model.param_items(), numpy_model.param_items()):
+        assert np.array_equal(p, q)
+
+
 @pytest.mark.parametrize("slot", [-1, 2])
 def test_model_refuses_a_slot_outside_the_image(slot):
     CnnModel(input_shape=(2, 4), num_classes=3, request_index=1)

@@ -73,7 +73,7 @@ def test_utilization_matches_brute_sum(tree_topology):
     rng = np.random.default_rng(0)
     x = random_placement(inst, rng)
     u = utilization(inst, x)
-    q = ratios(inst).q
+    q, _ = ratios(inst)
     for e in range(tree_topology.num_edge_clouds):
         expected = sum(q[k, e] * x[k, e] for k in range(5))
         assert u[e] == pytest.approx(expected, abs=1e-12)
@@ -174,7 +174,7 @@ def test_derive_routing_skips_retrieval_beyond_datacenter(path_topology):
 def exhaustive_best_transmission(inst, x):
     """Enumerate every z satisfying uniqueness and cache-consistency and
     return the minimum transmission cost (links unconstrained)."""
-    inc = incidence_tensor(inst.topology, hop_matrix(inst.topology))
+    entries, _ = incidence_tensor(inst.topology, hop_matrix(inst.topology))
     K, A = inst.mobility.shape
     E = inst.topology.num_edge_clouds
     choices_per_slot = []
@@ -188,7 +188,7 @@ def exhaustive_best_transmission(inst, x):
         for entry in combo:
             if entry is not None:
                 z[entry] = 1
-        y = (inc.entries.reshape(inst.topology.num_links, A * E) @ z.reshape(K, A * E).T > 0).T
+        y = (entries.reshape(inst.topology.num_links, A * E) @ z.reshape(K, A * E).T > 0).T
         asg = Assignment(x=np.asarray(x, dtype=np.int8), z=z, y=y.astype(np.int8))
         ct = cost_breakdown(inst, asg).transmission
         best = min(best, ct)
@@ -297,7 +297,7 @@ def test_total_cost_matches_unfused_oracle(tree_topology):
         asg = derive_routing(inst, x)
         bd = total_cost(inst, asg)
         # independent single-pass recomputation
-        q = ratios(inst).q
+        q, _ = ratios(inst)
         cc = 0.0
         for e in range(tree_topology.num_edge_clouds):
             n_e = int(asg.x[:, e].sum())
@@ -310,7 +310,7 @@ def test_total_cost_matches_unfused_oracle(tree_topology):
             for a in range(tree_topology.num_access_routers):
                 for e in range(tree_topology.num_edge_clouds):
                     if asg.z[k, a, e]:
-                        ch += inst.mobility[k, a] * hops.entries[a, e]
+                        ch += inst.mobility[k, a] * hops[a, e]
                         served += inst.mobility[k, a]
             cm += (1 - served) * nt
         expected = inst.alpha * cc + inst.beta * (ch + cm)
@@ -519,8 +519,7 @@ def _residual_blocks(inst, block, rng):
     for start in range(0, inst.num_flows, block):
         rows = slice(start, start + block)
         sub = subset_flows(shrunk, range(inst.num_flows)[rows])
-        rat = ratios(sub)
-        yield sub, table.block(rows, rat.q, rat.r)
+        yield sub, table.block(rows, *ratios(sub))
 
 
 @pytest.mark.parametrize("flows, block", [(8, 3), (15, 5), (20, 8)])
@@ -614,10 +613,10 @@ def test_table_breakdown_matches_its_assignment_at_the_capacity_margin(excess):
     rng = np.random.default_rng(410)
     for flows in (5, 15):
         base = generate_instance(topo, flows, ranges=DATASET_RANGES, seed=[flows, 7])
-        rat = ratios(base)
+        q, r = ratios(base)
         for classes in rng.integers(0, E, size=(20, flows)):
             asg = assignment_from_classes(base, classes)
-            u, load = (rat.q * asg.x).sum(axis=0), (rat.r * asg.y).sum(axis=0)
+            u, load = (q * asg.x).sum(axis=0), (r * asg.y).sum(axis=0)
             inst = dataclasses.replace(
                 base,
                 ec_space=np.where(u > 0, base.ec_space * u / (1 + excess), base.ec_space),

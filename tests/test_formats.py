@@ -140,6 +140,10 @@ FIELD_CASES = [
     (_corpus, _set_sample_labels([1.5, 0]), ValueError, "'samples'.* integer"),
     (_corpus, _set_sample_labels([0]), ValueError, "'samples': expected 2 integers, got 1"),
     (_corpus, _set("norm", {"q_max": 0.0, "r_max": 0.2}), ValueError, "norm"),
+    (_corpus, _set_sample_labels([99, 0]), ValueError,
+     r"manifest\.json: sample instances/inst_00000\.json has label 99 outside 0\.\.3"),
+    (_corpus, _set_sample_labels([0, -1]), ValueError,
+     r"manifest\.json: sample instances/inst_00000\.json has label -1 outside 0\.\.3"),
     (_model, _drop("num_classes"), CnnError, "num_classes"),
 ]
 
@@ -147,7 +151,8 @@ FIELD_CASES = [
 @pytest.mark.parametrize(
     "write,edit,error,field", FIELD_CASES,
     ids=["topology", "instance-missing", "instance-flat", "assignment", "corpus",
-         "corpus-fractional-label", "corpus-short-labels", "corpus-norm", "model"],
+         "corpus-fractional-label", "corpus-short-labels", "corpus-norm",
+         "corpus-label-past-the-ecs", "corpus-negative-label", "model"],
 )
 def test_loader_names_malformed_field(tmp_path, write, edit, error, field):
     path, load = write(tmp_path)

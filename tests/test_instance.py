@@ -147,28 +147,28 @@ def test_ratio_arithmetic(topo):
         alpha=0.5,
         beta=0.5,
     )
-    rat = ratios(inst)
-    assert rat.q[0, 0] == pytest.approx(0.5)
-    assert rat.r[0, 0] == pytest.approx(0.2)
+    q, r = ratios(inst)
+    assert q[0, 0] == pytest.approx(0.5)
+    assert r[0, 0] == pytest.approx(0.2)
 
 
 def test_ratios_match_cell_by_cell_oracle(topo):
     inst = generate_instance(topo, 5, seed=11)
-    rat = ratios(inst)
+    q, r = ratios(inst)
     for k in range(5):
         for e in range(topo.num_edge_clouds):
-            assert rat.q[k, e] == pytest.approx(inst.content_size[k] / inst.ec_space[e], abs=1e-15)
+            assert q[k, e] == pytest.approx(inst.content_size[k] / inst.ec_space[e], abs=1e-15)
         for l in range(topo.num_links):
-            assert rat.r[k, l] == pytest.approx(inst.bandwidth[k] / inst.link_capacity[l], abs=1e-15)
+            assert r[k, l] == pytest.approx(inst.bandwidth[k] / inst.link_capacity[l], abs=1e-15)
     # exact arithmetic: q * w recovers s to floating tolerance
-    assert np.abs(rat.q * inst.ec_space[None, :] - inst.content_size[:, None]).max() < 1e-12 * 500
+    assert np.abs(q * inst.ec_space[None, :] - inst.content_size[:, None]).max() < 1e-12 * 500
 
 
 def test_default_ranges_bound_the_ratios(topo):
     for seed in range(50):
-        rat = ratios(generate_instance(topo, 5, seed=seed))
-        assert rat.q.max() <= 0.5 + 1e-12
-        assert rat.r.max() <= 0.2 + 1e-12
+        q, r = ratios(generate_instance(topo, 5, seed=seed))
+        assert q.max() <= 0.5 + 1e-12
+        assert r.max() <= 0.2 + 1e-12
 
 
 def test_mobility_rows_have_sparse_support(topo):

@@ -304,8 +304,7 @@ def test_enhance_on_a_block_table_matches_the_sub_instance(tmp_path):
         sub = replace(
             subset_flows(inst, range(3, 7)), ec_space=ec_space, link_capacity=link_capacity
         )
-        rat = ratios(sub)
-        block = class_table(inst).block(rows, rat.q, rat.r)
+        block = class_table(inst).block(rows, *ratios(sub))
         O = rng.dirichlet(np.full(E + 1, 0.5), size=4)
         ours, theirs = tmp_path / "block.csv", tmp_path / "reference.csv"
         classes = enhance(block, O, trace_path=ours)

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from edgecache import baselines, cnn, harness, pel
-from edgecache.topology import TopologyConfig, build_topology
+from edgecache.topology import TopologyConfig, build_topology, hop_matrix, incidence_tensor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = (
@@ -109,6 +111,19 @@ def test_every_module_call_in_perfbench_binds():
 def test_perfbench_call_forms_bind(fn, positional, keywords):
     bound = inspect.signature(fn).bind(*positional, **dict.fromkeys(keywords))
     assert list(bound.arguments.values())[: len(positional)] == list(positional)
+
+
+def test_topology_tables_chain_hands_the_hops_to_the_incidence():
+    # The topology.tables_ms probe passes hop_matrix's return value on
+    # to incidence_tensor as it is.
+    topo = harness.evaluation_topology()
+    A, E, L = topo.num_access_routers, topo.num_edge_clouds, topo.num_links
+    h = hop_matrix(topo)
+    assert isinstance(h, np.ndarray) and h.dtype == np.int64 and h.shape == (A, E)
+    entries, path_store = incidence_tensor(topo, h)
+    assert isinstance(entries, np.ndarray) and entries.dtype == np.int8
+    assert entries.shape == (L, A, E)
+    assert sorted(path_store) == [(a, e) for a in range(A) for e in range(E)]
 
 
 def test_train_models_trains_each_slot_through_cnn_train(tmp_path, monkeypatch):
