@@ -483,7 +483,7 @@ def test_train_config_refuses_a_learning_rate_that_is_not_a_number(value):
         TrainConfig(num_classes=8, learning_rate=value)
 
 
-def test_a_numpy_learning_rate_trains_the_bits_of_a_python_float(image, norm):
+def test_a_numpy_learning_rate_trains_the_bits_of_a_python_float(norm):
     # A numpy float64 rate would widen Adam's float32 update.
     t = build_topology(TopologyConfig(branching=2, depth=3))
     samples = [

@@ -8,9 +8,8 @@ import importlib
 import inspect
 from pathlib import Path
 
-import pytest
-
 import numpy as np
+import pytest
 
 from edgecache import baselines, cnn, harness, pel
 from edgecache.topology import TopologyConfig, build_topology, hop_matrix, incidence_tensor
