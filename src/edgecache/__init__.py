@@ -20,9 +20,7 @@ from .cost import (
     check_feasibility,
     cost_breakdown,
     derive_routing,
-    load_assignment,
     penalized_cost,
-    save_assignment,
     total_cost,
     utilization,
 )
@@ -30,12 +28,10 @@ from .encoder import (
     FeatureImage,
     NormConfig,
     encode,
-    read_feature_csv,
     read_pgm,
     split_subimages,
     to_grayscale,
     update_residual,
-    write_feature_csv,
     write_pgm,
 )
 from .harness import (

@@ -39,14 +39,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .formats import array, read_fields, read_json, write_json
 from .instance import Instance, ratios
 from .topology import Topology, hop_matrix, incidence_tensor
 
 DEFAULT_GAMMA = 20.0
-
-ASSIGNMENT_FORMAT = "edgecache-assignment"
-ASSIGNMENT_FORMAT_VERSION = 1
 
 # Capacity-violating ECs price storage at the utilization-0.99 level;
 # the hinge penalty carries the actual violation magnitude.
@@ -562,21 +558,3 @@ def check_gamma(gamma: float) -> None:
     makes the penalty of every feasible placement inf * 0 = NaN."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
-
-
-def save_assignment(asg: Assignment, path) -> None:
-    payload = {
-        "format": ASSIGNMENT_FORMAT,
-        "version": ASSIGNMENT_FORMAT_VERSION,
-        "x": asg.x.tolist(),
-        "z": asg.z.tolist(),
-        "y": asg.y.tolist(),
-    }
-    write_json(path, payload, indent=None)
-
-
-def load_assignment(path) -> Assignment:
-    payload = read_json(path, ASSIGNMENT_FORMAT, ASSIGNMENT_FORMAT_VERSION, ValueError)
-    fields = {"x": array(2, np.int8), "z": array(3, np.int8), "y": array(2, np.int8)}
-    return Assignment(**read_fields(payload, fields, ValueError, path))
-

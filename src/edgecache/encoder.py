@@ -62,10 +62,9 @@ class NormConfig:
 
 @dataclass(frozen=True)
 class FeatureImage:
-    """Normalized [P | Q | R] matrix plus block and padding metadata."""
+    """A normalized [P | Q | R] matrix, its normalization and its padding."""
 
     matrix: np.ndarray
-    block_bounds: dict[str, tuple[int, int]]
     norm_meta: NormConfig
     phantom_rows: int = 0
 
@@ -83,14 +82,7 @@ def encode(i: Instance, norm: NormConfig) -> FeatureImage:
     drift above the generation range.
     """
     q, r = ratios(i)
-    A = i.topology.num_access_routers
-    E = i.topology.num_edge_clouds
-    L = i.topology.num_links
-    return FeatureImage(
-        matrix=feature_matrix(i.mobility, q, r, norm),
-        block_bounds={"P": (0, A), "Q": (A, A + E), "R": (A + E, A + E + L)},
-        norm_meta=norm,
-    )
+    return FeatureImage(matrix=feature_matrix(i.mobility, q, r, norm), norm_meta=norm)
 
 
 def feature_matrix(p: np.ndarray, q: np.ndarray, r: np.ndarray, norm: NormConfig) -> np.ndarray:
@@ -166,39 +158,6 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(h, w).copy()
 
 
-def write_feature_csv(f: FeatureImage, path) -> None:
-    """Feature matrix as CSV, led by a block-bounds header comment."""
-    bounds = " ".join(f"{name}={lo}:{hi}" for name, (lo, hi) in f.block_bounds.items())
-    with open(path, "w") as fh:
-        fh.write(f"# blocks {bounds} q_max={f.norm_meta.q_max:.12g} "
-                 f"r_max={f.norm_meta.r_max:.12g} phantom={f.phantom_rows}\n")
-        for row in f.matrix:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_feature_csv(path) -> FeatureImage:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("# blocks "):
-            raise EncodingError(f"{path}: missing block-bounds header")
-        try:
-            fields = dict(part.split("=", 1) for part in header[9:].split())
-            bounds = {}
-            for name in ("P", "Q", "R"):
-                lo, hi = fields[name].split(":")
-                bounds[name] = (int(lo), int(hi))
-            norm = NormConfig(q_max=float(fields["q_max"]), r_max=float(fields["r_max"]))
-            phantom = int(fields.get("phantom", 0))
-            matrix = np.array(
-                [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-            )
-        except KeyError as exc:
-            raise EncodingError(f"{path}: header lacks {exc.args[0]!r}") from exc
-        except ValueError as exc:
-            raise EncodingError(f"{path}: malformed feature CSV: {exc}") from exc
-    return FeatureImage(matrix=matrix, block_bounds=bounds, norm_meta=norm, phantom_rows=phantom)
-
-
 def split_subimages(f: FeatureImage, rows_per_block: int) -> list[FeatureImage]:
     """Cut the image into row-contiguous blocks of a fixed height.
 
@@ -214,14 +173,7 @@ def split_subimages(f: FeatureImage, rows_per_block: int) -> list[FeatureImage]:
         phantom = rows_per_block - chunk.shape[0]
         if phantom:
             chunk = np.vstack([chunk, np.zeros((phantom, width))])
-        blocks.append(
-            FeatureImage(
-                matrix=chunk,
-                block_bounds=dict(f.block_bounds),
-                norm_meta=f.norm_meta,
-                phantom_rows=phantom,
-            )
-        )
+        blocks.append(FeatureImage(matrix=chunk, norm_meta=f.norm_meta, phantom_rows=phantom))
     return blocks
 
 

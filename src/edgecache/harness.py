@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -181,8 +182,10 @@ def build_dataset(
 
 
 def load_corpus(path) -> Corpus:
-    """Read a corpus manifest; a label outside 0..E, for the E edge
-    clouds of the corpus's topology.json, raises ValueError."""
+    """Read a corpus manifest.  A sample raises ValueError when a label
+    is outside 0..E, for the E edge clouds of the corpus's topology.json,
+    when optimal_tc is not a finite number, when split is not train or
+    test, or when proof is not exhaustive or bounded."""
     root = Path(path)
     where = root / "manifest.json"
     manifest = read_json(where, CORPUS_FORMAT, CORPUS_FORMAT_VERSION, ValueError)
@@ -200,6 +203,16 @@ def load_corpus(path) -> Corpus:
         for label in s.labels:
             if not 0 <= label <= E:
                 raise ValueError(f"{where}: sample {s.file} has label {label} outside 0..{E}")
+        if not (type(s.optimal_tc) in (int, float) and math.isfinite(s.optimal_tc)):
+            raise ValueError(
+                f"{where}: sample {s.file} has optimal_tc {s.optimal_tc!r}, not a finite number"
+            )
+        if s.split not in ("train", "test"):
+            raise ValueError(f"{where}: sample {s.file} has split {s.split!r}, not train or test")
+        if s.proof not in ("exhaustive", "bounded"):
+            raise ValueError(
+                f"{where}: sample {s.file} has proof {s.proof!r}, not exhaustive or bounded"
+            )
     return corpus
 
 

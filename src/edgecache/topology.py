@@ -95,6 +95,8 @@ class Topology:
         for idx, (u, v) in enumerate(self.links):
             if u == v or u not in node_set or v not in node_set:
                 raise TopologyError(f"invalid link ({u}, {v})")
+            if (u, v) in index:
+                raise TopologyError(f"link ({u}, {v}) repeats link {index[(u, v)]}")
             adj[u].append(v)
             adj[v].append(u)
             index[(u, v)] = idx

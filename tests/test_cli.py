@@ -430,6 +430,21 @@ def test_eval_on_a_label_outside_the_ecs_exits_2(workspace, tmp_path, capsys):
     assert f"sample {sample['file']} has label 99 outside 0..3" in capsys.readouterr().err
 
 
+def test_eval_on_a_text_optimal_tc_exits_2(workspace, tmp_path, capsys):
+    root, topo, corpus, models = workspace
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    sample = manifest["samples"][-1]
+    sample["optimal_tc"] = "abc"
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["eval", "--corpus", str(bad), "--methods", "optimal,gca", "--out", str(tmp_path / "e")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"sample {sample['file']} has optimal_tc 'abc', not a finite number" in err
+
+
 def test_train_flag_defaults_are_the_training_config_defaults():
     args = build_parser().parse_args(["train", "--corpus", "c", "--out", "o"])
     cfg = TrainConfig()

@@ -444,8 +444,7 @@ def test_training_loss_halves_on_small_corpus(norm):
         inst = generate_instance(t, 5, seed=seed)
         img = encode(inst, norm)
         # synthetic but input-dependent label: argmax mobility bucket
-        lo, hi = img.block_bounds["P"]
-        label = int(img.matrix[0, lo:hi].argmax() % 8)
+        label = int(img.matrix[0, : t.num_access_routers].argmax() % 8)
         labels = (label, 0, 0, 0, 0)
         samples.append(TrainingSample(image=img, labels=labels))
     _, losses = train(
@@ -526,11 +525,7 @@ def test_training_refuses_a_slot_past_the_flows_before_the_first_step(image, mon
 
 def test_training_divergence_raises_with_epoch(image):
     poisoned = TrainingSample(
-        image=type(image)(
-            matrix=np.full_like(image.matrix, np.nan),
-            block_bounds=image.block_bounds,
-            norm_meta=image.norm_meta,
-        ),
+        image=type(image)(matrix=np.full_like(image.matrix, np.nan), norm_meta=image.norm_meta),
         labels=(0, 0, 0, 0, 0),
     )
     with pytest.raises(TrainingDivergedError) as err:

@@ -965,13 +965,3 @@ def test_derive_routing_rejects_more_than_one_ec(tree_topology, bad_row):
     x[1, :3] = bad_row
     with pytest.raises(ValueError, match="at most one EC"):
         derive_routing(inst, x)
-
-
-def test_assignment_file_round_trip(tmp_path, tree_topology):
-    from edgecache.cost import load_assignment, save_assignment
-
-    inst = generate_instance(tree_topology, 4, seed=2)
-    asg = derive_routing(inst, random_placement(inst, np.random.default_rng(1)))
-    save_assignment(asg, tmp_path / "asg.json")
-    back = load_assignment(tmp_path / "asg.json")
-    assert (back.x == asg.x).all() and (back.z == asg.z).all() and (back.y == asg.y).all()

@@ -13,7 +13,7 @@ from edgecache.encoder import (
     update_residual,
     write_pgm,
 )
-from edgecache.instance import Instance, ParameterRanges, generate_instance
+from edgecache.instance import Instance, ParameterRanges, generate_instance, ratios
 from edgecache.topology import TopologyConfig, build_topology
 
 from conftest import manual_instance
@@ -30,10 +30,14 @@ def test_fig_style_dimensions(norm):
     t = build_topology(
         TopologyConfig(branching=(1, 8), depth=2, ec_rule="random", ec_count=7, seed=4)
     )
+    assert (t.num_access_routers, t.num_edge_clouds, t.num_links) == (8, 7, 9)
     inst = generate_instance(t, 10, seed=0)
     img = encode(inst, norm)
     assert img.matrix.shape == (10, 24)
-    assert img.block_bounds == {"P": (0, 8), "Q": (8, 15), "R": (15, 24)}
+    q, r = ratios(inst)
+    assert np.array_equal(img.matrix[:, 0:8], inst.mobility)
+    assert np.array_equal(img.matrix[:, 8:15], q / norm.q_max)
+    assert np.array_equal(img.matrix[:, 15:24], r / norm.r_max)
     assert ((img.matrix >= 0) & (img.matrix <= 1)).all()
 
 
@@ -43,10 +47,12 @@ def test_zero_mobility_row_keeps_positive_ratios(tree_topology, norm):
     inst = manual_instance(tree_topology, mobility, content_size=[20.0, 30.0],
                            ec_space=[200.0] * tree_topology.num_edge_clouds)
     img = encode(inst, norm)
-    first = {name: img.matrix[0, lo:hi] for name, (lo, hi) in img.block_bounds.items()}
-    assert (first["P"] == 0).all()
-    assert (first["Q"] > 0).all()
-    assert (first["R"] > 0).all()
+    A, E = tree_topology.num_access_routers, tree_topology.num_edge_clouds
+    assert img.matrix.shape == (2, A + E + tree_topology.num_links)
+    first = img.matrix[0]
+    assert (first[:A] == 0).all()
+    assert (first[A : A + E] > 0).all()
+    assert (first[A + E :] > 0).all()
 
 
 def test_normalization_endpoint_hits_one(tree_topology):
@@ -61,8 +67,8 @@ def test_normalization_endpoint_hits_one(tree_topology):
         ec_space=[100.0] * tree_topology.num_edge_clouds,
     )
     img = encode(inst, norm)
-    lo, hi = img.block_bounds["Q"]
-    assert img.matrix[:, lo:hi].max() == pytest.approx(1.0)
+    A, E = tree_topology.num_access_routers, tree_topology.num_edge_clouds
+    assert img.matrix[:, A : A + E].max() == pytest.approx(1.0)
 
 
 def test_encode_rejects_off_range_values(tree_topology, norm):
@@ -75,8 +81,8 @@ def test_encode_rejects_off_range_values(tree_topology, norm):
     with pytest.raises(EncodingError, match=r"Q\[0,"):
         encode(inst, norm)
     clipped = encode(inst, NormConfig(q_max=norm.q_max, r_max=norm.r_max, clip=True))
-    lo, hi = clipped.block_bounds["Q"]
-    assert clipped.matrix[:, lo:hi].max() == 1.0
+    A, E = tree_topology.num_access_routers, tree_topology.num_edge_clouds
+    assert clipped.matrix[:, A : A + E].max() == 1.0
 
 
 @pytest.mark.parametrize(
@@ -113,11 +119,7 @@ def test_encode_is_deterministic_and_injective(tree_topology, norm):
 
 
 def test_grayscale_polarity_endpoints(norm):
-    img = FeatureImage(
-        matrix=np.array([[0.0, 1.0, 0.5]]),
-        block_bounds={"P": (0, 1), "Q": (1, 2), "R": (2, 3)},
-        norm_meta=norm,
-    )
+    img = FeatureImage(matrix=np.array([[0.0, 1.0, 0.5]]), norm_meta=norm)
     pixels = to_grayscale(img)
     assert pixels[0, 0] == 255  # empty -> white
     assert pixels[0, 1] == 0    # full  -> black
@@ -128,11 +130,7 @@ def test_grayscale_round_trip_quantization_bound(norm):
     rng = np.random.default_rng(0)
     for _ in range(20):
         matrix = rng.uniform(0, 1, size=(6, 11))
-        img = FeatureImage(
-            matrix=matrix,
-            block_bounds={"P": (0, 4), "Q": (4, 7), "R": (7, 11)},
-            norm_meta=norm,
-        )
+        img = FeatureImage(matrix=matrix, norm_meta=norm)
         back = 1.0 - to_grayscale(img).astype(np.float64) / 255.0
         assert np.abs(back - matrix).max() <= 1 / 510 + 1e-12
 
@@ -146,18 +144,6 @@ def test_pgm_round_trip(tmp_path, tree_topology, norm):
     assert raw.startswith(b"P5\n")
 
 
-def test_feature_csv_round_trip(tmp_path, tree_topology, norm):
-    from edgecache.encoder import read_feature_csv, write_feature_csv
-
-    inst = generate_instance(tree_topology, 5, seed=4)
-    img = encode(inst, norm)
-    write_feature_csv(img, tmp_path / "features.csv")
-    back = read_feature_csv(tmp_path / "features.csv")
-    assert (back.matrix == img.matrix).all()
-    assert back.block_bounds == img.block_bounds
-    assert back.norm_meta.q_max == norm.q_max
-
-
 @pytest.mark.parametrize(
     "data",
     [b"P5\nabc 2\n255\n\x00\x00", b"P5\n4", b"P5\n4 2\n", b"P5\n4 2 2x5\n"],
@@ -168,25 +154,6 @@ def test_read_pgm_names_file_on_malformed_header(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(EncodingError, match="bad.pgm"):
         read_pgm(path)
-
-
-@pytest.mark.parametrize(
-    "header",
-    [
-        "# blocks P=0:4 Q=4:7 q_max=0.5 r_max=0.5 phantom=0",
-        "# blocks P=0:4 Q=4:7 R=7 q_max=0.5 r_max=0.5 phantom=0",
-        "# blocks P=0:4 Q=4:7 R=7:11 r_max=0.5 phantom=0",
-        "# blocks P=0:4 Q=4:7 R=7:11 q_max=half r_max=0.5 phantom=0",
-    ],
-    ids=["missing-R", "malformed-R", "missing-q_max", "non-numeric-q_max"],
-)
-def test_read_feature_csv_names_file_on_malformed_header(tmp_path, header):
-    from edgecache.encoder import read_feature_csv
-
-    path = tmp_path / "bad.csv"
-    path.write_text(header + "\n" + ",".join(["0.5"] * 11) + "\n")
-    with pytest.raises(EncodingError, match="bad.csv"):
-        read_feature_csv(path)
 
 
 def test_split_multiples(tree_topology, norm):

@@ -9,7 +9,6 @@ import pytest
 import edgecache
 from edgecache.baselines import RgcConfig
 from edgecache.cnn import CnnError, CnnModel, TrainConfig, load_model, save_model
-from edgecache.cost import assignment_from_classes, load_assignment, save_assignment
 from edgecache.encoder import EncodingError, NormConfig, encode, split_subimages
 from edgecache.formats import integer
 from edgecache.harness import (
@@ -52,13 +51,6 @@ def _instance(tmp_path):
     return path, lambda: load_instance(path)
 
 
-def _assignment(tmp_path):
-    path = tmp_path / "asg.json"
-    inst = generate_instance(TOPO, 3, seed=1)
-    save_assignment(assignment_from_classes(inst, [0, 1, TOPO.num_edge_clouds]), path)
-    return path, lambda: load_assignment(path)
-
-
 def _corpus(tmp_path):
     build_dataset(TOPO, n=1, flows=2, seed=0, out_dir=tmp_path)
     return tmp_path / "manifest.json", lambda: load_corpus(tmp_path)
@@ -82,7 +74,6 @@ CASES = [
     (_topology, (), TopologyError),
     (_instance, (), InstanceError),
     (_instance, ("topology",), InstanceError),
-    (_assignment, (), ValueError),
     (_corpus, (), ValueError),
     (_model, (), CnnError),
 ]
@@ -91,7 +82,7 @@ CASES = [
 @pytest.mark.parametrize("field,bad", [("format", "edgecache-other"), ("version", 2)])
 @pytest.mark.parametrize(
     "write,keys,error", CASES,
-    ids=["topology", "instance", "instance-inline-topology", "assignment", "corpus", "model"],
+    ids=["topology", "instance", "instance-inline-topology", "corpus", "model"],
 )
 def test_loader_rejects_wrong_envelope(tmp_path, write, keys, error, field, bad):
     path, load = write(tmp_path)
@@ -125,8 +116,12 @@ def _drop_sample_labels(payload):
 
 
 def _set_sample_labels(labels):
+    return _set_sample("labels", labels)
+
+
+def _set_sample(key, value):
     def edit(payload):
-        payload["samples"][0]["labels"] = labels
+        payload["samples"][0][key] = value
     return edit
 
 
@@ -135,7 +130,6 @@ FIELD_CASES = [
     (_topology, _set("links", [[0]]), TopologyError, "links"),
     (_instance, _drop("mobility"), InstanceError, "mobility"),
     (_instance, _set("mobility", [0.5, 0.5]), InstanceError, "mobility"),
-    (_assignment, _set("z", [[0, 1]]), ValueError, "'z'"),
     (_corpus, _drop_sample_labels, ValueError, "samples"),
     (_corpus, _set_sample_labels([1.5, 0]), ValueError, "'samples'.* integer"),
     (_corpus, _set_sample_labels([0]), ValueError, "'samples': expected 2 integers, got 1"),
@@ -144,15 +138,25 @@ FIELD_CASES = [
      r"manifest\.json: sample instances/inst_00000\.json has label 99 outside 0\.\.3"),
     (_corpus, _set_sample_labels([0, -1]), ValueError,
      r"manifest\.json: sample instances/inst_00000\.json has label -1 outside 0\.\.3"),
+    (_corpus, _set_sample("optimal_tc", "abc"), ValueError,
+     r"manifest\.json: sample instances/inst_00000\.json has optimal_tc 'abc', not a finite number"),
+    (_corpus, _set_sample("optimal_tc", float("nan")), ValueError,
+     r"manifest\.json: sample instances/inst_00000\.json has optimal_tc nan, not a finite number"),
+    (_corpus, _set_sample("split", "validation"), ValueError,
+     r"manifest\.json: sample instances/inst_00000\.json has split 'validation', not train or test"),
+    (_corpus, _set_sample("proof", "heuristic"), ValueError,
+     r"manifest\.json: sample instances/inst_00000\.json has proof 'heuristic', "
+     r"not exhaustive or bounded"),
     (_model, _drop("num_classes"), CnnError, "num_classes"),
 ]
 
 
 @pytest.mark.parametrize(
     "write,edit,error,field", FIELD_CASES,
-    ids=["topology", "instance-missing", "instance-flat", "assignment", "corpus",
+    ids=["topology", "instance-missing", "instance-flat", "corpus",
          "corpus-fractional-label", "corpus-short-labels", "corpus-norm",
-         "corpus-label-past-the-ecs", "corpus-negative-label", "model"],
+         "corpus-label-past-the-ecs", "corpus-negative-label", "corpus-text-optimal-tc",
+         "corpus-nan-optimal-tc", "corpus-unknown-split", "corpus-unknown-proof", "model"],
 )
 def test_loader_names_malformed_field(tmp_path, write, edit, error, field):
     path, load = write(tmp_path)

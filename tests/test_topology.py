@@ -303,3 +303,22 @@ def test_topology_refuses_a_repeated_or_unknown_node(changes, message):
     _star()
     with pytest.raises(TopologyError, match=message):
         _star(**changes)
+
+
+@pytest.mark.parametrize(
+    "links,message",
+    [(((0, 1), (0, 2), (0, 1)), r"link \(0, 1\) repeats link 0"),
+     (((0, 1), (1, 0), (1, 2)), r"link \(1, 0\) repeats link 0")],
+    ids=["same-orientation", "reversed"],
+)
+def test_topology_refuses_a_repeated_link(tmp_path, links, message):
+    fields = dict(nodes=(0, 1, 2), access_routers=(2,), edge_clouds=(0,), datacenter_hops=5)
+    with pytest.raises(TopologyError, match=message):
+        Topology(links=links, **fields)
+    path = tmp_path / "topo.json"
+    save_topology(Topology(links=((0, 1), (1, 2)), **fields), path)
+    payload = json.loads(path.read_text())
+    payload["links"] = [list(link) for link in links]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TopologyError, match=message):
+        load_topology(path)
