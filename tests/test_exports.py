@@ -10,10 +10,8 @@ them as a name, an attribute or an entry of perfbench's TRACED table.
 import ast
 from pathlib import Path
 
-import edgecache
-
-PACKAGE = Path(edgecache.__file__).resolve().parent
-ROOT = PACKAGE.parent.parent
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "edgecache"
 
 # Exported without a caller outside the tests, each for a reason.
 EXEMPT = {
