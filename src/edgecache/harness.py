@@ -74,27 +74,18 @@ class CorpusSample:
 
 @dataclass(frozen=True)
 class Corpus:
-    """A labelled corpus under root.
-
-    The Corpus that build_dataset returns holds, by file, the instances
-    it wrote, and load returns the held copy: the instance as it was
-    written, not as the file now reads.  load_corpus holds none, so its
-    load reads the file, edits made after the build included.
-    """
+    """A labelled corpus under root, holding its topology and, by file, every instance."""
 
     root: Path
     flows: int
     norm: NormConfig
     samples: tuple[CorpusSample, ...]
     excluded: int
-    instances: Mapping[str, Instance] = field(default_factory=dict, compare=False, repr=False)
-
-    def topology(self) -> Topology:
-        return load_topology(self.root / "topology.json")
+    topology: Topology = field(compare=False, repr=False)
+    instances: Mapping[str, Instance] = field(compare=False, repr=False)
 
     def load(self, sample: CorpusSample) -> Instance:
-        held = self.instances.get(sample.file)
-        return held if held is not None else load_instance(self.root / sample.file)
+        return self.instances[sample.file]
 
     def of_split(self, split: str) -> list[CorpusSample]:
         return [s for s in self.samples if s.split == split]
@@ -177,15 +168,19 @@ def build_dataset(
     }
     write_json(root / "manifest.json", manifest)
     return Corpus(
-        root=root, flows=flows, norm=norm, samples=samples, excluded=excluded, instances=written
+        root=root, flows=flows, norm=norm, samples=samples, excluded=excluded, topology=t,
+        instances=written,
     )
 
 
 def load_corpus(path) -> Corpus:
-    """Read a corpus manifest.  A sample raises ValueError when a label
-    is outside 0..E, for the E edge clouds of the corpus's topology.json,
-    when optimal_tc is not a finite number, when split is not train or
-    test, or when proof is not exhaustive or bounded."""
+    """Read a corpus: its manifest, its topology.json and each sample's
+    instance file, each once.  ValueError when excluded is negative, or
+    when a sample's file is not a string or repeats an earlier sample's,
+    a label is outside 0..E for the E edge clouds of topology.json,
+    optimal_tc is not a finite number, split is not train or test, proof
+    is not exhaustive or bounded, or its instance's topology differs
+    from topology.json or its flow count from the manifest's flows."""
     root = Path(path)
     where = root / "manifest.json"
     manifest = read_json(where, CORPUS_FORMAT, CORPUS_FORMAT_VERSION, ValueError)
@@ -195,11 +190,17 @@ def load_corpus(path) -> Corpus:
         "samples": lambda rows: tuple(
             CorpusSample(**{**s, "labels": int_tuple(s["labels"], flows)}) for s in rows
         ),
-        "excluded": operator.index,
+        "excluded": lambda n: integer(n, "excluded", ValueError, 0),
     }
-    corpus = Corpus(root=root, flows=flows, **read_fields(manifest, fields, ValueError, where))
-    E = corpus.topology().num_edge_clouds
-    for s in corpus.samples:
+    read = read_fields(manifest, fields, ValueError, where)
+    topology = load_topology(root / "topology.json")
+    E = topology.num_edge_clouds
+    instances: dict[str, Instance] = {}
+    for j, s in enumerate(read["samples"]):
+        if type(s.file) is not str:
+            raise ValueError(f"{where}: sample #{j} has file {s.file!r}, not a string")
+        if s.file in instances:
+            raise ValueError(f"{where}: sample {s.file} repeats an earlier sample's file")
         for label in s.labels:
             if not 0 <= label <= E:
                 raise ValueError(f"{where}: sample {s.file} has label {label} outside 0..{E}")
@@ -213,7 +214,12 @@ def load_corpus(path) -> Corpus:
             raise ValueError(
                 f"{where}: sample {s.file} has proof {s.proof!r}, not exhaustive or bounded"
             )
-    return corpus
+        inst = instances[s.file] = load_instance(root / s.file)
+        if inst.topology != topology:
+            raise ValueError(f"{where}: sample {s.file} is not on the topology of topology.json")
+        if inst.num_flows != flows:
+            raise ValueError(f"{where}: sample {s.file} has {inst.num_flows} flows, not {flows}")
+    return Corpus(root=root, flows=flows, topology=topology, instances=instances, **read)
 
 
 def corpus_training_samples(corpus: Corpus, split: str = "train"):
@@ -250,8 +256,7 @@ def train_models(
     samples = corpus_training_samples(corpus, "train")
     if not samples:
         raise ValueError("corpus has no training samples")
-    # From the instances the images came from, not a re-read of topology.json.
-    num_classes = corpus.load(corpus.of_split("train")[0]).topology.num_edge_clouds + 1
+    num_classes = corpus.topology.num_edge_clouds + 1
 
     cfgs = [
         cnnmod.TrainConfig(
@@ -276,13 +281,10 @@ def train_models(
         out.mkdir(parents=True, exist_ok=True)
         for k, model in enumerate(models):
             cnnmod.save_model(model, out / f"model_{k}")
-        with open(out / "loss_trace.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch"] + [f"loss_request_{k}" for k in range(len(models))])
-            for epoch in range(epochs):
-                writer.writerow(
-                    [epoch] + [f"{traces[k][epoch]:.12g}" for k in range(len(models))]
-                )
+        (out / "loss_trace.csv").write_text(_csv_text(
+            ["epoch"] + [f"loss_request_{k}" for k in range(len(models))],
+            ([epoch] + [f"{trace[epoch]:.12g}" for trace in traces] for epoch in range(epochs)),
+        ))
     return models, traces
 
 
@@ -452,8 +454,7 @@ def evaluate(
     method scores 1.0 / 1.0 / 0 by definition.  Each placement is
     scored once, as its details record, and a method's row is computed
     from its records.  Every setting is checked before the first
-    placement.  Each sample of the split is loaded once, before any
-    method's clock starts, so wall_time times placing and scoring only.
+    placement.
     """
     placers = {
         "cnn": lambda inst, s_idx: recursive_allocate(
@@ -483,8 +484,6 @@ def evaluate(
                 f"{m.norm_digest!r}, the corpus uses {corpus.norm.digest()}"
             )
 
-    instances = [corpus.load(s) for s in samples] if set(methods) != {"optimal"} else []
-
     rows = []
     details: list[dict] = []
     for method in methods:
@@ -494,7 +493,7 @@ def evaluate(
             if method == "optimal":
                 tc_n, ok, match_count = s.optimal_tc, True, corpus.flows
             else:
-                inst = instances[s_idx]
+                inst = corpus.load(s)
                 asg = placers[method](inst, s_idx)
                 breakdown = cost_breakdown(inst, asg, gamma=gamma)
                 tc_n, ok = breakdown.penalized_total, breakdown.feasible

@@ -445,6 +445,20 @@ def test_eval_on_a_text_optimal_tc_exits_2(workspace, tmp_path, capsys):
     assert f"sample {sample['file']} has optimal_tc 'abc', not a finite number" in err
 
 
+def test_eval_on_a_non_string_file_exits_2(workspace, tmp_path, capsys):
+    root, topo, corpus, models = workspace
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest["samples"][-1]["file"] = 3
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["eval", "--corpus", str(bad), "--methods", "optimal,gca", "--out", str(tmp_path / "e")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"sample #{len(manifest['samples']) - 1} has file 3, not a string" in err
+
+
 def test_train_flag_defaults_are_the_training_config_defaults():
     args = build_parser().parse_args(["train", "--corpus", "c", "--out", "o"])
     cfg = TrainConfig()

@@ -125,6 +125,10 @@ def _set_sample(key, value):
     return edit
 
 
+def _repeat_sample(payload):
+    payload["samples"].append(payload["samples"][0])
+
+
 # (file kind, edit past the envelope, expected error, field the message names)
 FIELD_CASES = [
     (_topology, _set("links", [[0]]), TopologyError, "links"),
@@ -147,6 +151,12 @@ FIELD_CASES = [
     (_corpus, _set_sample("proof", "heuristic"), ValueError,
      r"manifest\.json: sample instances/inst_00000\.json has proof 'heuristic', "
      r"not exhaustive or bounded"),
+    (_corpus, _set_sample("file", 3), ValueError,
+     r"manifest\.json: sample #0 has file 3, not a string"),
+    (_corpus, _repeat_sample, ValueError,
+     r"manifest\.json: sample instances/inst_00000\.json repeats an earlier sample's file"),
+    (_corpus, _set("excluded", -3), ValueError,
+     r"manifest\.json: malformed field 'excluded': excluded must be >= 0, got -3"),
     (_model, _drop("num_classes"), CnnError, "num_classes"),
 ]
 
@@ -156,7 +166,8 @@ FIELD_CASES = [
     ids=["topology", "instance-missing", "instance-flat", "corpus",
          "corpus-fractional-label", "corpus-short-labels", "corpus-norm",
          "corpus-label-past-the-ecs", "corpus-negative-label", "corpus-text-optimal-tc",
-         "corpus-nan-optimal-tc", "corpus-unknown-split", "corpus-unknown-proof", "model"],
+         "corpus-nan-optimal-tc", "corpus-unknown-split", "corpus-unknown-proof",
+         "corpus-non-string-file", "corpus-repeated-file", "corpus-negative-excluded", "model"],
 )
 def test_loader_names_malformed_field(tmp_path, write, edit, error, field):
     path, load = write(tmp_path)

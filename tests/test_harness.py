@@ -99,23 +99,23 @@ def _count_loads(monkeypatch) -> list:
 
 
 def test_built_corpus_holds_what_it_wrote(corpus, monkeypatch):
-    # The held copy is the instance as written: what load_instance reads
-    # back from its file, array bytes, dtypes and all.
-    assert sorted(corpus.instances) == sorted(s.file for s in corpus.samples)
+    # The held copy is the instance as written: what load_corpus reads
+    # back from its files, array bytes, dtypes and all.
+    back = load_corpus(corpus.root)
+    assert back == corpus and back.topology == corpus.topology
+    files = sorted(s.file for s in corpus.samples)
+    assert sorted(corpus.instances) == sorted(back.instances) == files
     for s in corpus.samples:
-        held, disk = corpus.instances[s.file], load_instance(corpus.root / s.file)
+        held, disk = corpus.instances[s.file], back.instances[s.file]
         for name in INSTANCE_ARRAYS:
             a, b = getattr(held, name), getattr(disk, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert held.topology == disk.topology
         assert (held.alpha, held.beta) == (disk.alpha, disk.beta)
     loads = _count_loads(monkeypatch)
-    assert all(corpus.load(s) is corpus.instances[s.file] for s in corpus.samples)
+    for c in (corpus, back):
+        assert all(c.load(s) is c.instances[s.file] for s in corpus.samples)
     assert loads == []
-    back = load_corpus(corpus.root)
-    assert back == corpus and back.instances == {}
-    back.load(corpus.samples[0])
-    assert loads == [corpus.root / corpus.samples[0].file]
 
 
 def test_load_corpus_sees_an_edit_made_after_the_build(topo, tmp_path):
@@ -128,16 +128,70 @@ def test_load_corpus_sees_an_edit_made_after_the_build(topo, tmp_path):
 
 
 def test_evaluate_loads_each_sample_once(corpus, models, monkeypatch):
-    # Each sample of the split is read once for all methods, and a corpus
-    # read from disk scores byte for byte as the one build_dataset held.
+    # load_corpus reads each sample file once and evaluate reads none, and
+    # a corpus read from disk scores byte for byte as the one build_dataset held.
     monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
     methods = ("optimal", "cnn", "gca", "rgc")
     held = evaluate(corpus, models=models, methods=methods, rgc_epochs=40)
     loads = _count_loads(monkeypatch)
-    disk = evaluate(load_corpus(corpus.root), models=models, methods=methods, rgc_epochs=40)
-    assert sorted(loads) == sorted(corpus.root / s.file for s in corpus.of_split("test"))
+    back = load_corpus(corpus.root)
+    assert sorted(loads) == sorted(corpus.root / s.file for s in corpus.samples)
+    loads.clear()
+    disk = evaluate(back, models=models, methods=methods, rgc_epochs=40)
+    assert loads == []
     assert disk.summary_csv() == held.summary_csv()
     assert disk.detail_csv() == held.detail_csv()
+
+
+def test_a_loaded_corpus_is_trained_and_scored_without_a_file_read(corpus, monkeypatch):
+    back = load_corpus(corpus.root)
+
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(harness, "load_instance", no_read)
+    monkeypatch.setattr(harness, "load_topology", no_read)
+    models, _ = train_models(back, epochs=1, batch_size=8)
+    evaluate(back, models=models, methods=("optimal", "cnn", "gca", "rgc"), rgc_epochs=5)
+
+
+def _retopologized(path):
+    wider = build_topology(TopologyConfig(branching=2, depth=3, ec_rule="internal"))
+    save_topology(wider, path / "topology.json")
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["samples"][-1]["labels"][0] = 5  # inside 0..7, outside the instances' 0..3
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _reflowed(path):
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["flows"] = 3
+    for s in manifest["samples"]:
+        s["labels"] = [0, 0, 0]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [(_retopologized, "is not on the topology of topology.json"), (_reflowed, "has 2 flows, not 3")],
+    ids=["topology", "flows"],
+)
+def test_load_corpus_refuses_an_instance_unlike_the_manifest(topo, tmp_path, edit, message):
+    # The label check reads E from topology.json and the label count from
+    # flows, so it holds for the instances trained on only when they agree.
+    corpus = build_dataset(topo, n=6, flows=2, seed=3, out_dir=tmp_path, train_fraction=0.5)
+    edit(tmp_path)
+    first = re.escape(f"manifest.json: sample {corpus.samples[0].file} {message}")
+    with pytest.raises(ValueError, match=first):
+        load_corpus(tmp_path)
+
+
+def test_loss_trace_csv_bytes(topo, tmp_path):
+    corpus = build_dataset(topo, n=4, flows=2, seed=8, out_dir=tmp_path / "c", train_fraction=0.5)
+    _, traces = train_models(corpus, epochs=2, batch_size=2, out_dir=tmp_path / "m")
+    rows = [f"{e},{traces[0][e]:.12g},{traces[1][e]:.12g}" for e in range(2)]
+    expected = "\r\n".join(["epoch,loss_request_0,loss_request_1", *rows, ""])
+    assert (tmp_path / "m" / "loss_trace.csv").read_bytes() == expected.encode()
 
 
 def test_stored_labels_resolve_to_identical_cost(corpus):
@@ -172,7 +226,7 @@ def test_precision_definition():
 
 def test_training_loss_halves_on_labelled_corpus(corpus):
     samples = corpus_training_samples(corpus)
-    topo = corpus.topology()
+    topo = corpus.topology
     _, losses = train(
         samples,
         TrainConfig(epochs=12, batch_size=8, num_classes=topo.num_edge_clouds + 1,
@@ -190,7 +244,7 @@ def test_train_models_is_bit_equal_for_any_workers(corpus, monkeypatch):
     # often; a slot lost or stepped twice would change its result.  One
     # filter takes the one-channel sums, the others the einsum sums.
     samples = corpus_training_samples(corpus)
-    num_classes = corpus.topology().num_edge_clouds + 1
+    num_classes = corpus.topology.num_edge_clouds + 1
     for filters in ((1,), (16,), (16, 32, 64)):
         monkeypatch.setattr(cnnmod, "CnnModel", functools.partial(CnnModel, filters=filters))
         alone = [
@@ -352,7 +406,7 @@ def test_recursive_allocate_refuses_a_block_below_one(corpus, models, block):
 
 
 def test_recursive_allocate_refuses_a_block_above_the_model_count(corpus, models):
-    inst = generate_instance(corpus.topology(), 6, seed=77)
+    inst = generate_instance(corpus.topology, 6, seed=77)
     with pytest.raises(ValueError, match="block 4 exceeds the 3 models"):
         recursive_allocate(models, inst, block=4, norm=corpus.norm)
 
@@ -690,8 +744,8 @@ def test_hand_built_testset_report(topo, tmp_path):
                 proof=sol.proof,
             )
         )
-    corpus = Corpus(root=root, flows=3, norm=NormConfig.from_ranges(),
-                    samples=tuple(samples), excluded=0)
+    corpus = Corpus(root=root, flows=3, norm=NormConfig.from_ranges(), samples=tuple(samples),
+                    excluded=0, topology=topo, instances={s.file: i for s, i in zip(samples, insts)})
     report = evaluate(corpus, methods=("optimal", "gca"))
     gca_row = report.rows[1]
 
