@@ -722,17 +722,15 @@ def test_evaluate_is_deterministic_modulo_wall_time(corpus, models):
 
 def test_hand_built_testset_report(topo, tmp_path):
     # Three fixed instances, solved for labels; the report's numbers must
-    # equal an independent recomputation of every metric.
+    # equal an independent recomputation of every metric.  The corpus
+    # holds them, so none is written.
     root = tmp_path / "hand"
-    (root / "instances").mkdir(parents=True)
-    save_topology(topo, root / "topology.json")
     samples = []
     insts = []
     for idx in range(3):
         inst = generate_instance(topo, 3, seed=[100, idx])
         sol = solve_exact(inst)
         rel = f"instances/inst_{idx:05d}.json"
-        save_instance(inst, root / rel)
         insts.append(inst)
         samples.append(
             CorpusSample(
